@@ -16,8 +16,33 @@ This is the exact junction-tree elimination of the decomposable model of
 Equation 2 under the uniform-within-bucket histogram semantics, with one
 engineering addition: the accumulated-cost dimension is periodically
 re-bucketed (the same rearrangement used in Section 4.2) so the cell count
-stays bounded.  The state is held in ``numpy`` arrays so long corridors
-with many overlapping high-rank variables stay fast.
+stays bounded.
+
+**State and plans.**  A state cell does not carry its separator bucket
+bounds: it carries an integer *group label*, and the state holds one small
+table of separator bounds per group.  The labels come from the factor that
+produced the state: everything about a factor that does not depend on the
+incoming state -- its cells grouped on the previous and on the next
+separator, the group masses and conditionals of Equation 2, the released
+cost per cell -- is computed once per ``(variable, previous separator,
+next separator)`` as a :class:`_FactorPlan` and kept on the
+:class:`~repro.core.variables.InstantiatedVariable`.  A plan lives exactly
+as long as its variable (a refresh or rebase builds new variables), is not
+persisted and is not counted in ``nbytes``.  Equation 2's overlap weights
+are then computed per *(state group, factor group)* pair, and re-bucketing
+hands the labels straight to the grouped kernel: no step sorts, tiles or
+rebuilds anything the previous step already knew.
+
+**Why this is exact.**  A group's label is the lexicographic rank of its
+bucket-*index* tuple on the separator axes.  Bucket boundaries are strictly
+increasing, so ordering groups by their index tuples is ordering them by
+their bound tuples: the labels number the groups exactly as a
+lexicographic sort of the per-cell float bounds would (bounds closer than
+the 1e-9 rounding of that sort excepted -- histograms never have them).
+Cells therefore leave every step in the same order, and every float sum
+adds the same numbers in the same order, as in the cell-level
+implementation retained in :mod:`repro.core.reference`, to which the
+property tests pin this module.
 
 The propagation corresponds to the paper's "JC" (joint computation) step in
 the Figure 17 run-time breakdown; the final collapse into a one-dimensional
@@ -26,8 +51,9 @@ cost histogram lives in :mod:`repro.core.marginal` ("MC").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +62,7 @@ from ..histograms import kernels
 from ..histograms.multivariate import MultiHistogram
 from ..histograms.univariate import Bucket, Histogram1D
 from .decomposition import Decomposition
+from .variables import InstantiatedVariable
 
 #: Minimum width used when an accumulated-cost range is still degenerate.
 _MIN_WIDTH = 1e-9
@@ -49,21 +76,56 @@ class _State:
     """Vectorised propagation state.
 
     ``agg_low`` / ``agg_high`` bound the accumulated cost of all edges whose
-    cost has already been "released"; ``sep_low`` / ``sep_high`` hold the
-    bucket bounds of each current-separator edge (columns aligned with
-    ``sep_ids``); ``prob`` is the per-cell probability.
+    cost has already been "released"; ``prob`` is the per-cell probability.
+    ``group`` labels each cell with its combination of separator buckets and
+    ``group_sep_low`` / ``group_sep_high`` (shape ``(n_groups, n_sep)``,
+    columns aligned with ``sep_ids``) hold each combination's bounds; all
+    three are ``None`` while there is no separator.
     """
 
     agg_low: np.ndarray
     agg_high: np.ndarray
-    sep_low: np.ndarray
-    sep_high: np.ndarray
     prob: np.ndarray
-    sep_ids: tuple[int, ...]
+    sep_ids: tuple[int, ...] = ()
+    group: np.ndarray | None = None
+    group_sep_low: np.ndarray | None = None
+    group_sep_high: np.ndarray | None = None
 
     @property
     def n_cells(self) -> int:
         return int(self.prob.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class _FactorPlan:
+    """The state-independent arrays of one factor in one separator context.
+
+    ``release_low`` / ``release_high`` are the per-cell summed bounds of the
+    dimensions in neither separator.  The ``prev_*`` fields group the cells
+    on the previous separator (``None`` without one): ``prev_group`` is the
+    label per cell, ``prev_low`` / ``prev_high`` the bounds per group,
+    ``conditional`` the cell probability divided by its group's mass (the
+    quotient of Equation 2), ``fallback`` the group masses as a
+    distribution, used for state groups that overlap no factor group, and
+    ``prev_released`` marks the previous separator's dimensions that are not
+    in the next one (their cost is released by this step).  The
+    ``next_*`` fields group the cells on the next separator the same way
+    and become the labels and bound tables of the state after the step.
+    """
+
+    prob: np.ndarray
+    release_low: np.ndarray
+    release_high: np.ndarray
+    sep_next_ids: tuple[int, ...]
+    prev_group: np.ndarray | None = None
+    prev_low: np.ndarray | None = None
+    prev_high: np.ndarray | None = None
+    prev_released: np.ndarray | None = None
+    conditional: np.ndarray | None = None
+    fallback: np.ndarray | None = None
+    next_group: np.ndarray | None = None
+    next_low: np.ndarray | None = None
+    next_high: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +190,7 @@ def decomposition_entropy(decomposition: Decomposition) -> float:
     ``H_DE = sum_i H(C_{P_i}) - sum_j H(C_{P_j ∩ P_{j+1}})`` where the
     separator entropies are taken from the marginal of the later element's
     joint distribution (consistent with the conditional factorisation used
-    by the propagation).
+    by the propagation).  Every term is memoised on its variable.
     """
     total = 0.0
     for element in decomposition.elements:
@@ -136,8 +198,7 @@ def decomposition_entropy(decomposition: Decomposition) -> float:
     for later_element, separator in zip(decomposition.elements[1:], decomposition.separators()):
         if separator is None:
             continue
-        joint = later_element.variable.joint()
-        total -= joint.marginal(list(separator.edge_ids)).entropy()
+        total -= later_element.variable.marginal_entropy(separator.edge_ids)
     return total
 
 
@@ -149,19 +210,21 @@ def propagate_joint(
     """Propagate Equation 2 along the decomposition and return the accumulated cost cells."""
     if max_aggregate_buckets < 1:
         raise EstimationError("max_aggregate_buckets must be >= 1")
+    if max_state_cells < 1:
+        raise EstimationError("max_state_cells must be >= 1")
     elements = decomposition.elements
     separators = decomposition.separators()
     n_elements = len(elements)
-    n_cells_processed = 0
 
-    state = _initial_state(elements[0].variable.joint(), _separator_ids(separators, 0, n_elements))
-    n_cells_processed += state.n_cells
+    plan = _factor_plan(elements[0].variable, (), _separator_ids(separators, 0, n_elements))
+    state = _initial_state(plan)
+    n_cells_processed = state.n_cells
     state = _consolidate(state, max_aggregate_buckets, max_state_cells)
 
     for index in range(1, n_elements):
-        factor = elements[index].variable.joint()
         sep_next_ids = _separator_ids(separators, index, n_elements)
-        state = _propagate_step(state, factor, sep_next_ids)
+        plan = _factor_plan(elements[index].variable, state.sep_ids, sep_next_ids)
+        state = _propagate_step(state, plan)
         n_cells_processed += state.n_cells
         state = _consolidate(state, max_aggregate_buckets, max_state_cells)
 
@@ -190,214 +253,208 @@ def _separator_ids(separators, index: int, n_elements: int) -> tuple[int, ...]:
     return separator.edge_ids if separator is not None else ()
 
 
-def _cell_bounds(joint: MultiHistogram, dims: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell bucket lower/upper bounds of the given dims, shape (n_cells, len(dims))."""
-    n_cells = joint.n_hyper_buckets()
-    lows = np.zeros((n_cells, len(dims)))
-    highs = np.zeros((n_cells, len(dims)))
-    indices = joint.cell_indices
+def _factor_plan(
+    variable: InstantiatedVariable,
+    sep_prev_ids: tuple[int, ...],
+    sep_next_ids: tuple[int, ...],
+) -> _FactorPlan:
+    """The variable's plan between the two separators, built on first use.
+
+    Two threads may build the same plan at once; both build the same arrays
+    and the later store wins, so no lock is needed.
+    """
+    key = (sep_prev_ids, sep_next_ids)
+    plan = variable._joint_plans.get(key)
+    if plan is None:
+        plan = variable._joint_plans[key] = _build_plan(variable.joint(), sep_prev_ids, sep_next_ids)
+    return plan
+
+
+def _build_plan(
+    factor: MultiHistogram,
+    sep_prev_ids: tuple[int, ...],
+    sep_next_ids: tuple[int, ...],
+) -> _FactorPlan:
+    """Everything a step needs of ``factor`` that does not depend on the state."""
+    prob = np.asarray(factor.cell_probabilities, dtype=float)
+    release_dims = [dim for dim in factor.dims if dim not in sep_prev_ids and dim not in sep_next_ids]
+    release_low, release_high = _bucket_bounds(factor, release_dims, _cell_indices(factor, release_dims))
+    groups = {}
+    if sep_prev_ids:
+        group, low, high = _separator_groups(factor, sep_prev_ids)
+        # The group masses are the denominators of Eq. 2.
+        group_mass = np.bincount(group, weights=prob, minlength=low.shape[0])
+        groups.update(
+            prev_group=group,
+            prev_low=low,
+            prev_high=high,
+            prev_released=np.array([dim not in sep_next_ids for dim in sep_prev_ids], dtype=bool),
+            conditional=prob / group_mass[group],
+            fallback=(group_mass / group_mass.sum())[None, :],
+        )
+    if sep_next_ids:
+        group, low, high = _separator_groups(factor, sep_next_ids)
+        groups.update(next_group=group, next_low=low, next_high=high)
+    plan = _FactorPlan(
+        prob=prob,
+        release_low=release_low.sum(axis=1),
+        release_high=release_high.sum(axis=1),
+        sep_next_ids=sep_next_ids,
+        **groups,
+    )
+    # Every query that meets the variable reads these arrays, and states alias
+    # them: a kernel that one day wrote into its input must fail, not corrupt.
+    for value in vars(plan).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return plan
+
+
+def _bucket_bounds(
+    joint: MultiHistogram, dims: Sequence[int], indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower/upper bucket bounds for bucket indices of ``dims`` (one column per dim)."""
+    lows = np.zeros(indices.shape)
+    highs = np.zeros(indices.shape)
     for column, dim in enumerate(dims):
-        axis = joint.axis_of(dim)
-        edges = np.asarray(joint.boundaries_of(dim))
-        lows[:, column] = edges[indices[:, axis]]
-        highs[:, column] = edges[indices[:, axis] + 1]
+        edges = joint.boundaries_of(dim)
+        lows[:, column] = edges[indices[:, column]]
+        highs[:, column] = edges[indices[:, column] + 1]
     return lows, highs
 
 
-def _initial_state(joint: MultiHistogram, sep_ids: tuple[int, ...]) -> _State:
-    """Turn the first element's joint histogram into the propagation state."""
-    released_dims = [dim for dim in joint.dims if dim not in sep_ids]
-    release_low, release_high = _cell_bounds(joint, released_dims)
-    sep_low, sep_high = _cell_bounds(joint, list(sep_ids))
+def _cell_indices(joint: MultiHistogram, dims: Sequence[int]) -> np.ndarray:
+    """The cells' bucket indices on ``dims``, shape ``(n_cells, len(dims))``."""
+    return joint.cell_indices[:, [joint.axis_of(dim) for dim in dims]]
+
+
+def _separator_groups(
+    joint: MultiHistogram, sep_ids: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the joint's cells by their buckets on the separator's dimensions.
+
+    Returns the group label per cell and the groups' bucket bounds, shape
+    ``(n_groups, len(sep_ids))``.  Labels are the lexicographic rank of the
+    bucket-index tuple (see the module docstring for why that matters).
+    """
+    keys, group = np.unique(_cell_indices(joint, sep_ids), axis=0, return_inverse=True)
+    return group.ravel(), *_bucket_bounds(joint, sep_ids, keys)
+
+
+def _initial_state(plan: _FactorPlan) -> _State:
+    """Turn the first element's plan into the propagation state."""
     return _State(
-        agg_low=release_low.sum(axis=1),
-        agg_high=release_high.sum(axis=1),
-        sep_low=sep_low,
-        sep_high=sep_high,
-        prob=np.asarray(joint.cell_probabilities, dtype=float).copy(),
-        sep_ids=sep_ids,
+        agg_low=plan.release_low,
+        agg_high=plan.release_high,
+        prob=plan.prob,
+        sep_ids=plan.sep_next_ids,
+        group=plan.next_group,
+        group_sep_low=plan.next_low,
+        group_sep_high=plan.next_high,
     )
 
 
-def _propagate_step(
-    state: _State,
-    factor: MultiHistogram,
-    sep_next_ids: tuple[int, ...],
-) -> _State:
-    """Absorb one more decomposition element into the propagation state."""
-    sep_prev_ids = state.sep_ids
-    sep_prev_set = set(sep_prev_ids)
-    sep_next_set = set(sep_next_ids)
+def _overlap_weights(state: _State, plan: _FactorPlan) -> np.ndarray:
+    """Overlap weights between the state's and the factor's separator groups.
 
-    factor_prob = np.asarray(factor.cell_probabilities, dtype=float)
-    n_factor_cells = factor_prob.shape[0]
-
-    if not sep_prev_ids and not sep_next_ids:
-        # Separator-free step (disjoint consecutive elements, the dominant
-        # case on sparse graphs): Equation 2 degenerates to an independent
-        # convolution, so skip the grouping/weighting machinery entirely.
-        release_low, release_high = _cell_bounds(factor, list(factor.dims))
-        factor_low = release_low.sum(axis=1)
-        factor_high = release_high.sum(axis=1)
-        new_prob = (state.prob[:, None] * factor_prob[None, :]).reshape(-1)
-        keep = new_prob > _PRUNE_THRESHOLD
-        if not np.any(keep):
-            keep = new_prob > 0.0
-        if not np.any(keep):
-            raise EstimationError("joint propagation lost all probability mass")
-        new_prob = new_prob[keep]
-        n_kept = new_prob.shape[0]
-        return _State(
-            agg_low=(state.agg_low[:, None] + factor_low[None, :]).reshape(-1)[keep],
-            agg_high=(state.agg_high[:, None] + factor_high[None, :]).reshape(-1)[keep],
-            sep_low=np.zeros((n_kept, 0)),
-            sep_high=np.zeros((n_kept, 0)),
-            prob=new_prob / new_prob.sum(),
-            sep_ids=(),
+    Shape ``(n_state_groups, n_factor_groups)``: the share of each state
+    group's separator hyper-bucket that falls into each factor group's,
+    rows normalised; a state group overlapping nothing falls back to the
+    factor's group masses.
+    """
+    weights = np.ones((state.group_sep_low.shape[0], plan.prev_low.shape[0]))
+    for column in range(len(state.sep_ids)):
+        state_low = state.group_sep_low[:, column][:, None]
+        state_high = state.group_sep_high[:, column][:, None]
+        overlap = np.clip(
+            np.minimum(state_high, plan.prev_high[:, column][None, :])
+            - np.maximum(state_low, plan.prev_low[:, column][None, :]),
+            0.0,
+            None,
         )
+        widths = np.maximum(state_high - state_low, _MIN_WIDTH)
+        weights *= overlap / widths
+    row_totals = weights.sum(axis=1, keepdims=True)
+    return np.where(row_totals > 0.0, weights / np.maximum(row_totals, _MIN_WIDTH), plan.fallback)
 
-    # Group the factor's cells by their bucket indices on the previous
-    # separator's dimensions; the group masses are the denominators of Eq. 2.
-    if sep_prev_ids:
-        prev_axes = [factor.axis_of(dim) for dim in sep_prev_ids]
-        prev_index_matrix = np.asarray(factor.cell_indices)[:, prev_axes]
-        group_keys, group_id = np.unique(prev_index_matrix, axis=0, return_inverse=True)
-        n_groups = group_keys.shape[0]
-        group_mass = np.zeros(n_groups)
-        np.add.at(group_mass, group_id, factor_prob)
-    else:
-        group_keys = np.zeros((1, 0), dtype=int)
-        group_id = np.zeros(n_factor_cells, dtype=int)
-        group_mass = np.array([1.0])
-        n_groups = 1
 
-    conditional = factor_prob / group_mass[group_id]
-
-    # Overlap weights between the state's separator buckets and the factor's
-    # separator bucket groups: shape (n_state, n_groups).
+def _propagate_step(state: _State, plan: _FactorPlan) -> _State:
+    """Absorb one more decomposition element into the propagation state."""
     n_state = state.n_cells
-    if sep_prev_ids:
-        weights = np.ones((n_state, n_groups))
-        for column, dim in enumerate(sep_prev_ids):
-            edges = np.asarray(factor.boundaries_of(dim))
-            group_low = edges[group_keys[:, column]]
-            group_high = edges[group_keys[:, column] + 1]
-            state_low = state.sep_low[:, column][:, None]
-            state_high = state.sep_high[:, column][:, None]
-            overlap = np.clip(
-                np.minimum(state_high, group_high[None, :]) - np.maximum(state_low, group_low[None, :]),
-                0.0,
-                None,
-            )
-            widths = np.maximum(state_high - state_low, _MIN_WIDTH)
-            weights *= overlap / widths
-        row_totals = weights.sum(axis=1, keepdims=True)
-        fallback = (group_mass / group_mass.sum())[None, :]
-        weights = np.where(row_totals > 0.0, weights / np.maximum(row_totals, _MIN_WIDTH), fallback)
+    if state.group is not None:
+        # Probability of each (state cell, factor cell) combination, and the
+        # state's separator dimensions that leave the separator here.
+        weights = _overlap_weights(state, plan)
+        new_prob = (state.prob[:, None] * weights[:, plan.prev_group][state.group]) * plan.conditional[None, :]
+        released = plan.prev_released
+        state_release_low = state.agg_low + state.group_sep_low[:, released].sum(axis=1)[state.group]
+        state_release_high = state.agg_high + state.group_sep_high[:, released].sum(axis=1)[state.group]
     else:
-        weights = np.ones((n_state, 1))
-
-    # Probability of each (state cell, factor cell) combination.
-    combined_prob = (state.prob[:, None] * weights[:, group_id]) * conditional[None, :]
-
-    # Accumulated-cost contributions.
-    state_keep_mask = np.array([dim in sep_next_set for dim in sep_prev_ids], dtype=bool)
-    if sep_prev_ids:
-        state_release_low = state.agg_low + (state.sep_low[:, ~state_keep_mask]).sum(axis=1)
-        state_release_high = state.agg_high + (state.sep_high[:, ~state_keep_mask]).sum(axis=1)
-    else:
-        state_release_low = state.agg_low
-        state_release_high = state.agg_high
-
-    factor_new_dims = [dim for dim in factor.dims if dim not in sep_prev_set]
-    factor_release_dims = [dim for dim in factor_new_dims if dim not in sep_next_set]
-    release_low, release_high = _cell_bounds(factor, factor_release_dims)
-    factor_release_low = release_low.sum(axis=1)
-    factor_release_high = release_high.sum(axis=1)
-
-    next_sep_low, next_sep_high = _cell_bounds(factor, list(sep_next_ids))
-
-    new_agg_low = (state_release_low[:, None] + factor_release_low[None, :]).reshape(-1)
-    new_agg_high = (state_release_high[:, None] + factor_release_high[None, :]).reshape(-1)
-    new_prob = combined_prob.reshape(-1)
-    new_sep_low = np.tile(next_sep_low, (n_state, 1))
-    new_sep_high = np.tile(next_sep_high, (n_state, 1))
+        # No shared edges with the state (disjoint consecutive elements, the
+        # dominant case on sparse graphs): an independent convolution.
+        new_prob = state.prob[:, None] * plan.prob[None, :]
+        state_release_low, state_release_high = state.agg_low, state.agg_high
+    new_prob = new_prob.reshape(-1)
 
     keep = new_prob > _PRUNE_THRESHOLD
-    if not np.any(keep):
+    if not keep.any():
         keep = new_prob > 0.0
-    if not np.any(keep):
-        raise EstimationError("joint propagation lost all probability mass")
+        if not keep.any():
+            raise EstimationError("joint propagation lost all probability mass")
     new_prob = new_prob[keep]
-    new_prob = new_prob / new_prob.sum()
     return _State(
-        agg_low=new_agg_low[keep],
-        agg_high=new_agg_high[keep],
-        sep_low=new_sep_low[keep],
-        sep_high=new_sep_high[keep],
-        prob=new_prob,
-        sep_ids=sep_next_ids,
+        agg_low=(state_release_low[:, None] + plan.release_low[None, :]).reshape(-1)[keep],
+        agg_high=(state_release_high[:, None] + plan.release_high[None, :]).reshape(-1)[keep],
+        prob=new_prob / new_prob.sum(),
+        sep_ids=plan.sep_next_ids,
+        group=None if plan.next_group is None else np.tile(plan.next_group, n_state)[keep],
+        group_sep_low=plan.next_low,
+        group_sep_high=plan.next_high,
     )
 
 
 def _consolidate(state: _State, max_aggregate_buckets: int, max_state_cells: int) -> _State:
     """Bound the state size by re-bucketing the accumulated-cost dimension.
 
-    Cells are grouped by their separator bucket combination; every group's
-    accumulated-cost ranges are rearranged into disjoint cells and, where
-    the rearranged group exceeds ``max_aggregate_buckets`` cells, merged
-    onto an equal-width grid.  All groups are processed by one batched
-    kernel pass (:func:`repro.histograms.kernels.grouped_rearrange_coarsen`)
-    rather than a per-group Python loop.  If the state is still too large
+    Within every separator group the accumulated-cost ranges are rearranged
+    into disjoint cells and, where the rearranged group exceeds
+    ``max_aggregate_buckets`` cells, merged onto an equal-width grid.  All
+    groups are processed by one batched kernel pass
+    (:func:`repro.histograms.kernels.grouped_rearrange_coarsen`) rather
+    than a per-group Python loop.  If the state is still too large
     afterwards, the lowest-probability cells are pruned (and the remainder
     renormalised).
     """
-    if not np.any(state.prob > 0.0):
+    if not (state.prob > 0.0).any():
         raise EstimationError("joint propagation lost all probability mass")
-    n_sep = state.sep_low.shape[1] if state.sep_low.ndim == 2 else 0
-    if n_sep == 0:
+    if state.group is None:
         # One group only: rearrange/coarsen directly, skipping the grouped
         # kernel's windowing machinery (and, matching it, leave states
         # already within the cap untouched).
-        if state.n_cells <= max_aggregate_buckets:
-            new_state = state
-        else:
+        if state.n_cells > max_aggregate_buckets:
             highs = np.maximum(state.agg_high, state.agg_low + _MIN_WIDTH)
             cells = kernels.rearrange(state.agg_low, highs, state.prob, normalize=False)
             cells = kernels.truncate_to_max_buckets(*cells, max_aggregate_buckets)
-            new_state = _State(
-                agg_low=cells[0],
-                agg_high=cells[1],
-                sep_low=np.zeros((cells[2].shape[0], 0)),
-                sep_high=np.zeros((cells[2].shape[0], 0)),
-                prob=cells[2],
-                sep_ids=state.sep_ids,
-            )
-        return _bound_and_normalise(new_state, max_state_cells)
+            state = _State(agg_low=cells[0], agg_high=cells[1], prob=cells[2])
+        return _bound_and_normalise(state, max_state_cells)
 
-    combined = np.concatenate([state.sep_low, state.sep_high], axis=1)
-    _, group_labels = np.unique(np.round(combined, 9), axis=0, return_inverse=True)
-    group_labels = np.asarray(group_labels).ravel()
-    n_groups = int(group_labels.max()) + 1
-
-    # First original row of each group, for re-expanding the separator
-    # columns (reversed fancy assignment keeps the earliest index).
-    representative = np.zeros(n_groups, dtype=np.int64)
-    representative[group_labels[::-1]] = np.arange(state.n_cells - 1, -1, -1)
-
+    # Renumber the groups that still hold cells 0..n-1 in label order (the
+    # kernel places group g at offset g * window, so the numbering is part
+    # of the arithmetic) and drop the others from the bound tables.
+    occupied = np.bincount(state.group, minlength=state.group_sep_low.shape[0]) > 0
+    labels = (np.cumsum(occupied) - 1)[state.group]
     highs = np.maximum(state.agg_high, state.agg_low + _MIN_WIDTH)
     out_lows, out_highs, out_probs, out_groups = kernels.grouped_rearrange_coarsen(
-        state.agg_low, highs, state.prob, group_labels, max_aggregate_buckets
+        state.agg_low, highs, state.prob, labels, max_aggregate_buckets
     )
-
-    rows = representative[out_groups]
     new_state = _State(
         agg_low=out_lows,
         agg_high=out_highs,
-        sep_low=state.sep_low[rows],
-        sep_high=state.sep_high[rows],
         prob=out_probs,
         sep_ids=state.sep_ids,
+        group=out_groups,
+        group_sep_low=state.group_sep_low[occupied],
+        group_sep_high=state.group_sep_high[occupied],
     )
     return _bound_and_normalise(new_state, max_state_cells)
 
@@ -405,24 +462,15 @@ def _consolidate(state: _State, max_aggregate_buckets: int, max_state_cells: int
 def _bound_and_normalise(state: _State, max_state_cells: int) -> _State:
     """Prune the lowest-probability cells past the cap and renormalise."""
     if state.n_cells > max_state_cells:
-        order = np.argsort(state.prob)[::-1][:max_state_cells]
-        state = _State(
-            agg_low=state.agg_low[order],
-            agg_high=state.agg_high[order],
-            sep_low=state.sep_low[order],
-            sep_high=state.sep_high[order],
-            prob=state.prob[order],
-            sep_ids=state.sep_ids,
+        kept = np.argsort(state.prob)[::-1][:max_state_cells]
+        state = replace(
+            state,
+            agg_low=state.agg_low[kept],
+            agg_high=state.agg_high[kept],
+            prob=state.prob[kept],
+            group=None if state.group is None else state.group[kept],
         )
     total = state.prob.sum()
     if total <= 0.0:
         raise EstimationError("joint propagation lost all probability mass")
-    state = _State(
-        agg_low=state.agg_low,
-        agg_high=state.agg_high,
-        sep_low=state.sep_low,
-        sep_high=state.sep_high,
-        prob=state.prob / total,
-        sep_ids=state.sep_ids,
-    )
-    return state
+    return replace(state, prob=state.prob / total)

@@ -10,7 +10,7 @@ edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from ..exceptions import InstantiationError
@@ -76,6 +76,20 @@ class InstantiatedVariable:
         """
         return MultiHistogram.from_univariate(self.path.edge_ids[0], self.distribution)
 
+    # Derived values memoised on the variable.  They live and die with it (a
+    # refresh or rebase builds new variables, so nothing is ever
+    # invalidated), are not persisted and are not counted in ``nbytes``.
+    # Created on first use: most fallback variables are never queried.
+    @cached_property
+    def _joint_plans(self) -> dict:
+        """``repro.core.joint``'s factor plans, keyed by (previous, next) separator ids."""
+        return {}
+
+    @cached_property
+    def _entropies(self) -> dict[tuple[int, ...] | None, float]:
+        """``None`` -> the distribution's entropy, edge ids -> that marginal's."""
+        return {}
+
     def joint(self) -> MultiHistogram:
         """The joint distribution as a multi-dimensional histogram (any rank)."""
         if isinstance(self.distribution, MultiHistogram):
@@ -107,12 +121,28 @@ class InstantiatedVariable:
         )
 
     def entropy(self) -> float:
-        """Differential entropy of the variable's (joint) distribution."""
-        if isinstance(self.distribution, Histogram1D):
-            from ..histograms.divergence import entropy_of_histogram
+        """Differential entropy of the variable's (joint) distribution (memoised)."""
+        value = self._entropies.get(None)
+        if value is None:
+            if isinstance(self.distribution, Histogram1D):
+                from ..histograms.divergence import entropy_of_histogram
 
-            return entropy_of_histogram(self.distribution)
-        return self.distribution.entropy()
+                value = entropy_of_histogram(self.distribution)
+            else:
+                value = self.distribution.entropy()
+            self._entropies[None] = value
+        return value
+
+    def marginal_entropy(self, edge_ids: tuple[int, ...]) -> float:
+        """Entropy of the joint distribution's marginal on ``edge_ids`` (memoised).
+
+        The separator terms of Theorem 2's ``H_DE``.
+        """
+        value = self._entropies.get(edge_ids)
+        if value is None:
+            value = self.joint().marginal(list(edge_ids)).entropy()
+            self._entropies[edge_ids] = value
+        return value
 
     def storage_size(self) -> int:
         """Number of scalars needed to store the variable's distribution."""

@@ -217,5 +217,15 @@ class TestMarginalCollapse:
         samples = correlated_samples(rng, 100, 2)
         variable = variable_from_samples([1, 2], samples)
         decomposition = Decomposition(Path([1, 2]), (RelevantVariable(variable, 0),))
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match="max_aggregate_buckets"):
             propagate_joint(decomposition, max_aggregate_buckets=0)
+
+    @pytest.mark.parametrize("max_state_cells", [0, -3])
+    def test_invalid_max_state_cells(self, rng, max_state_cells):
+        """0 used to fail late ("lost all probability mass"); -3 used to drop
+        the three least likely cells and answer."""
+        samples = correlated_samples(rng, 100, 2)
+        variable = variable_from_samples([1, 2], samples)
+        decomposition = Decomposition(Path([1, 2]), (RelevantVariable(variable, 0),))
+        with pytest.raises(EstimationError, match="max_state_cells"):
+            propagate_joint(decomposition, max_state_cells=max_state_cells)

@@ -1,0 +1,177 @@
+"""Property tests: group-labelled joint propagation == retained cell-level reference.
+
+:mod:`repro.core.joint` carries an integer separator-group label per state
+cell and reads each factor's step-invariant arrays from a plan cached on
+the variable; :mod:`repro.core.reference` is the implementation it
+replaced, which carries per-cell float separator bounds and regroups them
+with a lexicographic sort on every step.  The rewrite changes no
+arithmetic, so the two must agree bit for bit -- on random chains whose
+elements overlap in 0-4 edges with *different* bucket boundaries on the
+shared edges, and on every corridor prefix of a simulated city.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    EstimatorParameters,
+    Histogram1D,
+    HybridGraphBuilder,
+    MultiHistogram,
+    Path,
+    PathCostEstimator,
+    SimulationParameters,
+    TrafficSimulator,
+    TrajectoryStore,
+    grid_network,
+)
+from repro.core.decomposition import Decomposition
+from repro.core.joint import decomposition_entropy, propagate_joint
+from repro.core.reference import propagate_joint_reference
+from repro.core.relevance import RelevantVariable
+from repro.core.variables import InstantiatedVariable
+from repro.timeutil import interval_of
+
+INTERVAL = interval_of(8 * 3600.0, 30)
+
+#: One chain element: (edges shared with the previous element, rank).
+element_shapes = st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=5))
+
+chains = st.tuples(
+    st.lists(element_shapes, min_size=2, max_size=8),
+    st.integers(min_value=0, max_value=1_000_000),
+)
+
+
+def random_boundaries(rng, values):
+    """2-6 buckets with random cut points covering ``values`` (widths >= 0.5)."""
+    low, high = float(values.min()) - 1.0, float(values.max()) + 1.0
+    cuts = np.sort(rng.uniform(low + 0.5, high - 0.5, size=int(rng.integers(1, 6))))
+    edges = np.concatenate([[low], cuts, [high]])
+    return list(edges[np.concatenate([[True], np.diff(edges) >= 0.5])])
+
+
+def random_variable(rng, edge_ids, edge_means):
+    """A variable over ``edge_ids`` with its own bucket boundaries on every edge."""
+    n_samples = int(rng.integers(30, 200))
+    latent = rng.normal(0.0, 1.0, size=(n_samples, 1))
+    samples = (
+        np.array([edge_means[edge] for edge in edge_ids])
+        + 8.0 * (0.7 * latent + 0.7 * rng.normal(size=(n_samples, len(edge_ids))))
+    )
+    if rng.random() < 0.15:
+        # Far from what the neighbours saw: separator buckets that overlap
+        # nothing on the other side exercise the zero-overlap fallback.
+        samples = samples + 1000.0
+    boundaries = [random_boundaries(rng, samples[:, axis]) for axis in range(len(edge_ids))]
+    if len(edge_ids) == 1:
+        distribution = Histogram1D.from_values(samples[:, 0], boundaries[0])
+    else:
+        distribution = MultiHistogram.from_samples(list(edge_ids), samples, boundaries)
+    return InstantiatedVariable(Path(list(edge_ids)), INTERVAL, distribution, support=n_samples)
+
+
+def build_chain(shapes, seed) -> Decomposition:
+    """A decomposition whose consecutive elements share ``overlap`` edges.
+
+    The overlap is cut down where needed so that no element is a sub-path
+    of its predecessor (starts and ends strictly increase); zero overlap
+    makes consecutive elements disjoint.
+    """
+    rng = np.random.default_rng(seed)
+    spans = []
+    start, end = 0, 0
+    for index, (overlap, rank) in enumerate(shapes):
+        if index:
+            overlap = min(overlap, rank - 1, end - start - 1)
+            start = end - overlap
+        end = start + rank
+        spans.append((start, end))
+    edge_means = {edge: float(rng.uniform(20.0, 90.0)) for edge in range(end)}
+    elements = tuple(
+        RelevantVariable(random_variable(rng, tuple(range(first, last)), edge_means), first)
+        for first, last in spans
+    )
+    return Decomposition(Path(list(range(end))), elements)
+
+
+def assert_same_joint(actual, expected):
+    """Exact equality: stricter than the 1e-9 the kernels are pinned at, because
+    the rewrite adds the same numbers in the same order."""
+    np.testing.assert_array_equal(actual.cell_lows, expected.cell_lows)
+    np.testing.assert_array_equal(actual.cell_highs, expected.cell_highs)
+    np.testing.assert_array_equal(actual.cell_probs, expected.cell_probs)
+    assert actual.n_cells_processed == expected.n_cells_processed
+    assert actual.entropy == expected.entropy
+
+
+class TestChainEquivalence:
+    @given(chains, st.sampled_from([4, 16, 32]), st.sampled_from([8, 64, 4096]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference(self, chain, max_aggregate_buckets, max_state_cells):
+        decomposition = build_chain(*chain)
+        limits = dict(max_aggregate_buckets=max_aggregate_buckets, max_state_cells=max_state_cells)
+        expected = propagate_joint_reference(decomposition, **limits)
+        assert_same_joint(propagate_joint(decomposition, **limits), expected)
+        # Second visit: every plan and entropy now comes from the variables' memos.
+        assert_same_joint(propagate_joint(decomposition, **limits), expected)
+
+    @given(chains)
+    @settings(max_examples=30, deadline=None)
+    def test_plans_depend_on_the_separators_only(self, chain):
+        """A variable met again under other limits or in another chain reuses its plans."""
+        shapes, seed = chain
+        decomposition = build_chain(shapes, seed)
+        propagate_joint(decomposition, max_aggregate_buckets=4, max_state_cells=8)
+        assert_same_joint(propagate_joint(decomposition), propagate_joint_reference(decomposition))
+        suffix = Decomposition(
+            Path(list(decomposition.query_path.edge_ids[decomposition.elements[1].start_index :])),
+            tuple(
+                RelevantVariable(element.variable, element.start_index - decomposition.elements[1].start_index)
+                for element in decomposition.elements[1:]
+            ),
+        )
+        assert_same_joint(propagate_joint(suffix), propagate_joint_reference(suffix))
+
+
+class TestFixedChain:
+    @pytest.fixture
+    def decomposition(self):
+        return build_chain([(0, 3), (2, 4), (0, 1), (1, 3)], seed=5)
+
+    def test_one_state_cell_is_the_smallest_legal_state(self, decomposition):
+        propagated = propagate_joint(decomposition, max_state_cells=1)
+        assert propagated.cell_probs.sum() == pytest.approx(1.0)
+        assert_same_joint(propagated, propagate_joint_reference(decomposition, max_state_cells=1))
+
+    def test_entropy_is_a_sum_of_memoised_terms(self, decomposition):
+        first = decomposition_entropy(decomposition)
+        assert decomposition_entropy(decomposition) == first
+        assert first == propagate_joint_reference(decomposition).entropy
+
+
+def test_every_corridor_prefix_of_the_tiny_fixture_matches_reference():
+    """The benchmark harness's ``--preset tiny`` city, every popular-route prefix."""
+    network = grid_network(5, 5, block_length_m=220.0, arterial_every=3, name="bench-city")
+    simulator = TrafficSimulator(
+        network, SimulationParameters(n_trajectories=250, popular_route_count=10, seed=7)
+    )
+    store = TrajectoryStore(simulator.generate())
+    graph = HybridGraphBuilder(
+        network, EstimatorParameters(beta=10), max_cardinality=4, seed=0
+    ).build(store)
+    estimator = PathCostEstimator(graph)
+    n_separator_steps = 0
+    for route in simulator.popular_routes:
+        departure = route.busy_hour * 3600.0
+        for length in range(2, len(route.path) + 1):
+            decomposition = estimator.select_decomposition(route.path.prefix(length), departure)
+            n_separator_steps += sum(
+                separator is not None for separator in decomposition.separators()
+            )
+            assert_same_joint(
+                propagate_joint(decomposition), propagate_joint_reference(decomposition)
+            )
+    assert n_separator_steps > 0

@@ -209,10 +209,14 @@ class TestConsistentStatsSnapshot:
         invariants -- not just the final quiescent one."""
         departure = simulator.popular_routes[0].busy_hour * 3600.0
         stop = threading.Event()
+        snapshotting = threading.Event()
         errors: list[Exception] = []
         snapshots: list[dict] = []
 
         def submit_worker(offset):
+            # Cold estimates take a few milliseconds: without this the
+            # traffic can be over before a snapshot thread has started.
+            snapshotting.wait(timeout=30.0)
             try:
                 for index in range(60):
                     path = query_paths[(index + offset) % len(query_paths)]
@@ -226,6 +230,7 @@ class TestConsistentStatsSnapshot:
             try:
                 while not stop.is_set():
                     snapshots.append(service.stats())
+                    snapshotting.set()
             except Exception as error:  # pragma: no cover
                 errors.append(error)
 
