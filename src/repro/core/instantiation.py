@@ -22,11 +22,14 @@ inter-quartile-range heuristic by default (``dimension_bucket_strategy =
 "heuristic"``) because thousands of joint variables may be instantiated;
 passing ``"cv"`` uses the paper's full cross-validated selection for every
 dimension as well.
+
+Observations are read from flat traversal columns
+(:mod:`repro.trajectories.columns`), laid out once per build: the costs of
+one (path, interval) arrive as an ``[n, |path|]`` matrix, in the order the
+store's object API would yield them, without an object per observation.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from ..histograms.vopt import v_optimal_boundaries
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.path import Path
 from ..timeutil import all_intervals
-from ..trajectories.matched import PathObservation
+from ..trajectories.columns import ObservationIndex, TraversalColumns
 from ..trajectories.store import TrajectoryStore
 from .hybrid_graph import HybridGraph
 from .variables import SOURCE_TRAJECTORIES, InstantiatedVariable
@@ -91,87 +94,66 @@ class HybridGraphBuilder:
     # ------------------------------------------------------------------ #
     def build(self, store: TrajectoryStore) -> HybridGraph:
         """Instantiate all path weights supported by the trajectory store."""
-        graph = HybridGraph(self.network, self.parameters)
-        instantiated_previous_level = self._instantiate_unit_paths(graph, store)
+        parameters = self.parameters
+        graph = HybridGraph(self.network, parameters)
+        intervals = all_intervals(parameters.alpha_minutes)
+        # Observations are read from flat traversal columns, laid out once per
+        # build; the store itself only nominates the candidate paths.
+        observations = ObservationIndex(
+            TraversalColumns.from_trajectories(store.trajectories), parameters.alpha_minutes
+        )
+
+        def instantiate(path: Path, build_distribution) -> bool:
+            """Add ``path`` in every interval with at least beta observations.
+
+            ``build_distribution(path, interval_index, costs)`` turns one
+            interval's ``costs[n, |path|]`` matrix into its distribution.
+            Returns whether any variable was added.
+            """
+            grouped = observations.observations_by_interval(path.edge_ids, parameters.beta)
+            for interval_index, costs in grouped:
+                graph.add_variable(
+                    InstantiatedVariable(
+                        path=path,
+                        interval=intervals[interval_index],
+                        distribution=build_distribution(path, interval_index, costs),
+                        support=len(costs),
+                        source=SOURCE_TRAJECTORIES,
+                    )
+                )
+            return bool(grouped)
+
+        # Unit paths (Section 3.1).
+        previous_level: set[tuple[int, ...]] = set()
+        for edge_id in sorted(store.covered_edges()):
+            if instantiate(Path([edge_id]), self._build_unit_histogram):
+                previous_level.add((edge_id,))
         cardinality = 2
         effective_cap = self.max_cardinality
-        if self.parameters.max_rank is not None:
-            effective_cap = min(effective_cap, self.parameters.max_rank)
-        while cardinality <= effective_cap and instantiated_previous_level:
-            instantiated_previous_level = self._instantiate_level(
-                graph, store, cardinality, instantiated_previous_level
-            )
+        if parameters.max_rank is not None:
+            effective_cap = min(effective_cap, parameters.max_rank)
+        while cardinality <= effective_cap and previous_level:
+            # Non-unit paths (Section 3.2): candidates of this cardinality with
+            # enough total support, restricted to combinations of two
+            # instantiated (k-1)-paths that share k-2 edges (the bottom-up merge).
+            counts = store.frequent_subpath_counts(cardinality, min_count=parameters.beta)
+            level: set[tuple[int, ...]] = set()
+            for edge_ids in counts:
+                if self._mergeable(edge_ids, previous_level, cardinality) and instantiate(
+                    Path(edge_ids), self._build_joint_histogram
+                ):
+                    level.add(edge_ids)
+            previous_level = level
             cardinality += 1
         return graph
 
-    # ------------------------------------------------------------------ #
-    # Unit paths (Section 3.1)
-    # ------------------------------------------------------------------ #
-    def _instantiate_unit_paths(self, graph: HybridGraph, store: TrajectoryStore) -> set[tuple[int, ...]]:
-        parameters = self.parameters
-        instantiated: set[tuple[int, ...]] = set()
-        intervals = all_intervals(parameters.alpha_minutes)
-        for edge_id in sorted(store.covered_edges()):
-            path = Path([edge_id])
-            grouped = store.observations_by_interval(path, parameters.alpha_minutes)
-            for interval_index, observations in grouped.items():
-                if len(observations) < parameters.beta:
-                    continue
-                costs = [observation.total_cost for observation in observations]
-                distribution = build_auto_histogram(
-                    RawDistribution(costs),
-                    parameters,
-                    self._variable_rng(path.edge_ids, interval_index),
-                )
-                graph.add_variable(
-                    InstantiatedVariable(
-                        path=path,
-                        interval=intervals[interval_index],
-                        distribution=distribution,
-                        support=len(observations),
-                        source=SOURCE_TRAJECTORIES,
-                    )
-                )
-                instantiated.add(path.edge_ids)
-        return instantiated
-
-    # ------------------------------------------------------------------ #
-    # Non-unit paths (Section 3.2)
-    # ------------------------------------------------------------------ #
-    def _instantiate_level(
-        self,
-        graph: HybridGraph,
-        store: TrajectoryStore,
-        cardinality: int,
-        previous_level: set[tuple[int, ...]],
-    ) -> set[tuple[int, ...]]:
-        parameters = self.parameters
-        intervals = all_intervals(parameters.alpha_minutes)
-        # Candidate paths of this cardinality with enough total support,
-        # restricted to combinations of two instantiated (k-1)-paths that
-        # share k-2 edges (the bottom-up merge of Section 3.2).
-        counts = store.frequent_subpath_counts(cardinality, min_count=parameters.beta)
-        instantiated: set[tuple[int, ...]] = set()
-        for edge_ids in counts:
-            if cardinality > 1 and not self._mergeable(edge_ids, previous_level, cardinality):
-                continue
-            path = Path(edge_ids)
-            grouped = store.observations_by_interval(path, parameters.alpha_minutes)
-            for interval_index, observations in grouped.items():
-                if len(observations) < parameters.beta:
-                    continue
-                distribution = self._build_joint_histogram(path, interval_index, observations)
-                graph.add_variable(
-                    InstantiatedVariable(
-                        path=path,
-                        interval=intervals[interval_index],
-                        distribution=distribution,
-                        support=len(observations),
-                        source=SOURCE_TRAJECTORIES,
-                    )
-                )
-                instantiated.add(edge_ids)
-        return instantiated
+    def _build_unit_histogram(self, path: Path, interval_index: int, costs: np.ndarray):
+        """The auto-bucketed V-Optimal histogram of one edge's costs in one interval."""
+        return build_auto_histogram(
+            RawDistribution(costs[:, 0]),
+            self.parameters,
+            self._variable_rng(path.edge_ids, interval_index),
+        )
 
     @staticmethod
     def _mergeable(
@@ -190,10 +172,9 @@ class HybridGraphBuilder:
         return prefix in previous_level and suffix in previous_level
 
     def _build_joint_histogram(
-        self, path: Path, interval_index: int, observations: list[PathObservation]
+        self, path: Path, interval_index: int, samples: np.ndarray
     ) -> MultiHistogram:
         """Build the multi-dimensional histogram of a path's joint cost distribution."""
-        samples = np.array([observation.edge_costs for observation in observations], dtype=float)
         rng = self._variable_rng(path.edge_ids, interval_index)
         boundaries: list[list[float]] = []
         for axis in range(samples.shape[1]):

@@ -24,6 +24,15 @@ from .univariate import Histogram1D
 from .vopt import v_optimal_all_boundaries, v_optimal_boundaries
 
 
+def _histogram_on(distribution: RawDistribution, boundaries: list[float]) -> Histogram1D:
+    """Histogram of a raw distribution on V-Optimal boundaries computed from it.
+
+    Sorted values and strictly increasing boundaries by construction, so the
+    unvalidated constructor applies (equal to :meth:`Histogram1D.from_raw`).
+    """
+    return Histogram1D._from_sorted_values(distribution.values, np.asarray(boundaries, dtype=float))
+
+
 def _squared_error(histogram: Histogram1D, held_out: RawDistribution) -> float:
     """Squared error between a histogram and a held-out raw distribution.
 
@@ -59,7 +68,7 @@ def cross_validated_errors(
         # Too few observations to cross-validate: fall back to in-sample error.
         all_boundaries = v_optimal_all_boundaries(distribution, max_buckets)
         return [
-            _squared_error(Histogram1D.from_raw(distribution, boundaries), distribution)
+            _squared_error(_histogram_on(distribution, boundaries), distribution)
             for boundaries in all_boundaries
         ]
 
@@ -72,8 +81,9 @@ def cross_validated_errors(
         training = RawDistribution(training_values)
         all_boundaries = v_optimal_all_boundaries(training, max_buckets)
         for b_index, boundaries in enumerate(all_boundaries):
-            histogram = Histogram1D.from_raw(training, boundaries)
-            per_bucket_errors[b_index] += _squared_error(histogram, held_out)
+            per_bucket_errors[b_index] += _squared_error(
+                _histogram_on(training, boundaries), held_out
+            )
     return list(per_bucket_errors / len(folds))
 
 
@@ -164,11 +174,9 @@ def build_auto_histogram(
     """Build a 1-D histogram with automatically chosen V-Optimal buckets."""
     parameters = parameters or EstimatorParameters()
     n_buckets = auto_bucket_count(distribution, parameters, rng)
-    boundaries = v_optimal_boundaries(distribution, n_buckets)
-    return Histogram1D.from_raw(distribution, boundaries)
+    return _histogram_on(distribution, v_optimal_boundaries(distribution, n_buckets))
 
 
 def build_static_histogram(distribution: RawDistribution, n_buckets: int) -> Histogram1D:
     """Build a histogram with a fixed bucket count (the paper's "Sta-b" methods)."""
-    boundaries = v_optimal_boundaries(distribution, n_buckets)
-    return Histogram1D.from_raw(distribution, boundaries)
+    return _histogram_on(distribution, v_optimal_boundaries(distribution, n_buckets))

@@ -21,7 +21,9 @@ class RawDistribution:
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[float]) -> None:
-        array = np.asarray(list(values), dtype=float)
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        array = np.asarray(values, dtype=float)
         if array.size == 0:
             raise HistogramError("a raw distribution needs at least one value")
         if not np.all(np.isfinite(array)):

@@ -10,15 +10,22 @@ that :mod:`repro.histograms.kernels` replaced.  They exist for two reasons:
   them as the seed-implementation baseline when measuring convolution and
   end-to-end path-estimation throughput.
 
-All functions operate on *cell lists*: plain Python lists of
+The kernel functions operate on *cell lists*: plain Python lists of
 ``(low, high, prob)`` tuples with ``low < high``, sorted where the
 operation requires it.  They are deliberately loop-based and allocate
 freely -- do not "optimise" them; their slowness is the point.
+
+:func:`reference_run_dp` is the scalar V-Optimal dynamic program that
+:func:`repro.histograms.vopt._run_dp` replaced;
+``tests/properties/test_vopt_equivalence.py`` requires ``array_equal``
+tables from the two, ties included.  Nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from ..exceptions import HistogramError
 
@@ -122,3 +129,34 @@ def reference_convolve_many(components: list[Cells], max_buckets: int | None = 6
 def reference_mean(cells: Cells) -> float:
     """Expected value under the uniform-within-cell assumption."""
     return sum((low + high) / 2.0 * prob for low, high, prob in cells)
+
+
+def reference_run_dp(freqs: np.ndarray, max_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar V-Optimal dynamic program: one ``argmin`` per ``(k, j)``.
+
+    ``dp[k][j]`` is the minimal within-group squared error of splitting the
+    first ``j + 1`` frequencies into ``k + 1`` groups; ``back[k][j]`` is the
+    start index of the last group in that optimal split.
+    """
+    n = freqs.size
+    prefix = np.concatenate([[0.0], np.cumsum(freqs)])
+    prefix_sq = np.concatenate([[0.0], np.cumsum(freqs**2)])
+
+    dp = np.full((max_groups, n), np.inf)
+    back = np.zeros((max_groups, n), dtype=int)
+    # Base case: a single group covering 0..j.
+    totals = prefix[1:] - prefix[0]
+    totals_sq = prefix_sq[1:] - prefix_sq[0]
+    dp[0, :] = totals_sq - (totals * totals) / np.arange(1, n + 1)
+    for k in range(1, max_groups):
+        for j in range(k, n):
+            starts = np.arange(k, j + 1)
+            counts = j - starts + 1
+            group_totals = prefix[j + 1] - prefix[starts]
+            group_totals_sq = prefix_sq[j + 1] - prefix_sq[starts]
+            sses = group_totals_sq - (group_totals * group_totals) / counts
+            candidates = dp[k - 1][starts - 1] + sses
+            best_position = int(np.argmin(candidates))
+            dp[k][j] = candidates[best_position]
+            back[k][j] = int(starts[best_position])
+    return dp, back

@@ -40,6 +40,7 @@ from ..exceptions import PersistError
 from ..histograms.multivariate import MultiHistogram
 from ..histograms.univariate import Histogram1D
 from ..roadnet.graph import RoadNetwork
+from ..trajectories.columns import TraversalColumns
 from ..trajectories.matched import MatchedTrajectory
 from ..trajectories.mutable import MutableTrajectoryStore, TrajectorySnapshot
 from ..trajectories.store import TrajectoryStore
@@ -169,20 +170,15 @@ def encode_trajectories(
     trajectories: Sequence[MatchedTrajectory],
 ) -> tuple[dict[str, np.ndarray], dict]:
     """Matched trajectories as flat traversal columns with per-trajectory offsets."""
-    edge_chunks, entry_chunks, cost_chunks = [], [], []
-    for trajectory in trajectories:
-        traversals = trajectory.traversals
-        edge_chunks.append(np.array([t.edge_id for t in traversals], dtype=np.int64))
-        entry_chunks.append(np.array([t.entry_time_s for t in traversals], dtype=float))
-        cost_chunks.append(np.array([t.cost for t in traversals], dtype=float))
+    columns = TraversalColumns.from_trajectories(trajectories)
     arrays = {
-        "traj_ids": np.array([t.trajectory_id for t in trajectories], dtype=np.int64),
-        "traj_offsets": _offsets(len(t) for t in trajectories),
-        "traj_edges": _concat(edge_chunks, np.int64),
-        "traj_entry_s": _concat(entry_chunks, float),
-        "traj_costs": _concat(cost_chunks, float),
+        "traj_ids": columns.traj_ids,
+        "traj_offsets": columns.offsets,
+        "traj_edges": columns.edge,
+        "traj_entry_s": columns.entry_s,
+        "traj_costs": columns.cost,
     }
-    meta = {"n_trajectories": len(trajectories)}
+    meta = {"n_trajectories": int(columns.traj_ids.size)}
     return arrays, meta
 
 

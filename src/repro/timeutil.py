@@ -45,25 +45,30 @@ class TimeInterval:
         return f"TimeInterval({format_time(self.start_s)}-{format_time(self.end_s)})"
 
 
-def interval_of(time_s: float, alpha_minutes: int) -> TimeInterval:
-    """The alpha-minute interval containing the time of day ``time_s``."""
+def interval_width_s(alpha_minutes: int) -> float:
+    """Seconds per alpha-interval; ``alpha_minutes`` must divide the day."""
     if alpha_minutes <= 0 or MINUTES_PER_DAY % alpha_minutes != 0:
         raise ConfigurationError(
             f"alpha_minutes must be a positive divisor of {MINUTES_PER_DAY}, got {alpha_minutes}"
         )
-    time_s = time_s % SECONDS_PER_DAY
-    width_s = alpha_minutes * 60.0
-    index = int(time_s // width_s)
+    return alpha_minutes * 60.0
+
+
+def interval_index_of(time_s: float, alpha_minutes: int) -> int:
+    """Index of the alpha-minute interval containing the time of day ``time_s``."""
+    return int(time_s % SECONDS_PER_DAY // interval_width_s(alpha_minutes))
+
+
+def interval_of(time_s: float, alpha_minutes: int) -> TimeInterval:
+    """The alpha-minute interval containing the time of day ``time_s``."""
+    index = interval_index_of(time_s, alpha_minutes)
+    width_s = interval_width_s(alpha_minutes)
     return TimeInterval(index, index * width_s, (index + 1) * width_s)
 
 
 def all_intervals(alpha_minutes: int) -> list[TimeInterval]:
     """All alpha-minute intervals of a day, in order."""
-    if alpha_minutes <= 0 or MINUTES_PER_DAY % alpha_minutes != 0:
-        raise ConfigurationError(
-            f"alpha_minutes must be a positive divisor of {MINUTES_PER_DAY}, got {alpha_minutes}"
-        )
-    width_s = alpha_minutes * 60.0
+    width_s = interval_width_s(alpha_minutes)
     count = MINUTES_PER_DAY // alpha_minutes
     return [TimeInterval(i, i * width_s, (i + 1) * width_s) for i in range(count)]
 

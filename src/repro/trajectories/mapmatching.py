@@ -13,12 +13,27 @@ before any cost learning happens.  This module implements that substrate:
 * the most likely candidate sequence is recovered with the Viterbi
   algorithm and converted into the traversed edge sequence with entry
   times, i.e. a :class:`~repro.trajectories.matched.MatchedTrajectory`.
+
+Two lookups keep the matcher off the network's size.  Candidate edges come
+from a uniform grid of ``search_radius_m`` cells: an edge is registered in
+every cell its bounding box, grown by the radius, touches, so the edges of
+a fix's cell are a *superset* of the edges within the radius.  The grid
+only skips edges that provably cannot qualify; the scalar projection, the
+``distance <= radius`` test and the stable sort by distance still decide,
+over the cell's edges in network edge order, so the candidates are exactly
+those a scan of every edge yields.  The vertex-to-vertex driving distance
+behind the transition probability is memoised per matcher in a
+least-recently-used table of ``_DISTANCE_MEMO_SIZE`` pairs (a few MB,
+whatever the network's size): consecutive fixes keep asking for the same
+few pairs, a miss runs the same early-exit Dijkstra as before and a hit
+returns the float that run returned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +44,14 @@ from ..roadnet.routing import dijkstra
 from ..roadnet.spatial import Point, project_point_to_segment
 from .gps import Trajectory
 from .matched import EdgeTraversal, MatchedTrajectory
+
+
+#: Vertex pairs whose driving distance a matcher remembers (LRU).
+_DISTANCE_MEMO_SIZE = 2**16
+
+#: Slack on the grown bounding boxes, so a distance that rounds to exactly
+#: the radius can never fall outside the cells its edge is registered in.
+_GRID_MARGIN_M = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,25 +77,42 @@ class HMMMapMatcher:
     ) -> None:
         if gps_noise_std_m <= 0 or transition_beta_m <= 0 or search_radius_m <= 0:
             raise MapMatchingError("map matcher scale parameters must be positive")
+        if max_candidates < 1:
+            raise MapMatchingError(f"max_candidates must be >= 1, got {max_candidates}")
         self.network = network
         self.gps_noise_std_m = gps_noise_std_m
         self.transition_beta_m = transition_beta_m
         self.search_radius_m = search_radius_m
         self.max_candidates = max_candidates
-        self._edge_geometry = {
-            edge.edge_id: (
-                network.vertex(edge.source).location,
-                network.vertex(edge.target).location,
+        # Grid cell -> (edge id, start, end) of every edge that may lie within
+        # the search radius of a point in the cell, in network edge order.
+        self._grid: dict[tuple[int, int], list[tuple[int, Point, Point]]] = {}
+        reach = search_radius_m + _GRID_MARGIN_M
+        for edge in network.edges():
+            start = network.vertex(edge.source).location
+            end = network.vertex(edge.target).location
+            first_column, first_row = self._cell_of(
+                min(start.x, end.x) - reach, min(start.y, end.y) - reach
             )
-            for edge in network.edges()
-        }
+            last_column, last_row = self._cell_of(
+                max(start.x, end.x) + reach, max(start.y, end.y) + reach
+            )
+            for column in range(first_column, last_column + 1):
+                for row in range(first_row, last_row + 1):
+                    self._grid.setdefault((column, row), []).append((edge.edge_id, start, end))
+        self._vertex_distance = lru_cache(maxsize=_DISTANCE_MEMO_SIZE)(self._shortest_distance)
 
     # ------------------------------------------------------------------ #
     # Candidate generation and probabilities
     # ------------------------------------------------------------------ #
+    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
+        return math.floor(x / self.search_radius_m), math.floor(y / self.search_radius_m)
+
     def _candidates(self, point: Point) -> list[_Candidate]:
+        if not (math.isfinite(point.x) and math.isfinite(point.y)):
+            return []
         candidates: list[_Candidate] = []
-        for edge_id, (start, end) in self._edge_geometry.items():
+        for edge_id, start, end in self._grid.get(self._cell_of(point.x, point.y), ()):
             projection, distance, fraction = project_point_to_segment(point, start, end)
             if distance <= self.search_radius_m:
                 candidates.append(_Candidate(edge_id, distance, fraction, projection))
@@ -93,16 +133,15 @@ class HMMMapMatcher:
         onto_to = to_candidate.fraction * to_edge.length_m
         if from_edge.target == to_edge.source:
             return remaining_on_from + onto_to
-        distances, _ = dijkstra(
-            self.network,
-            from_edge.target,
-            to_edge.source,
-            weight=lambda edge: edge.length_m,
-        )
-        between = distances.get(to_edge.source)
+        between = self._vertex_distance(from_edge.target, to_edge.source)
         if between is None:
             return float("inf")
         return remaining_on_from + between + onto_to
+
+    def _shortest_distance(self, source: int, target: int) -> float | None:
+        """Driving distance between two vertices (``None``: unreachable); memoised."""
+        distances, _ = dijkstra(self.network, source, target, weight=lambda edge: edge.length_m)
+        return distances.get(target)
 
     def _transition_log_prob(
         self,

@@ -60,7 +60,7 @@ class PathObservation:
 class MatchedTrajectory:
     """A trajectory aligned with a road-network path."""
 
-    __slots__ = ("trajectory_id", "_traversals")
+    __slots__ = ("trajectory_id", "_traversals", "_edge_ids")
 
     def __init__(self, trajectory_id: int, traversals: Iterable[EdgeTraversal]) -> None:
         traversals = tuple(traversals)
@@ -71,6 +71,7 @@ class MatchedTrajectory:
                 raise TrajectoryError("edge traversals must be ordered by entry time")
         self.trajectory_id = trajectory_id
         self._traversals = traversals
+        self._edge_ids: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -103,7 +104,10 @@ class MatchedTrajectory:
 
     @property
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(traversal.edge_id for traversal in self._traversals)
+        """The traversed edge ids; built on first access (traversals are immutable)."""
+        if self._edge_ids is None:
+            self._edge_ids = tuple(traversal.edge_id for traversal in self._traversals)
+        return self._edge_ids
 
     @property
     def departure_time_s(self) -> float:

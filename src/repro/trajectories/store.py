@@ -25,7 +25,7 @@ import numpy as np
 
 from ..exceptions import TrajectoryError
 from ..roadnet.path import Path
-from ..timeutil import TimeInterval, interval_of
+from ..timeutil import TimeInterval, interval_index_of
 from .matched import MatchedTrajectory, PathObservation
 
 
@@ -132,7 +132,7 @@ class TrajectoryStore:
         """Observations on ``path`` grouped by their alpha-interval index."""
         grouped: dict[int, list[PathObservation]] = defaultdict(list)
         for observation in self.observations_on(path):
-            grouped[interval_of(observation.departure_time_s, alpha_minutes).index].append(observation)
+            grouped[interval_index_of(observation.departure_time_s, alpha_minutes)].append(observation)
         return dict(grouped)
 
     # ------------------------------------------------------------------ #

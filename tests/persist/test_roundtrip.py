@@ -23,6 +23,7 @@ from repro import (
     restore_snapshot,
     write_snapshot,
 )
+from repro.persist.writer import encode_trajectories
 from repro.service.requests import SOURCE_RESULT_CACHE
 from repro.timeutil import all_intervals
 
@@ -117,6 +118,31 @@ class TestStoreRoundTrip:
             assert recovered.edge_ids == original.edge_ids
             assert recovered.edge_costs == original.edge_costs
             assert recovered.departure_time_s == original.departure_time_s
+
+
+    def test_trajectory_columns_equal_a_per_trajectory_encoding(self, persist_store):
+        """``traj_*`` are the shared traversal columns; the layout is the old encoder's."""
+        trajectories = persist_store.trajectories
+        arrays, meta = encode_trajectories(trajectories)
+        lengths = [len(trajectory) for trajectory in trajectories]
+        expected = {
+            "traj_ids": np.array([t.trajectory_id for t in trajectories], dtype=np.int64),
+            "traj_offsets": np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+            "traj_edges": np.concatenate(
+                [np.array([x.edge_id for x in t.traversals], dtype=np.int64) for t in trajectories]
+            ),
+            "traj_entry_s": np.concatenate(
+                [np.array([x.entry_time_s for x in t.traversals], dtype=float) for t in trajectories]
+            ),
+            "traj_costs": np.concatenate(
+                [np.array([x.cost for x in t.traversals], dtype=float) for t in trajectories]
+            ),
+        }
+        assert meta == {"n_trajectories": len(trajectories)}
+        assert list(arrays) == list(expected)
+        for name, array in expected.items():
+            assert arrays[name].dtype == array.dtype
+            np.testing.assert_array_equal(arrays[name], array)
 
 
 class TestServiceRoundTrip:
