@@ -11,7 +11,8 @@ highest-rank variable per starting edge and dropping dominated sub-paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,15 +23,28 @@ from .relevance import CandidateArray, RelevantVariable
 
 @dataclass(frozen=True)
 class Decomposition:
-    """An ordered sequence of relevant variables decomposing a query path."""
+    """An ordered sequence of relevant variables decomposing a query path.
+
+    ``memo`` is not part of the decomposition's value: it is where
+    :func:`repro.core.joint.propagate_joint` may look up and leave the
+    states of element chains (a weak reference to the
+    :class:`~repro.core.joint.PropagationMemo` of the estimator that
+    selected the decomposition; ``None`` propagates from scratch).
+    """
 
     query_path: Path
     elements: tuple[RelevantVariable, ...]
+    memo: weakref.ref | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.elements:
             raise EstimationError("a decomposition needs at least one element")
         self.validate()
+
+    def __getstate__(self) -> dict:
+        # A weak reference cannot be pickled, and the memo belongs to an
+        # estimator of this process: a pickled copy starts without one.
+        return {**self.__dict__, "memo": None}
 
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
@@ -123,13 +137,16 @@ class Decomposition:
         return f"Decomposition({inner})"
 
 
-def coarsest_decomposition(candidate_array: CandidateArray) -> Decomposition:
+def coarsest_decomposition(
+    candidate_array: CandidateArray, memo: weakref.ref | None = None
+) -> Decomposition:
     """Algorithm 1: identify the coarsest decomposition from the candidate array.
 
     For each query-path edge (row), the highest-rank relevant variable is
     considered; it is appended unless its path is a sub-path of an already
     selected path.  Theorem 4 shows the result is the unique coarsest
-    decomposition given the relevant variables.
+    decomposition given the relevant variables.  ``memo`` is handed to the
+    decomposition as it is (see :class:`Decomposition`).
     """
     chosen: list[RelevantVariable] = []
     max_end = 0
@@ -143,17 +160,18 @@ def coarsest_decomposition(candidate_array: CandidateArray) -> Decomposition:
             continue
         chosen.append(candidate)
         max_end = candidate.end_index
-    return Decomposition(candidate_array.query_path, tuple(chosen))
+    return Decomposition(candidate_array.query_path, tuple(chosen), memo)
 
 
 def random_decomposition(
-    candidate_array: CandidateArray, rng: np.random.Generator
+    candidate_array: CandidateArray, rng: np.random.Generator, memo: weakref.ref | None = None
 ) -> Decomposition:
     """A random valid decomposition (the paper's RD comparison method).
 
     For each row a uniformly random relevant variable is drawn; it is kept
     unless its path is a sub-path of an already selected path, which keeps
     the result a valid decomposition while generally not being the coarsest.
+    ``memo`` is handed to the decomposition as it is.
     """
     chosen: list[RelevantVariable] = []
     max_end = 0
@@ -168,7 +186,7 @@ def random_decomposition(
         # variable must start here (it does, by construction of the rows).
         chosen.append(candidate)
         max_end = candidate.end_index
-    return Decomposition(candidate_array.query_path, tuple(chosen))
+    return Decomposition(candidate_array.query_path, tuple(chosen), memo)
 
 
 def pairwise_decomposition(candidate_array: CandidateArray) -> Decomposition:

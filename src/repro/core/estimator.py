@@ -17,6 +17,7 @@ choosing the ``"random"`` decomposition strategy.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from ..histograms.univariate import Histogram1D
 from ..roadnet.path import Path
 from .decomposition import Decomposition, coarsest_decomposition, random_decomposition
 from .hybrid_graph import HybridGraph
-from .joint import PropagatedJoint, propagate_joint
+from .joint import PropagatedJoint, PropagationMemo, propagate_joint
 from .relevance import build_candidate_array
 
 
@@ -78,7 +79,14 @@ class CostEstimate:
 
 
 class PathCostEstimator:
-    """Estimates path cost distributions on a hybrid graph (the OD method)."""
+    """Estimates path cost distributions on a hybrid graph (the OD method).
+
+    The estimator owns a :class:`~repro.core.joint.PropagationMemo`: queries
+    that share a prefix of their decomposition share its propagation (see
+    "Sharing prefixes" in :mod:`repro.core.joint`).  It is born empty with
+    the estimator and dies with it; answers are bit-identical with or
+    without it.
+    """
 
     def __init__(
         self,
@@ -100,6 +108,10 @@ class PathCostEstimator:
         self.output_buckets = output_buckets
         self.seed = seed
         self._rng = np.random.default_rng(seed)
+        self._propagation_memo = PropagationMemo()
+        # What the decompositions carry: they outlive the estimator (cached
+        # and returned estimates hold them) and must not keep its states alive.
+        self._propagation_memo_ref = weakref.ref(self._propagation_memo)
 
     @property
     def method_name(self) -> str:
@@ -116,8 +128,16 @@ class PathCostEstimator:
             self.hybrid_graph, path, departure_time_s, max_rank=self.parameters.max_rank
         )
         if self.decomposition_strategy == "random":
-            return random_decomposition(candidate_array, self._rng)
-        return coarsest_decomposition(candidate_array)
+            return random_decomposition(candidate_array, self._rng, self._propagation_memo_ref)
+        return coarsest_decomposition(candidate_array, self._propagation_memo_ref)
+
+    def forget_propagations(self) -> None:
+        """Drop every memoised propagation state; the next queries start from their first edge."""
+        self._propagation_memo.clear()
+
+    def propagation_stats(self) -> dict[str, int]:
+        """Propagation steps ``computed`` and ``reused`` so far, and ``states`` now held."""
+        return self._propagation_memo.stats()
 
     def propagate(self, path: Path, departure_time_s: float) -> PropagatedJoint:
         """Run the OI and JC steps only, returning the propagated joint.

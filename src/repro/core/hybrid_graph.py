@@ -5,18 +5,25 @@ function* ``W_P``: the collection of instantiated random variables, one per
 (path, interval) pair that has at least beta qualified trajectories
 (Section 3.3).  Unit paths without enough trajectories fall back to a
 speed-limit-derived distribution, created lazily and cached.
+
+Beside the ``(path, interval)`` table the graph keeps a *path index*: the
+variables of each path across intervals, in insertion order, and how many
+paths each rank has.  It answers the one question the candidate array asks
+("which variables sit on exactly these edges?") with a dictionary lookup,
+and tells it which ranks are worth asking about at all.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 
 from ..config import EstimatorParameters
 from ..exceptions import InstantiationError
 from ..histograms.univariate import Histogram1D
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.path import Path
-from ..timeutil import TimeInterval, interval_of
+from ..timeutil import TimeInterval, interval_at, interval_index_of, interval_of
 from .variables import SOURCE_SPEED_LIMIT, InstantiatedVariable
 
 #: Bytes per stored scalar, used for the memory-usage accounting of Figure 12.
@@ -35,10 +42,14 @@ class HybridGraph:
         self.parameters = parameters or EstimatorParameters()
         # (path edge ids, interval index) -> variable.
         self._variables: dict[tuple[tuple[int, ...], int], InstantiatedVariable] = {}
-        # first edge id -> variables whose path starts with that edge.
-        self._by_first_edge: dict[int, list[InstantiatedVariable]] = defaultdict(list)
+        # The path index: path edge ids -> its variables across intervals, in
+        # insertion order; rank -> number of indexed paths of that rank.
+        self._by_path: dict[tuple[int, ...], list[InstantiatedVariable]] = {}
+        self._paths_per_rank: dict[int, int] = {}
         # (edge id, interval index) -> lazily created speed-limit fallback.
         self._fallback_cache: dict[tuple[int, int], InstantiatedVariable] = {}
+        # edge id -> the path and histogram all of the edge's fallbacks share.
+        self._fallback_parts: dict[int, tuple[Path, Histogram1D]] = {}
 
     # ------------------------------------------------------------------ #
     # Population
@@ -52,7 +63,12 @@ class HybridGraph:
                 "already instantiated"
             )
         self._variables[key] = variable
-        self._by_first_edge[variable.path.edge_ids[0]].append(variable)
+        on_path = self._by_path.get(key[0])
+        if on_path is None:
+            self._by_path[key[0]] = [variable]
+            self._count_paths(len(key[0]), +1)
+        else:
+            on_path.append(variable)
 
     def discard_variables_touching(self, edge_ids) -> list[tuple[tuple[int, ...], int]]:
         """Remove every instantiated variable whose path intersects ``edge_ids``.
@@ -69,18 +85,17 @@ class HybridGraph:
         doomed = [key for key in self._variables if not dirty.isdisjoint(key[0])]
         for key in doomed:
             del self._variables[key]
-        for first_edge in {key[0][0] for key in doomed}:
-            survivors = [
-                variable
-                for variable in self._by_first_edge.get(first_edge, [])
-                if self._variables.get((variable.path.edge_ids, variable.interval.index))
-                is variable
-            ]
-            if survivors:
-                self._by_first_edge[first_edge] = survivors
-            else:
-                self._by_first_edge.pop(first_edge, None)
+            # A path touching the dirty set loses every interval at once.
+            if self._by_path.pop(key[0], None) is not None:
+                self._count_paths(len(key[0]), -1)
         return doomed
+
+    def _count_paths(self, rank: int, change: int) -> None:
+        count = self._paths_per_rank.get(rank, 0) + change
+        if count:
+            self._paths_per_rank[rank] = count
+        else:
+            del self._paths_per_rank[rank]
 
     # ------------------------------------------------------------------ #
     # The path weight function W_P
@@ -101,15 +116,28 @@ class HybridGraph:
 
     def variables_for_path(self, path: Path) -> list[InstantiatedVariable]:
         """All instantiated variables for ``path``, across intervals."""
-        return [
-            variable
-            for (edge_ids, _), variable in self._variables.items()
-            if edge_ids == path.edge_ids
-        ]
+        return list(self._by_path.get(path.edge_ids, ()))
+
+    def variables_on(self, edge_ids: tuple[int, ...]) -> Sequence[InstantiatedVariable]:
+        """The variables on exactly ``edge_ids``, across intervals, in insertion order.
+
+        The index's own list, handed out uncopied for the candidate-array
+        scan: read it, do not change it.
+        """
+        return self._by_path.get(edge_ids, ())
+
+    def ranks(self) -> tuple[int, ...]:
+        """The ranks that have at least one instantiated variable, ascending."""
+        return tuple(sorted(self._paths_per_rank))
 
     def variables_starting_with(self, edge_id: int) -> list[InstantiatedVariable]:
-        """All variables whose path starts with ``edge_id``."""
-        return list(self._by_first_edge.get(edge_id, []))
+        """All variables whose path starts with ``edge_id``, grouped by path."""
+        return [
+            variable
+            for edge_ids, variables in self._by_path.items()
+            if edge_ids[0] == edge_id
+            for variable in variables
+        ]
 
     def unit_variable(self, edge_id: int, interval: TimeInterval) -> InstantiatedVariable:
         """The unit-path variable for an edge and interval, with speed-limit fallback.
@@ -119,25 +147,44 @@ class HybridGraph:
         limit is created (and cached): the traversal time is assumed
         uniform between the free-flow time and a conservative congested
         time.  Both cases are treated as ground truth for unit paths
-        (Section 3.1).
+        (Section 3.1).  An edge's fallbacks differ only in their interval:
+        they share one path and one (immutable) histogram.
         """
-        variable = self._variables.get(((edge_id,), interval.index))
+        return self._unit_variable(edge_id, interval.index, interval)
+
+    def unit_variable_at(self, edge_id: int, time_s: float) -> InstantiatedVariable:
+        """:meth:`unit_variable` for the interval containing the time of day ``time_s``.
+
+        Works on the interval's index; a :class:`TimeInterval` is built
+        only when a fallback has to be created.
+        """
+        index = interval_index_of(time_s, self.parameters.alpha_minutes)
+        return self._unit_variable(edge_id, index, None)
+
+    def _unit_variable(
+        self, edge_id: int, interval_index: int, interval: TimeInterval | None
+    ) -> InstantiatedVariable:
+        variable = self._variables.get(((edge_id,), interval_index))
         if variable is not None:
             return variable
-        cached = self._fallback_cache.get((edge_id, interval.index))
+        cached = self._fallback_cache.get((edge_id, interval_index))
         if cached is not None:
             return cached
-        edge = self.network.edge(edge_id)
-        free_flow = edge.free_flow_time_s
-        fallback_distribution = Histogram1D.uniform(free_flow, free_flow * 2.5 + 10.0)
+        parts = self._fallback_parts.get(edge_id)
+        if parts is None:
+            free_flow = self.network.edge(edge_id).free_flow_time_s
+            parts = self._fallback_parts[edge_id] = (
+                Path([edge_id]),
+                Histogram1D.uniform(free_flow, free_flow * 2.5 + 10.0),
+            )
         fallback = InstantiatedVariable(
-            path=Path([edge_id]),
-            interval=interval,
-            distribution=fallback_distribution,
+            path=parts[0],
+            interval=interval or interval_at(interval_index, self.parameters.alpha_minutes),
+            distribution=parts[1],
             support=0,
             source=SOURCE_SPEED_LIMIT,
         )
-        self._fallback_cache[(edge_id, interval.index)] = fallback
+        self._fallback_cache[(edge_id, interval_index)] = fallback
         return fallback
 
     # ------------------------------------------------------------------ #
@@ -231,9 +278,7 @@ class HybridGraph:
 
     def max_rank(self) -> int:
         """The largest rank among instantiated variables (0 when empty)."""
-        if not self._variables:
-            return 0
-        return max(variable.rank for variable in self._variables.values())
+        return max(self._paths_per_rank, default=0)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

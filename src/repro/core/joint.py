@@ -44,6 +44,28 @@ adds the same numbers in the same order, as in the cell-level
 implementation retained in :mod:`repro.core.reference`, to which the
 property tests pin this module.
 
+**Sharing prefixes.**  The consolidated state after element *i* is a pure
+function of the variables ``0..i``, of the separator ids after each of them
+and of the two size limits; nothing about the rest of the query enters it.
+Stochastic routing asks for "path + another edge" and a corridor is asked
+for prefix by prefix, so most chains have been walked before.  A
+:class:`PropagationMemo` keeps the states of recent chains;
+:func:`propagate_joint` follows the decomposition's chain for as long as
+its states are known and computes only the rest, with the same operations
+on the same arrays in the same order: the result is bit-identical whether
+or not anything was reused.  ``n_cells_processed`` therefore stays the
+chain's total -- a property of the answer, not of the work done this time
+(the memo's own counters say what was reused).  A chain is keyed by the
+*identity* of its variables, not their value: comparing distributions
+would cost more than a step, and identity is what "the same variable of
+the same graph" means -- a refresh builds new variables, whose chains then
+simply miss (each entry holds its variable, so a recycled ``id`` cannot
+match).  The memo belongs to a :class:`~repro.core.estimator.PathCostEstimator`
+and reaches this module on the :class:`~repro.core.decomposition.Decomposition`
+as a *weak* reference: estimates and their decompositions outlive the
+service that produced them (result caches, clients), and must not keep a
+dead estimator's states alive.
+
 The propagation corresponds to the paper's "JC" (joint computation) step in
 the Figure 17 run-time breakdown; the final collapse into a one-dimensional
 cost histogram lives in :mod:`repro.core.marginal` ("MC").
@@ -51,6 +73,9 @@ cost histogram lives in :mod:`repro.core.marginal` ("MC").
 
 from __future__ import annotations
 
+import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
@@ -61,6 +86,7 @@ from ..exceptions import EstimationError
 from ..histograms import kernels
 from ..histograms.multivariate import MultiHistogram
 from ..histograms.univariate import Bucket, Histogram1D
+from ..roadnet.path import Path
 from .decomposition import Decomposition
 from .variables import InstantiatedVariable
 
@@ -69,6 +95,13 @@ _MIN_WIDTH = 1e-9
 
 #: Cells with probability below this (after each step) are pruned.
 _PRUNE_THRESHOLD = 1e-9
+
+#: States a :class:`PropagationMemo` holds before the least recently used
+#: goes.  Measured on the benchmark's city: the 4,096 states left by a pass
+#: of cold route searches hold 0.2 MB of arrays, the 2,063 left by a pass of
+#: cold estimates 2.5 MB, plus about 1 KB of Python objects per state.  (A
+#: state never exceeds ``max_state_cells`` cells of four 8-byte columns.)
+_MEMO_CAPACITY = 4096
 
 
 @dataclass
@@ -184,18 +217,90 @@ class PropagatedJoint:
         return cached
 
 
-def decomposition_entropy(decomposition: Decomposition) -> float:
+class PropagationMemo:
+    """Consolidated propagation states of recent element chains (see "Sharing prefixes").
+
+    A chain is addressed link by link: ``get(token, variable, sep_next_ids)``
+    answers "the chain that ``token`` stands for, extended by ``variable``
+    with this separator after it" with the extended chain's own token, its
+    state and the cells processed along it.  The token of the empty chain is
+    the pair of size limits; every stored link gets a fresh one from a
+    counter that never repeats, so a link whose predecessor was evicted or
+    overwritten is unreachable and ages out.  Bounded (least recently used
+    first out) and thread-safe; two threads computing one chain both store,
+    the later token wins and the other's descendants age out.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._links: OrderedDict = OrderedDict()
+        self._tokens = itertools.count()
+        self._computed = 0
+        self._reused = 0
+
+    def get(self, token, variable: InstantiatedVariable, sep_next_ids: tuple[int, ...]):
+        """``(token, state, n_cells_processed)`` of the extended chain, or ``None``."""
+        key = (token, id(variable), sep_next_ids)
+        with self._lock:
+            link = self._links.get(key)
+            if link is None or link[0] is not variable:
+                return None
+            self._links.move_to_end(key)
+            self._reused += 1
+            return link[1:]
+
+    def put(
+        self,
+        token,
+        variable: InstantiatedVariable,
+        sep_next_ids: tuple[int, ...],
+        state: _State,
+        n_cells_processed: int,
+    ):
+        """Store a computed link and return the extended chain's token."""
+        # Later queries hand these columns to the kernels again: a kernel that
+        # one day wrote into its input must fail, not corrupt their answers.
+        for column in (state.agg_low, state.agg_high, state.prob):
+            column.setflags(write=False)
+        key = (token, id(variable), sep_next_ids)
+        with self._lock:
+            extended = next(self._tokens)
+            self._links[key] = (variable, extended, state, n_cells_processed)
+            self._links.move_to_end(key)
+            self._computed += 1
+            if len(self._links) > _MEMO_CAPACITY:
+                self._links.popitem(last=False)
+        return extended
+
+    def clear(self) -> None:
+        """Forget every state (the counters keep counting)."""
+        with self._lock:
+            self._links.clear()
+
+    def stats(self) -> dict[str, int]:
+        """Steps computed and reused since creation, and states currently held."""
+        with self._lock:
+            return {"computed": self._computed, "reused": self._reused, "states": len(self._links)}
+
+
+def decomposition_entropy(
+    decomposition: Decomposition, separators: Sequence[Path | None] | None = None
+) -> float:
     """The entropy ``H_DE`` of the estimated joint distribution (Theorem 2).
 
     ``H_DE = sum_i H(C_{P_i}) - sum_j H(C_{P_j ∩ P_{j+1}})`` where the
     separator entropies are taken from the marginal of the later element's
     joint distribution (consistent with the conditional factorisation used
     by the propagation).  Every term is memoised on its variable.
+    ``separators`` spares a caller that already has
+    ``decomposition.separators()`` computing them again.
     """
+    if separators is None:
+        separators = decomposition.separators()
     total = 0.0
     for element in decomposition.elements:
         total += element.variable.entropy()
-    for later_element, separator in zip(decomposition.elements[1:], decomposition.separators()):
+    for later_element, separator in zip(decomposition.elements[1:], separators):
         if separator is None:
             continue
         total -= later_element.variable.marginal_entropy(separator.edge_ids)
@@ -212,21 +317,36 @@ def propagate_joint(
         raise EstimationError("max_aggregate_buckets must be >= 1")
     if max_state_cells < 1:
         raise EstimationError("max_state_cells must be >= 1")
-    elements = decomposition.elements
     separators = decomposition.separators()
-    n_elements = len(elements)
+    # The chain: each element's variable and the separator ids after it.
+    chain = [
+        (element.variable, separator.edge_ids if separator is not None else ())
+        for element, separator in zip(decomposition.elements, [*separators, None])
+    ]
+    memo = decomposition.memo() if decomposition.memo is not None else None
 
-    plan = _factor_plan(elements[0].variable, (), _separator_ids(separators, 0, n_elements))
-    state = _initial_state(plan)
-    n_cells_processed = state.n_cells
-    state = _consolidate(state, max_aggregate_buckets, max_state_cells)
-
-    for index in range(1, n_elements):
-        sep_next_ids = _separator_ids(separators, index, n_elements)
-        plan = _factor_plan(elements[index].variable, state.sep_ids, sep_next_ids)
-        state = _propagate_step(state, plan)
+    # Follow the chain through the memo for as long as its states are known...
+    token = (max_aggregate_buckets, max_state_cells)
+    state = None
+    n_cells_processed = 0
+    known = 0
+    if memo is not None:
+        for variable, sep_next_ids in chain:
+            link = memo.get(token, variable, sep_next_ids)
+            if link is None:
+                break
+            token, state, n_cells_processed = link
+            known += 1
+    # ... and compute the rest.
+    for variable, sep_next_ids in chain[known:]:
+        if state is None:
+            state = _initial_state(_factor_plan(variable, (), sep_next_ids))
+        else:
+            state = _propagate_step(state, _factor_plan(variable, state.sep_ids, sep_next_ids))
         n_cells_processed += state.n_cells
         state = _consolidate(state, max_aggregate_buckets, max_state_cells)
+        if memo is not None:
+            token = memo.put(token, variable, sep_next_ids, state, n_cells_processed)
 
     highs = np.maximum(state.agg_high, state.agg_low + _MIN_WIDTH)
     keep = state.prob > 0.0
@@ -237,7 +357,7 @@ def propagate_joint(
         cell_lows=state.agg_low[keep],
         cell_highs=highs[keep],
         cell_probs=state.prob[keep],
-        entropy=decomposition_entropy(decomposition),
+        entropy=decomposition_entropy(decomposition, separators),
         n_cells_processed=n_cells_processed,
     )
 
@@ -245,14 +365,6 @@ def propagate_joint(
 # ---------------------------------------------------------------------- #
 # Internals
 # ---------------------------------------------------------------------- #
-def _separator_ids(separators, index: int, n_elements: int) -> tuple[int, ...]:
-    """Edge ids of the separator after element ``index`` (empty for the last element)."""
-    if index >= n_elements - 1:
-        return ()
-    separator = separators[index]
-    return separator.edge_ids if separator is not None else ()
-
-
 def _factor_plan(
     variable: InstantiatedVariable,
     sep_prev_ids: tuple[int, ...],

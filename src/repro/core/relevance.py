@@ -16,41 +16,50 @@ whose paths start at that edge, ordered by rank.  Every row always contains
 at least the unit-path variable for its edge (falling back to the
 speed-limit distribution), so a decomposition that covers the query path
 always exists.
+
+**One lookup per rank.**  A row is not found by scanning what starts at its
+edge: for each rank the hybrid graph holds at all (and the query's
+remaining length and ``max_rank`` allow), the graph's path index is asked
+for the variables on exactly that slice of the query path.  Among a path's
+intervals the one overlapping the updated departure interval most is kept;
+**on equal overlap the variable inserted first wins** (the comparison is a
+strict ``>``).  Rows therefore come out in rank order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import EstimatorParameters
 from ..exceptions import EstimationError
 from ..roadnet.path import Path
-from ..timeutil import interval_of
 from .hybrid_graph import HybridGraph
 from .variables import InstantiatedVariable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelevantVariable:
-    """An instantiated variable aligned with a position of the query path."""
+    """An instantiated variable aligned with a position of the query path.
+
+    ``rank`` and ``end_index`` (one past the last query-path edge the
+    variable covers) are fixed at construction: decomposition selection and
+    validation read them for every candidate of every query.
+    """
 
     variable: InstantiatedVariable
     start_index: int
+    rank: int = field(init=False)
+    end_index: int = field(init=False)
 
-    @property
-    def rank(self) -> int:
-        return self.variable.rank
+    def __post_init__(self) -> None:
+        rank = len(self.variable.path)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "end_index", self.start_index + rank)
 
     @property
     def path(self) -> Path:
         return self.variable.path
-
-    @property
-    def end_index(self) -> int:
-        """Index one past the last query-path edge covered by the variable."""
-        return self.start_index + self.rank
 
 
 def shift_and_enlarge(
@@ -83,13 +92,11 @@ def updated_departure_interval(
         raise EstimationError(
             f"edge position {edge_position} out of range for path of length {len(query_path)}"
         )
-    alpha = hybrid_graph.parameters.alpha_minutes
     interval = (float(departure_time_s), float(departure_time_s))
     for position in range(edge_position):
         edge_id = query_path.edge_ids[position]
         midpoint = (interval[0] + interval[1]) / 2.0
-        unit = hybrid_graph.unit_variable(edge_id, interval_of(midpoint, alpha))
-        interval = shift_and_enlarge(interval, unit)
+        interval = shift_and_enlarge(interval, hybrid_graph.unit_variable_at(edge_id, midpoint))
     return interval
 
 
@@ -142,61 +149,50 @@ def build_candidate_array(
     yields the paper's OD-2/OD-3/OD-4 variants; ``None`` imposes no cap
     (plain OD).
     """
-    parameters: EstimatorParameters = hybrid_graph.parameters
-    alpha = parameters.alpha_minutes
     query_ids = query_path.edge_ids
     n = len(query_ids)
+    ranks = hybrid_graph.ranks()
+    if max_rank is not None:
+        ranks = tuple(rank for rank in ranks if rank <= max_rank)
 
     rows: list[list[RelevantVariable]] = []
     departure_interval = (float(departure_time_s), float(departure_time_s))
     for position in range(n):
-        edge_id = query_ids[position]
-        remaining = n - position
-
-        # Spatial relevance: variables whose path starts here and matches the
-        # query path's continuation.
-        spatially_relevant: dict[tuple[int, ...], list[InstantiatedVariable]] = {}
-        for variable in hybrid_graph.variables_starting_with(edge_id):
-            rank = variable.rank
-            if rank > remaining:
-                continue
-            if max_rank is not None and rank > max_rank:
-                continue
-            if variable.path.edge_ids != query_ids[position : position + rank]:
-                continue
-            spatially_relevant.setdefault(variable.path.edge_ids, []).append(variable)
-
-        # Temporal relevance: the variable's interval must intersect the
-        # updated departure interval at this position; among multiple
-        # intervals for the same path, keep the one with the largest overlap.
-        row: list[RelevantVariable] = []
         interval_start, interval_end = departure_interval
-        for edge_ids, variables in spatially_relevant.items():
+        degenerate = interval_end == interval_start
+        # The unit variable at the interval's midpoint: it advances the
+        # departure interval across this edge and, when no unit variable is
+        # temporally relevant, guarantees the row one so a covering
+        # decomposition always exists (speed-limit fallback when necessary).
+        unit = hybrid_graph.unit_variable_at(
+            query_ids[position], (interval_start + interval_end) / 2.0
+        )
+
+        row: list[RelevantVariable] = []
+        for rank in ranks:
+            if position + rank > n:
+                break
+            # Spatial relevance: the variables on exactly this slice of the
+            # query path.  Temporal relevance: the variable's interval must
+            # intersect the updated departure interval at this position;
+            # among a path's intervals, keep the one with the largest overlap.
             best: InstantiatedVariable | None = None
             best_overlap = 0.0
-            for variable in variables:
-                overlap = variable.interval.overlap_s(interval_start, interval_end)
-                if interval_end == interval_start:
+            for variable in hybrid_graph.variables_on(query_ids[position : position + rank]):
+                if degenerate:
                     # Degenerate interval (the first edge): containment decides.
                     overlap = 1.0 if variable.interval.contains(interval_start) else 0.0
+                else:
+                    overlap = variable.interval.overlap_s(interval_start, interval_end)
                 if overlap > best_overlap:
                     best_overlap = overlap
                     best = variable
             if best is not None:
                 row.append(RelevantVariable(best, position))
-
-        # Guarantee a unit variable for this edge so a covering decomposition
-        # always exists (speed-limit fallback when necessary).
-        if not any(rv.rank == 1 for rv in row):
-            midpoint = (interval_start + interval_end) / 2.0
-            unit = hybrid_graph.unit_variable(edge_id, interval_of(midpoint, alpha))
-            row.append(RelevantVariable(unit, position))
-
+        if not row or row[0].rank != 1:
+            row.insert(0, RelevantVariable(unit, position))
         rows.append(row)
 
-        # Advance the departure interval across this edge for the next row.
-        midpoint = (interval_start + interval_end) / 2.0
-        unit_for_shift = hybrid_graph.unit_variable(edge_id, interval_of(midpoint, alpha))
-        departure_interval = shift_and_enlarge(departure_interval, unit_for_shift)
+        departure_interval = shift_and_enlarge(departure_interval, unit)
 
     return CandidateArray(query_path, departure_time_s, rows)

@@ -142,6 +142,10 @@ class _EstimatorFamily:
         self.base = base
         self.variants: dict[str, PathCostEstimator] = {}
 
+    def estimators(self) -> set[PathCostEstimator]:
+        """The base and every distinct variant built so far."""
+        return {self.base, *list(self.variants.values())}
+
 
 class CostEstimationService:
     """Cached, batched, precomputed path-cost queries over a hybrid graph."""
@@ -258,7 +262,17 @@ class CostEstimationService:
                 "route_cache": self._route_cache.stats_unlocked(),
                 "batch_executor": self._batch_executor.stats(),
                 "kernel_backend": self._kernel_dispatch.stats(),
+                "propagation": self._propagation_stats(),
             }
+
+    def _propagation_stats(self) -> dict[str, int]:
+        """Joint-propagation steps computed / reused and states held, summed
+        over the current estimators (a :meth:`rebase` starts new ones at zero)."""
+        totals = {"computed": 0, "reused": 0, "states": 0}
+        for estimator in self._family.estimators():
+            for name, value in estimator.propagation_stats().items():
+                totals[name] += value
+        return totals
 
     def kernel_backend_stats(self) -> dict[str, object]:
         """Backend selection counts and per-backend kernel usage counters."""
@@ -451,6 +465,18 @@ class CostEstimationService:
             "Tiles dispatched to the worker pool by the threaded backend",
             callback=lambda: _backend_total("tiles_dispatched"),
         )
+        for outcome in ("computed", "reused"):
+            gauge(
+                "repro_service_propagation_steps_total",
+                "Joint-propagation steps run, or answered from a memoised chain prefix",
+                labels={"outcome": outcome},
+                callback=lambda o=outcome: self._propagation_stats()[o],
+            )
+        gauge(
+            "repro_service_propagation_states",
+            "Propagation states currently memoised across the estimators",
+            callback=lambda: self._propagation_stats()["states"],
+        )
         executor = self._batch_executor
         gauge(
             "repro_service_batches_total",
@@ -508,11 +534,16 @@ class CostEstimationService:
         return self._route_cache.stats()
 
     def clear_caches(self) -> None:
-        """Drop all cached results, propagated joints, and routes."""
+        """Drop all cached results, propagated joints, routes and memoised propagation states.
+
+        Afterwards a query costs what it costs a fresh service.
+        """
         self._bump_epoch()
         self._result_cache.clear()
         self._decomposition_cache.clear()
         self._route_cache.clear()
+        for estimator in self._family.estimators():
+            estimator.forget_propagations()
 
     def close(self) -> None:
         """Release the shared worker pool and kernel backends (idempotent).

@@ -59,11 +59,15 @@ def interval_index_of(time_s: float, alpha_minutes: int) -> int:
     return int(time_s % SECONDS_PER_DAY // interval_width_s(alpha_minutes))
 
 
-def interval_of(time_s: float, alpha_minutes: int) -> TimeInterval:
-    """The alpha-minute interval containing the time of day ``time_s``."""
-    index = interval_index_of(time_s, alpha_minutes)
+def interval_at(index: int, alpha_minutes: int) -> TimeInterval:
+    """The alpha-minute interval with the given index."""
     width_s = interval_width_s(alpha_minutes)
     return TimeInterval(index, index * width_s, (index + 1) * width_s)
+
+
+def interval_of(time_s: float, alpha_minutes: int) -> TimeInterval:
+    """The alpha-minute interval containing the time of day ``time_s``."""
+    return interval_at(interval_index_of(time_s, alpha_minutes), alpha_minutes)
 
 
 def all_intervals(alpha_minutes: int) -> list[TimeInterval]:

@@ -138,3 +138,85 @@ class TestHybridGraphContainer:
         graph.add_variable(pair_variable)
         entropies = graph.mean_entropy_by_rank()
         assert set(entropies) == {"1", "2"}
+
+    def test_fallbacks_of_an_edge_share_path_and_histogram(self, small_network):
+        graph = HybridGraph(small_network, EstimatorParameters())
+        edge = next(iter(small_network.edges()))
+        morning = graph.unit_variable(edge.edge_id, interval_of(8 * 3600.0, 30))
+        evening = graph.unit_variable_at(edge.edge_id, 18 * 3600.0 + 86_400.0)
+        assert evening.interval == interval_of(18 * 3600.0, 30)
+        assert evening is graph.unit_variable(edge.edge_id, evening.interval)
+        assert morning is not evening
+        assert morning.path is evening.path
+        assert morning.distribution is evening.distribution
+
+    def test_unit_variable_at_prefers_the_instantiated_variable(self, small_network, unit_variable):
+        graph = HybridGraph(small_network, EstimatorParameters())
+        graph.add_variable(unit_variable)
+        assert graph.unit_variable_at(3, 8 * 3600.0 + 1799.0) is unit_variable
+        assert graph.unit_variable_at(3, 8 * 3600.0 + 1800.0).source == SOURCE_SPEED_LIMIT
+
+
+class TestPathIndex:
+    def test_lookups(self, small_network, unit_variable, pair_variable, interval):
+        graph = HybridGraph(small_network, EstimatorParameters())
+        assert graph.ranks() == ()
+        assert graph.max_rank() == 0
+        later = InstantiatedVariable(
+            Path([3]), interval_of(9 * 3600.0, 30), unit_variable.distribution, support=40
+        )
+        for variable in (pair_variable, later, unit_variable):
+            graph.add_variable(variable)
+        assert graph.ranks() == (1, 2)
+        assert list(graph.variables_on((3,))) == [later, unit_variable]
+        assert graph.variables_for_path(Path([3])) == [later, unit_variable]
+        assert list(graph.variables_on((4,))) == []
+        assert graph.variables_starting_with(3) == [pair_variable, later, unit_variable]
+
+    def test_discard_agrees_with_a_graph_built_without_the_variables(
+        self, small_network, hybrid_graph
+    ):
+        """Index, lookups and ``max_rank`` after a discard equal a graph that never had them."""
+        variables = hybrid_graph.variables
+        top_rank = hybrid_graph.max_rank()
+        # Every path of the top rank goes, and whatever else touches its edges.
+        dirty = {
+            edge_id
+            for variable in variables
+            if variable.rank == top_rank
+            for edge_id in variable.path.edge_ids
+        }
+        discarded = HybridGraph(small_network, hybrid_graph.parameters)
+        for variable in variables:
+            discarded.add_variable(variable)
+        removed = discarded.discard_variables_touching(dirty)
+        kept = [variable for variable in variables if dirty.isdisjoint(variable.path.edge_ids)]
+        assert 0 < len(kept) < len(variables)
+        assert len(removed) == len(variables) - len(kept)
+        expected = HybridGraph(small_network, hybrid_graph.parameters)
+        for variable in kept:
+            expected.add_variable(variable)
+
+        def identities(found):
+            return [id(variable) for variable in found]
+
+        assert discarded.max_rank() == expected.max_rank() < top_rank
+        assert discarded.ranks() == expected.ranks()
+        assert discarded._by_path.keys() == expected._by_path.keys()
+        for variable in variables:
+            path = variable.path
+            assert identities(discarded.variables_on(path.edge_ids)) == identities(
+                expected.variables_on(path.edge_ids)
+            )
+            assert identities(discarded.variables_for_path(path)) == identities(
+                expected.variables_for_path(path)
+            )
+        for edge in small_network.edges():
+            assert identities(discarded.variables_starting_with(edge.edge_id)) == identities(
+                expected.variables_starting_with(edge.edge_id)
+            )
+        # The discarded paths can be supplied again (what a delta restore does).
+        for key in removed:
+            discarded.add_variable(hybrid_graph.variable_for(Path(list(key[0])), key[1]))
+        assert discarded.ranks() == hybrid_graph.ranks()
+        assert discarded.num_variables() == hybrid_graph.num_variables()

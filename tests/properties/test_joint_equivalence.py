@@ -8,7 +8,15 @@ with a lexicographic sort on every step.  The rewrite changes no
 arithmetic, so the two must agree bit for bit -- on random chains whose
 elements overlap in 0-4 edges with *different* bucket boundaries on the
 shared edges, and on every corridor prefix of a simulated city.
+
+The same reference pins the propagation memo: a family of chains that share
+prefixes, run in any order through one
+:class:`~repro.core.joint.PropagationMemo`, must each come out as if it had
+been propagated alone.
 """
+
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +36,7 @@ from repro import (
     grid_network,
 )
 from repro.core.decomposition import Decomposition
-from repro.core.joint import decomposition_entropy, propagate_joint
+from repro.core.joint import PropagationMemo, decomposition_entropy, propagate_joint
 from repro.core.reference import propagate_joint_reference
 from repro.core.relevance import RelevantVariable
 from repro.core.variables import InstantiatedVariable
@@ -73,12 +81,14 @@ def random_variable(rng, edge_ids, edge_means):
     return InstantiatedVariable(Path(list(edge_ids)), INTERVAL, distribution, support=n_samples)
 
 
-def build_chain(shapes, seed) -> Decomposition:
+def build_chain(shapes, seed, shared=()) -> Decomposition:
     """A decomposition whose consecutive elements share ``overlap`` edges.
 
     The overlap is cut down where needed so that no element is a sub-path
     of its predecessor (starts and ends strictly increase); zero overlap
-    makes consecutive elements disjoint.
+    makes consecutive elements disjoint.  The leading elements are taken
+    from ``shared`` (elements of a chain built from the same leading
+    shapes) instead of being drawn.
     """
     rng = np.random.default_rng(seed)
     spans = []
@@ -90,11 +100,17 @@ def build_chain(shapes, seed) -> Decomposition:
         end = start + rank
         spans.append((start, end))
     edge_means = {edge: float(rng.uniform(20.0, 90.0)) for edge in range(end)}
-    elements = tuple(
+    elements = tuple(shared) + tuple(
         RelevantVariable(random_variable(rng, tuple(range(first, last)), edge_means), first)
-        for first, last in spans
+        for first, last in spans[len(shared) :]
     )
     return Decomposition(Path(list(range(end))), elements)
+
+
+def prefix_of(decomposition: Decomposition, n_elements: int) -> Decomposition:
+    """The decomposition of the query path's prefix that the first elements cover."""
+    elements = decomposition.elements[:n_elements]
+    return Decomposition(decomposition.query_path.prefix(elements[-1].end_index), elements)
 
 
 def assert_same_joint(actual, expected):
@@ -134,6 +150,61 @@ class TestChainEquivalence:
             ),
         )
         assert_same_joint(propagate_joint(suffix), propagate_joint_reference(suffix))
+
+
+class TestSharedMemo:
+    @given(chains, st.sampled_from([4, 16, 32]))
+    @settings(max_examples=60, deadline=None)
+    def test_prefixes_and_siblings_through_one_memo(self, chain, max_aggregate_buckets):
+        """The full chain, every prefix of it and of a sibling that keeps its first
+        elements but continues with other variables -- after a *different*
+        separator where the shapes allow one -- in shuffled order, under two
+        limit pairs, through one memo: each equals the reference and a
+        memo-less propagation."""
+        shapes, seed = chain
+        rng = np.random.default_rng(seed)
+        full = build_chain(shapes, seed)
+        split = int(rng.integers(1, len(shapes)))
+        overlap, rank = shapes[split]
+        sibling_shapes = [*shapes[:split], ((overlap + 1) % 5, rank + 1), *shapes[split + 1 :]]
+        sibling = build_chain(sibling_shapes, seed + 1, shared=full.elements[:split])
+        family = [prefix_of(full, n) for n in range(1, len(full) + 1)]
+        family += [prefix_of(sibling, n) for n in range(split + 1, len(sibling) + 1)]
+        jobs = [
+            (decomposition, dict(max_aggregate_buckets=max_aggregate_buckets, max_state_cells=cells))
+            for decomposition in family
+            for cells in (4096, 8)
+        ]
+        rng.shuffle(jobs)
+
+        memo = PropagationMemo()
+        for decomposition, limits in jobs:
+            shared = propagate_joint(replace(decomposition, memo=weakref.ref(memo)), **limits)
+            assert_same_joint(shared, propagate_joint_reference(decomposition, **limits))
+            assert_same_joint(shared, propagate_joint(decomposition, **limits))
+        stats = memo.stats()
+        assert stats["computed"] + stats["reused"] == sum(len(d) for d, _limits in jobs)
+        # Nothing was evicted, so no link was computed twice; and from three
+        # elements on, two prefixes of the full chain share its first link.
+        assert stats["states"] == stats["computed"]
+        assert stats["reused"] > 0 or len(full) == 2
+
+    def test_a_longer_variable_taking_over_the_last_edge(self):
+        """[P(0,1), U(2)] then [P(0,1), Q(1,2,3)]: P's state with no separator after
+        it must not serve the chain in which edge 1 separates P from Q."""
+        rng = np.random.default_rng(3)
+        means = {edge: 50.0 + 5.0 * edge for edge in range(4)}
+        pair = RelevantVariable(random_variable(rng, (0, 1), means), 0)
+        unit = RelevantVariable(random_variable(rng, (2,), means), 2)
+        triple = RelevantVariable(random_variable(rng, (1, 2, 3), means), 1)
+        memo = PropagationMemo()
+        short = Decomposition(Path([0, 1, 2]), (pair, unit), weakref.ref(memo))
+        long = Decomposition(Path([0, 1, 2, 3]), (pair, triple), weakref.ref(memo))
+        for decomposition in (short, long, short, long):
+            assert_same_joint(
+                propagate_joint(decomposition), propagate_joint_reference(decomposition)
+            )
+        assert memo.stats() == {"computed": 4, "reused": 4, "states": 4}
 
 
 class TestFixedChain:
