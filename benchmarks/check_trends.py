@@ -81,9 +81,6 @@ TRACKED: dict[str, tuple[tuple[str, str], ...]] = {
         ("off_qps", "higher"),
         ("on_qps", "higher"),
     ),
-    "fig18_routing": (
-        ("service_warm_qps", "higher"),
-    ),
 }
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -164,6 +164,9 @@ class PathCostEstimator:
         cost cells and is memoised on the joint, so repeated
         marginalisation of a cached decomposition (e.g. a batch of budget
         queries through the estimation service) costs a dictionary lookup.
+        The estimate is new with every call and its ``timings_s`` an empty
+        dictionary of its own: the caller that timed the steps fills it in,
+        which spares rebuilding the frozen estimate around the timings.
         """
         return CostEstimate(
             path=path,
@@ -185,15 +188,13 @@ class PathCostEstimator:
         after_jc = time.perf_counter()
         estimate = self.estimate_from_joint(propagated, path, departure_time_s)
         after_mc = time.perf_counter()
-        return replace(
-            estimate,
-            timings_s={
-                "oi": after_oi - started,
-                "jc": after_jc - after_oi,
-                "mc": after_mc - after_jc,
-                "total": after_mc - started,
-            },
+        estimate.timings_s.update(
+            oi=after_oi - started,
+            jc=after_jc - after_oi,
+            mc=after_mc - after_jc,
+            total=after_mc - started,
         )
+        return estimate
 
     def prob_within(self, path: Path, departure_time_s: float, budget: float) -> float:
         """Probability that ``path`` can be traversed within ``budget`` cost units."""

@@ -11,6 +11,20 @@ variables of each path across intervals, in insertion order, and how many
 paths each rank has.  It answers the one question the candidate array asks
 ("which variables sit on exactly these edges?") with a dictionary lookup,
 and tells it which ranks are worth asking about at all.
+
+One more table is derived from ``W_P``, for the router:
+:meth:`HybridGraph.edge_cost_bounds` maps every edge to the smallest and the
+largest cost *any* distribution of this graph gives it -- the hull of the
+edge's dimension over every variable that contains the edge (all ranks, all
+intervals) and of its speed-limit fallback range.  Whatever decomposition an
+estimator picks for a path, and whatever it does to the accumulated cost on
+the way (propagation, rearrangement, coarsening, truncation and cell pruning
+move mass inside the hull of their input, never outside it), the path's cost
+histogram lies between the sums of its edges' floors and ceilings -- which
+lets :class:`~repro.routing.RoutingEngine` settle most budget-pruning bounds
+without estimating anything.  The table is built lazily in one pass over the
+variables, dropped whenever the variable set changes, not persisted and not
+counted in the memory accounting.
 """
 
 from __future__ import annotations
@@ -28,6 +42,12 @@ from .variables import SOURCE_SPEED_LIMIT, InstantiatedVariable
 
 #: Bytes per stored scalar, used for the memory-usage accounting of Figure 12.
 _BYTES_PER_SCALAR = 8
+
+
+def _fallback_range(edge) -> tuple[float, float]:
+    """The speed-limit fallback's support: free-flow time to a conservative congested time."""
+    free_flow = edge.free_flow_time_s
+    return free_flow, free_flow * 2.5 + 10.0
 
 
 class HybridGraph:
@@ -50,6 +70,9 @@ class HybridGraph:
         self._fallback_cache: dict[tuple[int, int], InstantiatedVariable] = {}
         # edge id -> the path and histogram all of the edge's fallbacks share.
         self._fallback_parts: dict[int, tuple[Path, Histogram1D]] = {}
+        # edge id -> (floor, ceiling); None until asked for, and again after
+        # the variable set changed.
+        self._edge_cost_bounds: dict[int, tuple[float, float]] | None = None
 
     # ------------------------------------------------------------------ #
     # Population
@@ -63,6 +86,7 @@ class HybridGraph:
                 "already instantiated"
             )
         self._variables[key] = variable
+        self._edge_cost_bounds = None
         on_path = self._by_path.get(key[0])
         if on_path is None:
             self._by_path[key[0]] = [variable]
@@ -83,6 +107,8 @@ class HybridGraph:
         if not dirty:
             return []
         doomed = [key for key in self._variables if not dirty.isdisjoint(key[0])]
+        if doomed:
+            self._edge_cost_bounds = None
         for key in doomed:
             del self._variables[key]
             # A path touching the dirty set loses every interval at once.
@@ -172,10 +198,9 @@ class HybridGraph:
             return cached
         parts = self._fallback_parts.get(edge_id)
         if parts is None:
-            free_flow = self.network.edge(edge_id).free_flow_time_s
             parts = self._fallback_parts[edge_id] = (
                 Path([edge_id]),
-                Histogram1D.uniform(free_flow, free_flow * 2.5 + 10.0),
+                Histogram1D.uniform(*_fallback_range(self.network.edge(edge_id))),
             )
         fallback = InstantiatedVariable(
             path=parts[0],
@@ -186,6 +211,31 @@ class HybridGraph:
         )
         self._fallback_cache[(edge_id, interval_index)] = fallback
         return fallback
+
+    def edge_cost_bounds(self) -> dict[int, tuple[float, float]]:
+        """``edge id -> (floor, ceiling)``: the hull of every cost this graph gives the edge.
+
+        The smallest first and the largest last bucket boundary of the
+        edge's dimension over every variable containing it, and its
+        speed-limit fallback range (see the module docstring for what the
+        sums along a path bound).  Shared and read-only: do not change it.
+        """
+        bounds = self._edge_cost_bounds
+        if bounds is None:
+            bounds = {edge.edge_id: _fallback_range(edge) for edge in self.network.edges()}
+            for variable in self._variables.values():
+                distribution = variable.distribution
+                for edge_id in variable.path.edge_ids:
+                    if isinstance(distribution, Histogram1D):
+                        low, high = distribution.min, distribution.max
+                    else:
+                        edges = distribution.boundaries_of(edge_id)
+                        low, high = float(edges[0]), float(edges[-1])
+                    floor, ceiling = bounds[edge_id]
+                    if low < floor or high > ceiling:
+                        bounds[edge_id] = (min(floor, low), max(ceiling, high))
+            self._edge_cost_bounds = bounds
+        return bounds
 
     # ------------------------------------------------------------------ #
     # Statistics (used by the Figure 8-12 experiments)

@@ -76,7 +76,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -572,17 +572,21 @@ def _consolidate(state: _State, max_aggregate_buckets: int, max_state_cells: int
 
 
 def _bound_and_normalise(state: _State, max_state_cells: int) -> _State:
-    """Prune the lowest-probability cells past the cap and renormalise."""
+    """Prune the lowest-probability cells past the cap and renormalise.
+
+    In place: ``state`` is the step's own, fresh from :func:`_propagate_step`
+    or :func:`_consolidate` and not yet in any memo (its arrays may be shared;
+    they are replaced, never written).
+    """
     if state.n_cells > max_state_cells:
         kept = np.argsort(state.prob)[::-1][:max_state_cells]
-        state = replace(
-            state,
-            agg_low=state.agg_low[kept],
-            agg_high=state.agg_high[kept],
-            prob=state.prob[kept],
-            group=None if state.group is None else state.group[kept],
-        )
+        state.agg_low = state.agg_low[kept]
+        state.agg_high = state.agg_high[kept]
+        state.prob = state.prob[kept]
+        if state.group is not None:
+            state.group = state.group[kept]
     total = state.prob.sum()
     if total <= 0.0:
         raise EstimationError("joint propagation lost all probability mass")
-    return replace(state, prob=state.prob / total)
+    state.prob = state.prob / total
+    return state

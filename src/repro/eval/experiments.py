@@ -578,6 +578,7 @@ def fig18_routing(
                     max_path_edges=max_path_edges,
                     max_expansions=max_expansions,
                     bounds_index=bounds_index,
+                    edge_cost_bounds=graph.edge_cost_bounds,
                 )
                 outcome = router.find_route(source, target, departure, budget)
                 per_method_time[name].append(outcome.elapsed_s)

@@ -533,7 +533,8 @@ class ServingFrontend:
                 if timings:
                     annotations["estimator_timings_s"] = timings
             else:
-                annotations["expansions"] = response.result.paths_evaluated
+                annotations["expansions"] = response.result.expansions
+                annotations["estimated"] = response.result.paths_evaluated
                 annotations["truncated"] = response.result.truncated
             trace.add_span("execute", exec_started, exec_ended, **annotations)
         for ticket, response, queue_time in zip(batch.live, responses, batch.queue_times_s):

@@ -8,12 +8,12 @@ path with the highest probability of arriving within the budget.
 :class:`DFSStochasticRouter` is kept as a thin compatibility wrapper over
 the batched best-first :class:`~repro.routing.engine.RoutingEngine`: the
 public ``find_route`` API (and the two pruning rules below) are unchanged,
-but candidate paths are now estimated in batches and bound-scored with one
-vectorised CDF kernel call per batch.  The original depth-first inner loop
-is retained as :meth:`DFSStochasticRouter.reference_find_route` -- the
-reference implementation the equivalence property suite pins the engine
-against, and the pre-engine baseline the Figure 18 benchmark compares
-throughput to.
+but a candidate path is estimated only where the hybrid graph's per-edge
+cost bounds cannot settle its pruning bound, a frontier batch at a time.
+The original depth-first inner loop is
+retained as :meth:`DFSStochasticRouter.reference_find_route` -- it estimates
+every path it pops, and is the reference implementation the equivalence
+property suite pins the engine against.
 
 Two pruning rules keep the search tractable:
 
@@ -38,20 +38,26 @@ paper compares LB-DFS / HP-DFS / OD-DFS.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Mapping
 
 from ..exceptions import RoutingError
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.path import Path
 from ..roadnet.routing import ReverseBoundsIndex
 from .engine import RouteResult, RoutingEngine
-from .incremental import IncrementalCostEstimator
 from .queries import SupportsEstimate
 
 __all__ = ["DFSStochasticRouter", "RouteResult"]
 
 
 class DFSStochasticRouter:
-    """Finds the path with the highest probability of meeting a travel-time budget."""
+    """Finds the path with the highest probability of meeting a travel-time budget.
+
+    ``edge_cost_bounds`` is handed to the engine as is: pass the estimator's
+    ``hybrid_graph.edge_cost_bounds`` to let :meth:`find_route` skip the
+    estimates a support bound settles, or nothing to have every path
+    estimated (the only choice for an estimator without a hybrid graph).
+    """
 
     def __init__(
         self,
@@ -59,9 +65,9 @@ class DFSStochasticRouter:
         estimator: SupportsEstimate,
         max_path_edges: int = 40,
         probability_threshold: float = 0.0,
-        use_incremental: bool = True,
         max_expansions: int = 20000,
         bounds_index: ReverseBoundsIndex | None = None,
+        edge_cost_bounds: Callable[[], Mapping[int, tuple[float, float]]] | None = None,
     ) -> None:
         self.network = network
         self.engine = RoutingEngine(
@@ -70,8 +76,8 @@ class DFSStochasticRouter:
             max_path_edges=max_path_edges,
             probability_threshold=probability_threshold,
             max_expansions=max_expansions,
-            use_incremental=use_incremental,
             bounds_index=bounds_index,
+            edge_cost_bounds=edge_cost_bounds,
         )
 
     # ------------------------------------------------------------------ #
@@ -80,7 +86,7 @@ class DFSStochasticRouter:
     # can never search under different settings.
     @property
     def estimator(self) -> SupportsEstimate:
-        """The (possibly incremental-wrapped) estimator both searches use."""
+        """The estimator both searches use."""
         return self.engine.estimator
 
     @estimator.setter
@@ -144,18 +150,13 @@ class DFSStochasticRouter:
 
         Numerically equivalent to :meth:`find_route` (the property suite
         pins both to the same best probability within 1e-9); kept as the
-        pre-engine baseline for benchmarking and as the engine's reference
-        implementation.
+        engine's estimate-everything reference implementation.
         """
         if source == target:
             raise RoutingError("source and target must differ")
         if budget_s <= 0:
             raise RoutingError("budget_s must be positive")
         started = time.perf_counter()
-        if isinstance(self.estimator, IncrementalCostEstimator):
-            # Per-query cache, as in find_route: answers depend only on
-            # the query, not on earlier searches.
-            self.estimator.clear()
         threshold = self.probability_threshold
         lower_bounds = self.bounds_index.bounds_to(target)
         if source not in lower_bounds:
@@ -229,4 +230,6 @@ class DFSStochasticRouter:
         truncated = bool(stack) and expansions >= self.max_expansions
         elapsed = time.perf_counter() - started
         found_probability = best_probability if best_path is not None else 0.0
-        return RouteResult(best_path, found_probability, paths_evaluated, elapsed, truncated)
+        return RouteResult(
+            best_path, found_probability, paths_evaluated, elapsed, truncated, expansions
+        )

@@ -2,19 +2,18 @@
 
 :class:`RoutingEngine` answers the paper's Figure 18 workload -- find the
 source-target path with the highest probability of arriving within a
-travel-time budget -- but replaces the legacy per-path depth-first inner
-loop with frontier expansion evaluated in *batches*:
+travel-time budget -- by expanding a best-first frontier in *batches*:
 
 1. pop up to ``batch_size`` frontier paths, ordered best-first by their
    parent's optimistic budget-pruning bound;
-2. estimate all of them at once -- through
+2. settle every bound a *support bound* decides (below) and estimate only
+   the others, at once -- through
    :meth:`~repro.service.CostEstimationService.estimate_batch` when the
-   estimator is the service (dedup + LRU caches + decomposition reuse for
-   shared prefixes), or an :class:`.IncrementalCostEstimator` prefix-reuse
-   loop for a plain estimator;
-3. score the whole batch's budget-pruning bounds with a single
-   :func:`repro.histograms.kernels.batch_cdf` kernel call instead of one
-   scalar ``prob_at_most`` lookup per path.
+   estimator is the service (dedup + LRU caches), or one ``estimate`` call
+   per path for a plain estimator (whose own
+   :class:`~repro.core.joint.PropagationMemo` already shares the prefixes,
+   exactly);
+3. prune, complete or expand each path on its bound, in pop order.
 
 Pruning is the same admissible rule the depth-first router uses: the
 probability that a partial path plus a free-flow lower bound on the
@@ -25,11 +24,32 @@ tie cannot improve the answer) is discarded.  The free-flow bounds come
 from a shared :class:`~repro.roadnet.routing.ReverseBoundsIndex`, computed
 once per (network, target) and reused across queries.
 
+**What a support bound settles, and why it is exact.**  A path's bound is
+its cost histogram's ``prob_at_most(value)`` at ``value = budget - free-flow
+remainder``: a function of the path's histogram and nothing else -- not of
+the batch the path was popped in, nor of its place in it -- that is exactly
+``1.0`` from the support's upper end on and exactly ``0.0`` up to its lower
+end.  The hybrid graph knows, per edge, the smallest and largest cost any of
+its distributions gives that edge
+(:meth:`~repro.core.hybrid_graph.HybridGraph.edge_cost_bounds`), and every
+histogram an estimator on that graph can return for a path has its support
+between the sums of its edges' floors and ceilings.  Each frontier entry
+carries the two sums (one addition per child).  When ``value`` clears the
+ceiling sum the whole histogram lies at or below it and the bound is ``1.0``;
+when ``value`` stays under the floor sum it is ``0.0``.  Those are the floats
+the histogram would have given, so taking them without an estimate changes
+nothing the search does afterwards: same frontier order, same expansions,
+same path, same probability, ties included.  Only a value strictly inside the
+summed range -- by :data:`SUPPORT_MARGIN` -- is estimated.  On slack budgets
+that is a small minority of the frontier; on tight ones nearly all of it.  An
+engine given no bounds (a stub or ground-truth estimator has no graph)
+estimates every path.
+
 The paper's LB-DFS / HP-DFS / OD-DFS comparison still works unchanged: the
 estimator is pluggable, and :class:`~repro.routing.DFSStochasticRouter`
 remains as a thin compatibility wrapper over this engine (keeping its
-original depth-first loop available as a reference implementation pinned by
-the equivalence property suite).
+original depth-first loop, which estimates everything, as the reference
+implementation the equivalence suite pins the engine to).
 """
 
 from __future__ import annotations
@@ -38,18 +58,27 @@ import heapq
 import math
 import threading
 import time
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..config import _valid_method_name
 from ..exceptions import RoutingError
-from ..histograms import kernels
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.path import Path
 from ..roadnet.routing import ReverseBoundsIndex
-from .incremental import IncrementalCostEstimator
 from .queries import SupportsEstimate
+
+#: How far (in cost units: seconds) ``value`` must clear a summed support bound
+#: before the bound is taken instead of an estimate.  It has to dominate what
+#: separates a histogram's support from the exact sums: the rounding of adding
+#: up to ``max_path_edges`` boundaries in a different order (~1e-13 at these
+#: magnitudes) and the ``1e-9`` minimum width joint propagation gives a
+#: degenerate cost range.  A value inside the margin is merely estimated, so
+#: the margin costs nothing but those estimates.
+SUPPORT_MARGIN = 1e-6
+
+#: Per-edge bounds of an engine that was given none: nothing is ever settled.
+_UNBOUNDED = (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -60,6 +89,9 @@ class RouteResult:
     exhausted every candidate) from "the search gave up": it is ``True``
     when the expansion limit was hit while unexplored candidates remained,
     so the reported best (or the absence of one) is not exhaustive.
+    ``expansions`` counts the frontier paths the search scored,
+    ``paths_evaluated`` those among them whose cost distribution had to be
+    estimated (the others were settled by a support bound).
     """
 
     path: Path | None
@@ -67,6 +99,7 @@ class RouteResult:
     paths_evaluated: int
     elapsed_s: float
     truncated: bool = False
+    expansions: int = 0
 
     @property
     def found(self) -> bool:
@@ -177,15 +210,22 @@ class RoutingEngine:
         exposes ``estimate_batch`` (the
         :class:`~repro.service.CostEstimationService` does), each frontier
         batch is estimated in one deduplicated, cached call; a plain
-        estimator is wrapped in an :class:`.IncrementalCostEstimator`
-        (unless ``use_incremental=False``) so shared prefixes are reused.
+        estimator is called once per path.
     max_path_edges, probability_threshold, batch_size, max_expansions:
         Search limits; ``batch_size`` is how many frontier paths are
-        estimated and bound-scored per kernel call.
+        scored per round (and at most estimated per estimator call).
     bounds_index:
         A shared :class:`~repro.roadnet.routing.ReverseBoundsIndex`; built
         on demand when ``None``.  Passing one lets several engines (or an
         engine plus the compatibility DFS wrapper) share per-target bounds.
+    edge_cost_bounds:
+        A callable returning ``edge id -> (floor, ceiling)`` for the graph
+        the estimator answers from -- ``hybrid_graph.edge_cost_bounds``, or
+        something that looks the current graph up first.  Called once per
+        search.  ``None`` (an estimator without a hybrid graph) means every
+        path is estimated.  It is a constructor dependency and not read off
+        the estimator, so swapping the estimator for a proxy of the same
+        graph keeps the search the same program.
     """
 
     def __init__(
@@ -196,8 +236,8 @@ class RoutingEngine:
         probability_threshold: float = 0.0,
         batch_size: int = 16,
         max_expansions: int = 20000,
-        use_incremental: bool = True,
         bounds_index: ReverseBoundsIndex | None = None,
+        edge_cost_bounds: Callable[[], Mapping[int, tuple[float, float]]] | None = None,
     ) -> None:
         if max_path_edges < 1:
             raise RoutingError("max_path_edges must be >= 1")
@@ -212,41 +252,34 @@ class RoutingEngine:
         self.probability_threshold = probability_threshold
         self.batch_size = batch_size
         self.max_expansions = max_expansions
-        self._use_incremental = use_incremental
-        self.estimator = estimator  # the setter applies the wrapping policy
+        self.estimator = estimator
         self.bounds_index = bounds_index if bounds_index is not None else ReverseBoundsIndex(network)
+        self.edge_cost_bounds = edge_cost_bounds
         #: Lifetime counters, updated once per finished search (not per
         #: expansion), so the search loop itself carries no telemetry cost.
-        #: Exported as live gauges by
+        #: ``expansions_total`` splits into the frontier paths a support
+        #: bound settled and those that were estimated.  Exported as live
+        #: gauges by
         #: :meth:`~repro.service.CostEstimationService.register_metrics`.
         self._stats_lock = threading.Lock()
         self.searches = 0
         self.expansions_total = 0
+        self.estimated_total = 0
         self.truncations = 0
 
     @property
-    def estimator(self) -> SupportsEstimate:
-        return self._estimator
-
-    @estimator.setter
-    def estimator(self, estimator: SupportsEstimate) -> None:
-        """Swap the estimator, re-applying the batch/incremental wrapping policy."""
-        self._batch_estimate = getattr(estimator, "estimate_batch", None)
-        if (
-            self._batch_estimate is None
-            and self._use_incremental
-            and not isinstance(estimator, IncrementalCostEstimator)
-        ):
-            estimator = IncrementalCostEstimator(estimator)
-        self._estimator: SupportsEstimate = estimator
+    def settled_total(self) -> int:
+        """Frontier paths whose bound a support bound settled, over all searches."""
+        return self.expansions_total - self.estimated_total
 
     # ------------------------------------------------------------------ #
     def _estimate_paths(self, paths: list[Path], departure_time_s: float, method: str | None):
-        """Cost estimates for a frontier batch, in input order."""
-        if self._batch_estimate is not None:
+        """Cost estimates for the unsettled paths of a frontier batch, in input order."""
+        batch_estimate = getattr(self.estimator, "estimate_batch", None)
+        if batch_estimate is not None:
             if method is not None:
-                return self._batch_estimate(paths, departure_time_s, method=method)
-            return self._batch_estimate(paths, departure_time_s)
+                return batch_estimate(paths, departure_time_s, method=method)
+            return batch_estimate(paths, departure_time_s)
         if method is not None:
             raise RoutingError(
                 "per-request methods need an estimator with estimate_batch "
@@ -295,17 +328,15 @@ class RoutingEngine:
             raise RoutingError("max_path_edges and max_expansions must be >= 1")
 
         started = time.perf_counter()
-        if isinstance(self._estimator, IncrementalCostEstimator):
-            # A fresh incremental cache per query keeps answers a pure
-            # function of the query: the staleness-bounded extension
-            # approximation then depends only on a path's own ancestor
-            # chain, never on which queries happened to run earlier.
-            self._estimator.clear()
         bounds = self.bounds_index.bounds_to(target)
         if source not in bounds:
             with self._stats_lock:
                 self.searches += 1
             return RouteResult(None, 0.0, 0, time.perf_counter() - started)
+        if self.edge_cost_bounds is not None:
+            cost_bounds_of = self.edge_cost_bounds().__getitem__
+        else:
+            cost_bounds_of = lambda _edge_id: _UNBOUNDED  # noqa: E731 - nothing is ever settled
 
         best_path: Path | None = None
         best_probability = 0.0
@@ -315,16 +346,19 @@ class RoutingEngine:
         counter = 0
 
         # Best-first frontier: (-parent bound, remaining free-flow, tiebreak,
-        # edges, visited, head).  The parent's own optimistic bound
-        # upper-bounds its extensions, so popping by it expands the most
-        # promising candidates first; among equal bounds (common early on,
-        # when generous budgets make every bound 1.0) the smaller remaining
-        # free-flow distance wins, steering the search toward the target so
-        # a first completion -- and with it the pruning cutoff -- is found
-        # as quickly as the depth-first reference finds one.
-        frontier: list[tuple[float, float, int, tuple[int, ...], frozenset[int], int]] = []
+        # edges, visited, head, floor sum, ceiling sum).  The parent's own
+        # optimistic bound upper-bounds its extensions, so popping by it
+        # expands the most promising candidates first; among equal bounds
+        # (common early on, when generous budgets make every bound 1.0) the
+        # smaller remaining free-flow distance wins, steering the search
+        # toward the target so a first completion -- and with it the pruning
+        # cutoff -- is found as quickly as the depth-first reference finds
+        # one.  The two sums are the path's summed per-edge cost bounds; the
+        # unique tiebreak keeps them out of the ordering.
+        frontier: list[tuple] = []
         for edge in self.network.out_edges(source):
             if edge.target in bounds:
+                floor, ceiling = cost_bounds_of(edge.edge_id)
                 heapq.heappush(
                     frontier,
                     (
@@ -334,6 +368,8 @@ class RoutingEngine:
                         (edge.edge_id,),
                         frozenset((source, edge.target)),
                         edge.target,
+                        floor,
+                        ceiling,
                     ),
                 )
                 counter += 1
@@ -343,9 +379,13 @@ class RoutingEngine:
                 truncated = True
                 break
             # ---- pop a batch of the most promising frontier paths. ----- #
-            batch: list[tuple[tuple[int, ...], frozenset[int], int]] = []
+            batch: list[tuple[tuple[int, ...], frozenset[int], int, float, float]] = []
+            optimistic: list[float] = []
+            unsettled: list[tuple[int, float]] = []  # (place in the batch, value)
             while frontier and len(batch) < self.batch_size and expansions < limit_expansions:
-                neg_bound, _, _, edge_ids, visited, vertex = heapq.heappop(frontier)
+                neg_bound, _, _, edge_ids, visited, vertex, floor_sum, ceiling_sum = heapq.heappop(
+                    frontier
+                )
                 parent_bound = -neg_bound
                 # Pop-time prune by the *parent's* bound against the best
                 # found since this entry was pushed.  Sound under the same
@@ -353,30 +393,38 @@ class RoutingEngine:
                 # below (and the reference DFS) already relies on: every
                 # completion in a prefix's subtree scores at most the
                 # prefix's bound, and this path's subtree is contained in
-                # its parent's.  It saves estimating frontier entries whose
+                # its parent's.  It saves scoring frontier entries whose
                 # whole subtree is already beaten -- in particular, once a
                 # probability-1.0 route is found the remaining frontier
                 # drains without another estimator call.  (Zero/threshold
                 # checks already ran at push time.)
                 if best_path is not None and parent_bound <= best_probability:
                     continue
-                batch.append((edge_ids, visited, vertex))
+                # The support bound: what ``prob_at_most`` returns for a value
+                # at or beyond the histogram's support (see the module
+                # docstring), taken without the histogram.
+                value = budget_s - bounds[vertex]
+                if value >= ceiling_sum + SUPPORT_MARGIN:
+                    optimistic.append(1.0)
+                elif value <= floor_sum - SUPPORT_MARGIN:
+                    optimistic.append(0.0)
+                else:
+                    unsettled.append((len(batch), value))
+                    optimistic.append(math.nan)
+                batch.append((edge_ids, visited, vertex, floor_sum, ceiling_sum))
                 expansions += 1
-            if not batch:
-                continue
 
-            # ---- one batched estimate + one batched bound kernel. ------ #
-            paths = [Path(edge_ids) for edge_ids, _, _ in batch]
-            estimates = self._estimate_paths(paths, departure_time_s, method)
-            paths_evaluated += len(batch)
-            values = np.array([budget_s - bounds[vertex] for _, _, vertex in batch])
-            optimistic = kernels.batch_cdf(
-                [estimate.histogram.as_triple() for estimate in estimates], values
-            )
+            # ---- one batched estimate of what is left. ------------------ #
+            if unsettled:
+                estimates = self._estimate_paths(
+                    [Path(batch[index][0]) for index, _ in unsettled], departure_time_s, method
+                )
+                paths_evaluated += len(unsettled)
+                for (index, value), estimate in zip(unsettled, estimates):
+                    optimistic[index] = float(estimate.histogram.prob_at_most(value))
 
             # ---- prune / complete / expand. ---------------------------- #
-            for (edge_ids, visited, vertex), path, bound in zip(batch, paths, optimistic):
-                bound = float(bound)
+            for (edge_ids, visited, vertex, floor_sum, ceiling_sum), bound in zip(batch, optimistic):
                 # A zero bound is hopeless regardless of any best found so
                 # far: no completion in this subtree can report a positive
                 # probability, so the subtree is dropped outright (this is
@@ -389,7 +437,7 @@ class RoutingEngine:
                     # The target's free-flow bound is zero, so the bound
                     # already *is* P(cost <= budget).
                     if best_path is None or bound > best_probability:
-                        best_path = path
+                        best_path = Path(edge_ids)
                         best_probability = bound
                     continue
                 if len(edge_ids) >= limit_edges:
@@ -397,6 +445,7 @@ class RoutingEngine:
                 for edge in self.network.out_edges(vertex):
                     if edge.target in visited or edge.target not in bounds:
                         continue
+                    floor, ceiling = cost_bounds_of(edge.edge_id)
                     heapq.heappush(
                         frontier,
                         (
@@ -406,6 +455,8 @@ class RoutingEngine:
                             edge_ids + (edge.edge_id,),
                             visited | {edge.target},
                             edge.target,
+                            floor_sum + floor,
+                            ceiling_sum + ceiling,
                         ),
                     )
                     counter += 1
@@ -415,8 +466,9 @@ class RoutingEngine:
         with self._stats_lock:
             self.searches += 1
             self.expansions_total += expansions
+            self.estimated_total += paths_evaluated
             self.truncations += int(truncated)
-        return RouteResult(best_path, probability, paths_evaluated, elapsed, truncated)
+        return RouteResult(best_path, probability, paths_evaluated, elapsed, truncated, expansions)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -263,6 +263,7 @@ class CostEstimationService:
                 "batch_executor": self._batch_executor.stats(),
                 "kernel_backend": self._kernel_dispatch.stats(),
                 "propagation": self._propagation_stats(),
+                "routing": self._routing_stats(),
             }
 
     def _propagation_stats(self) -> dict[str, int]:
@@ -273,6 +274,14 @@ class CostEstimationService:
             for name, value in estimator.propagation_stats().items():
                 totals[name] += value
         return totals
+
+    def _routing_stats(self) -> dict[str, int]:
+        """Frontier paths the routing engine ``settled`` by a support bound and
+        those it ``estimated``, over its lifetime (zeros before the first route)."""
+        engine = self._route_engine
+        if engine is None:
+            return {"settled": 0, "estimated": 0}
+        return {"settled": engine.settled_total, "estimated": engine.estimated_total}
 
     def kernel_backend_stats(self) -> dict[str, object]:
         """Backend selection counts and per-backend kernel usage counters."""
@@ -510,6 +519,13 @@ class CostEstimationService:
             "Frontier paths expanded across all searches",
             callback=lambda: self._route_engine.expansions_total if self._route_engine else 0,
         )
+        for outcome in ("settled", "estimated"):
+            gauge(
+                "repro_routing_frontier_paths_total",
+                "Frontier paths scored: settled by a support bound, or estimated",
+                labels={"outcome": outcome},
+                callback=lambda o=outcome: self._routing_stats()[o],
+            )
         gauge(
             "repro_routing_truncations_total",
             "Searches that exhausted their expansion budget",
@@ -869,8 +885,10 @@ class CostEstimationService:
         """The service's routing engine (built on first use, then reused).
 
         The engine estimates through this service, so its frontier batches
-        hit the result/decomposition caches and dedup automatically, and a
-        :meth:`rebase` is picked up without rebuilding the engine.  The
+        hit the result/decomposition caches and dedup automatically, and
+        reads the per-edge cost bounds of the service's *current* graph at
+        the start of each search, so a :meth:`rebase` is picked up without
+        rebuilding the engine.  The
         engine's :class:`~repro.roadnet.routing.ReverseBoundsIndex` (one
         reverse Dijkstra per target) is shared across all route queries.
         """
@@ -885,6 +903,8 @@ class CostEstimationService:
                         max_path_edges=self.parameters.route_max_path_edges,
                         batch_size=self.parameters.route_batch_size,
                         max_expansions=self.parameters.route_max_expansions,
+                        # Looked up per search, so a rebase is picked up here too.
+                        edge_cost_bounds=lambda: self.hybrid_graph.edge_cost_bounds(),
                     )
                     self._route_engine = engine
         return engine
@@ -1180,10 +1200,10 @@ class CostEstimationService:
             started = time.perf_counter()
             estimate = estimator.estimate_from_joint(propagated, path, departure_time_s)
             mc_elapsed = time.perf_counter() - started
-            return (
-                replace(estimate, timings_s={"mc": mc_elapsed, "total": mc_elapsed}),
-                SOURCE_DECOMPOSITION_CACHE,
-            )
+            # The estimate is this call's own and its timings still empty
+            # (see estimate_from_joint): filled here, not rebuilt around them.
+            estimate.timings_s.update(mc=mc_elapsed, total=mc_elapsed)
+            return estimate, SOURCE_DECOMPOSITION_CACHE
         started = time.perf_counter()
         if estimator.decomposition_strategy == "random":
             # The RD estimator draws from a shared numpy Generator, which is
@@ -1198,13 +1218,12 @@ class CostEstimationService:
         )
         estimate = estimator.estimate_from_joint(propagated, path, departure_time_s)
         after_mc = time.perf_counter()
-        estimate = replace(
-            estimate,
-            timings_s={
+        estimate.timings_s.update(
+            {
                 "oi+jc": after_oi_jc - started,
                 "mc": after_mc - after_oi_jc,
                 "total": after_mc - started,
-            },
+            }
         )
         return estimate, SOURCE_COMPUTED
 

@@ -189,6 +189,7 @@ class TestPathIndex:
         discarded = HybridGraph(small_network, hybrid_graph.parameters)
         for variable in variables:
             discarded.add_variable(variable)
+        assert discarded.edge_cost_bounds() == hybrid_graph.edge_cost_bounds()
         removed = discarded.discard_variables_touching(dirty)
         kept = [variable for variable in variables if dirty.isdisjoint(variable.path.edge_ids)]
         assert 0 < len(kept) < len(variables)
@@ -201,6 +202,8 @@ class TestPathIndex:
             return [id(variable) for variable in found]
 
         assert discarded.max_rank() == expected.max_rank() < top_rank
+        assert discarded.edge_cost_bounds() == expected.edge_cost_bounds()
+        assert discarded.edge_cost_bounds() != hybrid_graph.edge_cost_bounds()
         assert discarded.ranks() == expected.ranks()
         assert discarded._by_path.keys() == expected._by_path.keys()
         for variable in variables:
@@ -220,3 +223,53 @@ class TestPathIndex:
             discarded.add_variable(hybrid_graph.variable_for(Path(list(key[0])), key[1]))
         assert discarded.ranks() == hybrid_graph.ranks()
         assert discarded.num_variables() == hybrid_graph.num_variables()
+        assert discarded.edge_cost_bounds() == hybrid_graph.edge_cost_bounds()
+
+
+class TestEdgeCostBounds:
+    def test_hull_over_every_variable_on_the_edge_and_its_fallback(
+        self, small_network, unit_variable, pair_variable, interval
+    ):
+        graph = HybridGraph(small_network, EstimatorParameters())
+        fallback = {
+            edge_id: graph.unit_variable(edge_id, interval).distribution for edge_id in (3, 4, 5)
+        }
+        untouched = graph.edge_cost_bounds()
+        assert set(untouched) == {edge.edge_id for edge in small_network.edges()}
+        assert untouched[5] == (fallback[5].min, fallback[5].max)
+
+        # Another interval's variable counts too: the table is over all of them.
+        later = InstantiatedVariable(
+            Path([3]),
+            interval_of(20 * 3600.0, 30),
+            Histogram1D([Bucket(5, 6), Bucket(6, 400)], [0.5, 0.5]),
+            support=40,
+        )
+        for variable in (unit_variable, pair_variable, later):
+            graph.add_variable(variable)
+        table = graph.edge_cost_bounds()
+        # Edge 3: [50, 100] as a unit, [40, 90] in the pair, [5, 400] at night.
+        assert table[3] == (min(5.0, fallback[3].min), 400.0)
+        # Edge 4: [30, 60] in the pair only.
+        assert table[4] == (min(30.0, fallback[4].min), max(60.0, fallback[4].max))
+        assert table[5] == untouched[5]
+
+    def test_the_table_is_kept_until_the_variables_change(
+        self, small_network, unit_variable, pair_variable
+    ):
+        graph = HybridGraph(small_network, EstimatorParameters())
+        graph.add_variable(unit_variable)
+        table = graph.edge_cost_bounds()
+        assert graph.edge_cost_bounds() is table
+        assert graph.discard_variables_touching({4}) == []  # nothing removed: kept
+        assert graph.edge_cost_bounds() is table
+        graph.add_variable(pair_variable)
+        assert graph.edge_cost_bounds() is not table
+        assert graph.edge_cost_bounds()[4] != table[4]
+        graph.discard_variables_touching({4})
+        assert graph.edge_cost_bounds() == table
+
+    def test_not_counted_as_memory(self, hybrid_graph):
+        before = (hybrid_graph.storage_size(), hybrid_graph.array_memory_bytes())
+        hybrid_graph.edge_cost_bounds()
+        assert (hybrid_graph.storage_size(), hybrid_graph.array_memory_bytes()) == before

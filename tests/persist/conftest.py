@@ -21,6 +21,7 @@ from repro import (
 def assert_graphs_bit_identical(first: HybridGraph, second: HybridGraph) -> None:
     """Every instantiated variable equal down to the last array bit."""
     assert second.num_variables() == first.num_variables()
+    assert second.edge_cost_bounds() == first.edge_cost_bounds()
     assert second.max_rank() == first.max_rank()
     assert second.counts_by_rank() == first.counts_by_rank()
     for key, variable in first._variables.items():

@@ -1,56 +1,13 @@
-"""Tests for the incremental estimator and the DFS stochastic router (Figure 18)."""
+"""Tests for the DFS stochastic router on plain estimators (Figure 18)."""
 
-import numpy as np
 import pytest
 
 from repro import (
     DFSStochasticRouter,
     LegacyBaseline,
-    Path,
     PathCostEstimator,
     RoutingError,
 )
-from repro.routing.incremental import IncrementalCostEstimator
-
-
-class TestIncrementalEstimator:
-    def test_cache_hit_returns_same_object(self, hybrid_graph, busy_query):
-        path, departure = busy_query
-        incremental = IncrementalCostEstimator(PathCostEstimator(hybrid_graph))
-        first = incremental.estimate(path, departure)
-        second = incremental.estimate(path, departure)
-        assert first is second
-        assert incremental.cache_size() == 1
-
-    def test_extension_reuses_prefix(self, hybrid_graph, busy_query):
-        path, departure = busy_query
-        incremental = IncrementalCostEstimator(PathCostEstimator(hybrid_graph), refresh_every=10)
-        prefix = Path(path.edge_ids[:3])
-        extended = Path(path.edge_ids[:4])
-        incremental.estimate(prefix, departure)
-        estimate = incremental.estimate(extended, departure)
-        assert estimate.method.endswith("+inc")
-        # The extension's mean is the prefix mean plus (roughly) one edge cost.
-        prefix_estimate = incremental.estimate(prefix, departure)
-        assert estimate.mean > prefix_estimate.mean
-
-    def test_refresh_every_forces_full_estimates(self, hybrid_graph, busy_query):
-        path, departure = busy_query
-        incremental = IncrementalCostEstimator(PathCostEstimator(hybrid_graph), refresh_every=1)
-        incremental.estimate(Path(path.edge_ids[:2]), departure)
-        estimate = incremental.estimate(Path(path.edge_ids[:3]), departure)
-        assert not estimate.method.endswith("+inc")
-
-    def test_clear(self, hybrid_graph, busy_query):
-        path, departure = busy_query
-        incremental = IncrementalCostEstimator(PathCostEstimator(hybrid_graph))
-        incremental.estimate(path, departure)
-        incremental.clear()
-        assert incremental.cache_size() == 0
-
-    def test_invalid_refresh(self, hybrid_graph):
-        with pytest.raises(RoutingError):
-            IncrementalCostEstimator(PathCostEstimator(hybrid_graph), refresh_every=0)
 
 
 class TestDFSRouter:
@@ -92,6 +49,38 @@ class TestDFSRouter:
         )
         result = lb_router.find_route(0, 18, 8 * 3600.0, budget_s=3600.0)
         assert result.found
+
+    def test_a_plain_estimator_shares_prefixes_exactly(self, small_network, hybrid_graph):
+        """"Path + another edge" on a bare estimator: its propagation memo reuses the
+        prefixes, and the answer is the one a fresh estimator gives the found path."""
+        estimator = PathCostEstimator(hybrid_graph)
+        router = DFSStochasticRouter(
+            small_network, estimator, max_path_edges=12, max_expansions=300
+        )
+        result = router.find_route(0, 18, 8 * 3600.0, budget_s=400.0)
+        assert result.found
+        assert result.paths_evaluated == result.expansions > 1
+        assert estimator.propagation_stats()["reused"] > 0
+        fresh = PathCostEstimator(hybrid_graph).prob_within(result.path, 8 * 3600.0, 400.0)
+        assert result.probability == fresh
+
+    def test_edge_cost_bounds_spare_estimates_not_answers(self, small_network, hybrid_graph):
+        plain = DFSStochasticRouter(
+            small_network, PathCostEstimator(hybrid_graph), max_path_edges=12, max_expansions=300
+        )
+        bounded = DFSStochasticRouter(
+            small_network,
+            PathCostEstimator(hybrid_graph),
+            max_path_edges=12,
+            max_expansions=300,
+            edge_cost_bounds=hybrid_graph.edge_cost_bounds,
+        )
+        ours = bounded.find_route(0, 18, 8 * 3600.0, budget_s=3600.0)
+        theirs = plain.find_route(0, 18, 8 * 3600.0, budget_s=3600.0)
+        assert (ours.path, ours.probability, ours.expansions, ours.truncated) == (
+            theirs.path, theirs.probability, theirs.expansions, theirs.truncated
+        )
+        assert ours.paths_evaluated < theirs.paths_evaluated == theirs.expansions
 
     def test_invalid_arguments(self, router, small_network, hybrid_graph):
         with pytest.raises(RoutingError):

@@ -1,7 +1,5 @@
 """Tests for the batched best-first routing engine and the routing bugfixes."""
 
-import math
-
 import pytest
 
 from repro import (
@@ -17,7 +15,7 @@ from repro import (
     Histogram1D,
 )
 from repro.roadnet.routing import dijkstra, reverse_dijkstra
-from repro.routing.incremental import IncrementalCostEstimator
+from repro.routing.engine import SUPPORT_MARGIN
 
 
 class TestReverseBoundsIndex:
@@ -142,9 +140,7 @@ class TestThresholdBoundary:
     def test_probability_equal_to_threshold_is_accepted(self, two_vertex_network):
         # Uniform cost on [0, 2): P(cost <= 1.0) is exactly 0.5.
         estimator = _UniformStubEstimator(low=0.0, width=2.0)
-        router = DFSStochasticRouter(
-            two_vertex_network, estimator, probability_threshold=0.5, use_incremental=False
-        )
+        router = DFSStochasticRouter(two_vertex_network, estimator, probability_threshold=0.5)
         result = router.find_route(0, 1, 0.0, budget_s=1.0)
         assert result.found
         assert result.probability == pytest.approx(0.5, abs=1e-12)
@@ -154,9 +150,7 @@ class TestThresholdBoundary:
 
     def test_probability_below_threshold_is_rejected(self, two_vertex_network):
         estimator = _UniformStubEstimator(low=0.0, width=2.0)
-        router = DFSStochasticRouter(
-            two_vertex_network, estimator, probability_threshold=0.6, use_incremental=False
-        )
+        router = DFSStochasticRouter(two_vertex_network, estimator, probability_threshold=0.6)
         assert not router.find_route(0, 1, 0.0, budget_s=1.0).found
         assert not router.reference_find_route(0, 1, 0.0, budget_s=1.0).found
 
@@ -170,50 +164,19 @@ class TestThresholdBoundary:
         result = router.find_route(0, 63, 8 * 3600.0, budget_s=1.0)
         assert not result.found
         assert not result.truncated
-        assert result.paths_evaluated < 100
+        assert result.expansions < 100
         reference = router.reference_find_route(0, 63, 8 * 3600.0, budget_s=1.0)
         assert not reference.found
         assert not reference.truncated
-        assert reference.paths_evaluated < 100
+        assert reference.expansions < 100
 
     def test_zero_probability_route_is_never_found(self, two_vertex_network):
         # The budget sits entirely below the support: P(cost <= budget) == 0.
         estimator = _UniformStubEstimator(low=10.0, width=2.0)
-        router = DFSStochasticRouter(
-            two_vertex_network, estimator, probability_threshold=0.0, use_incremental=False
-        )
+        router = DFSStochasticRouter(two_vertex_network, estimator, probability_threshold=0.0)
         result = router.find_route(0, 1, 0.0, budget_s=1.0)
         assert not result.found
         assert result.probability == 0.0
-
-
-class TestIncrementalBugfixes:
-    def test_cache_is_bounded(self, hybrid_graph, busy_query):
-        """Regression: the memoisation cache grew without bound within a search."""
-        path, departure = busy_query
-        incremental = IncrementalCostEstimator(
-            PathCostEstimator(hybrid_graph), cache_capacity=2
-        )
-        for length in range(1, min(len(path), 6) + 1):
-            incremental.estimate(Path(path.edge_ids[:length]), departure)
-        assert incremental.cache_size() <= 2
-        assert incremental.cache_capacity() == 2
-
-    def test_invalid_capacity(self, hybrid_graph):
-        with pytest.raises(RoutingError):
-            IncrementalCostEstimator(PathCostEstimator(hybrid_graph), cache_capacity=0)
-
-    def test_extension_carries_entropy_and_timings(self, hybrid_graph, busy_query):
-        """Regression: extensions stamped entropy=nan and zeroed timings."""
-        path, departure = busy_query
-        incremental = IncrementalCostEstimator(PathCostEstimator(hybrid_graph), refresh_every=10)
-        prefix = incremental.estimate(Path(path.edge_ids[:3]), departure)
-        extended = incremental.estimate(Path(path.edge_ids[:4]), departure)
-        assert extended.method.endswith("+inc")
-        assert not math.isnan(extended.entropy)
-        assert extended.entropy == prefix.entropy
-        assert "inc" in extended.timings_s
-        assert extended.timings_s["total"] >= prefix.timings_s["total"]
 
 
 class TestRoutingEngine:
@@ -245,7 +208,7 @@ class TestRoutingEngine:
         network.add_vertex(1, 100.0, 0.0)
         network.add_vertex(2, 200.0, 0.0)
         network.add_edge(0, 1, 100.0, 50.0)
-        engine = RoutingEngine(network, _UniformStubEstimator(), use_incremental=False)
+        engine = RoutingEngine(network, _UniformStubEstimator())
         result = engine.find_route(0, 2, 0.0, budget_s=100.0)
         assert not result.found
         assert not result.truncated
@@ -269,3 +232,102 @@ class TestRoutingEngine:
         small = engine.find_route(0, 18, 8 * 3600.0, budget_s=200.0)
         large = engine.find_route(0, 18, 8 * 3600.0, budget_s=2000.0)
         assert large.probability >= small.probability
+
+
+class _CountingEstimator:
+    """Counts the paths it is asked for; otherwise the wrapped estimator."""
+
+    def __init__(self, estimator) -> None:
+        self.estimator = estimator
+        self.paths: list[tuple[int, ...]] = []
+
+    def estimate(self, path: Path, departure_time_s: float) -> CostEstimate:
+        self.paths.append(path.edge_ids)
+        return self.estimator.estimate(path, departure_time_s)
+
+
+@pytest.fixture()
+def line_network():
+    """0 -> 1 -> 2, one way: the only route is the two edges in order."""
+    network = RoadNetwork(name="line")
+    for vertex in range(3):
+        network.add_vertex(vertex, 100.0 * vertex, 0.0)
+    network.add_edge(0, 1, 100.0, 50.0)
+    network.add_edge(1, 2, 100.0, 50.0)
+    return network
+
+
+class TestSupportBounds:
+    """What the per-edge cost bounds settle without an estimate, and what they leave."""
+
+    @staticmethod
+    def _engine(network, estimator, table):
+        return RoutingEngine(network, estimator, edge_cost_bounds=lambda: table)
+
+    def test_a_budget_clear_of_the_ceiling_is_settled_at_one(self, line_network):
+        estimator = _CountingEstimator(_UniformStubEstimator(low=1.0, width=1.0))
+        edges = [edge.edge_id for edge in line_network.edges()]
+        engine = self._engine(line_network, estimator, {edge: (1.0, 2.0) for edge in edges})
+        # Generous even for the first edge plus the free-flow remainder.
+        result = engine.find_route(0, 2, 0.0, budget_s=1000.0)
+        assert result.found and result.probability == 1.0
+        assert result.path.edge_ids == tuple(edges)
+        assert result.expansions == 2
+        assert result.paths_evaluated == 0 and estimator.paths == []
+        assert (engine.settled_total, engine.estimated_total) == (2, 0)
+
+    def test_a_budget_under_the_floor_is_settled_at_zero(self, line_network):
+        estimator = _CountingEstimator(_UniformStubEstimator(low=500.0, width=1.0))
+        edges = [edge.edge_id for edge in line_network.edges()]
+        engine = self._engine(line_network, estimator, {edge: (500.0, 501.0) for edge in edges})
+        result = engine.find_route(0, 2, 0.0, budget_s=100.0)
+        assert not result.found and result.probability == 0.0
+        assert result.expansions == 1  # the first edge is hopeless: nothing is pushed
+        assert estimator.paths == []
+
+    def test_a_budget_exactly_at_a_bound_is_estimated(self, line_network):
+        """At ``ceiling_sum`` and at ``floor_sum`` the margin leaves the decision to
+        the histogram, as does anything strictly inside."""
+        edges = [edge.edge_id for edge in line_network.edges()]
+        table = {edge: (1.0, 2.0) for edge in edges}
+        remainder = ReverseBoundsIndex(line_network).bounds_to(2)[1]
+        for first_edge_value in (2.0, 1.0, 1.5, 2.0 + SUPPORT_MARGIN / 2):
+            estimator = _CountingEstimator(_UniformStubEstimator(low=1.0, width=1.0))
+            engine = self._engine(line_network, estimator, table)
+            engine.find_route(0, 2, 0.0, budget_s=first_edge_value + remainder)
+            assert (edges[0],) in estimator.paths
+
+    def test_an_engine_given_no_bounds_estimates_every_expansion(self, line_network):
+        estimator = _CountingEstimator(_UniformStubEstimator(low=1.0, width=1.0))
+        result = RoutingEngine(line_network, estimator).find_route(0, 2, 0.0, budget_s=1000.0)
+        assert result.expansions == result.paths_evaluated == len(estimator.paths) == 2
+
+    def test_the_bounds_are_read_once_per_search(self, small_network, hybrid_graph):
+        calls = []
+
+        def source():
+            calls.append(1)
+            return hybrid_graph.edge_cost_bounds()
+
+        engine = RoutingEngine(
+            small_network, PathCostEstimator(hybrid_graph), max_path_edges=10,
+            max_expansions=200, edge_cost_bounds=source,
+        )
+        engine.find_route(0, 18, 8 * 3600.0, budget_s=3600.0)
+        engine.find_route(0, 27, 8 * 3600.0, budget_s=3600.0)
+        assert len(calls) == 2
+
+    def test_swapping_the_estimator_for_a_proxy_keeps_the_skip(self, small_network, hybrid_graph):
+        """The bounds are the engine's, not the estimator's: a proxy exposing only
+        ``estimate`` (what a tracing harness installs) searches the same way."""
+        engine = RoutingEngine(
+            small_network, PathCostEstimator(hybrid_graph), max_path_edges=10,
+            max_expansions=200, edge_cost_bounds=hybrid_graph.edge_cost_bounds,
+        )
+        direct = engine.find_route(0, 18, 8 * 3600.0, budget_s=3600.0)
+        proxy = _CountingEstimator(PathCostEstimator(hybrid_graph))
+        engine.estimator = proxy
+        proxied = engine.find_route(0, 18, 8 * 3600.0, budget_s=3600.0)
+        assert proxied.paths_evaluated == direct.paths_evaluated == len(proxy.paths)
+        assert proxied.paths_evaluated < proxied.expansions == direct.expansions
+        assert (proxied.path, proxied.probability) == (direct.path, direct.probability)

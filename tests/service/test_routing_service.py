@@ -126,6 +126,41 @@ class TestRouteCacheInvalidation:
         assert len(report.route_keys) == 1
         assert service.route_cache_stats().size == 0
 
+    def test_rebase_is_routed_on_the_new_graphs_cost_bounds(self, service, hybrid_graph):
+        """The engine survives a same-network rebase; the bounds it settles with must not."""
+        from repro import HybridGraph
+
+        slow_request = _request(0, 9, budget_s=700.0)
+        assert service.stats()["routing"] == {"settled": 0, "estimated": 0}
+        before = service.route(slow_request)
+        engine = service.routing_engine()
+        assert engine.edge_cost_bounds() is hybrid_graph.edge_cost_bounds()
+        assert before.result.paths_evaluated < before.result.expansions
+
+        # The same variables minus everything observed on the found route:
+        # those edges fall back to their (different) speed-limit ranges.
+        rebuilt = HybridGraph(hybrid_graph.network, hybrid_graph.parameters)
+        for variable in hybrid_graph.variables:
+            rebuilt.add_variable(variable)
+        rebuilt.discard_variables_touching(before.path.edge_ids)
+        assert rebuilt.edge_cost_bounds() != hybrid_graph.edge_cost_bounds()
+        service.rebase(rebuilt, dirty_edges=None)
+        assert service.routing_engine() is engine
+        assert engine.edge_cost_bounds() is rebuilt.edge_cost_bounds()
+
+        after = service.route(slow_request)
+        fresh = CostEstimationService(
+            PathCostEstimator(rebuilt),
+            ServiceParameters(route_max_path_edges=12, route_max_expansions=400),
+        ).route(slow_request)
+        for field in ("path", "probability", "expansions", "paths_evaluated", "truncated"):
+            assert getattr(after.result, field) == getattr(fresh.result, field)
+        stats = service.stats()["routing"]
+        assert stats["estimated"] == before.result.paths_evaluated + after.result.paths_evaluated
+        assert stats["settled"] + stats["estimated"] == (
+            before.result.expansions + after.result.expansions
+        )
+
     def test_rebase_onto_a_different_network_drops_all_routes(self, service, tiny_network):
         """A dirty set cannot scope old-network routes: they all reference stale edge ids."""
         from repro import EstimatorParameters, HybridGraphBuilder, TrajectoryStore

@@ -124,6 +124,37 @@ class TestLiveLoadReconciliation:
                 assert duration >= 0.0
                 assert math.isfinite(duration)
 
+    def test_a_routed_request_says_why_it_was_cheap_or_dear(self, service, telemetry):
+        """The execute span carries the frontier paths scored and, separately, how
+        many of them had to be estimated; the gauges carry the engine's lifetime split."""
+        from repro import RouteRequest
+
+        frontend = ServingFrontend(service, telemetry=telemetry)
+        with frontend:
+            slack = frontend.route(RouteRequest(0, 18, 8 * 3600.0, 3600.0), timeout=60.0)
+            tight = frontend.route(RouteRequest(0, 18, 8 * 3600.0, 100.0), timeout=60.0)
+            metrics = frontend.stats_snapshot()["telemetry"]["metrics"]
+        results = {}
+        for trace in telemetry.tracer.slow_queries.worst():
+            execute = {span.name: span.annotations for span in trace.spans}["execute"]
+            results[execute["estimated"]] = execute["expansions"]
+        slack_result, tight_result = slack.response.result, tight.response.result
+        assert results == {
+            slack_result.paths_evaluated: slack_result.expansions,
+            tight_result.paths_evaluated: tight_result.expansions,
+        }
+        # A slack budget is settled by the support bounds, a tight one is not.
+        assert slack_result.paths_evaluated < slack_result.expansions
+        assert tight_result.paths_evaluated > slack_result.paths_evaluated
+        routing = service.stats()["routing"]
+        assert routing["estimated"] == slack_result.paths_evaluated + tight_result.paths_evaluated
+        assert routing["settled"] + routing["estimated"] == (
+            slack_result.expansions + tight_result.expansions
+        )
+        for outcome in ("settled", "estimated"):
+            key = f'repro_routing_frontier_paths_total{{outcome="{outcome}"}}'
+            assert metrics[key] == routing[outcome]
+
     def test_slow_query_log_holds_the_slowest(self, service, estimate_requests, telemetry):
         frontend = ServingFrontend(service, telemetry=telemetry)
         with frontend:
