@@ -34,6 +34,7 @@ from collections.abc import Sequence
 
 from ..config import EstimatorParameters
 from ..exceptions import InstantiationError
+from ..histograms.multivariate import MultiHistogram
 from ..histograms.univariate import Histogram1D
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.path import Path
@@ -68,8 +69,9 @@ class HybridGraph:
         self._paths_per_rank: dict[int, int] = {}
         # (edge id, interval index) -> lazily created speed-limit fallback.
         self._fallback_cache: dict[tuple[int, int], InstantiatedVariable] = {}
-        # edge id -> the path and histogram all of the edge's fallbacks share.
-        self._fallback_parts: dict[int, tuple[Path, Histogram1D]] = {}
+        # edge id -> the path, histogram and joint view all of the edge's
+        # fallbacks share.
+        self._fallback_parts: dict[int, tuple[Path, Histogram1D, MultiHistogram]] = {}
         # edge id -> (floor, ceiling); None until asked for, and again after
         # the variable set changed.
         self._edge_cost_bounds: dict[int, tuple[float, float]] | None = None
@@ -174,7 +176,8 @@ class HybridGraph:
         uniform between the free-flow time and a conservative congested
         time.  Both cases are treated as ground truth for unit paths
         (Section 3.1).  An edge's fallbacks differ only in their interval:
-        they share one path and one (immutable) histogram.
+        they share one path, one (immutable) histogram and one joint view
+        of it.
         """
         return self._unit_variable(edge_id, interval.index, interval)
 
@@ -198,9 +201,11 @@ class HybridGraph:
             return cached
         parts = self._fallback_parts.get(edge_id)
         if parts is None:
+            histogram = Histogram1D.uniform(*_fallback_range(self.network.edge(edge_id)))
             parts = self._fallback_parts[edge_id] = (
                 Path([edge_id]),
-                Histogram1D.uniform(*_fallback_range(self.network.edge(edge_id))),
+                histogram,
+                MultiHistogram.from_univariate(edge_id, histogram),
             )
         fallback = InstantiatedVariable(
             path=parts[0],
@@ -209,6 +214,9 @@ class HybridGraph:
             support=0,
             source=SOURCE_SPEED_LIMIT,
         )
+        # Seed the variable's cached joint view: wrapping the shared histogram
+        # once per (edge, interval) was seconds of a cold service's first pass.
+        fallback.__dict__["_unit_joint"] = parts[2]
         self._fallback_cache[(edge_id, interval_index)] = fallback
         return fallback
 

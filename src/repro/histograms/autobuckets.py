@@ -11,30 +11,75 @@ fold, a V-Optimal histogram with ``b`` buckets is built from the other
 ``f - 1`` partitions and compared to the reserved partition's raw
 distribution via the squared error over cost values.  One V-Optimal dynamic
 program per fold yields the histograms for every candidate ``b`` at once.
+
+Like :mod:`repro.histograms.vopt`, the work is done for a batch of
+distributions at once (``values`` / ``n`` are a sorted batch,
+:func:`repro.histograms.raw.sorted_batch`): the training sets of every
+(distribution, fold) are one batch of V-Optimal problems, and the fold
+histograms and their errors are computed for every (distribution, fold,
+``b``) together.  The single-distribution functions are batches of one; the
+scalar procedure is retained in :mod:`repro.histograms.reference` and
+``tests/properties/test_vopt_equivalence.py`` requires equal floats.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from ..config import EstimatorParameters
 from ..exceptions import HistogramError
+from . import kernels
 from .raw import RawDistribution
 from .univariate import Histogram1D
-from .vopt import v_optimal_all_boundaries, v_optimal_boundaries
+from .vopt import batch_boundaries
 
 
-def _histogram_on(distribution: RawDistribution, boundaries: list[float]) -> Histogram1D:
-    """Histogram of a raw distribution on V-Optimal boundaries computed from it.
+def _bucket_probabilities(
+    values: np.ndarray, n: np.ndarray, problem: np.ndarray, bounds: np.ndarray, n_bounds: np.ndarray
+) -> np.ndarray:
+    """Bucket probabilities of row ``problem[r]`` on request ``r``'s boundaries, zero-padded.
 
-    Sorted values and strictly increasing boundaries by construction, so the
-    unvalidated constructor applies (equal to :meth:`Histogram1D.from_raw`).
+    What ``Histogram1D.from_values`` computes for sorted values and strictly
+    increasing boundaries: bucket counts are differences of "how many values
+    lie below this boundary" at the interior boundaries -- the integers
+    ``np.histogram`` gives after values outside the range are clamped into
+    the first / last bucket -- and the probabilities go through the same two
+    divisions (by the count total, then by their own sum).
     """
-    return Histogram1D._from_sorted_values(distribution.values, np.asarray(boundaries, dtype=float))
+    cuts = kernels.searchsorted_matrix(values, problem[:, None], bounds, "left")
+    column = np.arange(bounds.shape[1])
+    cuts[:, 0] = 0
+    cuts = np.where(column < n_bounds[:, None] - 1, cuts, n[problem][:, None])
+    counts = np.diff(cuts, axis=1)
+    probs = counts / counts.sum(axis=1)[:, None].astype(float)
+    totals = kernels.reduce_rows(probs, n_bounds - 1, np.sum)
+    if np.any(totals <= 0.0):
+        raise HistogramError("a histogram needs positive probability mass")
+    return probs / totals[:, None]
 
 
-def _squared_error(histogram: Histogram1D, held_out: RawDistribution) -> float:
-    """Squared error between a histogram and a held-out raw distribution.
+def _histograms_on(
+    values: np.ndarray, n: np.ndarray, bounds: np.ndarray, n_bounds: np.ndarray
+) -> list[Histogram1D]:
+    """Row ``i``'s histogram on boundaries ``bounds[i, :n_bounds[i]]`` computed from it."""
+    probs = _bucket_probabilities(values, n, np.arange(n.size), bounds, n_bounds)
+    histograms = []
+    for edges, row, count in zip(bounds, probs, n_bounds):
+        edges = edges[:count].copy()
+        histograms.append(Histogram1D._adopt_arrays(edges[:-1], edges[1:], row[: count - 1].copy()))
+    return histograms
+
+
+def _squared_errors(
+    bounds: np.ndarray,
+    n_bounds: np.ndarray,
+    probs: np.ndarray,
+    held_out: np.ndarray,
+    n_held_out: np.ndarray,
+) -> np.ndarray:
+    """Squared error between histogram ``r`` and held-out row ``r``, for every ``r``.
 
     The paper's ``SE(H, D) = sum_c (H[c] - D[c])^2`` compares the two
     distributions value by value, which works for the (near) discrete costs
@@ -46,11 +91,100 @@ def _squared_error(histogram: Histogram1D, held_out: RawDistribution) -> float:
     at the held-out values (a Cramér-von Mises style statistic).  This
     preserves the "distance between H and D" role of the paper's SE while
     staying stable on small folds.
+
+    The histogram's CDF is ``Histogram1D.cdf_values``: ``np.interp`` over
+    the knots ``(boundary, cumulative probability)`` with the last knot
+    pinned to ``1.0`` -- ``slope * (x - low) + before`` inside a bucket,
+    ``before`` exactly on its lower boundary, ``0.0`` / ``1.0`` outside the
+    range.
     """
-    values = held_out.values
-    empirical_cdf = (np.arange(1, values.size + 1) - 0.5) / values.size
-    model_cdf = histogram.cdf_values(values)
-    return float(np.mean((model_cdf - empirical_cdf) ** 2))
+    request = np.arange(n_bounds.size)
+    n_buckets = n_bounds - 1
+    after = np.cumsum(probs, axis=1)
+    before = np.zeros(probs.shape)
+    before[:, 1:] = after[:, :-1]
+    after[request, n_buckets - 1] = 1.0
+
+    bucket = kernels.searchsorted_matrix(bounds, request[:, None], held_out, "right") - 1
+    inside = np.clip(bucket, 0, n_buckets[:, None] - 1)
+    low = bounds[request[:, None], inside]
+    start = before[request[:, None], inside]
+    # Quiet like np.interp: padded held-out values are +inf, and a bucket of
+    # denormal width has an infinite slope.
+    with np.errstate(invalid="ignore", over="ignore"):
+        slope = (after[request[:, None], inside] - start) / (
+            bounds[request[:, None], inside + 1] - low
+        )
+        model_cdf = np.where(held_out == low, start, slope * (held_out - low) + start)
+    model_cdf = np.where(bucket < 0, 0.0, np.where(bucket >= n_buckets[:, None], 1.0, model_cdf))
+    empirical_cdf = (np.arange(1, held_out.shape[1] + 1) - 0.5) / n_held_out[:, None]
+    return kernels.reduce_rows((model_cdf - empirical_cdf) ** 2, n_held_out, np.mean)
+
+
+def _cross_validated_errors(
+    values: np.ndarray,
+    n: np.ndarray,
+    max_buckets: np.ndarray,
+    n_folds: int,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """``E_b`` of every row for ``b`` in ``1..max_buckets[row]``: ``errors[P, max(max_buckets)]``.
+
+    Row ``p`` draws its fold permutation from ``rngs[p]`` exactly as
+    ``RawDistribution.split_folds`` does (a row too short to cross-validate
+    draws nothing and is scored in-sample: one "fold" that trains on, and
+    is held out from, the whole row).
+    """
+    n_rows, width = values.shape
+    folds = np.minimum(n_folds, n)
+    in_sample = folds < 2
+    folds = np.where(in_sample, 1, folds)
+
+    # fold_of[p, i]: the fold of position i of the permuted row (np.array_split
+    # sizes: the first n % f folds get one value more); -1 on padding.
+    permuted = values.copy()
+    for row in np.flatnonzero(~in_sample):
+        permuted[row, : n[row]] = rngs[row].permutation(values[row, : n[row]])
+    position = np.arange(width)
+    small, extra = np.divmod(n, folds)
+    big_part = extra * (small + 1)
+    fold_of = np.where(
+        position < big_part[:, None],
+        position // (small + 1)[:, None],
+        extra[:, None] + (position - big_part[:, None]) // np.maximum(small, 1)[:, None],
+    )
+    fold_of = np.where(position < n[:, None], fold_of, -1)
+
+    # One V-Optimal problem per (row, fold): train on the other folds.
+    pair_row = np.repeat(np.arange(n_rows), folds)
+    pair_fold = kernels.ranks_within(folds)
+    pair_values, pair_fold_of = permuted[pair_row], fold_of[pair_row]
+    is_held_out = pair_fold_of == pair_fold[:, None]
+    n_held_out = is_held_out.sum(axis=1)
+    held_out = np.sort(np.where(is_held_out, pair_values, np.inf), axis=1)
+    held_out = held_out[:, : n_held_out.max()]
+    in_training = (~is_held_out | in_sample[pair_row, None]) & (pair_fold_of >= 0)
+    n_training = in_training.sum(axis=1)
+    training = np.sort(np.where(in_training, pair_values, np.inf), axis=1)
+    training = training[:, : n_training.max()]
+
+    # Every bucket count of every pair at once.
+    pair_buckets = max_buckets[pair_row]
+    request_pair = np.repeat(np.arange(pair_row.size), pair_buckets)
+    request_b = kernels.ranks_within(pair_buckets)
+    bounds, n_bounds = batch_boundaries(training, n_training, request_pair, request_b + 1)
+    probs = _bucket_probabilities(training, n_training, request_pair, bounds, n_bounds)
+    errors = _squared_errors(
+        bounds, n_bounds, probs, held_out[request_pair], n_held_out[request_pair]
+    )
+
+    # Sum over folds in fold order, as the fold-by-fold loop accumulates.
+    per_fold = np.zeros((n_rows, int(folds.max()), int(max_buckets.max())))
+    per_fold[pair_row[request_pair], pair_fold[request_pair], request_b] = errors
+    totals = np.zeros((n_rows, per_fold.shape[2]))
+    for fold in range(per_fold.shape[1]):
+        totals += per_fold[:, fold]
+    return totals / folds[:, None]
 
 
 def cross_validated_errors(
@@ -63,28 +197,10 @@ def cross_validated_errors(
     if max_buckets < 1:
         raise HistogramError(f"max_buckets must be >= 1, got {max_buckets}")
     rng = rng or np.random.default_rng(0)
-    n_folds = min(n_folds, distribution.n)
-    if n_folds < 2:
-        # Too few observations to cross-validate: fall back to in-sample error.
-        all_boundaries = v_optimal_all_boundaries(distribution, max_buckets)
-        return [
-            _squared_error(_histogram_on(distribution, boundaries), distribution)
-            for boundaries in all_boundaries
-        ]
-
-    folds = distribution.split_folds(n_folds, rng)
-    per_bucket_errors = np.zeros(max_buckets)
-    for held_out_index, held_out in enumerate(folds):
-        training_values = np.concatenate(
-            [fold.values for i, fold in enumerate(folds) if i != held_out_index]
-        )
-        training = RawDistribution(training_values)
-        all_boundaries = v_optimal_all_boundaries(training, max_buckets)
-        for b_index, boundaries in enumerate(all_boundaries):
-            per_bucket_errors[b_index] += _squared_error(
-                _histogram_on(training, boundaries), held_out
-            )
-    return list(per_bucket_errors / len(folds))
+    errors = _cross_validated_errors(
+        *distribution.as_batch(), np.array([max_buckets]), n_folds, [rng]
+    )
+    return list(errors[0])
 
 
 def cross_validated_error(
@@ -95,6 +211,33 @@ def cross_validated_error(
 ) -> float:
     """The paper's ``E_b`` for a single bucket count ``b``."""
     return cross_validated_errors(distribution, n_buckets, n_folds, rng)[n_buckets - 1]
+
+
+def _auto_bucket_counts(
+    values: np.ndarray,
+    n: np.ndarray,
+    parameters: EstimatorParameters,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, list[list[float]]]:
+    """The "Auto" bucket count of every row, and each row's error curve."""
+    distinct = (values[:, 1:] != values[:, :-1]) & (np.arange(1, values.shape[1]) < n[:, None])
+    max_buckets = np.minimum(parameters.max_buckets, 1 + distinct.sum(axis=1))
+    errors = _cross_validated_errors(values, n, max_buckets, parameters.cv_folds, rngs)
+    chosen = np.ones(n.size, dtype=np.intp)
+    curves = []
+    for row, (curve, cap) in enumerate(zip(errors.tolist(), max_buckets.tolist())):
+        curve = curve[:cap]
+        curves.append(curve)
+        best_error = curve[0]
+        for b in range(2, cap + 1):
+            error = curve[b - 1]
+            if best_error <= 0.0:
+                break
+            drop = (best_error - error) / best_error
+            if drop >= parameters.bucket_error_drop_threshold:
+                chosen[row] = b
+                best_error = error
+    return chosen, curves
 
 
 def auto_bucket_count(
@@ -122,28 +265,14 @@ def auto_bucket_count(
     """
     parameters = parameters or EstimatorParameters()
     rng = rng or np.random.default_rng(0)
-    n_distinct = len(distribution.probability_pairs())
-    max_buckets = min(parameters.max_buckets, max(1, n_distinct))
-
-    errors = cross_validated_errors(distribution, max_buckets, parameters.cv_folds, rng)
-    chosen = 1
-    best_error = errors[0]
-    for b in range(2, max_buckets + 1):
-        error = errors[b - 1]
-        if best_error <= 0.0:
-            break
-        drop = (best_error - error) / best_error
-        if drop >= parameters.bucket_error_drop_threshold:
-            chosen = b
-            best_error = error
-    chosen = max(1, chosen)
+    chosen, curves = _auto_bucket_counts(*distribution.as_batch(), parameters, [rng])
     if return_errors:
-        return chosen, errors
-    return chosen
+        return int(chosen[0]), curves[0]
+    return int(chosen[0])
 
 
-def heuristic_bucket_count(distribution: RawDistribution, max_buckets: int = 6) -> int:
-    """A cheap bucket-count heuristic for joint-histogram dimensions.
+def heuristic_bucket_counts(values: np.ndarray, n: np.ndarray, max_buckets: int = 6) -> np.ndarray:
+    """A cheap bucket-count heuristic for joint-histogram dimensions, one count per row.
 
     Instantiating a joint distribution runs the bucket selection once per
     dimension; the full cross-validated search is accurate but costly when
@@ -151,19 +280,49 @@ def heuristic_bucket_count(distribution: RawDistribution, max_buckets: int = 6) 
     style rule (inter-quartile range based bin width, capped) is used for
     the dimensions of multi-dimensional histograms; the univariate path
     weights keep the paper's full cross-validated "Auto" procedure.
+
+    The quartiles are ``np.percentile``'s (linear interpolation between the
+    two neighbouring order statistics, from the upper one when the weight is
+    at least a half), read off the sorted rows.
     """
-    values = distribution.values
-    n = values.size
-    if n < 4:
-        return 1
-    iqr = float(np.subtract(*np.percentile(values, [75, 25])))
-    if iqr <= 0:
-        return 1
-    width = 2.0 * iqr / (n ** (1.0 / 3.0))
-    if width <= 0:
-        return 1
-    count = int(np.ceil((distribution.max - distribution.min) / width))
-    return int(np.clip(count, 1, max_buckets))
+    row = np.arange(n.size)
+
+    def quartile(q: float) -> np.ndarray:
+        virtual = (n - 1) * q
+        below = np.floor(virtual)
+        weight = virtual - below
+        index = below.astype(np.intp)
+        lower = values[row, index]
+        upper = values[row, np.minimum(index + 1, n - 1)]
+        spread = upper - lower
+        return np.where(weight >= 0.5, upper - spread * (1 - weight), lower + spread * weight)
+
+    iqr = quartile(0.75) - quartile(0.25)
+    # n ** (1 / 3) as Python computes it, once per distinct length.
+    lengths, inverse = np.unique(n, return_inverse=True)
+    cube_root = np.array([length ** (1.0 / 3.0) for length in lengths.tolist()])[inverse]
+    width = 2.0 * iqr / cube_root
+    usable = (n >= 4) & (iqr > 0) & (width > 0)
+    spread = values[row, n - 1] - values[:, 0]
+    with np.errstate(over="ignore"):  # a denormal width: infinitely many buckets, capped
+        count = np.ceil(spread / np.where(usable, width, 1.0))
+    return np.where(usable, np.clip(count, 1, max_buckets), 1).astype(np.intp)
+
+
+def heuristic_bucket_count(distribution: RawDistribution, max_buckets: int = 6) -> int:
+    """:func:`heuristic_bucket_counts` for one distribution."""
+    return int(heuristic_bucket_counts(*distribution.as_batch(), max_buckets)[0])
+
+
+def build_auto_histograms(
+    values: np.ndarray,
+    n: np.ndarray,
+    parameters: EstimatorParameters,
+    rngs: Sequence[np.random.Generator],
+) -> list[Histogram1D]:
+    """Every row's 1-D histogram with automatically chosen V-Optimal buckets."""
+    chosen, _ = _auto_bucket_counts(values, n, parameters, rngs)
+    return _histograms_on(values, n, *batch_boundaries(values, n, np.arange(n.size), chosen))
 
 
 def build_auto_histogram(
@@ -172,11 +331,18 @@ def build_auto_histogram(
     rng: np.random.Generator | None = None,
 ) -> Histogram1D:
     """Build a 1-D histogram with automatically chosen V-Optimal buckets."""
-    parameters = parameters or EstimatorParameters()
-    n_buckets = auto_bucket_count(distribution, parameters, rng)
-    return _histogram_on(distribution, v_optimal_boundaries(distribution, n_buckets))
+    return build_auto_histograms(
+        *distribution.as_batch(),
+        parameters or EstimatorParameters(),
+        [rng or np.random.default_rng(0)],
+    )[0]
 
 
 def build_static_histogram(distribution: RawDistribution, n_buckets: int) -> Histogram1D:
     """Build a histogram with a fixed bucket count (the paper's "Sta-b" methods)."""
-    return _histogram_on(distribution, v_optimal_boundaries(distribution, n_buckets))
+    if n_buckets < 1:
+        raise HistogramError(f"n_buckets must be >= 1, got {n_buckets}")
+    values, n = distribution.as_batch()
+    return _histograms_on(
+        values, n, *batch_boundaries(values, n, np.zeros(1, dtype=np.intp), np.array([n_buckets]))
+    )[0]

@@ -333,6 +333,59 @@ def rearrange_convolve_coarsen(
 
 
 # ---------------------------------------------------------------------- #
+# Searching many sorted rows at once
+# ---------------------------------------------------------------------- #
+def searchsorted_rows(
+    flat: np.ndarray, offsets: np.ndarray, rows: np.ndarray, queries: np.ndarray, side: str
+) -> np.ndarray:
+    """``np.searchsorted(row, query, side)`` for many ``(row, query)`` pairs in one call.
+
+    Row ``r`` is ``flat[offsets[r]:offsets[r + 1]]``, sorted; ``rows`` and
+    ``queries`` have equal shape.  numpy orders complex numbers by real part,
+    then imaginary part, so with the row number as the real part and the
+    value as the imaginary part the concatenated rows are one sorted array and
+    one search answers every pair -- by comparisons of the same doubles, no
+    arithmetic on them.  A NaN query sorts past the last row (callers clamp).
+    """
+    keys = np.empty(flat.size, dtype=complex)
+    keys.real = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    keys.imag = flat
+    probes = np.empty(np.shape(queries), dtype=complex)
+    probes.real = rows
+    probes.imag = queries
+    return np.searchsorted(keys, probes, side=side) - offsets[rows]
+
+
+def searchsorted_matrix(
+    matrix: np.ndarray, rows: np.ndarray, queries: np.ndarray, side: str
+) -> np.ndarray:
+    """:func:`searchsorted_rows` over the rows of a matrix (sorted, ``+inf``-padded)."""
+    offsets = np.arange(matrix.shape[0] + 1) * matrix.shape[1]
+    return searchsorted_rows(matrix.ravel(), offsets, rows, queries, side)
+
+
+def ranks_within(counts: np.ndarray) -> np.ndarray:
+    """``0..counts[0]-1, 0..counts[1]-1, ...``: each item's position within its group."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def reduce_rows(matrix: np.ndarray, lengths: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(matrix[r, :lengths[r]])`` for every row (``reduce`` is ``np.sum`` / ``np.mean``).
+
+    numpy adds pairwise, so the float a reduction returns depends on how many
+    terms it is given: a zero-padded row does *not* sum to what its own
+    entries sum to.  Rows are therefore grouped by exact length and each
+    group is handed to numpy's own reduction at that length, which gives
+    every row the float the one-row call gives.
+    """
+    out = np.empty(lengths.size)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        out[rows] = reduce(matrix[rows, :length], axis=1)
+    return out
+
+
+# ---------------------------------------------------------------------- #
 # CDF evaluation
 # ---------------------------------------------------------------------- #
 def cdf_knots(

@@ -129,18 +129,93 @@ class MultiHistogram:
         holds the observed cost on the edge labelled ``dims[j]``.  Values
         outside the boundary range are clamped into the first/last bucket.
         """
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != len(dims):
-            raise HistogramError(f"samples must have shape (n, {len(dims)}), got {samples.shape}")
-        if samples.shape[0] == 0:
-            raise HistogramError("need at least one sample")
-        edges_list = [np.asarray(edges, dtype=float) for edges in boundaries]
-        indices = np.empty(samples.shape, dtype=np.int64)
-        for j, edges in enumerate(edges_list):
-            column = np.clip(samples[:, j], edges[0], np.nextafter(edges[-1], -np.inf))
-            indices[:, j] = np.clip(np.searchsorted(edges, column, side="right") - 1, 0, edges.size - 2)
-        probs = np.full(samples.shape[0], 1.0 / samples.shape[0])
-        return cls(dims, edges_list, indices, probs)
+        return cls.from_samples_batch([dims], [samples], [boundaries])[0]
+
+    @classmethod
+    def from_samples_batch(
+        cls,
+        dims: Sequence[Sequence[int]],
+        samples: Sequence[np.ndarray],
+        boundaries: Sequence[Sequence[Sequence[float]]],
+    ) -> list["MultiHistogram"]:
+        """:meth:`from_samples` for many joint histograms at once.
+
+        Histogram ``i`` is built from ``dims[i]``, ``samples[i]`` and
+        ``boundaries[i]``.  All samples are located in their dimension's
+        boundaries by one search, the rows of all histograms are sorted
+        together (by histogram, then lexicographically by cell), and every
+        run of equal rows is one occupied cell.  An occupied cell holding
+        ``c`` of a histogram's ``n`` samples gets the probability the
+        cell-by-cell construction arrives at: ``1 / n`` over the pairwise
+        sum of ``n`` such terms, added up ``c`` times in sequence.
+        """
+        if not (len(dims) == len(samples) == len(boundaries)):
+            raise HistogramError("need one dims, samples and boundaries entry per histogram")
+        samples = [np.asarray(matrix, dtype=float) for matrix in samples]
+        edges = [[np.array(axis, dtype=float) for axis in axes] for axes in boundaries]
+        for labels, matrix, axes in zip(dims, samples, edges):
+            if len(labels) == 0:
+                raise HistogramError("a multi-dimensional histogram needs at least one dimension")
+            if len(set(labels)) != len(labels):
+                raise HistogramError(f"dimension labels must be unique, got {labels}")
+            if len(axes) != len(labels):
+                raise HistogramError("need one boundary array per dimension")
+            if matrix.ndim != 2 or matrix.shape[1] != len(labels):
+                raise HistogramError(
+                    f"samples must have shape (n, {len(labels)}), got {matrix.shape}"
+                )
+            if matrix.shape[0] == 0:
+                raise HistogramError("need at least one sample")
+        flat_axes = [axis for axes in edges for axis in axes]
+        sizes = np.fromiter(map(len, flat_axes), dtype=np.intp, count=len(flat_axes))
+        if sizes.min() < 2:
+            raise HistogramError("every dimension needs at least two boundaries")
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        flat_edges = np.concatenate(flat_axes)
+        rising = np.diff(flat_edges) > 0
+        rising[offsets[1:-1] - 1] = True
+        if not rising.all():
+            raise HistogramError("boundaries of every dimension must be strictly increasing")
+
+        ranks = np.fromiter(map(len, dims), dtype=np.intp, count=len(dims))
+        counts = np.fromiter((len(matrix) for matrix in samples), dtype=np.intp, count=len(dims))
+        first_axis = np.cumsum(ranks) - ranks
+        histograms: list[MultiHistogram | None] = [None] * len(dims)
+        for rank in np.unique(ranks):
+            members = np.flatnonzero(ranks == rank)
+            owner = np.repeat(members, counts[members])
+            costs = np.concatenate([samples[i] for i in members])
+            axis = first_axis[owner][:, None] + np.arange(rank)
+            # Values outside the boundary range land in the first / last bucket.
+            cells = kernels.searchsorted_rows(flat_edges, offsets, axis, costs, "right") - 1
+            cells = np.clip(cells, 0, sizes[axis] - 2)
+
+            order = np.lexsort((*cells.T[::-1], owner))
+            cells, owner = cells[order], owner[order]
+            is_new = np.ones(owner.size, dtype=bool)
+            is_new[1:] = (owner[1:] != owner[:-1]) | np.any(cells[1:] != cells[:-1], axis=1)
+            starts = np.flatnonzero(is_new)
+            occupancy = np.diff(np.append(starts, owner.size))
+            cells, owner = cells[starts], owner[starts]
+
+            probs = np.empty(starts.size)
+            for n in np.unique(counts[members]):
+                uniform = np.full(n, 1.0 / n)
+                total = uniform.sum()
+                if not np.isclose(total, 1.0, atol=1e-3):
+                    raise HistogramError(
+                        f"hyper-bucket probabilities must sum to 1, got {total:.6f}"
+                    )
+                summed = np.cumsum(uniform / total)
+                mine = counts[owner] == n
+                probs[mine] = summed[occupancy[mine] - 1]
+
+            cuts = np.searchsorted(owner, members)
+            for i, begin, end in zip(members, cuts, np.append(cuts[1:], owner.size)):
+                histograms[i] = cls._adopt_cells(
+                    dims[i], edges[i], cells[begin:end].copy(), probs[begin:end].copy()
+                )
+        return histograms
 
     @classmethod
     def from_dense(

@@ -82,6 +82,10 @@ class RawDistribution:
         unique = np.unique(self._values)
         return 2 * int(unique.size)
 
+    def as_batch(self) -> tuple[np.ndarray, np.ndarray]:
+        """This distribution as a :func:`sorted_batch` of one row: ``(values[1, n], [n])``."""
+        return self.values[None, :], np.array([self.n])
+
     def split_folds(self, n_folds: int, rng: np.random.Generator) -> list["RawDistribution"]:
         """Randomly split the values into ``n_folds`` (near) equal partitions."""
         if n_folds < 2:
@@ -109,6 +113,29 @@ class RawDistribution:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"RawDistribution(n={self.n}, mean={self.mean:.1f}, range=[{self.min:.1f}, {self.max:.1f}])"
+
+
+def sorted_batch(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Many cost multisets as one matrix of sorted rows, for the batched write-path kernels.
+
+    Returns ``(values[len(columns), max length], lengths)``: row ``i`` holds
+    ``RawDistribution(columns[i]).values`` and is padded with ``+inf``, which
+    sorts last and compares above every cost.  The multisets are validated
+    like :class:`RawDistribution` validates one (non-empty, finite,
+    non-negative), all at once.
+    """
+    lengths = np.fromiter(map(len, columns), dtype=np.intp, count=len(columns))
+    if lengths.size == 0 or lengths.min() == 0:
+        raise HistogramError("a raw distribution needs at least one value")
+    flat = np.concatenate(columns).astype(float, copy=False)
+    if not np.all(np.isfinite(flat)):
+        raise HistogramError("raw distribution values must be finite")
+    if np.any(flat < 0):
+        raise HistogramError("travel costs must be non-negative")
+    values = np.full((lengths.size, int(lengths.max())), np.inf)
+    values[np.arange(values.shape[1]) < lengths[:, None]] = flat
+    values.sort(axis=1)
+    return values, lengths
 
 
 def raw_from_pairs(pairs: Sequence[tuple[float, float]], total_count: int = 1000) -> RawDistribution:

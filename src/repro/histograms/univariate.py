@@ -195,26 +195,6 @@ class Histogram1D:
         return self
 
     @classmethod
-    def _from_sorted_values(cls, values: np.ndarray, edges: np.ndarray) -> "Histogram1D":
-        """:meth:`from_values` for sorted ``values`` and strictly increasing ``edges``.
-
-        The instantiation path (V-Optimal boundaries of a
-        :class:`RawDistribution`) meets both conditions by construction and
-        calls this thousands of times per build.  Bucket counts are
-        differences of ``searchsorted`` positions at the interior
-        boundaries -- the integers ``np.histogram`` gives after
-        :meth:`from_values` clamps outliers into the first / last bucket --
-        and the probabilities go through the same two divisions, so the
-        arrays are bit-identical to the validating constructor's.
-        """
-        cuts = np.empty(edges.size, dtype=np.intp)
-        cuts[0] = 0
-        cuts[1:-1] = np.searchsorted(values, edges[1:-1], side="left")
-        cuts[-1] = values.size
-        counts = cuts[1:] - cuts[:-1]
-        return cls._from_trusted_arrays(edges[:-1], edges[1:], counts / counts.sum())
-
-    @classmethod
     def from_boundaries(cls, boundaries: Sequence[float], probabilities: Sequence[float]) -> "Histogram1D":
         """Build from consecutive boundaries and per-bucket probabilities."""
         if len(boundaries) != len(probabilities) + 1:

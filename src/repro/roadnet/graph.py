@@ -20,12 +20,13 @@ that want the richer library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..exceptions import GraphError
 from .spatial import Point
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 #: Default speed limits (km/h) per road category.
 DEFAULT_SPEED_LIMITS_KMH = {
@@ -238,8 +239,11 @@ class RoadNetwork:
 
         Vertices keep their ids, edges carry ``edge_id``, ``length_m``,
         ``speed_limit_kmh``, ``category``, and ``free_flow_time_s``
-        attributes.
+        attributes.  ``networkx`` is imported here, not with the module:
+        nothing else in the library reads it.
         """
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for vertex in self._vertices.values():
             graph.add_node(vertex.vertex_id, x=vertex.location.x, y=vertex.location.y)

@@ -12,6 +12,7 @@ import pytest
 
 from repro import (
     EstimatorParameters,
+    HybridGraph,
     HybridGraphBuilder,
     SimulationParameters,
     TrafficSimulator,
@@ -20,6 +21,85 @@ from repro import (
     ring_radial_city,
 )
 from repro.eval import build_dataset
+
+
+def assert_graphs_bit_identical(
+    first: HybridGraph, second: HybridGraph, insertion_order: bool = False
+) -> None:
+    """Every instantiated variable equal down to the last array bit.
+
+    With ``insertion_order`` the variable table and every path's interval
+    list must also be in the same order (two builds; a delta restore
+    re-adds the dirty paths last).
+    """
+    assert second.num_variables() == first.num_variables()
+    assert second.edge_cost_bounds() == first.edge_cost_bounds()
+    assert second.max_rank() == first.max_rank()
+    assert second.counts_by_rank() == first.counts_by_rank()
+    if insertion_order:
+        assert list(second._variables) == list(first._variables)
+        assert [
+            (edge_ids, [v.interval.index for v in second.variables_on(edge_ids)])
+            for edge_ids in second._by_path
+        ] == [
+            (edge_ids, [v.interval.index for v in first.variables_on(edge_ids)])
+            for edge_ids in first._by_path
+        ]
+    for key, variable in first._variables.items():
+        other = second._variables[key]
+        assert other.support == variable.support
+        assert other.source == variable.source
+        assert other.interval == variable.interval
+        original, restored = variable.distribution, other.distribution
+        if hasattr(original, "as_triple"):
+            for ours, theirs in zip(original.as_triple(), restored.as_triple()):
+                np.testing.assert_array_equal(np.asarray(ours), np.asarray(theirs))
+        else:
+            np.testing.assert_array_equal(
+                np.asarray(original.cell_indices), np.asarray(restored.cell_indices)
+            )
+            np.testing.assert_array_equal(
+                np.asarray(original.cell_probabilities),
+                np.asarray(restored.cell_probabilities),
+            )
+            for dim in original.dims:
+                np.testing.assert_array_equal(
+                    np.asarray(original.boundaries_of(dim)),
+                    np.asarray(restored.boundaries_of(dim)),
+                )
+
+
+@pytest.fixture
+def graphs_bit_identical():
+    """The bit-exact graph comparison (builds, snapshot round trips, delta restores)."""
+    return assert_graphs_bit_identical
+
+
+@pytest.fixture(scope="session")
+def bench_city():
+    """``city(grid, n_trajectories) -> (network, trajectories)``: the benchmark harness's pinned city.
+
+    ``benchmarks/harness/common.py`` presets ``tiny`` (5, 250; beta 10, four
+    edges) and ``default`` (8, 1000; beta 20, five edges); simulated once
+    per session.
+    """
+    cities: dict = {}
+
+    def city(grid: int, n_trajectories: int):
+        if (grid, n_trajectories) not in cities:
+            network = grid_network(
+                grid, grid, block_length_m=220.0, arterial_every=3, name="bench-city"
+            )
+            simulator = TrafficSimulator(
+                network,
+                SimulationParameters(
+                    n_trajectories=n_trajectories, popular_route_count=10, seed=7
+                ),
+            )
+            cities[grid, n_trajectories] = network, simulator.generate()
+        return cities[grid, n_trajectories]
+
+    return city
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
 """Unit tests for hybrid-graph instantiation from trajectories (Section 3)."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,20 +112,39 @@ class TestJointInstantiation:
         high = HybridGraphBuilder(small_network, EstimatorParameters(beta=45), max_cardinality=3)
         assert low.build(corridor_store).num_variables() >= high.build(corridor_store).num_variables()
 
-    def test_cv_dimension_strategy_also_works(self, small_network, corridor_store):
-        builder = HybridGraphBuilder(
-            small_network,
-            EstimatorParameters(beta=30),
-            max_cardinality=2,
-            dimension_bucket_strategy="cv",
-        )
-        graph = builder.build(corridor_store)
-        assert graph.max_rank() == 2
+
+class TestLevelBatches:
+    def test_a_build_holds_at_most_4_mib_beyond_the_graph(self, bench_city):
+        """Level batches are chunked: the benchmark's default fixture, 1,322 variables."""
+        network, trajectories = bench_city(8, 1000)
+        store = TrajectoryStore(trajectories)
+        builder = HybridGraphBuilder(network, EstimatorParameters(beta=20), max_cardinality=5)
+        builder.build(store)  # lazily built store indexes are not the build's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            graph = builder.build(store)
+            gc.collect()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.num_variables() == 1322
+        assert peak - retained <= 4 * 2**20
+
+    def test_the_graph_does_not_depend_on_the_chunk_size(
+        self, small_network, corridor_store, built_graph, graphs_bit_identical, monkeypatch
+    ):
+        from repro.core import instantiation
+
+        monkeypatch.setattr(instantiation, "_UNIT_CHUNK", 1)
+        monkeypatch.setattr(instantiation, "_JOINT_CHUNK", 2)
+        rebuilt = HybridGraphBuilder(
+            small_network, EstimatorParameters(beta=30), max_cardinality=3
+        ).build(corridor_store)
+        graphs_bit_identical(built_graph, rebuilt, insertion_order=True)
 
 
 class TestValidation:
     def test_invalid_builder_arguments(self, small_network):
         with pytest.raises(InstantiationError):
             HybridGraphBuilder(small_network, max_cardinality=0)
-        with pytest.raises(InstantiationError):
-            HybridGraphBuilder(small_network, dimension_bucket_strategy="magic")

@@ -149,6 +149,26 @@ class TestHybridGraphContainer:
         assert morning is not evening
         assert morning.path is evening.path
         assert morning.distribution is evening.distribution
+        # ... and one joint view of it, equal to the one a variable wraps for itself.
+        assert morning.joint() is evening.joint()
+        own = MultiHistogram.from_univariate(edge.edge_id, morning.distribution)
+        assert np.array_equal(morning.joint().cell_indices, own.cell_indices)
+        assert np.array_equal(morning.joint().cell_probabilities, own.cell_probabilities)
+        assert np.array_equal(morning.joint().boundaries_of(edge.edge_id), own.boundaries_of(edge.edge_id))
+        # The view is not a second distribution: the accounting counts the histogram.
+        assert morning.nbytes == morning.distribution.nbytes
+        assert graph.fallback_keys() == sorted(
+            [(edge.edge_id, morning.interval.index), (edge.edge_id, evening.interval.index)]
+        )
+
+    def test_trajectory_variables_of_an_edge_keep_their_own_joint_views(self, hybrid_graph):
+        by_edge = {}
+        for variable in hybrid_graph.variables:
+            if variable.is_unit:
+                by_edge.setdefault(variable.path.edge_ids, []).append(variable)
+        first, second = next(on_edge for on_edge in by_edge.values() if len(on_edge) >= 2)[:2]
+        assert first.joint() is first.joint()
+        assert first.joint() is not second.joint()
 
     def test_unit_variable_at_prefers_the_instantiated_variable(self, small_network, unit_variable):
         graph = HybridGraph(small_network, EstimatorParameters())

@@ -72,6 +72,7 @@ class TestInstantiationExperiments:
         assert totals[1.0] >= totals[0.25]
 
     def test_fig11_auto_beats_parametric(self, small_dataset):
+        pytest.importorskip("scipy.stats")  # the parametric fits
         result = fig11_histograms(small_dataset, n_samples=15)
         kl = result.mean_kl_by_method
         # On the small test dataset the margins are thin; the full benchmark

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+pytest.importorskip("scipy.stats")  # read only by these fits; not a dependency of the library
+
 from repro import HistogramError, RawDistribution
 from repro.histograms.parametric import ExponentialFit, GammaFit, GaussianFit, fit_distribution
 

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import (
     CostEstimationService,
     EstimatorParameters,
-    HybridGraph,
     HybridGraphBuilder,
     MutableTrajectoryStore,
     SimulationParameters,
@@ -16,42 +14,6 @@ from repro import (
     TrajectoryStore,
     grid_network,
 )
-
-
-def assert_graphs_bit_identical(first: HybridGraph, second: HybridGraph) -> None:
-    """Every instantiated variable equal down to the last array bit."""
-    assert second.num_variables() == first.num_variables()
-    assert second.edge_cost_bounds() == first.edge_cost_bounds()
-    assert second.max_rank() == first.max_rank()
-    assert second.counts_by_rank() == first.counts_by_rank()
-    for key, variable in first._variables.items():
-        other = second._variables[key]
-        assert other.support == variable.support
-        assert other.source == variable.source
-        assert other.interval == variable.interval
-        original, restored = variable.distribution, other.distribution
-        if hasattr(original, "as_triple"):
-            for ours, theirs in zip(original.as_triple(), restored.as_triple()):
-                np.testing.assert_array_equal(np.asarray(ours), np.asarray(theirs))
-        else:
-            np.testing.assert_array_equal(
-                np.asarray(original.cell_indices), np.asarray(restored.cell_indices)
-            )
-            np.testing.assert_array_equal(
-                np.asarray(original.cell_probabilities),
-                np.asarray(restored.cell_probabilities),
-            )
-            for dim in original.dims:
-                np.testing.assert_array_equal(
-                    np.asarray(original.boundaries_of(dim)),
-                    np.asarray(restored.boundaries_of(dim)),
-                )
-
-
-@pytest.fixture
-def graphs_bit_identical():
-    """The bit-exact graph comparison shared by the round-trip and delta tests."""
-    return assert_graphs_bit_identical
 
 
 @pytest.fixture(scope="session")

@@ -112,6 +112,7 @@ class TestLookups:
 
 class TestNetworkxExport:
     def test_to_networkx_preserves_attributes(self, triangle):
+        pytest.importorskip("networkx")
         graph = triangle.to_networkx()
         assert graph.number_of_nodes() == 3
         assert graph.number_of_edges() == 3

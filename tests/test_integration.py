@@ -4,9 +4,15 @@ network -> traffic simulation -> (GPS + map matching) -> trajectory store ->
 hybrid-graph instantiation -> path cost estimation -> stochastic routing.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path as FSPath
+
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     AccuracyOptimalEstimator,
     DFSStochasticRouter,
@@ -25,6 +31,18 @@ from repro import (
     parse_time,
 )
 from repro.routing.queries import ProbabilisticBudgetQuery
+
+
+def test_importing_the_library_leaves_scipy_and_networkx_out():
+    """Only Figure 11's fits and ``to_networkx()`` read them: 87 MiB and a second, on demand."""
+    source_root = str(FSPath(repro.__file__).resolve().parents[1])
+    check = "import sys, repro; assert not {'scipy', 'networkx'} & set(sys.modules), sorted(sys.modules)"
+    subprocess.run(
+        [sys.executable, "-c", check],
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
 
 
 class TestFullPipeline:
