@@ -60,10 +60,6 @@ TRACKED: dict[str, tuple[tuple[str, str], ...]] = {
     "frontend_latency": (
         ("closed_loop_warm_qps", "higher"),
     ),
-    "ingest_throughput": (
-        ("append_rate_tps", "higher"),
-        ("gps_rate_tps", "higher"),
-    ),
     "histogram_kernels": (
         ("convolution.kernel_convolutions_per_s", "higher"),
     ),

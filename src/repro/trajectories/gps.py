@@ -8,6 +8,7 @@ representation; the rest of the library works with the edge-level
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -24,8 +25,11 @@ class GPSRecord:
     speed_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise TrajectoryError(f"GPS timestamps must be non-negative, got {self.time_s}")
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not (0 <= self.time_s < math.inf):
+            raise TrajectoryError(
+                f"GPS timestamps must be finite and non-negative, got {self.time_s}"
+            )
 
 
 class Trajectory:

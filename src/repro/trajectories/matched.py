@@ -10,6 +10,7 @@ onto one of its sub-paths -- the unit of evidence the paper calls
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,10 +27,15 @@ class EdgeTraversal:
     cost: float
 
     def __post_init__(self) -> None:
-        if self.cost < 0:
-            raise TrajectoryError(f"edge traversal cost must be non-negative, got {self.cost}")
-        if self.entry_time_s < 0:
-            raise TrajectoryError("entry time must be non-negative")
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not (0 <= self.cost < math.inf):
+            raise TrajectoryError(
+                f"edge traversal cost must be finite and non-negative, got {self.cost}"
+            )
+        if not (0 <= self.entry_time_s < math.inf):
+            raise TrajectoryError(
+                f"entry time must be finite and non-negative, got {self.entry_time_s}"
+            )
 
 
 @dataclass(frozen=True)

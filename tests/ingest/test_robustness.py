@@ -6,11 +6,15 @@ normalise what it can, skip what it cannot (with a recorded reason), and
 never crash.
 """
 
+import dataclasses
+import math
+
 import pytest
 
 from repro import (
     IngestParameters,
     MapMatchingError,
+    MatchedTrajectory,
     MutableTrajectoryStore,
     Trajectory,
     TrajectoryError,
@@ -23,6 +27,7 @@ from repro.ingest import (
 )
 from repro.roadnet.spatial import Point
 from repro.trajectories.gps import GPSRecord
+from repro.trajectories.matched import EdgeTraversal
 
 
 def record(x, y, t):
@@ -183,3 +188,51 @@ class TestPipelineRobustness:
         assert report.results[1].reason == REASON_TOO_FEW_RECORDS
         assert report.n_accepted == 2
         assert report.n_skipped == 1
+
+
+def traversal_rows(matched):
+    return [(t.edge_id, t.entry_time_s, t.cost) for t in matched.traversals]
+
+
+class TestNonFiniteInput:
+    """inf / NaN timestamps and costs are typed errors, never stored values."""
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_gps_timestamp_must_be_finite_and_non_negative(self, live_gps, bad):
+        last = live_gps[0].records[-1]
+        with pytest.raises(TrajectoryError, match="finite and non-negative"):
+            dataclasses.replace(last, time_s=bad)
+        with pytest.raises(TrajectoryError, match="finite and non-negative"):
+            record(0, 0, bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0])
+    def test_edge_traversal_cost_and_entry_must_be_finite(self, bad):
+        with pytest.raises(TrajectoryError, match="cost must be finite"):
+            EdgeTraversal(3, 10.0, bad)
+        with pytest.raises(TrajectoryError, match="entry time must be finite"):
+            EdgeTraversal(3, bad, 5.0)
+        with pytest.raises(TrajectoryError):
+            MatchedTrajectory.from_costs(1, [3, 4], 10.0, [5.0, bad])
+
+    def test_nan_location_is_skipped_by_the_matcher(self, gps_pipeline, ingest_matcher, live_gps):
+        """A fix without a usable location is dropped as if it was never sent."""
+        source = live_gps[0]
+        records = list(source.records)
+        poisoned = list(records)
+        for index, location in ((3, Point(math.nan, 0.0)), (-2, Point(0.0, math.inf))):
+            poisoned[index] = dataclasses.replace(records[index], location=location)
+        clean = [r for r in poisoned if math.isfinite(r.location.x + r.location.y)]
+        result = gps_pipeline.ingest((source.trajectory_id, poisoned))
+        assert result.accepted
+        expected = ingest_matcher.match(Trajectory(source.trajectory_id, clean))
+        assert traversal_rows(result.matched) == traversal_rows(expected)
+
+    def test_store_never_holds_a_non_finite_cost(self, gps_pipeline, live_gps):
+        for trajectory in live_gps:
+            records = list(trajectory.records)
+            records[1] = dataclasses.replace(records[1], location=Point(math.nan, math.nan))
+            gps_pipeline.ingest((trajectory.trajectory_id, records))
+        stored = gps_pipeline.store.trajectories
+        assert len(stored) == len(live_gps)
+        for matched in stored:
+            assert all(math.isfinite(t.cost) and math.isfinite(t.entry_time_s) for t in matched.traversals)

@@ -6,9 +6,18 @@ import threading
 import numpy as np
 import pytest
 
-from repro import HMMMapMatcher, MapMatchingError, SimulationParameters, TrafficSimulator, Trajectory
-from repro.roadnet.spatial import Point, project_point_to_segment
+from repro import (
+    HMMMapMatcher,
+    MapMatchingError,
+    RoadNetwork,
+    SimulationParameters,
+    TrafficSimulator,
+    Trajectory,
+)
+from repro.roadnet.spatial import Point
 from repro.trajectories.gps import GPSRecord
+
+from reference_matcher import scan_all_edges
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +76,15 @@ class TestMatching:
         with pytest.raises(MapMatchingError):
             matcher.match(far_away)
 
+    def test_network_without_edges_matches_nothing(self):
+        empty = HMMMapMatcher(RoadNetwork())
+        trajectory = Trajectory(
+            98, [GPSRecord(Point(0.0, 0.0), 0.0), GPSRecord(Point(1.0, 0.0), 5.0)]
+        )
+        assert empty._candidates(Point(0.0, 0.0)) == []
+        with pytest.raises(MapMatchingError, match="too few matchable GPS records"):
+            empty.match(trajectory)
+
     def test_invalid_parameters_rejected(self, small_network):
         with pytest.raises(MapMatchingError):
             HMMMapMatcher(small_network, gps_noise_std_m=0.0)
@@ -78,24 +96,8 @@ class TestMatching:
                 HMMMapMatcher(small_network, max_candidates=max_candidates)
 
 
-def scan_all_edges(matcher: HMMMapMatcher, point: Point):
-    """The candidate list of a scan over every edge of the network."""
-    network = matcher.network
-    found = []
-    for edge in network.edges():
-        start = network.vertex(edge.source).location
-        end = network.vertex(edge.target).location
-        projection, distance, fraction = project_point_to_segment(point, start, end)
-        if distance <= matcher.search_radius_m:
-            found.append((edge.edge_id, distance, fraction, projection))
-    found.sort(key=lambda candidate: candidate[1])
-    return found[: matcher.max_candidates]
-
-
 def grid_candidates(matcher: HMMMapMatcher, point: Point):
-    return [
-        (c.edge_id, c.distance_m, c.fraction, c.projection) for c in matcher._candidates(point)
-    ]
+    return [(c.edge_id, c.distance_m, c.fraction) for c in matcher._candidates(point)]
 
 
 class TestGridLookupIsExact:
@@ -136,7 +138,7 @@ class TestGridLookupIsExact:
                 assert grid_candidates(matcher, point) == expected
                 n_at_radius += any(
                     edge_id == edge.edge_id and distance == radius
-                    for edge_id, distance, _, _ in expected
+                    for edge_id, distance, _ in expected
                 )
         assert n_at_radius == 80
 
@@ -168,26 +170,26 @@ def traversal_rows(matched):
 
 
 class TestDistanceMemo:
-    def test_match_equals_a_matcher_that_forgets_between_transitions(
+    def test_match_equals_a_matcher_that_forgets_between_lookups(
         self, small_network, gps_and_truth
     ):
         gps, _ = gps_and_truth
         remembering = HMMMapMatcher(small_network, search_radius_m=150.0)
         forgetful = HMMMapMatcher(small_network, search_radius_m=150.0)
-        transition = forgetful._transition_log_prob
+        memo = forgetful._vertex_distance
 
-        def forget_then_transition(*args):
-            forgetful._vertex_distance.cache_clear()
-            return transition(*args)
+        def forget_then_lookup(source, target):
+            memo.cache_clear()
+            return memo(source, target)
 
-        forgetful._transition_log_prob = forget_then_transition
+        forgetful._vertex_distance = forget_then_lookup
         for trajectory in gps:
             assert traversal_rows(remembering.match(trajectory)) == traversal_rows(
                 forgetful.match(trajectory)
             )
         info = remembering._vertex_distance.cache_info()
         assert info.hits > info.misses > 0
-        assert forgetful._vertex_distance.cache_info().currsize <= 1
+        assert memo.cache_info().currsize <= 1
 
     def test_memo_is_bounded_and_per_matcher(self, small_network):
         first = HMMMapMatcher(small_network)
