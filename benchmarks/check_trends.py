@@ -66,9 +66,6 @@ TRACKED: dict[str, tuple[tuple[str, str], ...]] = {
     "kernel_backends": (
         ("path_folds.fused.paths_per_s", "higher"),
     ),
-    "snapshot_boot": (
-        ("restore_mmap_s", "lower"),
-    ),
     "telemetry_overhead": (
         ("off_qps", "higher"),
         ("on_qps", "higher"),

@@ -1,10 +1,21 @@
-"""Setuptools shim.
+"""Packaging for ``repro``: the ``src/repro`` package and its one dependency, numpy.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that legacy editable installs (``pip install -e . --no-use-pep517``) work
-in offline environments that lack the ``wheel`` package.
+``pip install -e .`` installs it in editable mode; the version is read from
+``src/repro/__init__.py`` as text, so packaging never imports the package.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"$', _INIT.read_text(), re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -41,7 +41,7 @@ lexicographic sort of the per-cell float bounds would (bounds closer than
 the 1e-9 rounding of that sort excepted -- histograms never have them).
 Cells therefore leave every step in the same order, and every float sum
 adds the same numbers in the same order, as in the cell-level
-implementation retained in :mod:`repro.core.reference`, to which the
+implementation retained as ``tests/reference_joint.py``, to which the
 property tests pin this module.
 
 **Sharing prefixes.**  The consolidated state after element *i* is a pure

@@ -119,7 +119,11 @@ def load_array(
     name: str,
     mmap: bool = True,
 ) -> np.ndarray:
-    """Load one logical array of a snapshot, memory-mapped when requested."""
+    """Load one logical array of a snapshot, memory-mapped when requested.
+
+    A missing, truncated or otherwise unreadable blob raises
+    :class:`~repro.exceptions.PersistError` naming the array and the file.
+    """
     file_map = manifest.get("arrays", {})
     filename = file_map.get(name)
     if filename is None:
@@ -130,14 +134,17 @@ def load_array(
     path = FSPath(directory) / filename
     try:
         if mmap:
-            return np.load(path, mmap_mode="r")
+            try:
+                return np.load(path, mmap_mode="r")
+            except ValueError:
+                # Some numpy builds refuse to map unusual (e.g. zero-length)
+                # payloads; an eager load is always a correct fallback.
+                pass
         return np.load(path)
     except FileNotFoundError as error:
         raise PersistError(f"snapshot array file missing: {path}") from error
-    except ValueError:
-        # Some numpy builds refuse to map unusual (e.g. zero-length)
-        # payloads; an eager load is always a correct fallback.
-        return np.load(path)
+    except (ValueError, OSError, EOFError) as error:
+        raise PersistError(f"snapshot array {name!r} is unreadable ({path}): {error}") from error
 
 
 def snapshot_payload_bytes(directory: str | os.PathLike, prefix: str | None = None) -> int:

@@ -1,20 +1,33 @@
 """Snapshot reader: zero-copy restore of graphs, stores, and warm caches.
 
-:func:`restore_snapshot` rebuilds the live objects a serving process needs
--- the :class:`~repro.core.hybrid_graph.HybridGraph` (instantiated
-variables, speed-limit fallback cache), the trajectory store, and the
-service's exported warm cache entries -- **without touching raw GPS data**:
-everything comes from the snapshot's columnar arrays.
+:func:`restore_snapshot` rebuilds what a serving process needs -- the
+:class:`~repro.core.hybrid_graph.HybridGraph` (instantiated variables,
+speed-limit fallback cache) and the service's exported warm cache entries
+-- **without touching raw GPS data**: everything comes from the
+snapshot's columnar arrays.
 
-With ``mmap=True`` (the default) the arrays are loaded via
-``numpy.load(..., mmap_mode="r")`` and the restored histograms adopt
-contiguous *slices* of those maps
+Decoding works on columns: every id, offset, interval, support and flag
+column is read once with ``tolist()`` (Python ints and floats with the
+same bits), and the float / int payload columns are sliced from a
+plain-``ndarray`` view of each array.  With ``mmap=True`` (the default)
+the arrays are loaded via ``numpy.load(..., mmap_mode="r")`` and the
+restored histograms adopt contiguous *slices* of those maps
 (:meth:`~repro.histograms.univariate.Histogram1D._adopt_arrays` /
 :meth:`~repro.histograms.multivariate.MultiHistogram._adopt_cells`), so the
-distributions are read-only views into the snapshot files: restore cost is
-dominated by object construction, pages fault in lazily on first query,
-and N worker processes restoring the same snapshot share one page cache --
-the multi-process warm boot of ``examples/snapshot_serving.py``.
+distributions are read-only views into the snapshot files: pages fault in
+lazily on first query, and N worker processes restoring the same snapshot
+share one page cache -- the multi-process warm boot of
+``examples/snapshot_serving.py``.
+
+The trajectory store is **checked eagerly but built on first access**.
+Estimation reads only the graph, so a restore loads the ``traj_*``
+columns into memory and runs every check the trajectory constructors
+would (finite, non-negative costs and entry times; non-empty trajectories;
+entry times non-decreasing within a trajectory; consistent offsets),
+vectorised; the :class:`~repro.trajectories.matched.MatchedTrajectory`
+objects and the store's inverted index are built from those in-memory
+columns the first time :attr:`RestoredSnapshot.store` is read, so the
+snapshot directory may be gone by then.
 
 Restores are **bit-exact**: the adopted arrays are never renormalised or
 re-sorted, so a restored graph serves estimates identical to the process
@@ -32,6 +45,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path as FSPath
 
 import numpy as np
@@ -50,6 +64,7 @@ from ..histograms.univariate import Histogram1D
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.path import Path
 from ..timeutil import all_intervals
+from ..trajectories.columns import TraversalColumns
 from ..trajectories.matched import EdgeTraversal, MatchedTrajectory
 from ..trajectories.mutable import MutableTrajectoryStore
 from ..trajectories.store import TrajectoryStore
@@ -57,6 +72,31 @@ from . import format as fmt
 
 #: Guard against pathological (cyclic or unboundedly deep) delta chains.
 _MAX_CHAIN_DEPTH = 64
+
+
+@dataclass(frozen=True)
+class StoreSection:
+    """A restored store before it is built: its type and checked ``traj_*`` columns.
+
+    ``segments`` holds one column set per snapshot of the chain that
+    carries a store section, base-first; the store is their trajectories
+    back to back.
+    """
+
+    type_name: str
+    segments: tuple[TraversalColumns, ...]
+
+    @property
+    def n_trajectories(self) -> int:
+        return sum(segment.traj_ids.size for segment in self.segments)
+
+    def build(self) -> TrajectoryStore:
+        trajectories = [
+            trajectory for segment in self.segments for trajectory in decode_trajectories(segment)
+        ]
+        if self.type_name == "MutableTrajectoryStore":
+            return MutableTrajectoryStore(trajectories)
+        return TrajectoryStore(trajectories)
 
 
 @dataclass
@@ -71,10 +111,11 @@ class RestoredSnapshot:
 
     manifest: dict
     graph: HybridGraph | None
-    store: TrajectoryStore | None
     cache_entries: list[tuple[tuple, CostEstimate]] = field(default_factory=list)
     #: Snapshot directories restored, base-first (length 1 for full snapshots).
     chain: tuple[str, ...] = ()
+    #: The store section, checked at restore; ``None`` without a store.
+    store_section: StoreSection | None = None
 
     @property
     def epoch(self) -> int:
@@ -85,100 +126,114 @@ class RestoredSnapshot:
     def kind(self) -> str:
         return self.manifest.get("kind", fmt.KIND_FULL)
 
+    @cached_property
+    def store(self) -> TrajectoryStore | None:
+        """The trajectory store, built from the restored columns on first access."""
+        return self.store_section.build() if self.store_section is not None else None
+
 
 # --------------------------------------------------------------------- #
 # Section decoders
 # --------------------------------------------------------------------- #
+def _loader(directory, manifest, mmap: bool):
+    return lambda name: fmt.load_array(directory, manifest, name, mmap=mmap)
+
+
 def _decode_network(directory, manifest, mmap: bool) -> RoadNetwork:
     meta = manifest["network"]
-    load = lambda name: fmt.load_array(directory, manifest, name, mmap=mmap)  # noqa: E731
+    load = _loader(directory, manifest, mmap)
     network = RoadNetwork(name=meta["name"])
     categories = meta["categories"]
-    vertex_ids = load("net_vertex_ids")
-    vertex_x = load("net_vertex_x")
-    vertex_y = load("net_vertex_y")
-    for vertex_id, x, y in zip(vertex_ids, vertex_x, vertex_y):
-        network.add_vertex(int(vertex_id), float(x), float(y))
-    edge_ids = load("net_edge_ids")
-    sources = load("net_edge_source")
-    targets = load("net_edge_target")
-    lengths = load("net_edge_length_m")
-    speeds = load("net_edge_speed_kmh")
-    category_codes = load("net_edge_category")
+    for vertex_id, x, y in zip(
+        load("net_vertex_ids").tolist(), load("net_vertex_x").tolist(), load("net_vertex_y").tolist()
+    ):
+        network.add_vertex(vertex_id, x, y)
     for edge_id, source, target, length, speed, code in zip(
-        edge_ids, sources, targets, lengths, speeds, category_codes
+        load("net_edge_ids").tolist(),
+        load("net_edge_source").tolist(),
+        load("net_edge_target").tolist(),
+        load("net_edge_length_m").tolist(),
+        load("net_edge_speed_kmh").tolist(),
+        load("net_edge_category").tolist(),
     ):
         network.add_edge(
-            int(source),
-            int(target),
-            length_m=float(length),
-            speed_limit_kmh=float(speed),
-            category=categories[int(code)],
-            edge_id=int(edge_id),
+            source,
+            target,
+            length_m=length,
+            speed_limit_kmh=speed,
+            category=categories[code],
+            edge_id=edge_id,
         )
     return network
 
 
 def decode_variables(directory, manifest, alpha_minutes: int, mmap: bool = True) -> list[InstantiatedVariable]:
     """Reconstruct the instantiated variables of a snapshot's graph section."""
-    load = lambda name: fmt.load_array(directory, manifest, name, mmap=mmap)  # noqa: E731
+    load = _loader(directory, manifest, mmap)
+    # Payload columns are sliced per variable: a plain ndarray view of the
+    # map slices without numpy.memmap's per-slice Python overhead and still
+    # shares the mapped pages.
+    payload = lambda name: load(name).view(np.ndarray)  # noqa: E731
     intervals = all_intervals(alpha_minutes)
     variables: list[InstantiatedVariable] = []
 
-    uni_edge = load("uni_edge")
-    uni_interval = load("uni_interval")
-    uni_support = load("uni_support")
-    uni_fallback = load("uni_is_fallback_source")
-    uni_offsets = load("uni_offsets")
-    uni_lows = load("uni_lows")
-    uni_highs = load("uni_highs")
-    uni_probs = load("uni_probs")
-    for i in range(uni_edge.size):
-        start, stop = int(uni_offsets[i]), int(uni_offsets[i + 1])
+    uni_offsets = load("uni_offsets").tolist()
+    uni_lows = payload("uni_lows")
+    uni_highs = payload("uni_highs")
+    uni_probs = payload("uni_probs")
+    for i, (edge_id, interval, support, fallback) in enumerate(
+        zip(
+            load("uni_edge").tolist(),
+            load("uni_interval").tolist(),
+            load("uni_support").tolist(),
+            load("uni_is_fallback_source").tolist(),
+        )
+    ):
+        start, stop = uni_offsets[i], uni_offsets[i + 1]
         histogram = Histogram1D._adopt_arrays(
             uni_lows[start:stop], uni_highs[start:stop], uni_probs[start:stop]
         )
         variables.append(
             InstantiatedVariable(
-                path=Path([int(uni_edge[i])]),
-                interval=intervals[int(uni_interval[i])],
+                path=Path([edge_id]),
+                interval=intervals[interval],
                 distribution=histogram,
-                support=int(uni_support[i]),
-                source=SOURCE_SPEED_LIMIT if uni_fallback[i] else SOURCE_TRAJECTORIES,
+                support=support,
+                source=SOURCE_SPEED_LIMIT if fallback else SOURCE_TRAJECTORIES,
             )
         )
 
-    multi_interval = load("multi_interval")
-    multi_support = load("multi_support")
-    path_offsets = load("multi_path_offsets")
-    path_edges = load("multi_path_edges")
-    boundary_offsets = load("multi_boundary_offsets")
-    boundaries = load("multi_boundaries")
-    cell_offsets = load("multi_cell_offsets")
-    cell_index_offsets = load("multi_cell_index_offsets")
-    cell_indices = load("multi_cell_indices")
-    cell_probs = load("multi_cell_probs")
+    path_offsets = load("multi_path_offsets").tolist()
+    path_edges = load("multi_path_edges").tolist()
+    boundary_offsets = load("multi_boundary_offsets").tolist()
+    cell_offsets = load("multi_cell_offsets").tolist()
+    cell_index_offsets = load("multi_cell_index_offsets").tolist()
+    boundaries = payload("multi_boundaries")
+    cell_indices = payload("multi_cell_indices")
+    cell_probs = payload("multi_cell_probs")
     boundary_cursor = 0
-    for i in range(multi_interval.size):
-        path_start, path_stop = int(path_offsets[i]), int(path_offsets[i + 1])
-        dims = [int(edge) for edge in path_edges[path_start:path_stop]]
-        dim_boundaries = []
-        for _ in dims:
-            b_start = int(boundary_offsets[boundary_cursor])
-            b_stop = int(boundary_offsets[boundary_cursor + 1])
-            dim_boundaries.append(boundaries[b_start:b_stop])
-            boundary_cursor += 1
-        n_cells = int(cell_offsets[i + 1]) - int(cell_offsets[i])
-        flat_start, flat_stop = int(cell_index_offsets[i]), int(cell_index_offsets[i + 1])
-        indices = cell_indices[flat_start:flat_stop].reshape(n_cells, len(dims))
-        probs = cell_probs[int(cell_offsets[i]) : int(cell_offsets[i + 1])]
-        joint = MultiHistogram._adopt_cells(dims, dim_boundaries, indices, probs)
+    for i, (interval, support) in enumerate(
+        zip(load("multi_interval").tolist(), load("multi_support").tolist())
+    ):
+        dims = path_edges[path_offsets[i] : path_offsets[i + 1]]
+        dim_boundaries = [
+            boundaries[boundary_offsets[cursor] : boundary_offsets[cursor + 1]]
+            for cursor in range(boundary_cursor, boundary_cursor + len(dims))
+        ]
+        boundary_cursor += len(dims)
+        cell_start, cell_stop = cell_offsets[i], cell_offsets[i + 1]
+        indices = cell_indices[cell_index_offsets[i] : cell_index_offsets[i + 1]].reshape(
+            cell_stop - cell_start, len(dims)
+        )
+        joint = MultiHistogram._adopt_cells(
+            dims, dim_boundaries, indices, cell_probs[cell_start:cell_stop]
+        )
         variables.append(
             InstantiatedVariable(
                 path=Path(dims),
-                interval=intervals[int(multi_interval[i])],
+                interval=intervals[interval],
                 distribution=joint,
-                support=int(multi_support[i]),
+                support=support,
                 source=SOURCE_TRAJECTORIES,
             )
         )
@@ -197,44 +252,77 @@ def _decode_graph(directory, manifest, mmap: bool) -> HybridGraph:
 
 def _prime_fallbacks(graph: HybridGraph, directory, manifest, mmap: bool) -> None:
     intervals = all_intervals(graph.parameters.alpha_minutes)
-    fb_edge = fmt.load_array(directory, manifest, "fb_edge", mmap=mmap)
-    fb_interval = fmt.load_array(directory, manifest, "fb_interval", mmap=mmap)
-    for edge_id, interval_index in zip(fb_edge, fb_interval):
+    load = _loader(directory, manifest, mmap)
+    for edge_id, interval_index in zip(load("fb_edge").tolist(), load("fb_interval").tolist()):
         # Re-derives the deterministic speed-limit uniform and caches it;
         # keys shadowed by a real variable (possible after a delta) are
         # simply not re-cached.
-        graph.unit_variable(int(edge_id), intervals[int(interval_index)])
+        graph.unit_variable(edge_id, intervals[interval_index])
 
 
-def decode_trajectories(directory, manifest, mmap: bool = True) -> list[MatchedTrajectory]:
-    """Reconstruct the matched trajectories of a snapshot's store section."""
-    load = lambda name: fmt.load_array(directory, manifest, name, mmap=mmap)  # noqa: E731
-    traj_ids = load("traj_ids")
-    offsets = load("traj_offsets")
-    edges = load("traj_edges")
-    entries = load("traj_entry_s")
-    costs = load("traj_costs")
-    trajectories = []
-    for i in range(traj_ids.size):
-        start, stop = int(offsets[i]), int(offsets[i + 1])
-        trajectories.append(
-            MatchedTrajectory(
-                int(traj_ids[i]),
-                [
-                    EdgeTraversal(int(edge), float(entry), float(cost))
-                    for edge, entry, cost in zip(
-                        edges[start:stop], entries[start:stop], costs[start:stop]
-                    )
-                ],
-            )
+def load_trajectory_columns(directory, manifest) -> TraversalColumns:
+    """Load a snapshot's ``traj_*`` columns into memory and check them.
+
+    Runs, over whole columns, every check the
+    :class:`~repro.trajectories.matched.EdgeTraversal` /
+    :class:`~repro.trajectories.matched.MatchedTrajectory` constructors run
+    per object, so a corrupt store section fails at restore time with a
+    :class:`~repro.exceptions.PersistError` naming the array, not when the
+    store is first read.
+    """
+    load = _loader(directory, manifest, mmap=False)
+    columns = TraversalColumns(
+        traj_ids=load("traj_ids"),
+        offsets=load("traj_offsets"),
+        edge=load("traj_edges"),
+        entry_s=load("traj_entry_s"),
+        cost=load("traj_costs"),
+    )
+
+    def fail(name: str, problem: str):
+        raise PersistError(f"snapshot {os.fspath(directory)} array {name!r}: {problem}")
+
+    offsets = columns.offsets
+    if offsets.ndim != 1 or offsets.size != columns.traj_ids.size + 1 or offsets[0] != 0:
+        fail("traj_offsets", f"expected {columns.traj_ids.size + 1} offsets starting at 0")
+    for name, column in (
+        ("traj_edges", columns.edge), ("traj_entry_s", columns.entry_s), ("traj_costs", columns.cost)
+    ):
+        if column.shape != (offsets[-1],):
+            fail(name, f"holds {column.size} rows, but traj_offsets ends at {offsets[-1]}")
+    if np.any(np.diff(offsets) <= 0):
+        fail("traj_offsets", "a matched trajectory needs at least one edge traversal")
+    # Written so that NaN fails too: every comparison with NaN is false.
+    for name, column in (("traj_costs", columns.cost), ("traj_entry_s", columns.entry_s)):
+        if not np.all((column >= 0) & (column < np.inf)):
+            fail(name, "values must be finite and non-negative")
+    within = np.ones(max(columns.entry_s.size - 1, 0), dtype=bool)
+    within[offsets[1:-1] - 1] = False  # the step from one trajectory's last row to the next's first
+    if np.any(np.diff(columns.entry_s)[within] < 0):
+        fail("traj_entry_s", "edge traversals must be ordered by entry time")
+    return columns
+
+
+def decode_trajectories(columns: TraversalColumns) -> list[MatchedTrajectory]:
+    """The matched trajectories of a store section's (checked) columns."""
+    offsets = columns.offsets.tolist()
+    edges = columns.edge.tolist()
+    entries = columns.entry_s.tolist()
+    costs = columns.cost.tolist()
+    return [
+        MatchedTrajectory(
+            trajectory_id,
+            [
+                EdgeTraversal(edge, entry, cost)
+                for edge, entry, cost in zip(
+                    edges[offsets[i] : offsets[i + 1]],
+                    entries[offsets[i] : offsets[i + 1]],
+                    costs[offsets[i] : offsets[i + 1]],
+                )
+            ],
         )
-    return trajectories
-
-
-def _build_store(type_name: str, trajectories) -> TrajectoryStore:
-    if type_name == "MutableTrajectoryStore":
-        return MutableTrajectoryStore(trajectories)
-    return TrajectoryStore(trajectories)
+        for i, trajectory_id in enumerate(columns.traj_ids.tolist())
+    ]
 
 
 def decode_cache_entries(
@@ -245,36 +333,37 @@ def decode_cache_entries(
     if not cache_meta.get("n_entries"):
         return []
     methods = cache_meta["methods"]
-    load = lambda name: fmt.load_array(directory, manifest, name, mmap=mmap)  # noqa: E731
-    interval = load("cache_interval")
-    method_codes = load("cache_method")
-    departures = load("cache_departure_s")
-    entropies = load("cache_entropy")
-    path_offsets = load("cache_path_offsets")
-    path_edges = load("cache_path_edges")
-    hist_offsets = load("cache_hist_offsets")
-    lows = load("cache_lows")
-    highs = load("cache_highs")
-    probs = load("cache_probs")
+    load = _loader(directory, manifest, mmap)
+    path_offsets = load("cache_path_offsets").tolist()
+    path_edges = load("cache_path_edges").tolist()
+    hist_offsets = load("cache_hist_offsets").tolist()
+    lows = load("cache_lows").view(np.ndarray)
+    highs = load("cache_highs").view(np.ndarray)
+    probs = load("cache_probs").view(np.ndarray)
     entries: list[tuple[tuple, CostEstimate]] = []
-    for i in range(interval.size):
-        p_start, p_stop = int(path_offsets[i]), int(path_offsets[i + 1])
-        edge_ids = tuple(int(edge) for edge in path_edges[p_start:p_stop])
-        h_start, h_stop = int(hist_offsets[i]), int(hist_offsets[i + 1])
+    for i, (interval, method_code, departure, entropy) in enumerate(
+        zip(
+            load("cache_interval").tolist(),
+            load("cache_method").tolist(),
+            load("cache_departure_s").tolist(),
+            load("cache_entropy").tolist(),
+        )
+    ):
+        edge_ids = tuple(path_edges[path_offsets[i] : path_offsets[i + 1]])
+        h_start, h_stop = hist_offsets[i], hist_offsets[i + 1]
         histogram = Histogram1D._adopt_arrays(
             lows[h_start:h_stop], highs[h_start:h_stop], probs[h_start:h_stop]
         )
-        method = methods[int(method_codes[i])]
-        key = (edge_ids, int(interval[i]), method)
+        method = methods[method_code]
         estimate = CostEstimate(
             path=Path(edge_ids),
-            departure_time_s=float(departures[i]),
+            departure_time_s=departure,
             histogram=histogram,
             method=method,
             decomposition=None,
-            entropy=float(entropies[i]),
+            entropy=entropy,
         )
-        entries.append((key, estimate))
+        entries.append(((edge_ids, interval, method), estimate))
     return entries
 
 
@@ -296,18 +385,17 @@ def restore_snapshot(directory, mmap: bool = True, _depth: int = 0) -> RestoredS
         return _apply_delta(base, directory, manifest, mmap)
 
     graph = _decode_graph(directory, manifest, mmap) if manifest.get("graph") else None
-    store = None
+    store_section = None
     if manifest.get("store"):
-        store = _build_store(
-            manifest["store"]["type"], decode_trajectories(directory, manifest, mmap)
+        store_section = StoreSection(
+            manifest["store"]["type"], (load_trajectory_columns(directory, manifest),)
         )
-    cache_entries = decode_cache_entries(directory, manifest, mmap)
     return RestoredSnapshot(
         manifest=manifest,
         graph=graph,
-        store=store,
-        cache_entries=cache_entries,
+        cache_entries=decode_cache_entries(directory, manifest, mmap),
         chain=(str(directory),),
+        store_section=store_section,
     )
 
 
@@ -336,17 +424,20 @@ def _apply_delta(
             graph.add_variable(variable)
         _prime_fallbacks(graph, directory, manifest, mmap)
 
-    store = base.store
+    store_section = base.store_section
     if manifest.get("store") is not None:
         segment_offset = int(manifest["store"]["segment_offset"])
-        base_trajectories = store.trajectories if store is not None else []
-        if len(base_trajectories) != segment_offset:
+        base_segments = store_section.segments if store_section is not None else ()
+        n_base = store_section.n_trajectories if store_section is not None else 0
+        if n_base != segment_offset:
             raise PersistError(
                 f"delta snapshot {directory} expects a base store of "
-                f"{segment_offset} trajectories, found {len(base_trajectories)}"
+                f"{segment_offset} trajectories, found {n_base}"
             )
-        segment = decode_trajectories(directory, manifest, mmap)
-        store = _build_store(manifest["store"]["type"], base_trajectories + segment)
+        store_section = StoreSection(
+            manifest["store"]["type"],
+            base_segments + (load_trajectory_columns(directory, manifest),),
+        )
 
     # Inherited warm-cache entries age the same way the live service's
     # targeted invalidation ages them: entries on paths touching the dirty
@@ -361,9 +452,9 @@ def _apply_delta(
     return RestoredSnapshot(
         manifest=manifest,
         graph=graph,
-        store=store,
         cache_entries=cache_entries,
         chain=base.chain + (str(directory),),
+        store_section=store_section,
     )
 
 

@@ -29,10 +29,11 @@ from repro import (
 from repro.core import joint as joint_module
 from repro.core.decomposition import Decomposition
 from repro.core.joint import PropagationMemo, propagate_joint
-from repro.core.reference import propagate_joint_reference
 from repro.core.relevance import RelevantVariable
 from repro.core.variables import InstantiatedVariable
 from repro.timeutil import interval_of
+
+from reference_joint import propagate_joint_reference
 
 DEPARTURE = 8 * 3600.0
 

@@ -7,7 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from repro import PersistError, PersistParameters, restore_snapshot, snapshot_info, write_snapshot
+from repro import (
+    CostEstimationService,
+    HybridGraph,
+    PersistError,
+    PersistParameters,
+    all_intervals,
+    restore_snapshot,
+    snapshot_info,
+    write_snapshot,
+)
 from repro.persist import FORMAT_VERSION, MANIFEST_FILENAME
 from repro.persist.format import read_manifest, snapshot_payload_bytes
 
@@ -60,6 +69,44 @@ class TestVersionGuard:
         (snapshot_dir / "uni_lows.npy").unlink()
         with pytest.raises(PersistError, match="uni_lows"):
             restore_snapshot(snapshot_dir)
+
+
+class TestTruncatedBlobs:
+    """A blob cut short fails as a ``PersistError`` naming the array and file."""
+
+    @pytest.fixture
+    def service_snapshot(self, tmp_path, persist_graph, persist_store, persist_simulator):
+        # A private graph: the fallbacks created below stay out of the shared one.
+        graph = HybridGraph(persist_graph.network, persist_graph.parameters)
+        for variable in persist_graph.variables:
+            graph.add_variable(variable)
+        service = CostEstimationService.from_hybrid_graph(graph)
+        for route in persist_simulator.popular_routes:  # warm-cache entries
+            for length in (2, 3, 4):
+                service.estimate(route.path.prefix(length), route.busy_hour * 3600.0)
+        interval = all_intervals(graph.parameters.alpha_minutes)[3]
+        for edge in graph.network.edges():
+            graph.unit_variable(edge.edge_id, interval)
+        directory = tmp_path / "snap"
+        service.save_snapshot(directory, store=persist_store)
+        return directory
+
+    @pytest.mark.parametrize(
+        "name",
+        ["net_vertex_x", "uni_probs", "multi_cell_indices", "fb_edge", "traj_costs", "cache_lows"],
+    )
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_truncated_blob(self, service_snapshot, name, mmap):
+        path = service_snapshot / snapshot_info(service_snapshot)["arrays"][name]
+        data = path.read_bytes()
+        assert len(data) > 256  # half of it keeps the 128-byte header whole
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(PersistError, match=rf"{name}.*{path.name}"):
+            restore_snapshot(service_snapshot, mmap=mmap)
+        with pytest.raises(PersistError, match=rf"{name}.*{path.name}"):
+            CostEstimationService.from_snapshot(
+                service_snapshot, persist_parameters=PersistParameters(mmap=mmap)
+            )
 
 
 class TestFootprintAccounting:

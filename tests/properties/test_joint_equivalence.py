@@ -2,7 +2,7 @@
 
 :mod:`repro.core.joint` carries an integer separator-group label per state
 cell and reads each factor's step-invariant arrays from a plan cached on
-the variable; :mod:`repro.core.reference` is the implementation it
+the variable; ``tests/reference_joint.py`` is the implementation it
 replaced, which carries per-cell float separator bounds and regroups them
 with a lexicographic sort on every step.  The rewrite changes no
 arithmetic, so the two must agree bit for bit -- on random chains whose
@@ -37,10 +37,11 @@ from repro import (
 )
 from repro.core.decomposition import Decomposition
 from repro.core.joint import PropagationMemo, decomposition_entropy, propagate_joint
-from repro.core.reference import propagate_joint_reference
 from repro.core.relevance import RelevantVariable
 from repro.core.variables import InstantiatedVariable
 from repro.timeutil import interval_of
+
+from reference_joint import propagate_joint_reference
 
 INTERVAL = interval_of(8 * 3600.0, 30)
 

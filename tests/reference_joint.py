@@ -9,8 +9,8 @@ distributions on every call, bypassing the variables' memo.  (It also
 keeps the old lack of a ``max_state_cells`` check.)  It exists so that
 ``tests/properties/test_joint_equivalence.py`` can pin the group-labelled
 rewrite to it -- the answers are bit-identical.  No module under ``src/``
-imports it and it is not re-exported; like
-:mod:`repro.histograms.reference`, do not "optimise" it.
+imports it; like :mod:`repro.histograms.reference` and
+``tests/reference_matcher.py``, do not "optimise" it.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import EstimationError
-from ..histograms import kernels
-from ..histograms.divergence import entropy_of_histogram
-from ..histograms.multivariate import MultiHistogram
-from ..histograms.univariate import Histogram1D
-from .decomposition import Decomposition
-from .joint import PropagatedJoint
+from repro.core.decomposition import Decomposition
+from repro.core.joint import PropagatedJoint
+from repro.exceptions import EstimationError
+from repro.histograms import kernels
+from repro.histograms.divergence import entropy_of_histogram
+from repro.histograms.multivariate import MultiHistogram
+from repro.histograms.univariate import Histogram1D
 
 #: Minimum width used when an accumulated-cost range is still degenerate.
 _MIN_WIDTH = 1e-9
