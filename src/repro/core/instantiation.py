@@ -14,17 +14,21 @@ The builder performs the two instantiation stages of the paper:
    instantiated paths of cardinality ``k - 1`` that share ``k - 2`` edges;
    a candidate is instantiated for every interval in which at least beta
    qualified trajectories occurred on it, as a multi-dimensional histogram
-   over the path's edges.  The procedure stops at the first level that
-   instantiates nothing (or at ``max_cardinality``).
+   over the path's edges.  A sub-path that repeats an edge (a U-turn and
+   back) is not a path and never a candidate; its sub-paths still are.  The
+   procedure stops at the first level that instantiates nothing (or at
+   ``max_cardinality``).
 
 Unit paths get the paper's cross-validated "Auto" bucket count; the
 dimensions of joint histograms use a cheap inter-quartile-range rule,
 because thousands of joint variables may be instantiated.
 
-Observations are read from flat traversal columns
-(:mod:`repro.trajectories.columns`), laid out once per build: the costs of
-one (path, interval) arrive as an ``[n, |path|]`` matrix, in the order the
-store's object API would yield them, without an object per observation.
+**A level from one sort.**  Candidates and observations come from the
+k-gram level pass over traversal columns (:mod:`repro.trajectories.columns`):
+the beta filter and the merge test are array lookups, and one sort groups the
+candidates' occurrences by interval into ``[n, |path|]`` cost matrices.  Unit
+paths are added in edge-id order, longer ones and a path's intervals in order
+of first appearance (a scalar k-gram loop's order).
 
 **A level, not a variable.**  The variables of one cardinality do not
 depend on each other, and each is a handful of tiny array problems (20 to
@@ -43,7 +47,7 @@ chunks only bound the transient memory of a build.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,7 +61,7 @@ from ..histograms.vopt import batch_boundaries
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.path import Path
 from ..timeutil import all_intervals
-from ..trajectories.columns import ObservationIndex, TraversalColumns
+from ..trajectories.columns import KGramLevel, TraversalColumns
 from ..trajectories.store import TrajectoryStore
 from .hybrid_graph import HybridGraph
 from .variables import SOURCE_TRAJECTORIES, InstantiatedVariable
@@ -112,33 +116,39 @@ class HybridGraphBuilder:
         parameters = self.parameters
         graph = HybridGraph(self.network, parameters)
         intervals = all_intervals(parameters.alpha_minutes)
-        # Observations are read from flat traversal columns, laid out once per
-        # build; the store itself only nominates the candidate paths.
-        observations = ObservationIndex(
-            TraversalColumns.from_trajectories(store.trajectories), parameters.alpha_minutes
-        )
+        columns = TraversalColumns.from_trajectories(store.trajectories)
 
         def instantiate(
-            paths: Iterable[Path],
+            level: KGramLevel,
+            candidates: np.ndarray,
             chunk_size: int,
             build_distributions: Callable[[Sequence[_Pending]], Sequence],
-        ) -> set[tuple[int, ...]]:
-            """Add each of ``paths`` in every interval with at least beta observations.
+        ) -> np.ndarray:
+            """Add each candidate key in every interval with at least beta occurrences.
 
             ``build_distributions`` turns one level batch into its
-            distributions, in order.  Returns the edge ids of the paths that
-            got at least one variable.
+            distributions, in order.  Returns which keys got a variable.
             """
+            key, interval, rows, bounds = level.groups(
+                parameters.alpha_minutes, candidates, parameters.beta
+            )
+            # Unit paths by edge id (their key), longer ones by first appearance;
+            # a path's intervals by first appearance.
+            order = np.lexsort((rows[bounds[:-1]], key if level.k == 1 else level.first_row[key]))
+            keys = np.unique(key)
+            paths = dict(zip(keys.tolist(), map(Path, level.edge_ids(keys).tolist())))
+            costs = level.costs(rows)
             pending = (
-                (path, interval_index, costs)
-                for path in paths
-                for interval_index, costs in observations.observations_by_interval(
-                    path.edge_ids, parameters.beta
+                (paths[path_key], interval_index, costs[begin:end])
+                for path_key, interval_index, begin, end in zip(
+                    key[order].tolist(),
+                    interval[order].tolist(),
+                    bounds[order].tolist(),
+                    bounds[order + 1].tolist(),
                 )
             )
-            instantiated: set[tuple[int, ...]] = set()
             while chunk := list(islice(pending, chunk_size)):
-                for (path, interval_index, costs), distribution in zip(
+                for (path, interval_index, observed), distribution in zip(
                     chunk, build_distributions(chunk)
                 ):
                     graph.add_variable(
@@ -146,38 +156,38 @@ class HybridGraphBuilder:
                             path=path,
                             interval=intervals[interval_index],
                             distribution=distribution,
-                            support=len(costs),
+                            support=len(observed),
                             source=SOURCE_TRAJECTORIES,
                         )
                     )
-                    instantiated.add(path.edge_ids)
+            instantiated = np.zeros(level.first_row.size, dtype=bool)
+            instantiated[keys] = True
             return instantiated
 
-        # Unit paths (Section 3.1).
-        previous_level = instantiate(
-            (Path([edge_id]) for edge_id in sorted(store.covered_edges())),
-            _UNIT_CHUNK,
-            self._unit_histograms,
-        )
-        cardinality = 2
-        effective_cap = self.max_cardinality
+        cap = self.max_cardinality
         if parameters.max_rank is not None:
-            effective_cap = min(effective_cap, parameters.max_rank)
-        while cardinality <= effective_cap and previous_level:
-            # Non-unit paths (Section 3.2): candidates of this cardinality with
-            # enough total support, restricted to combinations of two
-            # instantiated (k-1)-paths that share k-2 edges (the bottom-up merge).
-            counts = store.frequent_subpath_counts(cardinality, min_count=parameters.beta)
-            previous_level = instantiate(
-                (
-                    Path(edge_ids)
-                    for edge_ids in counts
-                    if self._mergeable(edge_ids, previous_level, cardinality)
-                ),
-                _JOINT_CHUNK,
-                self._joint_histograms,
-            )
-            cardinality += 1
+            cap = min(cap, parameters.max_rank)
+        for level in columns.levels(min_trajectories=parameters.beta):
+            if level.k == 1:
+                # Unit paths (Section 3.1): every covered edge.
+                instantiated = instantiate(
+                    level, np.ones(level.first_row.size, dtype=bool), _UNIT_CHUNK,
+                    self._unit_histograms,
+                )
+                continue
+            if level.k > cap or not instantiated.any():
+                break
+            # Non-unit paths (Section 3.2): sub-paths at least beta trajectories
+            # travelled that are paths (no edge twice, as in a U-turn and back)
+            # and, above pairs, merge two instantiated (k-1)-paths.  Pairs only
+            # need both edges observed: level 1 may fall back on an edge.
+            keys = np.flatnonzero(level.trajectories >= parameters.beta)
+            if level.k > 2:
+                keys = keys[instantiated[level.prefix[keys]] & instantiated[level.suffix[keys]]]
+            edges = np.sort(level.edge_ids(keys), axis=1)
+            candidates = np.zeros(level.first_row.size, dtype=bool)
+            candidates[keys[np.all(edges[:, 1:] != edges[:, :-1], axis=1)]] = True
+            instantiated = instantiate(level, candidates, _JOINT_CHUNK, self._joint_histograms)
         return graph
 
     def _unit_histograms(self, chunk: Sequence[_Pending]) -> list[Histogram1D]:
@@ -187,22 +197,6 @@ class HybridGraphBuilder:
             self._variable_rng(path.edge_ids, interval_index) for path, interval_index, _ in chunk
         ]
         return build_auto_histograms(values, n, self.parameters, rngs)
-
-    @staticmethod
-    def _mergeable(
-        edge_ids: tuple[int, ...],
-        previous_level: set[tuple[int, ...]],
-        cardinality: int,
-    ) -> bool:
-        """True if the candidate is the merge of two instantiated (k-1)-paths."""
-        if cardinality == 2:
-            # Level-1 instantiation may have skipped an edge (speed-limit
-            # fallback); pairs only require that both edges were observed,
-            # which the support count already guarantees.
-            return True
-        prefix = edge_ids[:-1]
-        suffix = edge_ids[1:]
-        return prefix in previous_level and suffix in previous_level
 
     def _joint_histograms(self, chunk: Sequence[_Pending]) -> list[MultiHistogram]:
         """The multi-dimensional histogram of each path's joint cost distribution."""

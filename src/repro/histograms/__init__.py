@@ -30,7 +30,7 @@ from .univariate import (
     prob_at_most_many,
     rearrange_buckets,
 )
-from .multivariate import HyperBucket, MultiHistogram
+from .multivariate import MultiHistogram
 from .autobuckets import (
     auto_bucket_count,
     build_auto_histogram,
@@ -56,7 +56,6 @@ __all__ = [
     "GammaFit",
     "GaussianFit",
     "Histogram1D",
-    "HyperBucket",
     "KernelBackend",
     "MultiHistogram",
     "RawDistribution",

@@ -15,45 +15,16 @@ the full bucket grid would be astronomically large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import HistogramError
 from . import kernels
-from .univariate import Bucket, Histogram1D
+from .univariate import Histogram1D
 
 #: Hard cap used when a caller asks for the dense probability tensor.
 _DENSE_CELL_LIMIT = 2_000_000
-
-
-@dataclass(frozen=True)
-class HyperBucket:
-    """One cell of a multi-dimensional histogram: one bucket per dimension."""
-
-    buckets: tuple[Bucket, ...]
-
-    @property
-    def n_dims(self) -> int:
-        return len(self.buckets)
-
-    @property
-    def summed_bounds(self) -> Bucket:
-        """The 1-D bucket whose bounds are the sums of the per-dimension bounds."""
-        lower = sum(bucket.lower for bucket in self.buckets)
-        upper = sum(bucket.upper for bucket in self.buckets)
-        return Bucket(lower, upper)
-
-    @property
-    def volume(self) -> float:
-        volume = 1.0
-        for bucket in self.buckets:
-            volume *= bucket.width
-        return volume
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "<" + ", ".join(repr(bucket) for bucket in self.buckets) + ">"
 
 
 class MultiHistogram:
@@ -180,6 +151,18 @@ class MultiHistogram:
         ranks = np.fromiter(map(len, dims), dtype=np.intp, count=len(dims))
         counts = np.fromiter((len(matrix) for matrix in samples), dtype=np.intp, count=len(dims))
         first_axis = np.cumsum(ranks) - ranks
+        # One table per distinct sample count n: summed[table_of[n] + c - 1] is
+        # the probability of a cell holding c of the n samples.
+        distinct, which = np.unique(counts, return_inverse=True)
+        tables = []
+        for n in distinct:
+            uniform = np.full(n, 1.0 / n)
+            total = uniform.sum()
+            if not np.isclose(total, 1.0, atol=1e-3):
+                raise HistogramError(f"hyper-bucket probabilities must sum to 1, got {total:.6f}")
+            tables.append(np.cumsum(uniform / total))
+        summed = np.concatenate(tables)
+        table_of = (np.cumsum(distinct) - distinct)[which]
         histograms: list[MultiHistogram | None] = [None] * len(dims)
         for rank in np.unique(ranks):
             members = np.flatnonzero(ranks == rank)
@@ -197,18 +180,7 @@ class MultiHistogram:
             starts = np.flatnonzero(is_new)
             occupancy = np.diff(np.append(starts, owner.size))
             cells, owner = cells[starts], owner[starts]
-
-            probs = np.empty(starts.size)
-            for n in np.unique(counts[members]):
-                uniform = np.full(n, 1.0 / n)
-                total = uniform.sum()
-                if not np.isclose(total, 1.0, atol=1e-3):
-                    raise HistogramError(
-                        f"hyper-bucket probabilities must sum to 1, got {total:.6f}"
-                    )
-                summed = np.cumsum(uniform / total)
-                mine = counts[owner] == n
-                probs[mine] = summed[occupancy[mine] - 1]
+            probs = summed[table_of[owner] + occupancy - 1]
 
             cuts = np.searchsorted(owner, members)
             for i, begin, end in zip(members, cuts, np.append(cuts[1:], owner.size)):
@@ -339,22 +311,6 @@ class MultiHistogram:
     def n_hyper_buckets(self) -> int:
         """Number of occupied hyper-buckets."""
         return int(self._indices.shape[0])
-
-    def bucket_of(self, dim: int, index: int) -> Bucket:
-        """The ``index``-th bucket of dimension ``dim``."""
-        edges = self._boundaries[self.axis_of(dim)]
-        if not 0 <= index < edges.size - 1:
-            raise HistogramError(f"bucket index {index} out of range for dimension {dim}")
-        return Bucket(float(edges[index]), float(edges[index + 1]))
-
-    def hyper_buckets(self) -> Iterator[tuple[HyperBucket, float]]:
-        """Iterate over occupied ``(hyper-bucket, probability)`` pairs."""
-        for row, prob in zip(self._indices, self._probs):
-            buckets = tuple(
-                Bucket(float(edges[i]), float(edges[i + 1]))
-                for edges, i in zip(self._boundaries, row)
-            )
-            yield HyperBucket(buckets), float(prob)
 
     def storage_size(self) -> int:
         """Scalars needed to store the histogram (boundaries + occupied cells)."""

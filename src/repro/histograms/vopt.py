@@ -133,21 +133,22 @@ def _value_frequencies(
         ends[last_of_row] = n[owner[last_of_row]]
         parts.append((owner, ranks, values[owner, starts], (ends - starts) / n[owner].astype(float)))
         m[rows] = n_runs[rows]
-    for cells in np.unique(n_cells[~discrete]):
-        rows = np.flatnonzero(~discrete & (n_cells == cells))
+    rows = np.flatnonzero(~discrete)
+    if rows.size:
+        cells = n_cells[rows, None]
         low = values[rows, 0]
         high = np.nextafter(values[rows, n[rows] - 1], np.inf)
         # ``np.linspace(low, high, cells + 1)`` row by row, its zero-step
-        # (denormal range) case included.
+        # (denormal range) case included; ticks past a row's own ``cells``
+        # are ``+inf`` edges, below which lie all ``n`` costs.
         delta = high - low
-        step = delta / cells
-        ticks = np.arange(0.0, cells + 1)
-        edges = np.where(
-            (step == 0)[:, None], (ticks / cells) * delta[:, None], ticks * step[:, None]
-        )
+        step = delta[:, None] / cells
+        ticks = np.arange(0.0, cells.max() + 1)
+        edges = np.where(step == 0, (ticks / cells) * delta[:, None], ticks * step)
         edges += low[:, None]
-        edges[:, -1] = high
-        # Every cost lies in [edges[0], edges[-1]): none below the first
+        edges[ticks > cells] = np.inf
+        edges[np.arange(rows.size), n_cells[rows]] = high
+        # Every cost lies in [edges[0], edges[cells]): none below the first
         # edge, all ``n`` below the last.
         below = kernels.searchsorted_matrix(
             values[rows], np.arange(rows.size)[:, None], edges, "left"
@@ -189,7 +190,7 @@ def _run_dp(freqs: np.ndarray, max_groups: int) -> tuple[np.ndarray, np.ndarray]
     groups precede it, so the whole ``sse[p, j, s]`` tensor is computed once
     from the prefix sums and every row ``k`` of the program is a single
     broadcast add of ``dp[:, k-1]`` (shifted by one) onto it, followed by
-    ``argmin`` over ``s``.
+    one ``argmin`` over ``s``; ``dp`` is the candidate read back at it.
     """
     n_problems, width = freqs.shape
     prefix = np.zeros((n_problems, width + 1))
@@ -216,8 +217,9 @@ def _run_dp(freqs: np.ndarray, max_groups: int) -> tuple[np.ndarray, np.ndarray]
     for k in range(1, min(max_groups, width)):
         # Last group starts at s in k..j; the k groups before it end at s - 1.
         candidates = dp[:, k - 1, None, k - 1 : width - 1] + sse[:, k:, k:]
-        dp[:, k, k:] = candidates.min(axis=2)
-        back[:, k, k:] = np.argmin(candidates, axis=2) + k
+        best = np.argmin(candidates, axis=2)[:, :, None]
+        dp[:, k, k:] = np.take_along_axis(candidates, best, axis=2)[:, :, 0]
+        back[:, k, k:] = best[:, :, 0] + k
     return dp, back
 
 

@@ -191,9 +191,6 @@ class RoadNetwork:
         except KeyError:
             raise GraphError(f"unknown edge {edge_id}") from None
 
-    def has_edge(self, edge_id: int) -> bool:
-        return edge_id in self._edges
-
     def edge_between(self, source: int, target: int) -> Edge | None:
         """Return the edge from ``source`` to ``target`` or ``None``."""
         edge_id = self._edge_by_endpoints.get((source, target))
@@ -221,11 +218,6 @@ class RoadNetwork:
         first = self.edge(first_edge_id)
         second = self.edge(second_edge_id)
         return first.target == second.source
-
-    def edge_midpoint(self, edge_id: int) -> Point:
-        """Planar midpoint of an edge's endpoints (used by the simulator)."""
-        edge = self.edge(edge_id)
-        return self.vertex(edge.source).location.midpoint(self.vertex(edge.target).location)
 
     def total_length_m(self) -> float:
         """Total directed length of the network in metres."""

@@ -19,13 +19,15 @@ only scans the trajectories that contain the path's first edge.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
 from ..exceptions import TrajectoryError
 from ..roadnet.path import Path
 from ..timeutil import TimeInterval, interval_index_of
+from .columns import TraversalColumns
 from .matched import MatchedTrajectory, PathObservation
 
 
@@ -149,28 +151,28 @@ class TrajectoryStore:
     ) -> dict[tuple[int, ...], int]:
         """Counts of trajectories per sub-path of the given ``cardinality``.
 
-        Only sub-paths reaching ``min_count`` are returned.  Used by the
-        sparseness analysis and as seed candidates for instantiation.
+        Only sub-paths reaching ``min_count`` are returned, in order of first
+        appearance.  Read from the k-gram level pass over the store's
+        traversal columns (:meth:`TraversalColumns.levels`); used by the
+        sparseness analysis and the service warm-up.
         """
         if cardinality < 1:
             raise TrajectoryError("cardinality must be >= 1")
-        counts: dict[tuple[int, ...], int] = defaultdict(int)
-        for trajectory in self._trajectories:
-            edge_ids = trajectory.edge_ids
-            seen_in_trajectory: set[tuple[int, ...]] = set()
-            for start in range(len(edge_ids) - cardinality + 1):
-                key = edge_ids[start : start + cardinality]
-                if key not in seen_in_trajectory:
-                    seen_in_trajectory.add(key)
-                    counts[key] += 1
-        return {key: count for key, count in counts.items() if count >= min_count}
+        columns = TraversalColumns.from_trajectories(self._trajectories)
+        level = next(islice(columns.levels(min_count), cardinality - 1, None), None)
+        if level is None:
+            return {}
+        keys = np.flatnonzero(level.trajectories >= min_count)
+        keys = keys[np.argsort(level.first_row[keys])]
+        return dict(zip(map(tuple, level.edge_ids(keys).tolist()), level.trajectories[keys].tolist()))
 
     def max_trajectories_by_cardinality(self, max_cardinality: int) -> dict[int, int]:
         """Maximum number of trajectories on any path, per path cardinality (Figure 3)."""
-        result: dict[int, int] = {}
-        for cardinality in range(1, max_cardinality + 1):
-            counts = self.frequent_subpath_counts(cardinality)
-            result[cardinality] = max(counts.values()) if counts else 0
+        result = dict.fromkeys(range(1, max_cardinality + 1), 0)
+        for level in TraversalColumns.from_trajectories(self._trajectories).levels():
+            if level.k > max_cardinality:
+                break
+            result[level.k] = int(level.trajectories.max())
         return result
 
     def paths_with_min_support(

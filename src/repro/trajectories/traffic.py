@@ -103,11 +103,6 @@ class TrafficModel:
         return self._edge_states[edge_id]
 
     # ------------------------------------------------------------------ #
-    def expected_free_flow_time(self, edge: Edge) -> float:
-        """Expected traversal time with no congestion, signal or noise."""
-        state = self._edge_states[edge.edge_id]
-        return edge.free_flow_time_s / state.base_speed_factor
-
     def sample_trip_costs(
         self,
         edge_ids: list[int],

@@ -14,6 +14,7 @@ from repro import (
     EstimatorParameters,
     HybridGraph,
     HybridGraphBuilder,
+    MatchedTrajectory,
     SimulationParameters,
     TrafficSimulator,
     TrajectoryStore,
@@ -100,6 +101,31 @@ def bench_city():
         return cities[grid, n_trajectories]
 
     return city
+
+
+@pytest.fixture(scope="session")
+def u_turn_trips():
+    """``trips(network, n=25) -> [MatchedTrajectory]``: ``a, reverse(a), a, c`` at 08:00.
+
+    A U-turn and back, then on: ``(a, reverse(a), a)`` is a sub-path of every
+    trip but not a path (it repeats an edge).
+    """
+
+    def trips(network, n: int = 25) -> list[MatchedTrajectory]:
+        a = network.out_edges(9)[0]
+        back = network.edge_between(a.target, a.source)
+        onward = next(e for e in network.successors_of_edge(a.edge_id) if e.target != a.source)
+        return [
+            MatchedTrajectory.from_costs(
+                i,
+                [a.edge_id, back.edge_id, a.edge_id, onward.edge_id],
+                8 * 3600.0 + 30 * i,
+                [20.0 + i % 5, 21.0, 19.0 + i % 3, 30.0],
+            )
+            for i in range(n)
+        ]
+
+    return trips
 
 
 @pytest.fixture

@@ -113,6 +113,20 @@ class TestJointInstantiation:
         assert low.build(corridor_store).num_variables() >= high.build(corridor_store).num_variables()
 
 
+class TestUTurns:
+    def test_a_sub_path_that_repeats_an_edge_is_not_a_candidate(self, small_network, u_turn_trips):
+        """(a, back, a) is no path; every path inside the trips still gets its variable."""
+        trips = u_turn_trips(small_network)
+        a, back, _, onward = trips[0].edge_ids
+        graph = HybridGraphBuilder(
+            small_network, EstimatorParameters(beta=20), max_cardinality=5
+        ).build(TrajectoryStore(trips))
+        assert {variable.path.edge_ids for variable in graph.variables} == {
+            (a,), (back,), (onward,), (a, back), (back, a), (a, onward), (back, a, onward),
+        }
+        assert graph.variables_on((a,))[0].support == 50
+
+
 class TestLevelBatches:
     def test_a_build_holds_at_most_4_mib_beyond_the_graph(self, bench_city):
         """Level batches are chunked: the benchmark's default fixture, 1,322 variables."""

@@ -202,6 +202,21 @@ class TestRefresh:
             (b.lower, b.upper) for b in after.estimate.histogram.buckets
         ]
 
+    def test_refresh_survives_u_turns(
+        self, ingest_network, builder_factory, u_turn_trips, graphs_bit_identical
+    ):
+        """Trips that turn back onto the edge they came by do not fail the rebuild."""
+        trips = u_turn_trips(ingest_network)
+        store = MutableTrajectoryStore()
+        service = make_service(store, builder_factory)
+        pipeline = TrajectoryIngestPipeline(store, service=service, builder_factory=builder_factory)
+        pipeline.ingest_batch(trips)
+        for _ in range(2):
+            refresh = pipeline.refresh()
+            assert refresh.n_trajectories == len(trips) and refresh.n_variables == 7
+        cold = builder_factory().build(TrajectoryStore(trips))
+        graphs_bit_identical(cold, service.hybrid_graph, insertion_order=True)
+
     def test_refresh_requires_service_and_builder(self, base_trajectories):
         pipeline = TrajectoryIngestPipeline(MutableTrajectoryStore(base_trajectories))
         with pytest.raises(IngestError):

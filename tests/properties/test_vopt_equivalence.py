@@ -29,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -39,15 +39,18 @@ from repro import (
     HybridGraphBuilder,
     InstantiatedVariable,
     MatchedTrajectory,
+    MutableTrajectoryStore,
     Path,
     TrajectoryStore,
     all_intervals,
+    grid_network,
 )
 from repro.histograms import autobuckets, reference, vopt
 from repro.histograms.multivariate import MultiHistogram
 from repro.histograms.raw import RawDistribution, sorted_batch
 from repro.histograms.univariate import Histogram1D
-from repro.trajectories.columns import ObservationIndex, TraversalColumns
+
+from reference_kgrams import reference_subpath_counts
 
 # --------------------------------------------------------------------- #
 # Strategies
@@ -386,17 +389,24 @@ def test_batches_reject_what_one_distribution_rejects():
 # Graph level
 # --------------------------------------------------------------------- #
 def reference_build(network, parameters, max_cardinality, store, seed=0) -> HybridGraph:
-    """``HybridGraphBuilder.build`` one variable at a time, from the reference functions."""
+    """``HybridGraphBuilder.build`` one variable at a time, from the reference functions.
+
+    Candidates come from the scalar k-gram loop, observations from the
+    store's object API (``observations_by_interval``): nothing is shared
+    with the builder but its per-variable seeds.
+    """
     builder = HybridGraphBuilder(network, parameters, max_cardinality=max_cardinality, seed=seed)
     graph = HybridGraph(network, parameters)
     intervals = all_intervals(parameters.alpha_minutes)
-    observations = ObservationIndex(
-        TraversalColumns.from_trajectories(store.trajectories), parameters.alpha_minutes
-    )
 
     def instantiate(edge_ids, build_distribution) -> bool:
-        grouped = observations.observations_by_interval(edge_ids, parameters.beta)
-        for interval_index, costs in grouped:
+        grouped = store.observations_by_interval(Path(edge_ids), parameters.alpha_minutes)
+        supported = [
+            (interval_index, np.array([observation.edge_costs for observation in observations]))
+            for interval_index, observations in grouped.items()
+            if len(observations) >= parameters.beta
+        ]
+        for interval_index, costs in supported:
             graph.add_variable(
                 InstantiatedVariable(
                     path=Path(edge_ids),
@@ -405,7 +415,7 @@ def reference_build(network, parameters, max_cardinality, store, seed=0) -> Hybr
                     support=len(costs),
                 )
             )
-        return bool(grouped)
+        return bool(supported)
 
     def unit(edge_ids, interval_index, costs):
         return reference.reference_auto_histogram(
@@ -419,11 +429,13 @@ def reference_build(network, parameters, max_cardinality, store, seed=0) -> Hybr
     cardinality = 2
     cap = min(max_cardinality, parameters.max_rank or max_cardinality)
     while cardinality <= cap and level:
-        counts = store.frequent_subpath_counts(cardinality, min_count=parameters.beta)
+        counts = reference_subpath_counts(store.trajectories, cardinality, parameters.beta)
         level = {
             edge_ids
             for edge_ids in counts
-            if builder._mergeable(edge_ids, level, cardinality) and instantiate(edge_ids, joint)
+            if len(set(edge_ids)) == cardinality  # a path repeats no edge
+            and (cardinality == 2 or {edge_ids[:-1], edge_ids[1:]} <= level)
+            and instantiate(edge_ids, joint)
         }
         cardinality += 1
     return graph
@@ -461,4 +473,91 @@ def test_level_batched_build_equals_a_scalar_reference_build(
     built = HybridGraphBuilder(network, parameters, max_cardinality=max_cardinality).build(store)
     expected = reference_build(network, parameters, max_cardinality, store)
     assert built.num_variables() > 100 and built.max_rank() >= 3
+    graphs_bit_identical(expected, built, insertion_order=True)
+
+
+_GRID = grid_network(3, 3, block_length_m=200.0, name="level-pass-grid")
+
+
+def _store(*trips) -> TrajectoryStore:
+    """One trip per ``(edge ids, departure s, costs)``."""
+    return TrajectoryStore(
+        MatchedTrajectory.from_costs(trip_id, *trip) for trip_id, trip in enumerate(trips)
+    )
+
+
+@st.composite
+def trip_stores(draw):
+    """A store of trips over five edges, or a snapshot of one taken before later appends.
+
+    A few routes over few edges make sub-paths recur across trips and inside
+    one trip (loops, U-turns ``a, b, a``, an edge twice in a row).  Each route
+    is driven up to 30 times around its own hour, in any order, some trips on
+    later days (entry times >= 86,400 s) and some cut short, often below the
+    higher levels.  Costs are floats or whole seconds of up to 400 s, so a
+    trip's later edges may fall into the next interval, most often at 07:57.
+    The store may be empty.
+    """
+    routes = draw(
+        st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=7), min_size=1, max_size=4)
+    )
+    plans = []
+    for route in routes:
+        hour = draw(st.sampled_from([7.95, 8.0, 17.0]))
+        plans += [(route, hour)] * draw(st.integers(0, 30))
+    trips = []
+    for trip_id, (route, hour) in enumerate(draw(st.permutations(plans))):
+        if draw(st.booleans()):
+            route = route[: draw(st.integers(1, len(route)))]
+        departure = (
+            draw(st.sampled_from([0.0, 0.0, 86_400.0, 3 * 86_400.0]))
+            + hour * 3600.0
+            + draw(st.floats(0.0, 600.0))
+        )
+        cost = st.floats(1.0, 400.0) | st.integers(1, 90).map(float)
+        costs = draw(st.lists(cost, min_size=len(route), max_size=len(route)))
+        trips.append(MatchedTrajectory.from_costs(trip_id, route, departure, costs))
+    if not draw(st.booleans()):
+        return TrajectoryStore(trips)
+    snapshot_at = draw(st.integers(0, len(trips)))
+    live = MutableTrajectoryStore(trips[:snapshot_at])
+    snapshot = live.snapshot()
+    live.append_many(trips[snapshot_at:])
+    return snapshot
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    # ``graphs_bit_identical`` only hands out a comparison function.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    store=trip_stores(),
+    alpha=st.sampled_from([15, 30, 60]),
+    # Hypothesis favours the first values listed: the levels above pairs first.
+    beta=st.sampled_from([2, 20, 1]),
+    max_rank=st.sampled_from([None, 3, 2, 1]),
+    max_cardinality=st.sampled_from([6, 4, 3, 2, 1]),
+)
+# (1, 2) occurs twice in one trip: two observations, but one trajectory < beta.
+@example(
+    store=_store(([1, 2, 1, 2], 8 * 3600.0, [10.0] * 4), ([3], 8 * 3600.0, [10.0])),
+    alpha=30, beta=2, max_rank=None, max_cardinality=4,
+)
+# Both trips enter edge 0 at 07:59 and so share (0, 1, 2)'s interval, but edge
+# 1 at 07:59:40 and 08:01: (1, 2) is not instantiated, so neither is (0, 1, 2).
+@example(
+    store=_store(
+        ([0, 1, 2], 8 * 3600.0 - 60, [120.0, 10.0, 10.0]),
+        ([0, 1, 2], 8 * 3600.0 - 30, [10.0, 10.0, 10.0]),
+    ),
+    alpha=15, beta=2, max_rank=None, max_cardinality=3,
+)
+def test_the_level_pass_builds_what_the_object_api_and_the_kgram_loop_build(
+    store, alpha, beta, max_rank, max_cardinality, graphs_bit_identical
+):
+    parameters = EstimatorParameters(alpha_minutes=alpha, beta=beta, max_rank=max_rank)
+    built = HybridGraphBuilder(_GRID, parameters, max_cardinality=max_cardinality).build(store)
+    expected = reference_build(_GRID, parameters, max_cardinality, store)
     graphs_bit_identical(expected, built, insertion_order=True)

@@ -1,9 +1,11 @@
-"""The columnar observation lookup equals the store's object API.
+"""The k-gram level pass over traversal columns equals the store's object API.
 
-``ObservationIndex.observations_by_interval`` must give, for any path, the
-interval keys ``TrajectoryStore.observations_by_interval`` gives, in the
-same (first-appearance) order, with the same supports and a cost matrix
-``array_equal`` to the observations' ``edge_costs`` -- the hybrid-graph
+For every sub-path, the level pass must give the interval groups
+``TrajectoryStore.observations_by_interval`` gives, in the same
+(first-appearance) order, with the same supports and a cost matrix
+``array_equal`` to the observations' ``edge_costs``; and its per-key
+trajectory counts must be the scalar k-gram loop's
+(``tests/reference_kgrams.py``), in the same order -- the hybrid-graph
 builder reads the former, evaluation code the latter.
 """
 
@@ -25,18 +27,33 @@ from repro import (
 )
 from repro.exceptions import ConfigurationError
 from repro.histograms.univariate import Histogram1D
-from repro.trajectories.columns import ObservationIndex, TraversalColumns
+from repro.trajectories.columns import TraversalColumns
+
+from reference_kgrams import reference_subpath_counts
 
 ALPHA = 30
 
 
-def index_of(store, alpha_minutes: int = ALPHA) -> ObservationIndex:
-    return ObservationIndex(TraversalColumns.from_trajectories(store.trajectories), alpha_minutes)
+def level_observations(store, cardinality: int, alpha_minutes: int = ALPHA, min_support: int = 1):
+    """``edge ids -> [(interval, costs)]`` of every sub-path, read from the level pass."""
+    columns = TraversalColumns.from_trajectories(store.trajectories)
+    level = next((lv for lv in columns.levels() if lv.k == cardinality), None)
+    if level is None:
+        return {}
+    key, interval, rows, bounds = level.groups(
+        alpha_minutes, np.ones(level.first_row.size, dtype=bool), min_support
+    )
+    found: dict[tuple[int, ...], list] = {}
+    for g in np.lexsort((rows[bounds[:-1]], level.first_row[key])):
+        edge_ids = tuple(level.edge_ids(key[g : g + 1])[0].tolist())
+        costs = level.costs(rows[bounds[g] : bounds[g + 1]])
+        found.setdefault(edge_ids, []).append((int(interval[g]), costs))
+    return found
 
 
-def assert_same_observations(store, index, edge_ids, alpha_minutes: int = ALPHA):
+def assert_same_observations(store, got, edge_ids, alpha_minutes: int = ALPHA):
     expected = store.observations_by_interval(Path(edge_ids), alpha_minutes)
-    got = index.observations_by_interval(tuple(edge_ids))
+    got = got.get(tuple(edge_ids), [])
     assert [interval for interval, _ in got] == list(expected)
     for interval, costs in got:
         observations = expected[interval]
@@ -45,6 +62,14 @@ def assert_same_observations(store, index, edge_ids, alpha_minutes: int = ALPHA)
             costs, np.array([observation.edge_costs for observation in observations])
         )
     return got
+
+
+def assert_counts_equal_the_scalar_loop(store, max_cardinality: int = 6):
+    for cardinality in range(1, max_cardinality + 1):
+        for min_count in (1, 2, 5):
+            got = store.frequent_subpath_counts(cardinality, min_count=min_count)
+            expected = reference_subpath_counts(store.trajectories, cardinality, min_count)
+            assert list(got.items()) == list(expected.items())
 
 
 def trajectory(trajectory_id, edge_ids, departure_s, costs=None):
@@ -66,34 +91,37 @@ class TestAgainstTheStore:
     def test_every_frequent_subpath_of_the_tiny_city(self, tiny_city):
         _network, trajectories = tiny_city
         store = TrajectoryStore(trajectories)
-        index = index_of(store)
         n_paths = 0
         for cardinality in range(1, 5):
-            for edge_ids in store.frequent_subpath_counts(cardinality):
-                assert_same_observations(store, index, edge_ids)
+            got = level_observations(store, cardinality)
+            assert list(got) == list(reference_subpath_counts(trajectories, cardinality))
+            for edge_ids in got:
+                assert_same_observations(store, got, edge_ids)
                 n_paths += 1
         assert n_paths > 500
 
     def test_min_support_drops_small_intervals_and_keeps_the_order(self, tiny_city):
         _network, trajectories = tiny_city
         store = TrajectoryStore(trajectories)
-        index = index_of(store)
-        edge_ids = max(store.frequent_subpath_counts(2).items(), key=lambda item: item[1])[0]
-        everything = index.observations_by_interval(edge_ids)
-        supported = index.observations_by_interval(edge_ids, min_support=5)
+        counts = store.frequent_subpath_counts(2)
+        edge_ids = max(counts.items(), key=lambda item: item[1])[0]
+        everything = level_observations(store, 2)[edge_ids]
+        supported = level_observations(store, 2, min_support=5)[edge_ids]
         assert 0 < len(supported) < len(everything)
         assert [i for i, _ in supported] == [i for i, c in everything if len(c) >= 5]
 
     def test_same_edge_pair_twice_in_one_trajectory(self):
-        """A loop passes (1, 2) twice: two observations, in position order."""
+        """A loop passes (1, 2) twice: two observations, in position order, one trajectory."""
         store = TrajectoryStore(
             [trajectory(1, [1, 2, 3, 1, 2], 8 * 3600.0), trajectory(2, [1, 2], 8 * 3600.0 + 60)]
         )
-        index = index_of(store)
-        got = assert_same_observations(store, index, [1, 2])
+        pairs = level_observations(store, 2)
+        got = assert_same_observations(store, pairs, [1, 2])
         assert sum(len(costs) for _, costs in got) == 3
-        assert_same_observations(store, index, [2, 3])
-        assert_same_observations(store, index, [3, 1, 2])
+        assert store.frequent_subpath_counts(2)[(1, 2)] == 2
+        assert_same_observations(store, pairs, [2, 3])
+        assert_same_observations(store, level_observations(store, 3), [3, 1, 2])
+        assert_counts_equal_the_scalar_loop(store)
 
     def test_needle_does_not_run_into_the_next_trajectory(self):
         """Trajectory 1 ends with edge 4 and trajectory 2 starts with 5: no (4, 5) there."""
@@ -104,14 +132,15 @@ class TestAgainstTheStore:
                 trajectory(3, [4, 5, 6], 9 * 3600.0),
             ]
         )
-        index = index_of(store)
-        got = assert_same_observations(store, index, [4, 5])
+        pairs = level_observations(store, 2)
+        got = assert_same_observations(store, pairs, [4, 5])
         assert [len(costs) for _, costs in got] == [1]
-        assert_same_observations(store, index, [4, 5, 6])
-        assert index.observations_by_interval((6, 4)) == []
-        # The last rows of the last trajectory: the needle would run off the columns.
-        assert index.observations_by_interval((6, 7)) == []
-        assert index.observations_by_interval((5, 6, 7)) == []
+        assert list(pairs) == [(3, 4), (5, 6), (4, 5)]
+        assert list(level_observations(store, 3)) == [(4, 5, 6)]
+        # No trajectory is four edges long: the levels stop.
+        assert level_observations(store, 4) == {}
+        assert store.frequent_subpath_counts(4) == {}
+        assert_counts_equal_the_scalar_loop(store)
 
     def test_entry_times_past_midnight_wrap(self):
         """86,400 s and later fall into the intervals of the next day's clock."""
@@ -124,10 +153,9 @@ class TestAgainstTheStore:
                 trajectory(4, [1, 2], 3 * day + 45 * 60.0),
             ]
         )
-        index = index_of(store)
-        got = assert_same_observations(store, index, [1, 2])
+        got = assert_same_observations(store, level_observations(store, 2), [1, 2])
         assert [interval for interval, _ in got] == [0, 47, 1]
-        got = assert_same_observations(store, index, [2])
+        got = assert_same_observations(store, level_observations(store, 1), [2])
         assert {interval for interval, _ in got} == {0, 1}
 
     def test_intervals_in_first_appearance_order_not_sorted(self):
@@ -139,7 +167,7 @@ class TestAgainstTheStore:
                 trajectory(4, [1], 12 * 3600.0),
             ]
         )
-        got = assert_same_observations(store, index_of(store), [1])
+        got = assert_same_observations(store, level_observations(store, 1), [1])
         assert [interval for interval, _ in got] == [34, 16, 24]
 
     def test_empty_store(self):
@@ -148,19 +176,21 @@ class TestAgainstTheStore:
         assert columns.offsets.tolist() == [0]
         assert columns.edge.dtype == np.int64 and columns.edge.size == 0
         assert columns.cost.dtype == float and columns.entry_s.dtype == float
-        index = ObservationIndex(columns, ALPHA)
-        assert index.observations_by_interval((1, 2)) == []
+        assert list(columns.levels()) == []
+        assert store.frequent_subpath_counts(1) == {}
+        assert store.max_trajectories_by_cardinality(2) == {1: 0, 2: 0}
 
     def test_unknown_edge_and_other_alphas(self, tiny_city):
         _network, trajectories = tiny_city
         store = TrajectoryStore(trajectories[:60])
-        assert index_of(store).observations_by_interval((10_000,)) == []
+        assert (10_000,) not in level_observations(store, 1)
+        assert_same_observations(store, level_observations(store, 1), [10_000])
         for alpha in (15, 60, 720):
-            index = index_of(store, alpha)
-            for edge_ids in list(store.frequent_subpath_counts(2))[:40]:
-                assert_same_observations(store, index, edge_ids, alpha)
+            pairs = level_observations(store, 2, alpha)
+            for edge_ids in list(pairs)[:40]:
+                assert_same_observations(store, pairs, edge_ids, alpha)
         with pytest.raises(ConfigurationError):
-            index_of(store, 7)
+            TraversalColumns.from_trajectories(store.trajectories).intervals(7)
 
     def test_snapshot_taken_before_later_appends(self, tiny_city):
         _network, trajectories = tiny_city
@@ -168,11 +198,48 @@ class TestAgainstTheStore:
         snapshot = live.snapshot()
         live.append_many(trajectories[150:])
         frozen = TrajectoryStore(trajectories[:150])
-        index = index_of(snapshot)
         for cardinality in (1, 2, 3):
-            for edge_ids in frozen.frequent_subpath_counts(cardinality):
-                assert_same_observations(frozen, index, edge_ids)
-                assert_same_observations(snapshot, index, edge_ids)
+            got = level_observations(snapshot, cardinality)
+            assert list(got) == list(frozen.frequent_subpath_counts(cardinality))
+            for edge_ids in got:
+                assert_same_observations(frozen, got, edge_ids)
+                assert_same_observations(snapshot, got, edge_ids)
+
+
+class TestLevels:
+    def test_counts_equal_the_scalar_loop_in_first_appearance_order(self, tiny_city):
+        _network, trajectories = tiny_city
+        assert_counts_equal_the_scalar_loop(TrajectoryStore(trajectories))
+
+    def test_keys_name_their_sub_paths(self, tiny_city):
+        """Equal keys are equal edges; prefix / suffix keys are the (k-1)-gram keys."""
+        _network, trajectories = tiny_city
+        columns = TraversalColumns.from_trajectories(trajectories)
+        previous = None
+        for level in columns.levels():
+            keys = np.arange(level.first_row.size)
+            edges = level.edge_ids(keys)
+            assert len({tuple(row) for row in edges.tolist()}) == keys.size
+            every_row = level.rows[:, None] + np.arange(level.k)
+            assert np.array_equal(columns.edge[every_row], edges[level.key])
+            assert np.array_equal(level.costs(level.rows), columns.cost[every_row])
+            if previous is not None:
+                assert np.array_equal(previous.edge_ids(level.prefix), edges[:, :-1])
+                assert np.array_equal(previous.edge_ids(level.suffix), edges[:, 1:])
+            previous = level
+        assert previous.k > 8
+
+    def test_u_turns_and_trajectories_shorter_than_k(self):
+        store = TrajectoryStore(
+            [
+                trajectory(1, [1, 2, 1, 3], 8 * 3600.0),
+                trajectory(2, [1], 8 * 3600.0),
+                trajectory(3, [2, 1, 3], 9 * 3600.0),
+                trajectory(4, [1, 2, 1, 2, 1], 9 * 3600.0),
+            ]
+        )
+        assert_counts_equal_the_scalar_loop(store)
+        assert store.max_trajectories_by_cardinality(6) == {1: 4, 2: 3, 3: 2, 4: 1, 5: 1, 6: 0}
 
 
 def test_edge_ids_are_built_once():
