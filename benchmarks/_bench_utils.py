@@ -8,12 +8,10 @@ version), so the committed ``benchmarks/results/*.json`` trajectory stays
 attributable to the tree that produced each number.
 
 Importing this module pins BLAS pools to one thread per call *before*
-numpy loads (:func:`repro.parallel.limit_blas_threads`): the benchmarks
-measure the explicit parallelism of the worker pools, and an
-oversubscribed implicit BLAS pool underneath would both distort the
-numbers and thrash the machine.  The guard record -- which mechanism
-applied, the effective env, whether numpy beat us to it -- is stamped
-into every JSON result via :func:`numpy_environment`.
+numpy loads (the thread-count environment variables, set unless already
+set): an implicit multi-threaded BLAS pool underneath would distort the
+numbers and thrash the machine.  The effective values and the CPU count
+are stamped into every JSON result via :func:`numpy_environment`.
 """
 
 from __future__ import annotations
@@ -25,28 +23,23 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Set before importing repro (whose package __init__ pulls in numpy):
-# env-var pinning is only authoritative while numpy has not yet loaded
-# its BLAS.  Mirrors repro.parallel.BLAS_THREAD_ENV_VARS, which cannot
-# be imported yet at this point.
-for _var in (
+#: The thread-count variables the common BLAS / OpenMP builds read.
+BLAS_THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
-):
+)
+
+# Set before numpy is imported: env-var pinning is only authoritative
+# while numpy has not yet loaded its BLAS.
+for _var in BLAS_THREAD_ENV_VARS:
     os.environ.setdefault(_var, "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.parallel import blas_thread_env, cpu_count, limit_blas_threads  # noqa: E402
-
-#: The guard record stamped into every benchmark JSON (mechanism, effective
-#: env, whether numpy had already loaded when the pin was applied).
-BLAS_GUARD = limit_blas_threads(1)
-
-import numpy as np  # noqa: E402  (must import after the BLAS guard)
+import numpy as np  # noqa: E402  (must import after the BLAS pin)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -108,9 +101,8 @@ def numpy_environment() -> dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "processor": platform.processor() or "unknown",
-        "cpu_count": cpu_count(),
-        "blas_thread_env": blas_thread_env(),
-        "blas_guard": BLAS_GUARD,
+        "cpu_count": os.cpu_count(),
+        "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_ENV_VARS},
     }
 
 

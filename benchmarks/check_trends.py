@@ -10,8 +10,8 @@ and fails when an opted-in metric regressed beyond the tolerance.
 
 Workflow::
 
-    PYTHONPATH=src python benchmarks/bench_service_throughput.py
-    python benchmarks/check_trends.py service_throughput
+    PYTHONPATH=src python benchmarks/bench_frontend_latency.py
+    python benchmarks/check_trends.py frontend_latency
 
     # or sweep everything that changed in the working tree:
     python benchmarks/check_trends.py
@@ -53,18 +53,8 @@ SKIPPED_SUBTREES = ("environment", "code", "telemetry")
 #: it is stable enough that a >25% move means the code got slower, not that
 #: the machine was busy.
 TRACKED: dict[str, tuple[tuple[str, str], ...]] = {
-    "service_throughput": (
-        ("warm_qps", "higher"),
-        ("cold_qps", "higher"),
-    ),
     "frontend_latency": (
         ("closed_loop_warm_qps", "higher"),
-    ),
-    "histogram_kernels": (
-        ("convolution.kernel_convolutions_per_s", "higher"),
-    ),
-    "kernel_backends": (
-        ("path_folds.fused.paths_per_s", "higher"),
     ),
     "telemetry_overhead": (
         ("off_qps", "higher"),

@@ -15,7 +15,7 @@ scaled-down experiment presets used by the benchmark harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exceptions import ConfigurationError
 
@@ -111,88 +111,6 @@ class EstimatorParameters:
         )
 
 
-#: Kernel backend names understood out of the box ("auto" defers the choice
-#: to the dispatcher's batch-size policy).  Additional names may be
-#: registered at runtime via :func:`repro.histograms.backends.register_backend`.
-KERNEL_BACKEND_SERIAL = "serial"
-KERNEL_BACKEND_FUSED = "fused"
-KERNEL_BACKEND_THREADED = "threaded"
-KERNEL_BACKEND_AUTO = "auto"
-KERNEL_BACKENDS = (
-    KERNEL_BACKEND_SERIAL,
-    KERNEL_BACKEND_FUSED,
-    KERNEL_BACKEND_THREADED,
-    KERNEL_BACKEND_AUTO,
-)
-
-
-@dataclass(frozen=True)
-class KernelBackendParameters:
-    """Parameters selecting and shaping a kernel execution backend
-    (:mod:`repro.histograms.backends`).
-
-    Attributes
-    ----------
-    backend:
-        ``"serial"`` (the pre-dispatch numpy kernels, bit-identical),
-        ``"fused"`` (single-pass grid-deposition path folds), ``"threaded"``
-        (tiles across a worker pool), or ``"auto"`` (fused for small
-        batches, threaded past ``auto_batch_threshold``).  Names
-        registered through
-        :func:`repro.histograms.backends.register_backend` are also
-        accepted -- validation is deferred to backend creation so
-        extension backends need no config change.
-    max_workers:
-        Worker threads the threaded backend tiles across (and the batch
-        fan-out the dispatcher donates to wide ``submit_batch`` calls).
-        ``0`` keeps even the threaded/auto configurations serial.
-    tile_size:
-        Histograms per tile in the threaded ``batch_cdf``.  Tiles compute
-        with the global offset layout, so this knob trades scheduling
-        overhead against parallelism without changing a single bit of the
-        output.
-    auto_batch_threshold:
-        Batch size at which the ``auto`` policy switches from the fused
-        serial backend to threaded tiles.
-    fused_folds:
-        Whether the threaded backend folds paths with the fused kernel
-        (the default) or the unfused ``convolve_accumulate``.
-    working_buckets:
-        Override for the folds' working resolution; ``None`` uses the
-        kernel default (``max(4 * max_buckets, 256)``).
-    limit_blas_threads:
-        Pin BLAS pools to one thread per call when the threaded backend
-        starts (best effort; see :func:`repro.parallel.limit_blas_threads`)
-        so pool workers x BLAS threads cannot oversubscribe the machine.
-    """
-
-    backend: str = KERNEL_BACKEND_AUTO
-    max_workers: int = 0
-    tile_size: int = 64
-    auto_batch_threshold: int = 32
-    fused_folds: bool = True
-    working_buckets: int | None = None
-    limit_blas_threads: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.backend or not isinstance(self.backend, str):
-            raise ConfigurationError(
-                f"backend must be a non-empty backend name, got {self.backend!r}"
-            )
-        if self.max_workers < 0:
-            raise ConfigurationError(f"max_workers must be >= 0, got {self.max_workers}")
-        if self.tile_size < 1:
-            raise ConfigurationError(f"tile_size must be >= 1, got {self.tile_size}")
-        if self.auto_batch_threshold < 1:
-            raise ConfigurationError(
-                f"auto_batch_threshold must be >= 1, got {self.auto_batch_threshold}"
-            )
-        if self.working_buckets is not None and self.working_buckets < 1:
-            raise ConfigurationError(
-                f"working_buckets must be >= 1 or None, got {self.working_buckets}"
-            )
-
-
 @dataclass(frozen=True)
 class ServiceParameters:
     """Parameters for the online cost-estimation service (:mod:`repro.service`).
@@ -206,9 +124,6 @@ class ServiceParameters:
         Maximum number of propagated joints (the output of the OI + JC
         steps) kept in the LRU decomposition cache.  Entries here let a
         result-cache miss skip straight to the cheap marginalisation step.
-    max_workers:
-        Thread-pool size used by batch submission; ``0`` executes batches
-        synchronously on the calling thread.
     default_method:
         Estimation method used when a request does not override it: ``"OD"``
         (coarsest decomposition, no rank cap), ``"OD-<k>"`` (rank capped at
@@ -236,10 +151,6 @@ class ServiceParameters:
     route_max_expansions:
         Expansion budget of the service's routing engine; searches that
         exhaust it report ``truncated=True``.
-    kernel_backend:
-        Kernel execution backend configuration
-        (:class:`KernelBackendParameters`); a plain dict is accepted and
-        coerced, so snapshot round-trips reconstruct the nested dataclass.
     result_cache_max_bytes / decomposition_cache_max_bytes /
     route_cache_max_bytes:
         Optional *byte* budgets layered on top of the entry-count
@@ -252,7 +163,6 @@ class ServiceParameters:
 
     result_cache_capacity: int = 4096
     decomposition_cache_capacity: int = 1024
-    max_workers: int = 0
     default_method: str | None = None
     warmup_top_paths: int = 16
     warmup_max_cardinality: int = 4
@@ -261,24 +171,11 @@ class ServiceParameters:
     route_batch_size: int = 16
     route_max_path_edges: int = 40
     route_max_expansions: int = 20000
-    kernel_backend: KernelBackendParameters = field(default_factory=KernelBackendParameters)
     result_cache_max_bytes: int | None = None
     decomposition_cache_max_bytes: int | None = None
     route_cache_max_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.kernel_backend, dict):
-            # Snapshot manifests serialise the nested dataclass as a plain
-            # dict (dataclasses.asdict); reconstructing ServiceParameters
-            # from one must transparently restore the nested type.
-            object.__setattr__(
-                self, "kernel_backend", KernelBackendParameters(**self.kernel_backend)
-            )
-        if not isinstance(self.kernel_backend, KernelBackendParameters):
-            raise ConfigurationError(
-                "kernel_backend must be a KernelBackendParameters (or dict), got "
-                f"{type(self.kernel_backend).__name__}"
-            )
         for label in ("result_cache_max_bytes", "decomposition_cache_max_bytes", "route_cache_max_bytes"):
             budget = getattr(self, label)
             if budget is not None and budget < 1:
@@ -291,8 +188,6 @@ class ServiceParameters:
             raise ConfigurationError(
                 f"decomposition_cache_capacity must be >= 1, got {self.decomposition_cache_capacity}"
             )
-        if self.max_workers < 0:
-            raise ConfigurationError(f"max_workers must be >= 0, got {self.max_workers}")
         if self.default_method is not None and not _valid_method_name(self.default_method):
             raise ConfigurationError(
                 f"default_method must be 'OD', 'OD-<k>', 'RD' or None, got {self.default_method!r}"
@@ -847,7 +742,6 @@ class ExperimentParameters:
 
 
 DEFAULT_ESTIMATOR_PARAMETERS = EstimatorParameters()
-DEFAULT_KERNEL_BACKEND_PARAMETERS = KernelBackendParameters()
 DEFAULT_FRONTEND_PARAMETERS = FrontendParameters()
 DEFAULT_PERSIST_PARAMETERS = PersistParameters()
 DEFAULT_SERVICE_PARAMETERS = ServiceParameters()

@@ -101,15 +101,10 @@ class LegacyBaseline:
         hybrid_graph: HybridGraph,
         parameters: EstimatorParameters | None = None,
         output_buckets: int = 64,
-        backend=None,
     ) -> None:
         self.hybrid_graph = hybrid_graph
         self.parameters = parameters or hybrid_graph.parameters
         self.output_buckets = output_buckets
-        #: Optional :class:`repro.histograms.backends.KernelBackend` running
-        #: the path fold (e.g. the fused single-pass kernel); ``None`` keeps
-        #: the serial ``convolve_accumulate`` numerics.
-        self.backend = backend
 
     def estimate(self, path: Path, departure_time_s: float) -> CostEstimate:
         """Convolve the per-edge distributions, updating the arrival time per edge.
@@ -131,9 +126,7 @@ class LegacyBaseline:
             entropy += entropy_of_histogram(distribution)
             distributions.append(distribution)
             clock += distribution.mean
-        result = convolve_many(
-            distributions, max_buckets=self.output_buckets, backend=self.backend
-        )
+        result = convolve_many(distributions, max_buckets=self.output_buckets)
         elapsed = time.perf_counter() - started
         return CostEstimate(
             path=path,

@@ -1,8 +1,8 @@
 """Dynamic batch coalescing: queued tickets -> kernel-sized service batches.
 
 The estimation stack is fastest when it is fed *batches*: the service
-deduplicates shared cache keys, a shared decomposition runs the MC kernel
-once, and candidate-set CDFs collapse into one ``kernels.batch_cdf`` call.
+deduplicates shared cache keys and a shared decomposition runs the MC
+kernel once.
 Closed-loop callers never produce those batches -- concurrent open-loop
 traffic does, if something coalesces it.  :class:`BatchCoalescer` is that
 something: it drains the admission queue into lane-homogeneous batches

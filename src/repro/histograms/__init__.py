@@ -1,21 +1,12 @@
 """Histogram substrate: raw distributions, V-Optimal buckets, 1-D and N-D histograms.
 
 The numeric hot path lives in :mod:`repro.histograms.kernels` (vectorised
-array kernels); :mod:`repro.histograms.reference` retains the pure-Python
+array kernels); ``tests/reference_histograms.py`` retains the pure-Python
 loop implementations the kernels are property-tested against.
 """
 
 from . import kernels
-from .backends import (
-    BackendDispatcher,
-    FusedFoldBackend,
-    KernelBackend,
-    SerialNumpyBackend,
-    ThreadedTileBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
+from .kernels import FusedFoldBackend
 from .raw import RawDistribution, raw_from_pairs
 from .vopt import (
     equal_width_boundaries,
@@ -27,7 +18,6 @@ from .univariate import (
     Bucket,
     Histogram1D,
     convolve_many,
-    prob_at_most_many,
     rearrange_buckets,
 )
 from .multivariate import MultiHistogram
@@ -49,24 +39,18 @@ from .divergence import (
 )
 
 __all__ = [
-    "BackendDispatcher",
     "Bucket",
     "ExponentialFit",
     "FusedFoldBackend",
     "GammaFit",
     "GaussianFit",
     "Histogram1D",
-    "KernelBackend",
     "MultiHistogram",
     "RawDistribution",
-    "SerialNumpyBackend",
-    "ThreadedTileBackend",
     "auto_bucket_count",
-    "available_backends",
     "build_auto_histogram",
     "build_static_histogram",
     "convolve_many",
-    "create_backend",
     "cross_validated_error",
     "cross_validated_errors",
     "earth_movers_distance",
@@ -77,10 +61,8 @@ __all__ = [
     "histogram_kl_divergence",
     "kernels",
     "kl_divergence_from_samples",
-    "prob_at_most_many",
     "raw_from_pairs",
     "rearrange_buckets",
-    "register_backend",
     "total_variation_distance",
     "v_optimal_all_boundaries",
     "v_optimal_boundaries",

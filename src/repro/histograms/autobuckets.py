@@ -18,7 +18,7 @@ distributions at once (``values`` / ``n`` are a sorted batch,
 (distribution, fold) are one batch of V-Optimal problems, and the fold
 histograms and their errors are computed for every (distribution, fold,
 ``b``) together.  The single-distribution functions are batches of one; the
-scalar procedure is retained in :mod:`repro.histograms.reference` and
+scalar procedure is retained in ``tests/reference_histograms.py`` and
 ``tests/properties/test_vopt_equivalence.py`` requires equal floats.
 """
 

@@ -33,7 +33,7 @@ Three kernel families live here:
   the whole batch shares one difference-array sweep.
 
 A numerically equivalent pure-Python reference implementation is retained
-in :mod:`repro.histograms.reference`; the property tests in
+in ``tests/reference_histograms.py``; the property tests in
 ``tests/properties/test_kernel_equivalence.py`` pin the kernels to it at
 ``atol=1e-9``.
 """
@@ -332,6 +332,19 @@ def rearrange_convolve_coarsen(
     return result
 
 
+class FusedFoldBackend:
+    """Folds a batch of paths with :func:`rearrange_convolve_coarsen`.
+
+    Its one reader is the benchmark harness probe
+    ``histograms.kernels.fold_paths_per_s`` (``benchmarks/harness/probes.py``).
+    """
+
+    def fold_paths(
+        self, paths: Sequence[Sequence[Triple]], max_buckets: int | None = 64
+    ) -> list[Triple]:
+        return [rearrange_convolve_coarsen(path, max_buckets=max_buckets) for path in paths]
+
+
 # ---------------------------------------------------------------------- #
 # Searching many sorted rows at once
 # ---------------------------------------------------------------------- #
@@ -434,8 +447,14 @@ def batch_cdf(histograms: Sequence[Triple], values: np.ndarray) -> np.ndarray:
     knots are shifted into disjoint windows on a common axis (offset by
     cumulative support widths on x and by the histogram index on y, keeping
     both axes monotone), so the whole batch is answered by a single
-    ``np.interp`` invocation -- this is what lets a candidate set's budget
-    probabilities be computed in one pass.
+    ``np.interp`` invocation.
+
+    A histogram's answer depends on its position in the batch: the offsets
+    it is shifted by round differently at different positions (answers
+    differ from :meth:`Histogram1D.prob_at_most` in the last bits), so the
+    estimation and routing paths score one histogram at a time.  Its one
+    reader is the benchmark harness probe ``histograms.kernels.batch_cdf_ms``
+    (``benchmarks/harness/probes.py``).
     """
     values = np.asarray(values, dtype=float)
     if len(histograms) != values.size:

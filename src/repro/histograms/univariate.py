@@ -468,7 +468,6 @@ class Histogram1D:
 def convolve_many(
     histograms: Sequence[Histogram1D],
     max_buckets: int | None = 64,
-    backend=None,
 ) -> Histogram1D:
     """Convolve a sequence of independent cost histograms (path fold).
 
@@ -477,31 +476,9 @@ def convolve_many(
     (:func:`repro.histograms.kernels.convolve_accumulate`), so the
     equal-width regridding error no longer compounds along long paths the
     way the legacy per-step truncation did.
-
-    ``backend`` (a :class:`repro.histograms.backends.KernelBackend`)
-    overrides the execution strategy -- e.g. the fused single-pass fold or
-    threaded tiles; ``None`` keeps the serial kernel.
     """
     if not histograms:
         raise HistogramError("need at least one histogram to convolve")
     triples = [histogram.as_triple() for histogram in histograms]
-    if backend is not None:
-        folded = backend.fold_path(triples, max_buckets=max_buckets)
-    else:
-        folded = kernels.convolve_accumulate(triples, max_buckets=max_buckets)
+    folded = kernels.convolve_accumulate(triples, max_buckets=max_buckets)
     return Histogram1D._from_trusted_arrays(*folded)
-
-
-def prob_at_most_many(histograms: Sequence[Histogram1D], budget: float) -> np.ndarray:
-    """``P(cost <= budget)`` for many histograms in one batched kernel call.
-
-    Used by the routing queries to score a whole candidate set against a
-    shared budget with a single interpolation pass
-    (:func:`repro.histograms.kernels.batch_cdf`).
-    """
-    if not histograms:
-        return np.zeros(0)
-    return kernels.batch_cdf(
-        [histogram.as_triple() for histogram in histograms],
-        np.full(len(histograms), float(budget)),
-    )

@@ -39,7 +39,7 @@ behind a valid ``j``'s own -- ``argmin`` returns the *first* minimum along
 ascending ``s``, the tie rule of the scalar loop (the last group starts as
 early as possible).  Each tensor element is the scalar expression on the
 same operands, so every valid ``dp`` / ``back`` entry equals
-``repro.histograms.reference.reference_run_dp``'s bit for bit, and one
+``reference_run_dp``'s (``tests/reference_histograms.py``) bit for bit, and one
 problem's answer does not depend on its batch-mates or its chunk.
 
 **The reduction-grouping rule.**  What padding may *not* do is lengthen a

@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ..exceptions import RoutingError
-from ..histograms.univariate import Histogram1D, prob_at_most_many
+from ..histograms.univariate import Histogram1D
 from ..roadnet.path import Path
 
 
@@ -79,9 +79,10 @@ class ProbabilisticBudgetQuery:
         method (e.g. :class:`~repro.service.CostEstimationService`) are asked
         for all candidates at once, so shared sub-work across the candidate
         set is deduplicated and cached; plain estimators are queried one
-        path at a time.  Either way, the budget probabilities of the whole
-        candidate set are evaluated by one batched CDF kernel call
-        (:func:`~repro.histograms.univariate.prob_at_most_many`).
+        path at a time.  Either way, each candidate is scored by its own
+        histogram's :meth:`~repro.histograms.Histogram1D.prob_at_most`, so a
+        candidate's probability is :meth:`probability`'s and does not depend
+        on which other paths are in the set.
         """
         batch = getattr(estimator, "estimate_batch", None)
         if callable(batch):
@@ -90,8 +91,7 @@ class ProbabilisticBudgetQuery:
             estimates = [
                 estimator.estimate(candidate, self.departure_time_s) for candidate in candidates
             ]
-        histograms = [estimate.histogram for estimate in estimates]
-        return [float(p) for p in prob_at_most_many(histograms, self.budget)]
+        return [float(estimate.histogram.prob_at_most(self.budget)) for estimate in estimates]
 
     def best_path(
         self, estimator: SupportsEstimate, candidates: Sequence[Path]

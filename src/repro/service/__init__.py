@@ -10,13 +10,11 @@ serving layer:
 * :class:`EstimateRequest` / :class:`EstimateResponse` -- the service API;
 * :class:`LRUCache` / :class:`EstimateCache` / :class:`CacheStats` -- the
   bounded cache primitives, with edge-level targeted invalidation;
-* :class:`BatchExecutor` -- dedup + optional thread-pool fan-out;
 * :func:`warmup_from_store` / :class:`WarmupReport` -- precomputation;
 * :class:`InvalidationReport` -- what a targeted invalidation removed
   (the hook the streaming ingest subsystem drives).
 """
 
-from .batch import BatchExecutor
 from .cache import CacheStats, EstimateCache, LRUCache, RouteCache
 from .requests import (
     SOURCE_BATCH_DEDUP,
@@ -36,7 +34,6 @@ from .warmup import (
 )
 
 __all__ = [
-    "BatchExecutor",
     "CacheStats",
     "CostEstimationService",
     "EstimateCache",

@@ -13,8 +13,9 @@ routing traffic:
   marginalisation step; the propagated joint additionally memoises its
   collapsed cost histogram, so a batch of requests sharing one
   decomposition runs the MC kernel exactly once;
-* a **batch executor** deduplicates shared work across a candidate set (the
-  Figure 1(a) scenario) and can fan out on a thread pool;
+* a **batch API** (:meth:`CostEstimationService.submit_batch`) computes
+  each distinct piece of work in a candidate set once (the Figure 1(a)
+  scenario);
 * a **warmup pass** (:meth:`CostEstimationService.warmup`) precomputes the
   trajectory store's most-traveled paths so the cache is hot before the
   first user query;
@@ -35,8 +36,8 @@ different time receives the bucket representative's estimate (the same
 trade the paper makes when it instantiates variables per alpha-interval).
 
 The deterministic ``"OD"`` / ``"OD-<k>"`` methods produce identical results
-regardless of batch order or thread count; ``"RD"`` draws from a shared RNG
-(serialised by a lock under the thread pool) and is only reproducible
+regardless of batch order or of how many threads call the service; ``"RD"``
+draws from a shared RNG (serialised by a lock) and is only reproducible
 query-by-query on a fresh service.
 """
 
@@ -44,22 +45,17 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
 
 from ..config import ServiceParameters
 from ..core.estimator import CostEstimate, PathCostEstimator
 from ..core.hybrid_graph import HybridGraph
 from ..core.joint import PropagatedJoint
-from ..exceptions import ServiceError
-from ..histograms.backends import BackendDispatcher
-from ..parallel import WorkerPool, available_memory_bytes
+from ..exceptions import PersistError, ServiceError
 from ..roadnet.path import Path
 from ..routing.engine import RouteRequest, RouteResponse, RouteResult, RoutingEngine
 from ..timeutil import interval_of
-from .batch import BatchExecutor
 from .cache import CacheStats, EstimateCache, RouteCache
 from .requests import (
     SOURCE_BATCH_DEDUP,
@@ -82,6 +78,11 @@ CacheKey = tuple[tuple[int, ...], int, str]
 #: Route-cache key: (source, target, alpha-interval index, budget, method,
 #: probability threshold, per-request search-limit overrides).
 RouteKey = tuple[int, int, int, float, str, float, int | None, int | None]
+
+#: Fields of :class:`ServiceParameters` that older snapshot manifests record
+#: and that no longer exist; :meth:`CostEstimationService.from_snapshot`
+#: ignores them.
+_RETIRED_SERVICE_PARAMETERS = frozenset({"max_workers", "kernel_backend"})
 
 
 def _estimate_nbytes(estimate: CostEstimate) -> int:
@@ -193,24 +194,12 @@ class CostEstimationService:
         self._computed = 0
         self._routes_served = 0
         self._routes_computed = 0
-        #: One worker pool for the whole service: the batch executor's
-        #: per-key fan-out and the threaded kernel backend's tiles draw
-        #: from the same threads (created lazily, torn down by
-        #: :meth:`close`).
-        self._pool = WorkerPool(name="repro-service")
-        #: One persistent executor for every batched submit.
-        self._batch_executor = BatchExecutor(
-            max_workers=self.parameters.max_workers, pool=self._pool
-        )
+        self._batches = 0
+        self._batch_items = 0
         #: Set once the caches have been seeded (warmup run or snapshot
         #: entries imported); readiness probes configured with
         #: ``require_warm`` gate on it.
         self._warmed = False
-        #: Config-driven kernel backend selection (serial / fused /
-        #: threaded tiles / auto-by-batch-size) sharing the worker pool.
-        self._kernel_dispatch = BackendDispatcher(
-            self.parameters.kernel_backend, pool=self._pool
-        )
 
     @classmethod
     def from_hybrid_graph(
@@ -260,8 +249,7 @@ class CostEstimationService:
                 "result_cache": self._result_cache.stats_unlocked(),
                 "decomposition_cache": self._decomposition_cache.stats_unlocked(),
                 "route_cache": self._route_cache.stats_unlocked(),
-                "batch_executor": self._batch_executor.stats(),
-                "kernel_backend": self._kernel_dispatch.stats(),
+                "batch_executor": {"batches": self._batches, "items": self._batch_items},
                 "propagation": self._propagation_stats(),
                 "routing": self._routing_stats(),
             }
@@ -282,10 +270,6 @@ class CostEstimationService:
         if engine is None:
             return {"settled": 0, "estimated": 0}
         return {"settled": engine.settled_total, "estimated": engine.estimated_total}
-
-    def kernel_backend_stats(self) -> dict[str, object]:
-        """Backend selection counts and per-backend kernel usage counters."""
-        return self._kernel_dispatch.stats()
 
     def cache_memory_bytes(self) -> dict[str, int]:
         """Bytes of cached values currently held, per cache."""
@@ -335,25 +319,20 @@ class CostEstimationService:
 
     def adapt_cache_memory(
         self,
-        available_bytes: int | None = None,
+        available_bytes: int,
         fraction: float = 0.5,
     ) -> dict[str, object] | None:
         """Shrink cache budgets when they outgrow the memory actually available.
 
-        Probes the machine (:func:`repro.parallel.available_memory_bytes`)
-        unless ``available_bytes`` is given, and shrinks the caches to
-        ``fraction`` of it when their combined byte usage exceeds that
-        target -- the Dynamic-Hybrid-Hash-Join move: react to the memory
-        that exists instead of degrading abruptly when it runs out.
-        Returns the shrink report, or ``None`` when no action was needed
-        (including when availability cannot be determined).
+        Shrinks the caches to ``fraction`` of ``available_bytes`` (the
+        caller's measurement of free memory) when their combined byte usage
+        exceeds that target -- the Dynamic-Hybrid-Hash-Join move: react to
+        the memory that exists instead of degrading abruptly when it runs
+        out.  Returns the shrink report, or ``None`` when no action was
+        needed.
         """
         if not 0.0 < fraction <= 1.0:
             raise ServiceError(f"fraction must be in (0, 1], got {fraction}")
-        if available_bytes is None:
-            available_bytes = available_memory_bytes()
-        if available_bytes is None:
-            return None
         target = max(3, int(available_bytes * fraction))
         if sum(self.cache_memory_bytes().values()) <= target:
             return None
@@ -444,36 +423,6 @@ class CostEstimationService:
                 labels=labels,
                 callback=lambda c=cache: c.stats().pressure_shrinks,
             )
-        dispatch = self._kernel_dispatch
-        for backend_name in ("serial", "fused", "threaded"):
-            gauge(
-                "repro_kernel_backend_selected_total",
-                "Kernel batches dispatched to this backend",
-                labels={"backend": backend_name},
-                callback=lambda n=backend_name: dispatch.stats()["selected"].get(n, 0),
-            )
-
-        def _backend_total(field: str) -> int:
-            return sum(
-                counters.get(field, 0)
-                for counters in dispatch.stats()["backends"].values()
-            )
-
-        gauge(
-            "repro_kernel_folds_total",
-            "Path folds run across all kernel backends",
-            callback=lambda: _backend_total("folds"),
-        )
-        gauge(
-            "repro_kernel_fused_folds_total",
-            "Path folds run through the fused rearrange+convolve+coarsen kernel",
-            callback=lambda: _backend_total("fused_folds"),
-        )
-        gauge(
-            "repro_kernel_tiles_dispatched_total",
-            "Tiles dispatched to the worker pool by the threaded backend",
-            callback=lambda: _backend_total("tiles_dispatched"),
-        )
         for outcome in ("computed", "reused"):
             gauge(
                 "repro_service_propagation_steps_total",
@@ -486,26 +435,15 @@ class CostEstimationService:
             "Propagation states currently memoised across the estimators",
             callback=lambda: self._propagation_stats()["states"],
         )
-        executor = self._batch_executor
         gauge(
             "repro_service_batches_total",
             "Deduplicated batches executed",
-            callback=lambda: executor.stats()["batches"],
+            callback=lambda: self._batches,
         )
         gauge(
             "repro_service_batch_items_total",
             "Work items executed across all batches",
-            callback=lambda: executor.stats()["items"],
-        )
-        gauge(
-            "repro_service_batch_pool_size",
-            "Threads in the persistent batch pool (0 = synchronous)",
-            callback=lambda: executor.stats()["pool_size"],
-        )
-        gauge(
-            "repro_service_batch_max_workers",
-            "Configured batch fan-out width (0 = synchronous)",
-            callback=lambda: executor.stats()["max_workers"],
+            callback=lambda: self._batch_items,
         )
         # The routing engine is built lazily; the callbacks tolerate its
         # absence so registration order does not matter.
@@ -562,15 +500,7 @@ class CostEstimationService:
             estimator.forget_propagations()
 
     def close(self) -> None:
-        """Release the shared worker pool and kernel backends (idempotent).
-
-        The service stays usable afterwards -- batched submits and kernel
-        tiles simply run synchronously -- so ``close`` is safe to call
-        defensively.
-        """
-        self._kernel_dispatch.close()
-        self._batch_executor.close()
-        self._pool.close()
+        """Nothing to release; kept so the service works as a context manager."""
 
     def __enter__(self) -> "CostEstimationService":
         return self
@@ -728,48 +658,15 @@ class CostEstimationService:
         """Probability that ``path`` completes within ``budget`` cost units."""
         return self.estimate(path, departure_time_s).prob_within(budget)
 
-    def prob_within_batch(
-        self,
-        paths: Sequence[Path],
-        departure_time_s: float,
-        budget: float,
-        method: str | None = None,
-        max_workers: int | None = None,
-    ) -> list[float]:
-        """``P(cost <= budget)`` for a whole candidate set.
-
-        Estimation goes through the deduplicated batch pipeline and the
-        budget probabilities of all candidates are then evaluated with one
-        batched CDF call on the configured kernel backend (serial one-shot
-        interpolation, or bit-identical threaded tiles for wide batches).
-        """
-        estimates = self.estimate_batch(
-            paths, departure_time_s, method=method, max_workers=max_workers
-        )
-        if not estimates:
-            return []
-        backend = self._kernel_dispatch.select(len(estimates))
-        probabilities = backend.batch_cdf(
-            [estimate.histogram.as_triple() for estimate in estimates],
-            np.full(len(estimates), float(budget)),
-        )
-        return [float(p) for p in probabilities]
-
     # ------------------------------------------------------------------ #
     # Batch API
     # ------------------------------------------------------------------ #
-    def submit_batch(
-        self,
-        requests: Iterable[EstimateRequest],
-        max_workers: int | None = None,
-    ) -> list[EstimateResponse]:
+    def submit_batch(self, requests: Iterable[EstimateRequest]) -> list[EstimateResponse]:
         """Serve a batch, computing each distinct cache key exactly once.
 
         Responses are returned in request order.  Requests that collapse
         onto a key computed for an earlier request in the same batch are
-        served with ``source="batch-dedup"``.  ``max_workers`` overrides
-        the configured thread-pool size for this batch (``0`` forces
-        synchronous execution).
+        served with ``source="batch-dedup"``.
         """
         request_list = list(requests)
         resolved: list[tuple[EstimateRequest, str, CacheKey]] = []
@@ -800,21 +697,15 @@ class CostEstimationService:
             scheduled[key] = (request.path, request.departure_time_s, method)
 
         epoch = self._epoch
-        work = {
-            key: (lambda k=key, q=query: self._compute(k, q[0], q[1], q[2], epoch))
-            for key, query in scheduled.items()
-        }
-        if max_workers is None and self.parameters.max_workers == 0:
-            # A threaded/auto kernel configuration donates its workers to
-            # wide estimation batches, so one knob drives both the kernel
-            # tiles and the per-key fan-out.  Explicit overrides and a
-            # non-zero service max_workers keep their existing meaning.
-            donated = self._kernel_dispatch.batch_workers(len(work))
-            if donated > 0:
-                max_workers = donated
-        computed = self._batch_executor.execute(work, max_workers=max_workers)
+        with self._counts_lock:
+            self._batches += 1
+            self._batch_items += len(scheduled)
+        computed: dict[CacheKey, tuple[CostEstimate, str, float]] = {}
         n_computed = 0
-        for key, ((estimate, source), _duration) in computed.items():
+        for key, (path, departure_time_s, method) in scheduled.items():
+            started = time.perf_counter()
+            estimate, source = self._compute(key, path, departure_time_s, method, epoch)
+            computed[key] = (estimate, source, time.perf_counter() - started)
             self._result_cache.put(key, estimate, guard=lambda: self._epoch == epoch)
             if source == SOURCE_COMPUTED:
                 n_computed += 1
@@ -826,7 +717,7 @@ class CostEstimationService:
             if responses[index] is not None:
                 continue
             if key in computed:
-                (estimate, source), duration = computed[key]
+                estimate, source, duration = computed[key]
                 first = index not in dedup_indices
                 responses[index] = EstimateResponse(
                     request=request,
@@ -845,7 +736,6 @@ class CostEstimationService:
         paths: Sequence[Path],
         departure_time_s: float,
         method: str | None = None,
-        max_workers: int | None = None,
     ) -> list[CostEstimate]:
         """Estimates for a candidate set at a shared departure time.
 
@@ -856,7 +746,7 @@ class CostEstimationService:
             EstimateRequest(path=path, departure_time_s=departure_time_s, method=method)
             for path in paths
         ]
-        return [response.estimate for response in self.submit_batch(requests, max_workers=max_workers)]
+        return [response.estimate for response in self.submit_batch(requests)]
 
     # ------------------------------------------------------------------ #
     # Stochastic routing (the Figure 18 workload as a service API)
@@ -1112,7 +1002,9 @@ class CostEstimationService:
         imports the exported warm cache entries, so the first queries of
         the restored process hit the cache exactly like the process that
         wrote the snapshot.  ``parameters`` overrides the snapshot's
-        recorded :class:`ServiceParameters`.
+        recorded :class:`ServiceParameters`; the retired keys older
+        manifests record are ignored and any other unknown key raises
+        :class:`~repro.exceptions.PersistError`.
         """
         from ..config import PersistParameters
         from ..persist.reader import restore_snapshot
@@ -1134,7 +1026,16 @@ class CostEstimationService:
             seed=estimator_info.get("seed", 0),
         )
         if parameters is None and info.get("parameters"):
-            parameters = ServiceParameters(**info["parameters"])
+            recorded = info["parameters"]
+            known = {field.name for field in fields(ServiceParameters)}
+            unknown = sorted(set(recorded) - known - _RETIRED_SERVICE_PARAMETERS)
+            if unknown:
+                raise PersistError(
+                    f"snapshot {directory} records unknown service parameters {unknown}"
+                )
+            parameters = ServiceParameters(
+                **{name: value for name, value in recorded.items() if name in known}
+            )
         service = cls(estimator, parameters)
         if persist_parameters.include_caches and restored.cache_entries:
             from .warmup import warm_boot_from_entries
@@ -1207,7 +1108,7 @@ class CostEstimationService:
         started = time.perf_counter()
         if estimator.decomposition_strategy == "random":
             # The RD estimator draws from a shared numpy Generator, which is
-            # not thread-safe; serialise it under the batch thread pool.
+            # not thread-safe; serialise it across the threads calling in.
             with self._rd_lock:
                 propagated = estimator.propagate(path, departure_time_s)
         else:

@@ -74,7 +74,6 @@ def warmup_from_store(
     max_cardinality: int | None = None,
     intervals_per_path: int | None = None,
     method: str | None = None,
-    max_workers: int | None = None,
 ) -> WarmupReport:
     """Seed the service's caches from the store's most-traveled paths.
 
@@ -107,7 +106,7 @@ def warmup_from_store(
                 EstimateRequest(path=path, departure_time_s=departure, method=method)
             )
 
-    responses = service.submit_batch(requests, max_workers=max_workers)
+    responses = service.submit_batch(requests)
     n_computed = sum(1 for response in responses if response.source == SOURCE_COMPUTED)
     return WarmupReport(
         n_paths=len(paths),

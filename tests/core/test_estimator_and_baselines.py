@@ -18,6 +18,8 @@ from repro import (
     RandomDecompositionEstimator,
     histogram_kl_divergence,
 )
+from repro.histograms import kernels
+from repro.timeutil import interval_of
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +107,28 @@ class TestBaselines:
         estimate = LegacyBaseline(hybrid_graph).estimate(path, departure)
         assert estimate.method == "LB"
         assert estimate.histogram.probabilities.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("output_buckets", [8, 64])
+    def test_legacy_baseline_is_the_unfused_path_fold(
+        self, hybrid_graph, busy_query, output_buckets
+    ):
+        """LB folds its per-edge distributions with ``convolve_accumulate``,
+        bit for bit (the fused fold is a different approximation)."""
+        path, departure = busy_query
+        alpha = hybrid_graph.parameters.alpha_minutes
+        clock, triples = departure, []
+        for edge_id in path.edge_ids:
+            variable = hybrid_graph.unit_variable(edge_id, interval_of(clock, alpha))
+            distribution = variable.cost_distribution()
+            triples.append(distribution.as_triple())
+            clock += distribution.mean
+        lows, highs, masses = kernels.convolve_accumulate(triples, max_buckets=output_buckets)
+        estimate = LegacyBaseline(hybrid_graph, output_buckets=output_buckets).estimate(
+            path, departure
+        )
+        expected = (lows, highs, masses / masses.sum())
+        for got, want in zip(estimate.histogram.as_triple(), expected):
+            np.testing.assert_array_equal(got, want)
 
     def test_hp_baseline_uses_pairs(self, hybrid_graph, busy_query):
         path, departure = busy_query

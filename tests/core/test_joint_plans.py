@@ -9,6 +9,7 @@ graph's memory accounting.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -102,18 +103,44 @@ def assert_same_answers(first, second):
             assert np.array_equal(a, b)
 
 
-def answer_all(service, queries, max_workers):
+def answer_all(service, queries):
     answers = []
     for departure, paths in queries:
-        answers.extend(triples(service.estimate_batch(paths, departure, max_workers=max_workers)))
+        answers.extend(triples(service.estimate_batch(paths, departure)))
     return answers
+
+
+def answer_in_threads(service, queries, n_threads):
+    """``answer_all``'s answers, each batch's paths dealt round-robin to
+    ``n_threads`` threads that call the one service at the same time."""
+    slots = [[None] * len(paths) for _departure, paths in queries]
+    barrier = threading.Barrier(n_threads)
+    errors = []
+
+    def worker(offset):
+        try:
+            barrier.wait()
+            for slot, (departure, paths) in zip(slots, queries):
+                mine = paths[offset::n_threads]
+                slot[offset::n_threads] = triples(service.estimate_batch(mine, departure))
+        except Exception as error:  # pragma: no cover - the assertion
+            errors.append(error)
+
+    threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    assert not errors, f"a thread raised: {errors!r}"
+    assert not any(thread.is_alive() for thread in threads)
+    return [answer for slot in slots for answer in slot]
 
 
 def test_threads_building_the_same_plans_answer_as_a_serial_pass(
     builder_factory, store, shared_graph, queries
 ):
     with CostEstimationService(PathCostEstimator(shared_graph)) as service:
-        serial = answer_all(service, queries, max_workers=0)
+        serial = answer_all(service, queries)
     assert plans_of(shared_graph)
 
     graph = builder_factory().build(store)
@@ -122,9 +149,9 @@ def test_threads_building_the_same_plans_answer_as_a_serial_pass(
     sys.setswitchinterval(1e-5)
     try:
         # Prefixes of one route share their leading variables, so the four
-        # workers of a batch meet the same missing plans at the same time.
+        # threads meet the same missing plans at the same time.
         with CostEstimationService(PathCostEstimator(graph)) as service:
-            threaded = answer_all(service, queries, max_workers=4)
+            threaded = answer_in_threads(service, queries, n_threads=4)
     finally:
         sys.setswitchinterval(switch_interval)
     assert_same_answers(threaded, serial)
@@ -139,7 +166,7 @@ def test_refresh_starts_from_new_variables_and_no_plans(
     service = CostEstimationService(PathCostEstimator(builder_factory().build(store.snapshot())))
     pipeline = TrajectoryIngestPipeline(store, service=service, builder_factory=builder_factory)
     old_graph = service.hybrid_graph
-    answer_all(service, queries, max_workers=0)
+    answer_all(service, queries)
     old_plans = plans_of(old_graph)
     assert old_plans
 
@@ -152,10 +179,10 @@ def test_refresh_starts_from_new_variables_and_no_plans(
     assert not old_variables & {id(variable) for variable in every_variable(new_graph)}
 
     service.invalidate_where(lambda key: True)
-    refreshed = answer_all(service, queries, max_workers=0)
+    refreshed = answer_all(service, queries)
     assert not {id(plan) for plan in old_plans} & {id(plan) for plan in plans_of(new_graph)}
     with CostEstimationService(PathCostEstimator(shared_graph)) as cold:
-        assert_same_answers(refreshed, answer_all(cold, queries, max_workers=0))
+        assert_same_answers(refreshed, answer_all(cold, queries))
     service.close()
 
 
@@ -164,7 +191,7 @@ def test_plans_reach_neither_snapshots_nor_memory_accounting(
 ):
     graph = shared_graph
     with CostEstimationService(PathCostEstimator(graph)) as service:
-        answers = answer_all(service, queries, max_workers=0)
+        answers = answer_all(service, queries)
     assert plans_of(graph)
     warm_bytes = graph.array_memory_bytes()
     warm_manifest = write_snapshot(tmp_path / "warm", graph=graph, store=store)
@@ -184,4 +211,4 @@ def test_plans_reach_neither_snapshots_nor_memory_accounting(
     restored = restore_snapshot(tmp_path / "warm").graph
     assert not plans_of(restored)
     with CostEstimationService(PathCostEstimator(restored)) as service:
-        assert_same_answers(answer_all(service, queries, max_workers=0), answers)
+        assert_same_answers(answer_all(service, queries), answers)

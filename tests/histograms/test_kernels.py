@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from repro import Bucket, Histogram1D, HistogramError
-from repro.histograms import kernels, prob_at_most_many
-from repro.histograms.reference import (
+from repro.histograms import FusedFoldBackend, kernels
+
+from reference_histograms import (
+    reference_cdf,
     reference_convolve,
     reference_convolve_many,
+    reference_cumulative,
     reference_mean,
+    reference_rearrange,
 )
+
+ATOL = 1e-9
 
 
 def triple(cells):
@@ -133,12 +139,44 @@ class TestCdfKernels:
             probs = rng.dirichlet(np.ones(8))
             histograms.append(Histogram1D.from_boundaries(list(edges), list(probs)))
         budget = 180.0
-        batched = prob_at_most_many(histograms, budget)
+        batched = kernels.batch_cdf(
+            [histogram.as_triple() for histogram in histograms], np.full(7, budget)
+        )
         individual = [histogram.cdf(budget) for histogram in histograms]
         np.testing.assert_allclose(batched, individual, atol=1e-9)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_cdf_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        histograms = [
+            disjoint_triple(int(rng.integers(1, 24)), seed * 100 + i) for i in range(30)
+        ]
+        values = np.array(
+            [rng.uniform(triple[0][0] - 1.0, triple[1][-1] + 1.0) for triple in histograms]
+        )
+        result = kernels.batch_cdf(histograms, values)
+        for triple, value, got in zip(histograms, values, result):
+            cells = list(zip(*(column.tolist() for column in triple)))
+            assert got == pytest.approx(reference_cdf(cells, float(value)), abs=ATOL)
+
     def test_batch_cdf_empty(self):
-        assert prob_at_most_many([], 10.0).size == 0
+        assert kernels.batch_cdf([], np.zeros(0)).size == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_cdf_is_exact_outside_the_support(self, seed):
+        rng = np.random.default_rng(seed)
+        histograms = [disjoint_triple(int(rng.integers(1, 12)), seed * 50 + i) for i in range(20)]
+        below = np.array([triple[0][0] - rng.uniform(0.0, 5.0) for triple in histograms])
+        above = np.array([triple[1][-1] + rng.uniform(0.0, 5.0) for triple in histograms])
+        at_max = np.array([triple[1][-1] for triple in histograms])
+        assert np.all(kernels.batch_cdf(histograms, below) == 0.0)
+        assert np.all(kernels.batch_cdf(histograms, above) == 1.0)
+        assert np.all(kernels.batch_cdf(histograms, at_max) == 1.0)
+
+    def test_batch_cdf_needs_one_value_per_histogram(self):
+        histograms = [disjoint_triple(4, seed) for seed in range(3)]
+        with pytest.raises(HistogramError):
+            kernels.batch_cdf(histograms, np.zeros(2))
 
     def test_quantile_many_inverts_cdf(self):
         lows, highs, probs = triple([(0, 10, 0.3), (10, 40, 0.7)])
@@ -277,7 +315,7 @@ class TestClosedUpperEdge:
         assert histogram.quantile(1.0) == pytest.approx(histogram.max)
 
     def test_batched_cdf_closed_edge(self, histogram):
-        assert prob_at_most_many([histogram], histogram.max)[0] == 1.0
+        assert kernels.batch_cdf([histogram.as_triple()], np.array([histogram.max]))[0] == 1.0
 
     def test_cdf_of_nan_is_zero(self, histogram):
         assert histogram.cdf(float("nan")) == 0.0
@@ -310,3 +348,195 @@ class TestReferenceConvolveAgainstObjects:
         np.testing.assert_allclose(result.lows, ref_lows, atol=1e-9)
         np.testing.assert_allclose(result.highs, ref_highs, atol=1e-9)
         np.testing.assert_allclose(result.probabilities, ref_probs, atol=1e-9)
+
+
+def disjoint_triple(n_buckets, seed, scale=2.0):
+    """A random disjoint histogram triple (possibly with inter-bucket gaps)."""
+    rng = np.random.default_rng(seed)
+    edges = np.cumsum(rng.uniform(0.5, scale, size=2 * n_buckets))
+    return edges[0::2], edges[1::2], rng.dirichlet(np.ones(n_buckets))
+
+
+def random_components(n_components, n_buckets, seed):
+    return [disjoint_triple(n_buckets, seed * 1000 + i) for i in range(n_components)]
+
+
+def composed_fold(components, max_buckets, working_buckets):
+    """The unfused chain at the fused fold's regridding policy.
+
+    Each step runs the exact pairwise convolution
+    (``rearrange``-based, no truncation) and then regrids onto an
+    equal-width ``working_buckets`` grid spanning the *raw* support of the
+    partial sum -- the same grid the fused accumulator uses.  (The raw
+    support matters: ``rearrange`` drops cells whose mass underflows to
+    zero in deep convolution tails, so deriving the grid from the
+    rearranged cells would silently shrink the support.)
+    """
+    accumulator = components[0]
+    for component in components[1:]:
+        low = accumulator[0][0] + component[0][0]
+        high = accumulator[1][-1] + component[1][-1]
+        cells = kernels.convolve(*accumulator, *component, max_buckets=None)
+        edges = np.linspace(low, high, working_buckets + 1)
+        edges[-1] = np.nextafter(high, np.inf)
+        cumulative = kernels.cdf_at_many(*cells, edges, normalized=False)
+        masses = np.clip(np.diff(cumulative), 0.0, None)
+        accumulator = (edges[:-1], edges[1:], masses)
+    if max_buckets is not None and accumulator[2].size > max_buckets:
+        accumulator = kernels.coarsen(*accumulator, max_buckets)
+    return accumulator
+
+
+def pure_python_fold(components, max_buckets, working_buckets):
+    """Loop-based rendition of the fused fold (reference functions only)."""
+    accumulator = [
+        (float(low), float(high), float(prob))
+        for low, high, prob in zip(*components[0])
+    ]
+    for component in components[1:]:
+        cells = [
+            (float(low), float(high), float(prob))
+            for low, high, prob in zip(*component)
+        ]
+        low = accumulator[0][0] + cells[0][0]
+        high = accumulator[-1][1] + cells[-1][1]
+        combined = [
+            (low_a + low_b, high_a + high_b, prob_a * prob_b)
+            for low_a, high_a, prob_a in accumulator
+            if prob_a > 0.0
+            for low_b, high_b, prob_b in cells
+            if prob_b > 0.0
+        ]
+        disjoint = reference_rearrange(combined, normalize=False)
+        width = (high - low) / working_buckets
+        edges = [low + i * width for i in range(working_buckets)]
+        edges.append(float(np.nextafter(high, np.inf)))
+        cumulative = [reference_cumulative(disjoint, edge) for edge in edges]
+        accumulator = [
+            (left, right, max(0.0, later - earlier))
+            for left, right, earlier, later in zip(
+                edges[:-1], edges[1:], cumulative[:-1], cumulative[1:]
+            )
+        ]
+    if max_buckets is not None and len(accumulator) > max_buckets:
+        triple = tuple(np.array(column) for column in zip(*accumulator))
+        triple = kernels.coarsen(*triple, max_buckets)
+        return triple
+    return tuple(np.array(column) for column in zip(*accumulator))
+
+
+class TestFusedFoldEquivalence:
+    """The fused ``rearrange_convolve_coarsen`` fold equals the composed
+    ``rearrange`` -> ``convolve`` -> ``coarsen`` chain run at the same working
+    resolution, and a loop-based rendition of the same fold, to ``atol=1e-9``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fused_equals_composed_chain(self, seed):
+        components = random_components(n_components=12, n_buckets=8, seed=seed)
+        fused = kernels.rearrange_convolve_coarsen(
+            components, max_buckets=48, working_buckets=192
+        )
+        composed = composed_fold(components, max_buckets=48, working_buckets=192)
+        np.testing.assert_allclose(fused[0], composed[0], atol=ATOL, rtol=0)
+        np.testing.assert_allclose(fused[1], composed[1], atol=ATOL, rtol=0)
+        np.testing.assert_allclose(fused[2], composed[2], atol=ATOL, rtol=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fused_equals_pure_python_reference(self, seed):
+        components = random_components(n_components=5, n_buckets=6, seed=seed)
+        fused = kernels.rearrange_convolve_coarsen(
+            components, max_buckets=32, working_buckets=64
+        )
+        reference = pure_python_fold(components, max_buckets=32, working_buckets=64)
+        np.testing.assert_allclose(fused[0], reference[0], atol=ATOL, rtol=0)
+        np.testing.assert_allclose(fused[1], reference[1], atol=ATOL, rtol=0)
+        np.testing.assert_allclose(fused[2], reference[2], atol=ATOL, rtol=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fused_conserves_mass_and_support(self, seed):
+        components = random_components(n_components=10, n_buckets=7, seed=seed)
+        fused = kernels.rearrange_convolve_coarsen(components, max_buckets=64)
+        assert fused[2].sum() == pytest.approx(1.0, abs=ATOL)
+        expected_low = sum(component[0][0] for component in components)
+        expected_high = sum(component[1][-1] for component in components)
+        assert fused[0][0] == pytest.approx(expected_low, abs=ATOL)
+        assert fused[1][-1] == pytest.approx(expected_high, abs=1e-6)
+
+    def test_single_component_passes_through(self):
+        triple = disjoint_triple(10, seed=1)
+        fused = kernels.rearrange_convolve_coarsen([triple], max_buckets=64)
+        np.testing.assert_array_equal(fused[0], triple[0])
+        np.testing.assert_array_equal(fused[1], triple[1])
+        np.testing.assert_array_equal(fused[2], triple[2])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fused_close_to_unfused_fold(self, seed):
+        """The two folds are distinct approximations of the same quantity."""
+        components = random_components(n_components=8, n_buckets=8, seed=seed)
+        fused = kernels.rearrange_convolve_coarsen(components, max_buckets=64)
+        unfused = kernels.convolve_accumulate(components, max_buckets=64)
+        assert kernels.mean(*fused) == pytest.approx(kernels.mean(*unfused), rel=1e-3)
+        assert fused[2].sum() == pytest.approx(unfused[2].sum(), abs=1e-6)
+
+    def test_backend_folds_each_path_with_the_fused_kernel(self):
+        paths = [random_components(int(n), 6, seed=300 + n) for n in (1, 3, 5)]
+        folded = FusedFoldBackend().fold_paths(paths, max_buckets=48)
+        assert len(folded) == len(paths)
+        for path, got in zip(paths, folded):
+            expected = kernels.rearrange_convolve_coarsen(path, max_buckets=48)
+            for got_column, expected_column in zip(got, expected):
+                np.testing.assert_array_equal(got_column, expected_column)
+
+    @pytest.mark.parametrize("max_buckets", [None, 1, 8, 64])
+    def test_backend_passes_the_bucket_cap_through(self, max_buckets):
+        paths = [random_components(int(n), 5, seed=400 + n) for n in (2, 4, 7)]
+        folded = FusedFoldBackend().fold_paths(paths, max_buckets=max_buckets)
+        for path, got in zip(paths, folded):
+            expected = kernels.rearrange_convolve_coarsen(path, max_buckets=max_buckets)
+            for got_column, expected_column in zip(got, expected):
+                np.testing.assert_array_equal(got_column, expected_column)
+
+    def test_backend_folds_no_paths_to_nothing(self):
+        assert FusedFoldBackend().fold_paths([]) == []
+
+    @pytest.mark.parametrize("chunk_cells", [1, 5, 48, 10**6])
+    def test_chunk_size_does_not_change_the_fold(self, monkeypatch, chunk_cells):
+        """Chunking bounds the fold's memory only: any chunk size deposits the
+        same pairwise cells onto the same grid."""
+        components = random_components(n_components=6, n_buckets=9, seed=chunk_cells % 97)
+        default = kernels.rearrange_convolve_coarsen(components, max_buckets=32)
+        monkeypatch.setattr(kernels, "FUSED_CHUNK_CELLS", chunk_cells)
+        chunked = kernels.rearrange_convolve_coarsen(components, max_buckets=32)
+        for chunked_column, default_column in zip(chunked, default):
+            np.testing.assert_allclose(chunked_column, default_column, atol=ATOL, rtol=0)
+
+    @pytest.mark.parametrize("max_buckets", [1, 7, 64])
+    def test_output_has_exactly_max_buckets_cells(self, max_buckets):
+        components = random_components(n_components=4, n_buckets=6, seed=max_buckets)
+        fused = kernels.rearrange_convolve_coarsen(
+            components, max_buckets=max_buckets, working_buckets=128
+        )
+        assert fused[2].size == max_buckets
+        assert fused[2].sum() == pytest.approx(1.0, abs=ATOL)
+
+    def test_uncapped_fold_keeps_the_working_resolution(self):
+        components = random_components(n_components=5, n_buckets=6, seed=9)
+        fused = kernels.rearrange_convolve_coarsen(
+            components, max_buckets=None, working_buckets=300
+        )
+        assert fused[2].size == 300
+        widths = fused[1] - fused[0]
+        np.testing.assert_allclose(widths[:-1], widths[0], rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "components, kwargs",
+        [
+            ([], {}),
+            ([disjoint_triple(3, 0)], {"max_buckets": 0}),
+            ([disjoint_triple(3, 0)], {"working_buckets": 0}),
+        ],
+        ids=["no-components", "zero-max-buckets", "zero-working-buckets"],
+    )
+    def test_invalid_arguments_rejected(self, components, kwargs):
+        with pytest.raises(HistogramError):
+            kernels.rearrange_convolve_coarsen(components, **kwargs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Bucket, Histogram1D, HistogramError, RawDistribution
+from repro.histograms import kernels
 from repro.histograms.univariate import convolve_many, rearrange_buckets
 
 
@@ -154,6 +155,27 @@ class TestTransforms:
         unit = Histogram1D.uniform(1.0, 2.0)
         combined = convolve_many([unit] * 5)
         assert combined.mean == pytest.approx(5 * unit.mean, rel=1e-6)
+
+    @pytest.mark.parametrize("max_buckets", [None, 4, 64])
+    def test_convolve_many_is_the_accumulating_kernel(self, max_buckets):
+        rng = np.random.default_rng(21)
+        histograms = [
+            Histogram1D.from_boundaries(
+                list(np.sort(rng.uniform(10.0, 90.0, 6))), list(rng.dirichlet(np.ones(5)))
+            )
+            for _ in range(4)
+        ]
+        combined = convolve_many(histograms, max_buckets=max_buckets)
+        lows, highs, masses = kernels.convolve_accumulate(
+            [histogram.as_triple() for histogram in histograms], max_buckets=max_buckets
+        )
+        # The histogram renormalises the kernel's masses, and does nothing else.
+        for got, want in zip(combined.as_triple(), (lows, highs, masses / masses.sum())):
+            np.testing.assert_array_equal(got, want)
+
+    def test_convolve_many_of_nothing_raises(self):
+        with pytest.raises(HistogramError):
+            convolve_many([])
 
     def test_coarsen_preserves_mass_and_roughly_mean(self):
         rng = np.random.default_rng(0)

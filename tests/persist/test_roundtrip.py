@@ -7,6 +7,8 @@ the writer's, down to the last bit for the deterministic OD methods.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,16 @@ from repro import (
     HybridGraph,
     HybridGraphBuilder,
     MutableTrajectoryStore,
+    PersistError,
+    PersistParameters,
     RouteRequest,
+    ServiceParameters,
     TrajectoryStore,
     grid_network,
     restore_snapshot,
     write_snapshot,
 )
+from repro.persist import MANIFEST_FILENAME
 from repro.persist.writer import encode_trajectories
 from repro.service.requests import SOURCE_RESULT_CACHE
 from repro.timeutil import all_intervals
@@ -242,3 +248,101 @@ class TestServiceRoundTrip:
         write_snapshot(tmp_path / "s", store=persist_store)
         with pytest.raises(ServiceError, match="no hybrid graph"):
             CostEstimationService.from_snapshot(tmp_path / "s")
+
+
+def rewrite_service_parameters(directory, **extra) -> None:
+    """Add ``extra`` keys to the service parameters a snapshot manifest records."""
+    manifest_path = directory / MANIFEST_FILENAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["service"]["parameters"].update(extra)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+class TestRecordedServiceParameters:
+    def test_retired_keys_are_ignored(
+        self, tmp_path, persist_service, persist_store, persist_simulator
+    ):
+        persist_service.save_snapshot(tmp_path / "s", store=persist_store)
+        rewrite_service_parameters(
+            tmp_path / "s",
+            max_workers=2,
+            kernel_backend={"backend": "threaded", "max_workers": 2},
+        )
+        restored = CostEstimationService.from_snapshot(tmp_path / "s")
+        assert restored.parameters == persist_service.parameters
+        for route in persist_simulator.popular_routes[:3]:
+            departure = route.busy_hour * 3600.0
+            for length in (2, 3, 4):
+                path = route.path.prefix(length)
+                ours = persist_service.estimate(path, departure).histogram
+                theirs = restored.estimate(path, departure).histogram
+                for mine, restored_column in zip(ours.as_triple(), theirs.as_triple()):
+                    np.testing.assert_array_equal(mine, restored_column)
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    @pytest.mark.parametrize(
+        "retired",
+        [{"max_workers": 4}, {"kernel_backend": {"backend": "auto", "tile_size": 64}}],
+        ids=["max_workers", "kernel_backend"],
+    )
+    def test_each_retired_key_alone_is_ignored(
+        self, tmp_path, persist_service, persist_store, warm_query, retired, mmap
+    ):
+        path, departure = warm_query
+        ours = persist_service.estimate(path, departure).histogram
+        persist_service.save_snapshot(tmp_path / "s", store=persist_store)
+        rewrite_service_parameters(tmp_path / "s", **retired)
+        restored = CostEstimationService.from_snapshot(
+            tmp_path / "s", persist_parameters=PersistParameters(mmap=mmap)
+        )
+        assert restored.parameters == persist_service.parameters
+        theirs = restored.estimate(path, departure).histogram
+        for mine, restored_column in zip(ours.as_triple(), theirs.as_triple()):
+            np.testing.assert_array_equal(mine, restored_column)
+
+    def test_unknown_key_is_a_persist_error(self, tmp_path, persist_service, persist_store):
+        persist_service.save_snapshot(tmp_path / "s", store=persist_store)
+        rewrite_service_parameters(tmp_path / "s", bogus=1)
+        with pytest.raises(PersistError, match="bogus"):
+            CostEstimationService.from_snapshot(tmp_path / "s")
+
+    def test_every_unknown_key_is_named(self, tmp_path, persist_service, persist_store):
+        persist_service.save_snapshot(tmp_path / "s", store=persist_store)
+        rewrite_service_parameters(tmp_path / "s", zeta=1, alpha_cache=2)
+        with pytest.raises(PersistError, match=r"\['alpha_cache', 'zeta'\]"):
+            CostEstimationService.from_snapshot(tmp_path / "s")
+
+    def test_unknown_key_beside_retired_keys_is_still_an_error(
+        self, tmp_path, persist_service, persist_store
+    ):
+        persist_service.save_snapshot(tmp_path / "s", store=persist_store)
+        rewrite_service_parameters(tmp_path / "s", max_workers=2, max_worker=2)
+        with pytest.raises(PersistError) as raised:
+            CostEstimationService.from_snapshot(tmp_path / "s")
+        assert "'max_worker'" in str(raised.value)
+        assert "'max_workers'" not in str(raised.value)
+
+    def test_explicit_parameters_replace_the_recorded_ones(
+        self, tmp_path, persist_service, persist_store
+    ):
+        persist_service.save_snapshot(tmp_path / "s", store=persist_store)
+        rewrite_service_parameters(tmp_path / "s", bogus=1)
+        override = ServiceParameters(result_cache_capacity=7)
+        restored = CostEstimationService.from_snapshot(tmp_path / "s", parameters=override)
+        assert restored.parameters == override
+
+    def test_manifest_records_no_retired_keys(self, tmp_path, persist_service, persist_store):
+        manifest = persist_service.save_snapshot(tmp_path / "s", store=persist_store)
+        recorded = manifest["service"]["parameters"]
+        assert not {"max_workers", "kernel_backend"} & set(recorded)
+        assert ServiceParameters(**recorded) == persist_service.parameters
+
+    def test_recorded_non_default_parameters_are_restored(
+        self, tmp_path, persist_graph, persist_store
+    ):
+        parameters = ServiceParameters(
+            result_cache_capacity=33, route_batch_size=5, route_cache_max_bytes=1 << 20
+        )
+        service = CostEstimationService.from_hybrid_graph(persist_graph, parameters=parameters)
+        service.save_snapshot(tmp_path / "s", store=persist_store)
+        assert CostEstimationService.from_snapshot(tmp_path / "s").parameters == parameters

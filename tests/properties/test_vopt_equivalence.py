@@ -2,7 +2,7 @@
 
 Every kernel of :mod:`repro.histograms.vopt`, ``autobuckets`` and
 ``MultiHistogram.from_samples_batch`` works on a padded batch of ragged
-problems; :mod:`repro.histograms.reference` retains the scalar procedure
+problems; ``tests/reference_histograms.py`` retains the scalar procedure
 (scalar V-Optimal DP, ``np.unique`` / ``np.histogram`` pre-binning,
 ``Histogram1D.from_raw`` fold histograms scored through ``np.interp``,
 ``np.percentile`` quartiles, the validating ``MultiHistogram`` constructor).
@@ -45,11 +45,12 @@ from repro import (
     all_intervals,
     grid_network,
 )
-from repro.histograms import autobuckets, reference, vopt
+from repro.histograms import autobuckets, vopt
 from repro.histograms.multivariate import MultiHistogram
 from repro.histograms.raw import RawDistribution, sorted_batch
 from repro.histograms.univariate import Histogram1D
 
+import reference_histograms as reference
 from reference_kgrams import reference_subpath_counts
 
 # --------------------------------------------------------------------- #

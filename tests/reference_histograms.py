@@ -1,14 +1,10 @@
 """Retained pure-Python reference for the vectorised distribution kernels.
 
 These functions mirror the original bucket-by-bucket loop implementations
-that :mod:`repro.histograms.kernels` replaced.  They exist for two reasons:
-
-* the property tests (``tests/properties/test_kernel_equivalence.py``) pin
-  the vectorised kernels to them at ``atol=1e-9`` on randomized
-  histograms, so the array refactor can never silently drift numerically;
-* the kernel benchmark (``benchmarks/bench_histogram_kernels.py``) uses
-  them as the seed-implementation baseline when measuring convolution and
-  end-to-end path-estimation throughput.
+that :mod:`repro.histograms.kernels` replaced.  The property tests
+(``tests/properties/test_kernel_equivalence.py``) pin the vectorised
+kernels to them at ``atol=1e-9`` on randomized histograms, so the array
+refactor can never silently drift numerically.
 
 The kernel functions operate on *cell lists*: plain Python lists of
 ``(low, high, prob)`` tuples with ``low < high``, sorted where the
@@ -34,11 +30,11 @@ import math
 
 import numpy as np
 
-from ..config import EstimatorParameters
-from ..exceptions import HistogramError
-from .multivariate import MultiHistogram
-from .raw import RawDistribution
-from .univariate import Histogram1D
+from repro.config import EstimatorParameters
+from repro.exceptions import HistogramError
+from repro.histograms.multivariate import MultiHistogram
+from repro.histograms.raw import RawDistribution
+from repro.histograms.univariate import Histogram1D
 
 Cells = list[tuple[float, float, float]]
 

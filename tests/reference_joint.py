@@ -9,7 +9,7 @@ distributions on every call, bypassing the variables' memo.  (It also
 keeps the old lack of a ``max_state_cells`` check.)  It exists so that
 ``tests/properties/test_joint_equivalence.py`` can pin the group-labelled
 rewrite to it -- the answers are bit-identical.  No module under ``src/``
-imports it; like :mod:`repro.histograms.reference` and
+imports it; like ``tests/reference_histograms.py`` and
 ``tests/reference_matcher.py``, do not "optimise" it.
 """
 

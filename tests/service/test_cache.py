@@ -1,9 +1,9 @@
-"""Unit tests for the service's LRU cache and batch executor."""
+"""Unit tests for the service's LRU caches."""
 
 import pytest
 
 from repro import ServiceError
-from repro.service import BatchExecutor, EstimateCache, LRUCache
+from repro.service import EstimateCache, LRUCache
 
 
 class TestLRUCache:
@@ -138,36 +138,3 @@ class TestEstimateCache:
         assert len(cache) == 1
         assert cache.stats().invalidations == 0
 
-
-class TestBatchExecutor:
-    def test_synchronous_execution(self):
-        executor = BatchExecutor(max_workers=0)
-        results = executor.execute({"x": lambda: 1, "y": lambda: 2})
-        assert {key: value for key, (value, _) in results.items()} == {"x": 1, "y": 2}
-
-    def test_threaded_execution_matches_synchronous(self):
-        work = {i: (lambda i=i: i * i) for i in range(20)}
-        serial = BatchExecutor(max_workers=0).execute(work)
-        threaded = BatchExecutor(max_workers=4).execute(work)
-        assert {k: v for k, (v, _) in serial.items()} == {k: v for k, (v, _) in threaded.items()}
-
-    def test_empty_batch(self):
-        assert BatchExecutor(max_workers=2).execute({}) == {}
-
-    def test_exceptions_propagate(self):
-        def boom():
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError):
-            BatchExecutor(max_workers=0).execute({"x": boom})
-        with pytest.raises(ValueError):
-            BatchExecutor(max_workers=2).execute({"x": boom, "y": lambda: 1})
-
-    def test_invalid_workers(self):
-        with pytest.raises(ServiceError):
-            BatchExecutor(max_workers=-1)
-
-    def test_durations_recorded(self):
-        results = BatchExecutor().execute({"x": lambda: 1})
-        _value, duration = results["x"]
-        assert duration >= 0.0

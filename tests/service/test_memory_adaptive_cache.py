@@ -123,10 +123,7 @@ class TestByteEviction:
 
 @pytest.fixture
 def service(hybrid_graph):
-    service = CostEstimationService(
-        PathCostEstimator(hybrid_graph),
-        parameters=ServiceParameters(kernel_backend={"backend": "fused"}),
-    )
+    service = CostEstimationService(PathCostEstimator(hybrid_graph))
     yield service
     service.close()
 

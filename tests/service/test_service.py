@@ -4,6 +4,8 @@ These run against the session-scoped simulated dataset (see conftest) so
 they exercise real OI / JC / MC work, not mocks.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -156,18 +158,31 @@ class TestBatch:
         assert responses[1].estimate is responses[0].estimate
         assert service.stats()["computed"] == 1
 
-    def test_thread_pool_results_deterministic(self, estimator, simulator, busy_query):
+    def test_concurrent_batches_match_a_serial_batch(self, estimator, simulator, busy_query):
         path, departure = busy_query
         queries = [(path.prefix(n), departure) for n in range(2, len(path) + 1)]
         queries += [(route.path, route.busy_hour * 3600.0) for route in simulator.popular_routes[:4]]
         requests = [EstimateRequest(p, t) for p, t in queries]
 
-        serial = CostEstimationService(estimator).submit_batch(requests, max_workers=0)
-        threaded = CostEstimationService(estimator).submit_batch(requests, max_workers=4)
-        threaded_again = CostEstimationService(estimator).submit_batch(requests, max_workers=4)
-        for a, b, c in zip(serial, threaded, threaded_again):
-            assert_estimates_identical(a.estimate, b.estimate)
-            assert_estimates_identical(a.estimate, c.estimate)
+        serial = CostEstimationService(estimator).submit_batch(requests)
+        shared = CostEstimationService(estimator)
+        answers: dict[int, list] = {}
+        barrier = threading.Barrier(4)
+
+        def worker(slot):
+            barrier.wait()
+            answers[slot] = shared.submit_batch(requests)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(answers) == [0, 1, 2, 3]
+        for responses in answers.values():
+            for a, b in zip(serial, responses, strict=True):
+                assert_estimates_identical(a.estimate, b.estimate)
 
     def test_batch_serves_result_cache_hits(self, service, busy_query):
         path, departure = busy_query
@@ -249,6 +264,32 @@ class TestWarmup:
         second = service.warmup(store, top_paths=3, max_cardinality=3, intervals_per_path=1)
         assert first.n_computed >= 1
         assert second.n_computed == 0
+
+    def test_warmup_is_one_deduplicated_batch(self, service, store):
+        report = service.warmup(store, top_paths=4, max_cardinality=3, intervals_per_path=2)
+        assert service.stats()["batch_executor"] == {
+            "batches": 1,
+            "items": report.n_computed,
+        }
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda service, store, path, departure: service.submit_batch(
+                [EstimateRequest(path, departure)], max_workers=2
+            ),
+            lambda service, store, path, departure: service.estimate_batch(
+                [path], departure, max_workers=2
+            ),
+            lambda service, store, path, departure: service.warmup(store, max_workers=2),
+        ],
+        ids=["submit_batch", "estimate_batch", "warmup"],
+    )
+    def test_batch_calls_take_no_worker_count(self, service, store, busy_query, call):
+        path, departure = busy_query
+        with pytest.raises(TypeError):
+            call(service, store, path, departure)
+        assert service.stats()["served"] == 0
 
     def test_most_traveled_paths_ranked_and_bounded(self, store):
         ranked = most_traveled_paths(store, top_paths=5, max_cardinality=3)

@@ -1,4 +1,4 @@
-"""Degenerate batches, the persistent batch executor, and a thread-safety audit.
+"""Degenerate batches, the batch counters, and a thread-safety audit.
 
 The serving front-end dispatches whatever the coalescer hands it --
 including empty and duplicate-heavy batches -- and hammers one service
@@ -14,11 +14,12 @@ import pytest
 from repro import (
     CostEstimationService,
     EstimateRequest,
+    GraphError,
+    Path,
     PathCostEstimator,
-    ServiceError,
 )
 from repro.routing import RouteRequest
-from repro.service.batch import BatchExecutor
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture
@@ -71,55 +72,166 @@ class TestDegenerateBatches:
         # Only one compute happened for the whole batch.
         assert service.stats()["computed"] == 1
 
-    def test_duplicate_heavy_parallel_batch(self, service, query_paths, busy_query):
+    def test_duplicate_heavy_batch_of_two_keys(self, service, query_paths, busy_query):
         _, departure = busy_query
         requests = [
             EstimateRequest(query_paths[index % 2], departure) for index in range(24)
         ]
-        responses = service.submit_batch(requests, max_workers=4)
+        responses = service.submit_batch(requests)
         assert len(responses) == 24
         assert service.stats()["computed"] == 2
 
+    def test_estimation_errors_propagate(self, service, query_paths, busy_query):
+        _, departure = busy_query
+        requests = [
+            EstimateRequest(query_paths[0], departure),
+            EstimateRequest(Path([10**6]), departure),
+        ]
+        with pytest.raises(GraphError):
+            service.submit_batch(requests)
 
-class TestPersistentExecutor:
-    def test_pool_reused_across_batches(self, service, query_paths, busy_query):
+
+class TestBatchCounters:
+    def test_batches_and_items_counted(self, service, query_paths, busy_query):
         _, departure = busy_query
         requests = [EstimateRequest(path, departure) for path in query_paths[:4]]
         for _ in range(3):
-            service.submit_batch(requests, max_workers=4)
+            service.submit_batch(requests + requests)  # the repeats are deduplicated
             service.clear_caches()
-        executor_stats = service.stats()["batch_executor"]
-        assert executor_stats["batches"] == 3
-        assert executor_stats["pools_created"] == 1  # one pool for all batches
+        service.submit_batch([])
+        assert service.stats()["batch_executor"] == {"batches": 4, "items": 12}
 
-    def test_pool_grows_for_wider_request(self):
-        executor = BatchExecutor(max_workers=2)
-        work = {index: (lambda: index) for index in range(4)}
-        executor.execute(work)
-        assert executor.stats()["pool_size"] == 2
-        executor.execute(work, max_workers=6)
-        stats = executor.stats()
-        assert stats["pool_size"] == 6
-        assert stats["pools_created"] == 2
-        executor.close()
-
-    def test_closed_executor_still_correct_synchronously(self):
-        executor = BatchExecutor(max_workers=4)
-        executor.execute({1: lambda: "a", 2: lambda: "b"})
-        executor.close()
-        results = executor.execute({1: lambda: "a", 2: lambda: "b"})
-        assert {key: value for key, (value, _) in results.items()} == {1: "a", 2: "b"}
-        executor.close()  # idempotent
-
-    def test_negative_override_raises(self):
-        executor = BatchExecutor()
-        with pytest.raises(ServiceError):
-            executor.execute({1: lambda: 1}, max_workers=-1)
-
-    def test_service_context_manager_closes_executor(self, estimator):
+    def test_service_still_serves_after_close(self, estimator, query_paths, busy_query):
+        _, departure = busy_query
+        request = EstimateRequest(query_paths[0], departure)
         with CostEstimationService(estimator) as service:
-            service.submit_batch([])
-        assert service.stats()["batch_executor"]["pool_size"] == 0
+            first = service.submit_batch([request])[0]
+        service.close()  # idempotent
+        again = service.submit(request)
+        assert again.cache_hit and again.estimate is first.estimate
+
+    def test_cache_hits_are_not_batch_items(self, service, query_paths, busy_query):
+        _, departure = busy_query
+        service.submit(EstimateRequest(query_paths[0], departure))
+        service.submit_batch([EstimateRequest(path, departure) for path in query_paths[:3]])
+        assert service.stats()["batch_executor"] == {"batches": 1, "items": 2}
+
+    def test_batch_gauges_read_the_counters(self, service, query_paths, busy_query):
+        _, departure = busy_query
+        registry = service.register_metrics(MetricsRegistry())
+        service.submit_batch([EstimateRequest(path, departure) for path in query_paths[:3]])
+        service.submit_batch([EstimateRequest(query_paths[3], departure)])
+        values = registry.snapshot()
+        assert values["repro_service_batches_total"] == 2
+        assert values["repro_service_batch_items_total"] == 4
+        batch_series = {name for name in values if name.startswith("repro_service_batch")}
+        assert batch_series == {"repro_service_batches_total", "repro_service_batch_items_total"}
+        assert not [name for name in values if name.startswith("repro_kernel_")]
+
+
+class TestBatchResponses:
+    def test_responses_follow_request_order_across_sources(
+        self, service, query_paths, busy_query
+    ):
+        _, departure = busy_query
+        first, cached, last = query_paths[:3]
+        service.submit(EstimateRequest(cached, departure))
+        requests = [
+            EstimateRequest(first, departure),
+            EstimateRequest(cached, departure),
+            EstimateRequest(first, departure),
+            EstimateRequest(last, departure),
+        ]
+        responses = service.submit_batch(requests)
+        assert [response.request for response in responses] == requests
+        assert [response.source for response in responses] == [
+            "computed",
+            "result-cache",
+            "batch-dedup",
+            "computed",
+        ]
+
+    def test_repeats_share_the_first_estimate(self, service, query_paths, busy_query):
+        _, departure = busy_query
+        request = EstimateRequest(query_paths[0], departure)
+        first, repeat = service.submit_batch([request, request])
+        assert not first.cache_hit and first.latency_s > 0.0
+        assert repeat.cache_hit and repeat.latency_s == 0.0
+        assert repeat.estimate is first.estimate
+
+    def test_methods_are_distinct_keys(self, service, query_paths, busy_query):
+        _, departure = busy_query
+        path = query_paths[1]
+        responses = service.submit_batch(
+            [
+                EstimateRequest(path, departure, method="OD"),
+                EstimateRequest(path, departure, method="RD"),
+                EstimateRequest(path, departure, method="OD"),
+            ]
+        )
+        assert [response.method for response in responses] == ["OD", "RD", "OD"]
+        assert [response.source for response in responses] == [
+            "computed",
+            "computed",
+            "batch-dedup",
+        ]
+        assert service.stats()["batch_executor"]["items"] == 2
+
+    def test_keys_computed_before_a_failure_stay_cached(
+        self, service, query_paths, busy_query
+    ):
+        _, departure = busy_query
+        good = EstimateRequest(query_paths[0], departure)
+        with pytest.raises(GraphError):
+            service.submit_batch([good, EstimateRequest(Path([10**6]), departure)])
+        assert service.submit(good).source == "result-cache"
+
+
+class TestThreadsSharingOneService:
+    @pytest.mark.parametrize("n_threads", [2, 3, 8])
+    def test_rotated_batches_answer_like_a_serial_pass(
+        self, estimator, query_paths, busy_query, n_threads
+    ):
+        """Each thread submits the same requests in its own rotation; every
+        answer equals the one-thread answer to the last bit."""
+        _, departure = busy_query
+        requests = [EstimateRequest(path, departure) for path in query_paths]
+        serial = {
+            response.request.path.edge_ids: response.estimate.histogram.as_triple()
+            for response in CostEstimationService(estimator).submit_batch(requests)
+        }
+        shared = CostEstimationService(estimator)
+        answers: dict[int, list] = {}
+        errors: list[Exception] = []
+        barrier = threading.Barrier(n_threads)
+
+        def worker(slot):
+            try:
+                barrier.wait()
+                rotated = requests[slot:] + requests[:slot]
+                answers[slot] = shared.submit_batch(rotated)
+            except Exception as error:  # pragma: no cover - the assertion
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert not errors, f"a thread raised: {errors!r}"
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(answers) == list(range(n_threads))
+        for responses in answers.values():
+            assert len(responses) == len(requests)
+            for response in responses:
+                expected = serial[response.request.path.edge_ids]
+                for got, want in zip(response.estimate.histogram.as_triple(), expected):
+                    assert np.array_equal(got, want)
+        # Every request was answered, and no key was computed more often
+        # than there are threads racing for it.
+        stats = shared.stats()
+        assert stats["served"] == n_threads * len(requests)
+        assert len(requests) <= stats["computed"] <= n_threads * len(requests)
 
 
 class TestThreadSafetyAudit:
@@ -151,7 +263,7 @@ class TestThreadSafetyAudit:
                 barrier.wait()
                 requests = [EstimateRequest(path, departure) for path in query_paths]
                 for _ in range(10):
-                    service.submit_batch(requests, max_workers=2)
+                    service.submit_batch(requests)
             except Exception as error:  # pragma: no cover
                 errors.append(error)
 

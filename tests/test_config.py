@@ -71,7 +71,6 @@ class TestServiceParameters:
     def test_defaults_valid(self):
         parameters = ServiceParameters()
         assert parameters.default_method is None  # = the wrapped estimator's method
-        assert parameters.max_workers == 0
 
     def test_invalid_capacities(self):
         with pytest.raises(ConfigurationError):
@@ -79,9 +78,12 @@ class TestServiceParameters:
         with pytest.raises(ConfigurationError):
             ServiceParameters(decomposition_cache_capacity=0)
 
-    def test_invalid_workers(self):
-        with pytest.raises(ConfigurationError):
-            ServiceParameters(max_workers=-1)
+    @pytest.mark.parametrize(
+        "retired", [{"max_workers": 2}, {"kernel_backend": {"backend": "fused"}}]
+    )
+    def test_retired_options_are_not_accepted(self, retired):
+        with pytest.raises(TypeError):
+            ServiceParameters(**retired)
 
     def test_method_names_validated(self):
         ServiceParameters(default_method="OD-3")
