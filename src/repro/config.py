@@ -124,62 +124,12 @@ class ServiceParameters:
         Maximum number of propagated joints (the output of the OI + JC
         steps) kept in the LRU decomposition cache.  Entries here let a
         result-cache miss skip straight to the cheap marginalisation step.
-    default_method:
-        Estimation method used when a request does not override it: ``"OD"``
-        (coarsest decomposition, no rank cap), ``"OD-<k>"`` (rank capped at
-        ``k``), or ``"RD"`` (random decomposition).  ``None`` (the default)
-        uses the wrapped estimator's own method, so the service is a
-        drop-in for whatever estimator it fronts.
-    warmup_top_paths:
-        Number of most-traveled paths seeded into the cache by the warmup
-        pass.
-    warmup_max_cardinality:
-        Largest path cardinality considered when ranking most-traveled
-        paths for warmup.
-    warmup_intervals_per_path:
-        Number of busiest alpha-intervals precomputed per warmup path.
-    route_cache_capacity:
-        Maximum number of finished stochastic-routing answers
-        (:class:`~repro.routing.RouteResult`) kept in the bounded route
-        cache serving :meth:`CostEstimationService.route`.
-    route_batch_size:
-        How many frontier paths the routing engine estimates and
-        bound-scores per batched kernel call.
-    route_max_path_edges:
-        Depth-pruning limit of the service's routing engine (candidate
-        paths are not extended beyond this many edges).
-    route_max_expansions:
-        Expansion budget of the service's routing engine; searches that
-        exhaust it report ``truncated=True``.
-    result_cache_max_bytes / decomposition_cache_max_bytes /
-    route_cache_max_bytes:
-        Optional *byte* budgets layered on top of the entry-count
-        capacities, using the actual array footprints (``nbytes``) of the
-        cached values.  ``None`` bounds by entry count only.  Budgets can
-        be tightened at runtime
-        (:meth:`~repro.service.CostEstimationService.adapt_cache_memory`)
-        for graceful shrink-under-pressure.
     """
 
     result_cache_capacity: int = 4096
     decomposition_cache_capacity: int = 1024
-    default_method: str | None = None
-    warmup_top_paths: int = 16
-    warmup_max_cardinality: int = 4
-    warmup_intervals_per_path: int = 4
-    route_cache_capacity: int = 1024
-    route_batch_size: int = 16
-    route_max_path_edges: int = 40
-    route_max_expansions: int = 20000
-    result_cache_max_bytes: int | None = None
-    decomposition_cache_max_bytes: int | None = None
-    route_cache_max_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        for label in ("result_cache_max_bytes", "decomposition_cache_max_bytes", "route_cache_max_bytes"):
-            budget = getattr(self, label)
-            if budget is not None and budget < 1:
-                raise ConfigurationError(f"{label} must be >= 1 or None, got {budget}")
         if self.result_cache_capacity < 1:
             raise ConfigurationError(
                 f"result_cache_capacity must be >= 1, got {self.result_cache_capacity}"
@@ -187,37 +137,6 @@ class ServiceParameters:
         if self.decomposition_cache_capacity < 1:
             raise ConfigurationError(
                 f"decomposition_cache_capacity must be >= 1, got {self.decomposition_cache_capacity}"
-            )
-        if self.default_method is not None and not _valid_method_name(self.default_method):
-            raise ConfigurationError(
-                f"default_method must be 'OD', 'OD-<k>', 'RD' or None, got {self.default_method!r}"
-            )
-        if self.warmup_top_paths < 1:
-            raise ConfigurationError(f"warmup_top_paths must be >= 1, got {self.warmup_top_paths}")
-        if self.warmup_max_cardinality < 1:
-            raise ConfigurationError(
-                f"warmup_max_cardinality must be >= 1, got {self.warmup_max_cardinality}"
-            )
-        if self.warmup_intervals_per_path < 1:
-            raise ConfigurationError(
-                "warmup_intervals_per_path must be >= 1, got "
-                f"{self.warmup_intervals_per_path}"
-            )
-        if self.route_cache_capacity < 1:
-            raise ConfigurationError(
-                f"route_cache_capacity must be >= 1, got {self.route_cache_capacity}"
-            )
-        if self.route_batch_size < 1:
-            raise ConfigurationError(
-                f"route_batch_size must be >= 1, got {self.route_batch_size}"
-            )
-        if self.route_max_path_edges < 1:
-            raise ConfigurationError(
-                f"route_max_path_edges must be >= 1, got {self.route_max_path_edges}"
-            )
-        if self.route_max_expansions < 1:
-            raise ConfigurationError(
-                f"route_max_expansions must be >= 1, got {self.route_max_expansions}"
             )
 
 
@@ -269,11 +188,6 @@ class FrontendParameters:
         Worker threads draining the admission queue.  One worker already
         keeps both lanes moving (each dispatch batches internally); more
         workers overlap independent batches.
-    default_deadline_s:
-        Deadline applied to requests submitted without an explicit one.
-        A request whose deadline expires while queued is answered with a
-        typed ``"timeout"`` response instead of being dispatched.  ``None``
-        means no deadline.
     """
 
     queue_capacity: int = 1024
@@ -282,7 +196,6 @@ class FrontendParameters:
     max_batch_size: int = 64
     max_linger_ms: float = 2.0
     n_workers: int = 1
-    default_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -308,10 +221,6 @@ class FrontendParameters:
             )
         if self.n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ConfigurationError(
-                f"default_deadline_s must be positive or None, got {self.default_deadline_s}"
-            )
 
 
 @dataclass(frozen=True)
@@ -330,26 +239,10 @@ class TelemetryParameters:
     slow_log_capacity:
         How many worst-by-duration traces the bounded in-memory slow-query
         log retains.
-    recent_traces_capacity:
-        How many most-recent finished traces the tracer retains for the
-        admin server's ``/traces`` endpoint (independent of the slow-query
-        log, which keeps the worst, not the latest).
-    reporter_period_s:
-        Period of the background :class:`~repro.telemetry.StatsReporter`
-        when one is attached (seconds between JSON-lines snapshots).
-    continuous_profile_hz:
-        Sampling rate of the always-on wall-clock profiler the admin
-        server runs (:class:`~repro.ops.SamplingProfiler`).  ``0`` (the
-        default) disables continuous profiling; on-demand
-        ``/profile?seconds=N`` requests still work.  A few Hz is enough
-        for a long-running daemon and costs microseconds per tick.
     """
 
     trace_sample_every: int = 256
     slow_log_capacity: int = 32
-    recent_traces_capacity: int = 64
-    reporter_period_s: float = 1.0
-    continuous_profile_hz: float = 0.0
 
     def __post_init__(self) -> None:
         if self.trace_sample_every < 0:
@@ -359,18 +252,6 @@ class TelemetryParameters:
         if self.slow_log_capacity < 1:
             raise ConfigurationError(
                 f"slow_log_capacity must be >= 1, got {self.slow_log_capacity}"
-            )
-        if self.recent_traces_capacity < 1:
-            raise ConfigurationError(
-                f"recent_traces_capacity must be >= 1, got {self.recent_traces_capacity}"
-            )
-        if self.reporter_period_s <= 0:
-            raise ConfigurationError(
-                f"reporter_period_s must be positive, got {self.reporter_period_s}"
-            )
-        if self.continuous_profile_hz < 0:
-            raise ConfigurationError(
-                f"continuous_profile_hz must be >= 0, got {self.continuous_profile_hz}"
             )
 
 
@@ -488,12 +369,6 @@ class OpsParameters:
     slo_evaluation_period_s:
         Period of the SLO engine's background evaluation loop (also the
         sampling cadence of its sliding windows).
-    profile_default_seconds / profile_max_seconds:
-        Duration of an on-demand ``/profile`` sample when the request
-        does not say, and the clamp applied when it does.
-    profile_hz:
-        Sampling rate of on-demand profiles.  A prime default (97) avoids
-        lockstep with common periodic work.
     """
 
     host: str = "127.0.0.1"
@@ -503,9 +378,6 @@ class OpsParameters:
     max_pending_dirty_edges: int | None = None
     require_warm: bool = False
     slo_evaluation_period_s: float = 1.0
-    profile_default_seconds: float = 1.0
-    profile_max_seconds: float = 30.0
-    profile_hz: float = 97.0
 
     def __post_init__(self) -> None:
         if not self.host:
@@ -525,13 +397,6 @@ class OpsParameters:
             raise ConfigurationError(
                 f"slo_evaluation_period_s must be positive, got {self.slo_evaluation_period_s}"
             )
-        if not 0 < self.profile_default_seconds <= self.profile_max_seconds:
-            raise ConfigurationError(
-                "need 0 < profile_default_seconds <= profile_max_seconds, got "
-                f"{self.profile_default_seconds}..{self.profile_max_seconds}"
-            )
-        if self.profile_hz <= 0:
-            raise ConfigurationError(f"profile_hz must be positive, got {self.profile_hz}")
 
 
 @dataclass(frozen=True)
@@ -548,113 +413,37 @@ class IngestParameters:
         Worker threads draining the queue in streaming mode.  Map matching
         dominates ingest cost and parallelises cleanly; appends themselves
         are serialised by the store's append lock.
-    match_failure_policy:
-        ``"skip"`` records unmatchable trajectories with a reason and keeps
-        going (the production default -- a bad GPS trace must never take
-        down the pipeline); ``"raise"`` re-raises for debugging.
-    min_gps_records:
-        GPS trajectories with fewer usable (distinct-timestamp) records
-        than this are skipped before map matching.
-    invalidate_on_append:
-        Invalidate service cache entries touching an appended trajectory's
-        edges immediately at append time.  Entries on untouched paths are
-        kept (targeted invalidation instead of ``clear_caches``).
-    auto_refresh_trajectories:
-        After this many appended trajectories, the pipeline automatically
-        rebuilds the hybrid graph from a store snapshot and rebases the
-        service onto it.  ``0`` (the default) refreshes only on explicit
-        :meth:`~repro.ingest.TrajectoryIngestPipeline.refresh` calls.
-    rewarm_invalidated:
-        After invalidation, immediately recompute the dropped result-cache
-        entries (hot-path re-warmup) so the next user query is a hit again.
-    max_rewarm_keys:
-        Cap on how many invalidated keys a single re-warmup recomputes.
     """
 
     queue_capacity: int = 256
     n_workers: int = 1
-    match_failure_policy: str = "skip"
-    min_gps_records: int = 2
-    invalidate_on_append: bool = True
-    auto_refresh_trajectories: int = 0
-    rewarm_invalidated: bool = False
-    max_rewarm_keys: int = 32
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ConfigurationError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
         if self.n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.match_failure_policy not in ("skip", "raise"):
-            raise ConfigurationError(
-                "match_failure_policy must be 'skip' or 'raise', got "
-                f"{self.match_failure_policy!r}"
-            )
-        if self.min_gps_records < 2:
-            raise ConfigurationError(
-                f"min_gps_records must be >= 2, got {self.min_gps_records}"
-            )
-        if self.auto_refresh_trajectories < 0:
-            raise ConfigurationError(
-                "auto_refresh_trajectories must be >= 0, got "
-                f"{self.auto_refresh_trajectories}"
-            )
-        if self.max_rewarm_keys < 1:
-            raise ConfigurationError(
-                f"max_rewarm_keys must be >= 1, got {self.max_rewarm_keys}"
-            )
 
 
 @dataclass(frozen=True)
 class PersistParameters:
     """Parameters for the snapshot persistence layer (:mod:`repro.persist`).
 
+    Full snapshots always carry the service's most recently used warm
+    cache entries (:data:`repro.persist.MAX_CACHE_ENTRIES` of them), and the
+    ingest pipeline writes a full snapshot after
+    :data:`repro.persist.COMPACT_EVERY_DELTAS` consecutive deltas.
+
     Attributes
     ----------
-    include_caches:
-        Export the service's warm result-cache entries into full snapshots
-        so a restored process boots with a hot cache.  Delta snapshots
-        never carry cache entries (the base snapshot's entries for clean
-        paths stay valid; entries on dirty paths are dropped on restore).
-    max_cache_entries:
-        Cap on exported cache entries (most-recently-used first); ``None``
-        exports everything the bounded cache holds.
     mmap:
         Load snapshot arrays with ``numpy.load(..., mmap_mode="r")`` so
         restored histograms are zero-copy views into the snapshot files
         and multiple worker processes restoring the same snapshot share
         the page cache.
-    auto_snapshot_trajectories:
-        When the ingest pipeline is constructed with a ``persist_dir``,
-        automatically write a snapshot after this many accepted
-        trajectories.  ``0`` (the default) snapshots only on explicit
-        :meth:`~repro.ingest.TrajectoryIngestPipeline.save_snapshot` calls.
-    compact_every_deltas:
-        After this many consecutive delta snapshots, the next snapshot is
-        written as a full one (compaction), bounding restore-chain length.
-        ``0`` never auto-compacts.
     """
 
-    include_caches: bool = True
-    max_cache_entries: int | None = 4096
     mmap: bool = True
-    auto_snapshot_trajectories: int = 0
-    compact_every_deltas: int = 8
-
-    def __post_init__(self) -> None:
-        if self.max_cache_entries is not None and self.max_cache_entries < 1:
-            raise ConfigurationError(
-                f"max_cache_entries must be >= 1 or None, got {self.max_cache_entries}"
-            )
-        if self.auto_snapshot_trajectories < 0:
-            raise ConfigurationError(
-                "auto_snapshot_trajectories must be >= 0, got "
-                f"{self.auto_snapshot_trajectories}"
-            )
-        if self.compact_every_deltas < 0:
-            raise ConfigurationError(
-                f"compact_every_deltas must be >= 0, got {self.compact_every_deltas}"
-            )
 
 
 def _valid_method_name(method: str) -> bool:

@@ -64,8 +64,8 @@ class TelemetryError(ReproError):
 
 
 class OpsError(ReproError):
-    """Raised by the operational control plane (admin server, SLO engine,
-    profiler) for invalid use -- never for unhealthy/unready states, which
+    """Raised by the operational control plane (admin server, SLO engine)
+    for invalid use -- never for unhealthy/unready states, which
     are reported as HTTP statuses and typed payloads instead."""
 
 

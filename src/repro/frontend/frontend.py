@@ -22,6 +22,7 @@ family.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import TYPE_CHECKING, Iterable
@@ -260,10 +261,12 @@ class ServingFrontend:
             raise FrontendError(
                 f"the {lane} lane takes {expected.__name__}, got {type(request).__name__}"
             )
-        if deadline_s is None:
-            deadline_s = self.parameters.default_deadline_s
-        if deadline_s is not None and deadline_s <= 0:
-            raise FrontendError(f"deadline_s must be positive or None, got {deadline_s}")
+        if deadline_s is not None and not (math.isfinite(deadline_s) and deadline_s > 0):
+            # A NaN or infinite deadline would make Ticket.expired() never
+            # true: refuse it instead of silently serving without one.
+            raise FrontendError(
+                f"deadline_s must be a positive finite number or None, got {deadline_s}"
+            )
         ticket = Ticket(lane, request, deadline_s=deadline_s)
         with self._stats_lock:
             self._submitted += 1

@@ -6,8 +6,8 @@ the *write* path that keeps those estimates fresh as new GPS data arrives:
 
 * :class:`TrajectoryIngestPipeline` -- normalise raw GPS, HMM map-match,
   append into a mutable store, invalidate exactly the service cache
-  entries the new data can affect, and periodically re-instantiate the
-  hybrid graph;
+  entries the new data can affect, and re-instantiate the hybrid graph
+  on demand;
 * :func:`normalize_gps_records` -- the tolerant front door for
   ingest-shaped input (out-of-order / duplicate timestamps, single-point
   traces);

@@ -17,18 +17,14 @@ from ..exceptions import TrajectoryError
 from ..trajectories.gps import GPSRecord, Trajectory
 
 
-def normalize_gps_records(
-    trajectory_id: int,
-    records: Iterable[GPSRecord],
-    min_records: int = 2,
-) -> Trajectory:
+def normalize_gps_records(trajectory_id: int, records: Iterable[GPSRecord]) -> Trajectory:
     """Build a valid :class:`Trajectory` from possibly messy GPS records.
 
     * records are sorted by timestamp (out-of-order flushes are reordered);
     * of several records sharing a timestamp, the first wins (duplicate
       fixes are dropped);
-    * raises :class:`TrajectoryError` when fewer than ``min_records``
-      usable records remain (e.g. single-point traces).
+    * raises :class:`TrajectoryError` when fewer than two usable records
+      remain (e.g. single-point traces).
     """
     ordered = sorted(records, key=lambda record: record.time_s)
     kept: list[GPSRecord] = []
@@ -36,9 +32,9 @@ def normalize_gps_records(
         if kept and record.time_s <= kept[-1].time_s:
             continue
         kept.append(record)
-    if len(kept) < min_records:
+    if len(kept) < 2:
         raise TrajectoryError(
             f"trajectory {trajectory_id} has {len(kept)} usable GPS records "
-            f"after normalisation, need at least {min_records}"
+            "after normalisation, need at least 2"
         )
     return Trajectory(trajectory_id, kept)

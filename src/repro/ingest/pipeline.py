@@ -5,18 +5,16 @@ estimates fresh as vehicles report in:
 
 1. **normalise + match** -- raw GPS input is normalised
    (:func:`~repro.ingest.normalize.normalize_gps_records`) and HMM
-   map-matched; unmatchable traces are skipped with a recorded reason
-   (or re-raised under ``match_failure_policy="raise"``);
+   map-matched; unmatchable traces are skipped with a recorded reason;
 2. **append** -- matched trajectories go into a
    :class:`~repro.trajectories.mutable.MutableTrajectoryStore` with
    incremental inverted-index maintenance (``O(|trajectory|)`` per append);
 3. **invalidate** -- each append yields an edge-level dirty set that drives
-   *targeted* invalidation of the attached service's result and
-   decomposition caches (entries on untouched paths stay hot), with
-   optional re-warmup of the dropped keys;
-4. **refresh** -- periodically (``auto_refresh_trajectories``) or on
-   demand, the hybrid graph is re-instantiated from a store snapshot and
-   the service is rebased onto it, making estimates on affected paths
+   *targeted* invalidation of the attached service's result,
+   decomposition and route caches (entries on untouched paths stay hot);
+4. **refresh** -- on demand (:meth:`~TrajectoryIngestPipeline.refresh`),
+   the hybrid graph is re-instantiated from a store snapshot and the
+   service is rebased onto it, making estimates on affected paths
    numerically identical to a cold rebuild from the same data.
 
 Input can be pushed synchronously (:meth:`~TrajectoryIngestPipeline.ingest`,
@@ -37,10 +35,8 @@ from collections import Counter, deque
 from pathlib import Path as FSPath
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from ..config import IngestParameters, PersistParameters
+from ..config import IngestParameters
 from ..exceptions import IngestError, MapMatchingError, ReproError, TrajectoryError
-from ..roadnet.path import Path
-from ..service.requests import EstimateRequest
 from ..trajectories.gps import Trajectory
 from ..trajectories.matched import MatchedTrajectory
 from ..trajectories.mutable import MutableTrajectoryStore
@@ -110,12 +106,8 @@ class TrajectoryIngestPipeline:
         ``None``.
     persist_dir:
         Directory for epoch-tagged snapshots (:mod:`repro.persist`).
-        Required only for auto-named :meth:`save_snapshot` calls and the
-        ``PersistParameters.auto_snapshot_trajectories`` periodic
-        snapshots; an explicit directory per call works without it.
-    persist_parameters:
-        :class:`~repro.config.PersistParameters`; defaults apply when
-        ``None``.
+        Required only for auto-named :meth:`save_snapshot` calls; an
+        explicit directory per call works without it.
     """
 
     def __init__(
@@ -127,7 +119,6 @@ class TrajectoryIngestPipeline:
         builder_factory: "Callable[[], HybridGraphBuilder] | None" = None,
         parameters: IngestParameters | None = None,
         persist_dir: "str | FSPath | None" = None,
-        persist_parameters: PersistParameters | None = None,
         telemetry: "Telemetry | None" = None,
     ) -> None:
         if not isinstance(store, MutableTrajectoryStore):
@@ -150,8 +141,10 @@ class TrajectoryIngestPipeline:
         self.parameters = parameters or IngestParameters()
         self._builder_factory = builder_factory
         # Commit lock: serialises append + invalidate + counter updates so
-        # stats stay consistent across queue workers.  Reentrant because a
-        # commit can trigger an auto-refresh.
+        # stats stay consistent across queue workers.  Reentrant because
+        # code outside this class runs under it -- the front-end's
+        # invalidation hook during a commit, the builder factory during a
+        # refresh -- and must be able to read stats() on the same thread.
         self._lock = threading.RLock()
         self._queue: queue.Queue | None = None
         self._workers: list[threading.Thread] = []
@@ -161,17 +154,13 @@ class TrajectoryIngestPipeline:
         self._skip_reasons: Counter[str] = Counter()
         self._recent_skips: deque[IngestResult] = deque(maxlen=64)
         self._pending_dirty: set[int] = set()
-        self._since_refresh = 0
         self._invalidated_results = 0
         self._invalidated_decompositions = 0
         self._invalidated_routes = 0
-        self._rewarmed = 0
         self._refreshes = 0
         # Snapshot persistence state (guarded by the commit lock).
-        self.persist_parameters = persist_parameters or PersistParameters()
         self._persist_dir = None if persist_dir is None else FSPath(persist_dir)
         self._dirty_since_snapshot: set[int] = set()
-        self._since_snapshot = 0
         self._last_snapshot_path: FSPath | None = None
         self._deltas_since_full = 0
         self._snapshots = 0
@@ -199,7 +188,7 @@ class TrajectoryIngestPipeline:
         matched, skip = self._prepare(item)
         if skip is not None:
             return skip
-        dirty, _invalidation, _rewarmed = self._commit([matched])
+        dirty, _invalidation = self._commit([matched])
         return IngestResult(
             trajectory_id=matched.trajectory_id,
             accepted=True,
@@ -227,9 +216,8 @@ class TrajectoryIngestPipeline:
             results.append(None)  # placeholder, filled after the commit
         dirty: set[int] = set()
         invalidation = None
-        rewarmed = 0
         if matched_batch:
-            dirty, invalidation, rewarmed = self._commit(matched_batch)
+            dirty, invalidation = self._commit(matched_batch)
         accepted = iter(matched_batch)
         for index, result in enumerate(results):
             if result is None:
@@ -244,7 +232,6 @@ class TrajectoryIngestPipeline:
             results=tuple(results),
             dirty_edges=frozenset(dirty),
             invalidation=invalidation,
-            rewarmed=rewarmed,
             duration_s=time.perf_counter() - started,
         )
 
@@ -318,10 +305,7 @@ class TrajectoryIngestPipeline:
                 if item is _SENTINEL:
                     return
                 try:
-                    # allow_raise=False: in streaming mode, match failures
-                    # are always recorded under their real reason -- there
-                    # is no caller to re-raise to on a worker thread.
-                    matched, skip = self._prepare(item, allow_raise=False)
+                    matched, _skip = self._prepare(item)
                     if matched is not None:
                         self._commit([matched])
                 except Exception as error:
@@ -364,12 +348,8 @@ class TrajectoryIngestPipeline:
         graph = self._builder_factory().build(snapshot)
         dirty = frozenset(self._pending_dirty)
         self._pending_dirty.clear()
-        self._since_refresh = 0
         invalidation = self.service.rebase(graph, dirty_edges=dirty)
         self._record_invalidation(invalidation)
-        rewarmed = 0
-        if self.parameters.rewarm_invalidated and invalidation.result_keys:
-            rewarmed = self._rewarm(invalidation.result_keys)
         self._refreshes += 1
         return RefreshReport(
             store_version=snapshot.version,
@@ -377,7 +357,6 @@ class TrajectoryIngestPipeline:
             n_variables=graph.num_variables(),
             dirty_edges=dirty,
             invalidation=invalidation,
-            rewarmed=rewarmed,
             duration_s=time.perf_counter() - started,
         )
 
@@ -393,9 +372,9 @@ class TrajectoryIngestPipeline:
         previous one, containing only the variables whose path intersects
         the dirty-edge set accumulated since that snapshot -- the same
         per-append sets that drive targeted cache invalidation -- plus the
-        appended store segment.  Every
-        ``PersistParameters.compact_every_deltas`` deltas the chain is
-        compacted by writing a full snapshot instead.
+        appended store segment.  After
+        :data:`~repro.persist.COMPACT_EVERY_DELTAS` consecutive deltas the
+        chain is compacted by writing a full snapshot instead.
 
         ``directory`` defaults to ``<persist_dir>/snapshot-<epoch>``.  For
         delta-restore equality with a cold rebuild, call :meth:`refresh`
@@ -406,8 +385,8 @@ class TrajectoryIngestPipeline:
             return self._save_snapshot_locked(directory, full)
 
     def _save_snapshot_locked(self, directory, full: bool) -> SnapshotReport:
-        from ..persist.delta import write_delta_snapshot
-        from ..persist.writer import write_snapshot
+        from ..persist.delta import COMPACT_EVERY_DELTAS, write_delta_snapshot
+        from ..persist.writer import MAX_CACHE_ENTRIES, write_snapshot
 
         if self.service is None:
             raise IngestError(
@@ -417,7 +396,6 @@ class TrajectoryIngestPipeline:
         started = time.perf_counter()
         snapshot = self.store.snapshot()
         graph = self.service.hybrid_graph
-        persist = self.persist_parameters
         if directory is None:
             if self._persist_dir is None:
                 raise IngestError(
@@ -430,10 +408,10 @@ class TrajectoryIngestPipeline:
             self._last_snapshot_path is not None
             and directory.resolve() == self._last_snapshot_path.resolve()
         ):
-            # Nothing new to persist (e.g. a periodic snapshot firing during
-            # a quiet ingest window resolves to the same epoch-named
-            # directory).  Writing a delta *into its own base* would destroy
-            # the snapshot; report the existing one instead.
+            # Nothing new to persist (e.g. a second auto-named snapshot
+            # with no append since the last one resolves to the same
+            # epoch-named directory).  Writing a delta *into its own base*
+            # would destroy the snapshot; report the existing one instead.
             from ..persist.format import read_manifest
 
             manifest = read_manifest(directory)
@@ -450,10 +428,7 @@ class TrajectoryIngestPipeline:
         write_delta = (
             not full
             and self._last_snapshot_path is not None
-            and not (
-                persist.compact_every_deltas
-                and self._deltas_since_full >= persist.compact_every_deltas
-            )
+            and self._deltas_since_full < COMPACT_EVERY_DELTAS
         )
         dirty = frozenset(self._dirty_since_snapshot)
         if write_delta:
@@ -465,23 +440,16 @@ class TrajectoryIngestPipeline:
                 dirty_edges=dirty,
                 epoch=snapshot.version,
                 service_info=self.service._snapshot_service_info(),
-                parameters=persist,
             )
             self._deltas_since_full += 1
         else:
-            cache_entries = (
-                self.service.export_cache_entries(limit=persist.max_cache_entries)
-                if persist.include_caches
-                else ()
-            )
             manifest = write_snapshot(
                 directory,
                 graph=graph,
                 store=snapshot,
-                cache_entries=cache_entries,
+                cache_entries=self.service.export_cache_entries(limit=MAX_CACHE_ENTRIES),
                 epoch=snapshot.version,
                 service_info=self.service._snapshot_service_info(),
-                parameters=persist,
             )
             self._deltas_since_full = 0
         self._last_snapshot_path = directory
@@ -490,7 +458,6 @@ class TrajectoryIngestPipeline:
         # change their variables, so they must stay dirty for the next
         # delta.  Only edges the graph has absorbed are truly settled.
         self._dirty_since_snapshot = set(self._pending_dirty)
-        self._since_snapshot = 0
         self._snapshots += 1
         graph_meta = manifest.get("graph") or {}
         return SnapshotReport(
@@ -523,7 +490,6 @@ class TrajectoryIngestPipeline:
                 invalidated_results=self._invalidated_results,
                 invalidated_decompositions=self._invalidated_decompositions,
                 invalidated_routes=self._invalidated_routes,
-                rewarmed=self._rewarmed,
                 refreshes=self._refreshes,
                 snapshots=self._snapshots,
             )
@@ -556,7 +522,7 @@ class TrajectoryIngestPipeline:
         existing bookkeeping (invalidation churn, backlog, dirty-edge
         pressure), and the two pipeline stages get latency histograms:
         ``prepare`` (normalise + map-match) and ``commit`` (append +
-        invalidate + refresh/snapshot triggers).  The histograms are the
+        invalidate).  The histograms are the
         only push-style metrics; without them the write path is untouched.
         """
         gauge = registry.gauge
@@ -567,7 +533,6 @@ class TrajectoryIngestPipeline:
             ("repro_ingest_invalidated_results_total", "Result-cache entries dropped by ingest invalidation", lambda: self._invalidated_results),
             ("repro_ingest_invalidated_decompositions_total", "Decomposition-cache entries dropped by ingest invalidation", lambda: self._invalidated_decompositions),
             ("repro_ingest_invalidated_routes_total", "Route-cache entries dropped by ingest invalidation", lambda: self._invalidated_routes),
-            ("repro_ingest_rewarmed_total", "Invalidated result keys recomputed by re-warmup", lambda: self._rewarmed),
             ("repro_ingest_refreshes_total", "Hybrid-graph refresh + service rebase passes", lambda: self._refreshes),
             ("repro_ingest_snapshots_total", "Snapshots written by the pipeline", lambda: self._snapshots),
             ("repro_ingest_pending_dirty_edges", "Edges dirtied since the last refresh", lambda: len(self._pending_dirty)),
@@ -588,25 +553,24 @@ class TrajectoryIngestPipeline:
     # Internals
     # ------------------------------------------------------------------ #
     def _prepare(
-        self, item: "MatchedTrajectory | Trajectory | tuple", allow_raise: bool = True
+        self, item: "MatchedTrajectory | Trajectory | tuple"
     ) -> tuple[MatchedTrajectory | None, IngestResult | None]:
         """Normalise and map-match one input item.
 
         Returns ``(matched, None)`` on success, ``(None, skip_result)``
-        when the item was skipped.  ``allow_raise=False`` (streaming mode)
-        records match failures even under the ``"raise"`` policy.
+        when the item was skipped.
         """
         hist = self._prepare_hist
         if hist is None:
-            return self._prepare_inner(item, allow_raise)
+            return self._prepare_inner(item)
         started = time.perf_counter()
         try:
-            return self._prepare_inner(item, allow_raise)
+            return self._prepare_inner(item)
         finally:
             hist.observe(time.perf_counter() - started)
 
     def _prepare_inner(
-        self, item: "MatchedTrajectory | Trajectory | tuple", allow_raise: bool = True
+        self, item: "MatchedTrajectory | Trajectory | tuple"
     ) -> tuple[MatchedTrajectory | None, IngestResult | None]:
         if isinstance(item, MatchedTrajectory):
             return item, None
@@ -623,23 +587,11 @@ class TrajectoryIngestPipeline:
                     f"trajectory id must be an integer, got {trajectory_id!r}"
                 ) from None
             try:
-                gps = normalize_gps_records(
-                    trajectory_id, records, self.parameters.min_gps_records
-                )
+                gps = normalize_gps_records(trajectory_id, records)
             except TrajectoryError as error:
-                return None, self._skip(trajectory_id, REASON_TOO_FEW_RECORDS, error, allow_raise)
+                return None, self._skip(trajectory_id, REASON_TOO_FEW_RECORDS, error)
         elif isinstance(item, Trajectory):
             gps = item
-            if len(gps) < self.parameters.min_gps_records:
-                return None, self._skip(
-                    gps.trajectory_id,
-                    REASON_TOO_FEW_RECORDS,
-                    TrajectoryError(
-                        f"trajectory {gps.trajectory_id} has {len(gps)} GPS records, "
-                        f"need at least {self.parameters.min_gps_records}"
-                    ),
-                    allow_raise,
-                )
         else:
             raise IngestError(
                 "cannot ingest a "
@@ -651,16 +603,12 @@ class TrajectoryIngestPipeline:
         try:
             matched = self.matcher.match(gps)
         except MapMatchingError as error:
-            return None, self._skip(gps.trajectory_id, REASON_UNMATCHABLE, error, allow_raise)
+            return None, self._skip(gps.trajectory_id, REASON_UNMATCHABLE, error)
         except TrajectoryError as error:
-            return None, self._skip(gps.trajectory_id, REASON_INVALID, error, allow_raise)
+            return None, self._skip(gps.trajectory_id, REASON_INVALID, error)
         return matched, None
 
-    def _skip(
-        self, trajectory_id: int, reason: str, error: ReproError, allow_raise: bool = True
-    ) -> IngestResult:
-        if allow_raise and self.parameters.match_failure_policy == "raise":
-            raise error
+    def _skip(self, trajectory_id: int, reason: str, error: ReproError) -> IngestResult:
         result = IngestResult(
             trajectory_id=trajectory_id, accepted=False, reason=reason, detail=str(error)
         )
@@ -674,7 +622,7 @@ class TrajectoryIngestPipeline:
 
     def _commit(
         self, matched_batch: list[MatchedTrajectory]
-    ) -> tuple[set[int], "InvalidationReport | None", int]:
+    ) -> tuple[set[int], "InvalidationReport | None"]:
         """Append a batch and apply its cache effects atomically."""
         hist = self._commit_hist
         if hist is None:
@@ -687,36 +635,17 @@ class TrajectoryIngestPipeline:
 
     def _commit_inner(
         self, matched_batch: list[MatchedTrajectory]
-    ) -> tuple[set[int], "InvalidationReport | None", int]:
+    ) -> tuple[set[int], "InvalidationReport | None"]:
         with self._lock:
             dirty = self.store.append_many(matched_batch)
             self._accepted += len(matched_batch)
             self._pending_dirty |= dirty
             self._dirty_since_snapshot |= dirty
-            self._since_refresh += len(matched_batch)
-            self._since_snapshot += len(matched_batch)
             invalidation = None
-            rewarmed = 0
-            if self.service is not None and self.parameters.invalidate_on_append and dirty:
+            if self.service is not None and dirty:
                 invalidation = self._invalidate(dirty)
                 self._record_invalidation(invalidation)
-                if self.parameters.rewarm_invalidated and invalidation.result_keys:
-                    rewarmed = self._rewarm(invalidation.result_keys)
-            if (
-                self.parameters.auto_refresh_trajectories
-                and self._since_refresh >= self.parameters.auto_refresh_trajectories
-                and self.service is not None
-                and self._builder_factory is not None
-            ):
-                self._refresh_locked()
-            if (
-                self.persist_parameters.auto_snapshot_trajectories
-                and self._since_snapshot >= self.persist_parameters.auto_snapshot_trajectories
-                and self._persist_dir is not None
-                and self.service is not None
-            ):
-                self._save_snapshot_locked(None, full=False)
-            return dirty, invalidation, rewarmed
+            return dirty, invalidation
 
     def _invalidate(self, dirty: set[int]) -> "InvalidationReport":
         """One targeted invalidation pass, through the front-end when attached.
@@ -734,28 +663,6 @@ class TrajectoryIngestPipeline:
         self._invalidated_results += len(invalidation.result_keys)
         self._invalidated_decompositions += len(invalidation.decomposition_keys)
         self._invalidated_routes += len(invalidation.route_keys)
-
-    def _rewarm(self, result_keys: tuple) -> int:
-        """Recompute recently invalidated result-cache entries.
-
-        Keys encode ``(path edge ids, alpha-interval index, method)``; the
-        interval midpoint stands in for the original departure time (the
-        cache buckets by interval, so the key maps back exactly).
-        """
-        assert self.service is not None
-        width_s = self.service.alpha_minutes * 60.0
-        requests = [
-            EstimateRequest(
-                path=Path(list(edge_ids)),
-                departure_time_s=(interval_index + 0.5) * width_s,
-                method=method,
-            )
-            for edge_ids, interval_index, method in result_keys[: self.parameters.max_rewarm_keys]
-        ]
-        self.service.submit_batch(requests)
-        with self._lock:
-            self._rewarmed += len(requests)
-        return len(requests)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         stats = self.stats()

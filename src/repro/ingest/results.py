@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..service.service import InvalidationReport
     from ..trajectories.matched import MatchedTrajectory
 
-#: The GPS trace had fewer than ``min_gps_records`` usable records after
+#: The GPS trace had fewer than two usable records after
 #: normalisation (single-point traces, all-duplicate timestamps, ...).
 REASON_TOO_FEW_RECORDS = "too-few-gps-records"
 
@@ -64,7 +64,6 @@ class IngestReport:
     #: The targeted cache invalidation this batch triggered (``None`` when
     #: no service is attached or nothing was accepted).
     invalidation: "InvalidationReport | None"
-    rewarmed: int
     duration_s: float
 
     @property
@@ -91,7 +90,6 @@ class RefreshReport:
     n_variables: int
     dirty_edges: frozenset[int]
     invalidation: "InvalidationReport"
-    rewarmed: int
     duration_s: float
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -151,7 +149,6 @@ class IngestStats:
     invalidated_decompositions: int = 0
     #: Cached routes evicted because their path crossed a dirty edge.
     invalidated_routes: int = 0
-    rewarmed: int = 0
     refreshes: int = 0
     #: Snapshots written (full + delta) via :mod:`repro.persist`.
     snapshots: int = 0

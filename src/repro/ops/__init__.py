@@ -1,26 +1,22 @@
-"""Operational control plane: admin HTTP transport, probes, SLOs, profiling.
+"""Operational control plane: admin HTTP transport, probes, SLOs.
 
 This package turns the library + front-end into an *observable daemon*:
 
 * :class:`AdminServer` -- a stdlib HTTP server beside the serving stack
   exposing ``/metrics`` (Prometheus), ``/stats``, ``/healthz``,
-  ``/readyz``, ``/traces``, ``/slow-queries``, ``/alerts``, and
-  ``/profile``;
+  ``/readyz``, ``/traces``, ``/slow-queries`` and ``/alerts``;
 * :class:`HealthMonitor` -- liveness vs readiness over the front-end,
   service, and ingest pipeline;
 * :class:`SLOEngine` with :class:`LatencySLO` / :class:`AvailabilitySLO`
   / :class:`StalenessSLO` -- declarative objectives evaluated over
   sliding windows, emitting multi-window burn-rate :class:`Alert` s to
-  pluggable sinks;
-* :class:`SamplingProfiler` / :func:`profile_for` -- wall-clock
-  thread-stack sampling grouped by component.
+  pluggable sinks.
 
 Everything reads bookkeeping the stack already maintains; nothing here
 adds work to the request hot path.
 """
 
 from .health import CheckResult, HealthMonitor, ReadinessReport
-from .profiler import SamplingProfiler, profile_for
 from .server import AdminServer
 from .slo import (
     Alert,
@@ -49,7 +45,5 @@ __all__ = [
     "ReadinessReport",
     "SLO",
     "SLOEngine",
-    "SamplingProfiler",
     "StalenessSLO",
-    "profile_for",
 ]

@@ -1,4 +1,4 @@
-"""The admin HTTP server: metrics, probes, traces, alerts, profiles.
+"""The admin HTTP server: metrics, probes, traces, alerts.
 
 A stdlib-only (:mod:`http.server`) control-plane transport mounted
 *beside* a serving stack -- it never touches the request hot path, it
@@ -13,14 +13,13 @@ only reads the bookkeeping the stack already maintains:
 ``GET /traces``    newest sampled request traces (JSON; ``?n=``)
 ``GET /slow-queries``  worst-K traces by duration (JSON; ``?n=``)
 ``GET /alerts``    SLO burn state + alert history (JSON)
-``GET /profile``   sampling profile; ``?seconds=N`` blocks that long
 ================  ====================================================
 
-The server owns the rest of the control plane's lifecycle: starting it
-starts the SLO engine's evaluation loop (when one is attached) and the
-continuous profiler (when ``TelemetryParameters.continuous_profile_hz``
-is set); stopping stops whatever it started.  ``port=0`` binds an
-ephemeral port -- read :attr:`AdminServer.port` after :meth:`start`.
+``?n=`` must be a non-negative integer; anything else answers 400.  The
+server owns the rest of the control plane's lifecycle: starting it starts
+the SLO engine's evaluation loop (when one is attached) and stopping
+stops it.  ``port=0`` binds an ephemeral port -- read
+:attr:`AdminServer.port` after :meth:`start`.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from urllib.parse import parse_qs, urlsplit
 from ..config import DEFAULT_OPS_PARAMETERS, OpsParameters
 from ..exceptions import OpsError
 from .health import HealthMonitor
-from .profiler import SamplingProfiler, profile_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..frontend.frontend import ServingFrontend
@@ -48,7 +46,7 @@ _JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
 _ENDPOINTS = (
     "/", "/metrics", "/stats", "/healthz", "/readyz",
-    "/traces", "/slow-queries", "/alerts", "/profile",
+    "/traces", "/slow-queries", "/alerts",
 )
 
 
@@ -82,7 +80,6 @@ class AdminServer:
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
         self._started_engine = False
-        self._continuous: SamplingProfiler | None = None
         self._requests_lock = threading.Lock()
         self._requests: dict[str, int] = {}
         if self.telemetry is not None:
@@ -108,13 +105,6 @@ class AdminServer:
         if self.slo_engine is not None and not self.slo_engine.running:
             self.slo_engine.start(self.parameters.slo_evaluation_period_s)
             self._started_engine = True
-        hz = (
-            self.telemetry.parameters.continuous_profile_hz
-            if self.telemetry is not None
-            else 0.0
-        )
-        if hz > 0:
-            self._continuous = SamplingProfiler(hz=hz).start()
         return self
 
     def stop(self) -> None:
@@ -128,9 +118,6 @@ class AdminServer:
         if self._started_engine and self.slo_engine is not None:
             self.slo_engine.stop()
             self._started_engine = False
-        if self._continuous is not None:
-            self._continuous.stop()
-            self._continuous = None
 
     @property
     def running(self) -> bool:
@@ -193,15 +180,15 @@ class AdminServer:
         if path == "/readyz":
             report = self.health.readiness()
             return self._json(report.to_dict(), 200 if report.ready else 503)
-        if path == "/traces":
+        if path in ("/traces", "/slow-queries"):
             if self.telemetry is None:
                 return self._json({"error": "no telemetry attached"}, 404)
-            n = _int_param(query, "n")
-            return self._json({"traces": self.telemetry.recent_traces(n)})
-        if path == "/slow-queries":
-            if self.telemetry is None:
-                return self._json({"error": "no telemetry attached"}, 404)
-            n = _int_param(query, "n")
+            try:
+                n = _count_param(query)
+            except ValueError as error:
+                return self._json({"error": str(error)}, 400)
+            if path == "/traces":
+                return self._json({"traces": self.telemetry.recent_traces(n)})
             return self._json({"slow_queries": self.telemetry.slow_queries(n)})
         if path == "/alerts":
             if self.slo_engine is None:
@@ -210,51 +197,26 @@ class AdminServer:
                 **self.slo_engine.snapshot(),
                 "alerts": [a.to_dict() for a in self.slo_engine.alerts()],
             })
-        if path == "/profile":
-            return self._profile(query)
         return self._json({"error": f"unknown path {path!r}"}, 404)
-
-    def _profile(self, query: dict) -> tuple[int, str, bytes]:
-        params = self.parameters
-        seconds = _float_param(query, "seconds")
-        top_n = _int_param(query, "top") or 10
-        if seconds is None and self._continuous is not None:
-            # No explicit duration and an always-on profiler: report its
-            # aggregate so far instead of blocking the caller.
-            return self._json({
-                "mode": "continuous",
-                **self._continuous.report(top_n=top_n),
-            })
-        seconds = params.profile_default_seconds if seconds is None else seconds
-        if seconds <= 0:
-            return self._json({"error": "seconds must be positive"}, 400)
-        seconds = min(seconds, params.profile_max_seconds)
-        report = profile_for(seconds, hz=params.profile_hz, top_n=top_n)
-        return self._json({"mode": "on-demand", **report})
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         where = self.url() if self.running else "stopped"
         return f"AdminServer({where})"
 
 
-def _int_param(query: dict, name: str) -> int | None:
-    values = query.get(name)
+def _count_param(query: dict) -> int | None:
+    """The ``?n=`` count, ``None`` when absent.
+
+    Raises :class:`ValueError` unless it is a non-negative integer: a
+    negative count would slice from the end, and ignoring a malformed one
+    would return everything.
+    """
+    values = query.get("n")
     if not values:
         return None
-    try:
-        return int(values[0])
-    except ValueError:
-        return None
-
-
-def _float_param(query: dict, name: str) -> float | None:
-    values = query.get(name)
-    if not values:
-        return None
-    try:
-        return float(values[0])
-    except ValueError:
-        return None
+    if not values[0].isdecimal():
+        raise ValueError(f"n must be a non-negative integer, got {values[0]!r}")
+    return int(values[0])
 
 
 def _build_handler(server: AdminServer) -> type[BaseHTTPRequestHandler]:

@@ -28,13 +28,15 @@ The serving-layer entry points are
 
 from .format import FORMAT_NAME, FORMAT_VERSION, MANIFEST_FILENAME, read_manifest
 from .reader import RestoredSnapshot, restore_snapshot, snapshot_info
-from .writer import write_snapshot
-from .delta import compact_snapshot, write_delta_snapshot
+from .writer import MAX_CACHE_ENTRIES, write_snapshot
+from .delta import COMPACT_EVERY_DELTAS, compact_snapshot, write_delta_snapshot
 
 __all__ = [
+    "COMPACT_EVERY_DELTAS",
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "MANIFEST_FILENAME",
+    "MAX_CACHE_ENTRIES",
     "RestoredSnapshot",
     "compact_snapshot",
     "read_manifest",

@@ -18,9 +18,8 @@ and ages inherited warm-cache entries exactly like the live service's
 targeted invalidation would.
 
 :func:`compact_snapshot` folds a chain back into a single full snapshot;
-the ingest pipeline does this automatically every
-``PersistParameters.compact_every_deltas`` deltas so restore chains stay
-bounded.
+after :data:`COMPACT_EVERY_DELTAS` consecutive deltas the ingest pipeline
+writes a full snapshot instead, so restore chains stay bounded.
 """
 
 from __future__ import annotations
@@ -38,12 +37,17 @@ from ..exceptions import PersistError
 from ..trajectories.store import TrajectoryStore
 from . import format as fmt
 from .writer import (
+    MAX_CACHE_ENTRIES,
     _store_type_name,
     encode_fallbacks,
     encode_trajectories,
     encode_variables,
     write_snapshot,
 )
+
+#: Longest run of consecutive delta snapshots the ingest pipeline writes;
+#: the next snapshot is a full one, which bounds the restore chain.
+COMPACT_EVERY_DELTAS = 8
 
 
 def write_delta_snapshot(
@@ -55,7 +59,6 @@ def write_delta_snapshot(
     dirty_edges: Iterable[int] = (),
     epoch: int | None = None,
     service_info: dict | None = None,
-    parameters: PersistParameters | None = None,
 ) -> dict:
     """Write a delta snapshot against ``base``; return its manifest.
 
@@ -65,7 +68,6 @@ def write_delta_snapshot(
     The base is referenced by *relative* path, so a snapshot tree moved as
     a unit keeps working.
     """
-    del parameters
     directory = FSPath(directory)
     base = FSPath(base)
     if directory.resolve() == base.resolve():
@@ -173,26 +175,20 @@ def compact_snapshot(directory, out_directory, parameters: PersistParameters | N
     Restores the chain and rewrites the resulting state as a full
     snapshot at ``out_directory``; returns the new manifest.  The restored
     warm-cache entries survive compaction (aged by every delta's dirty
-    set, exactly as a live restore would age them), subject to the same
-    ``parameters.include_caches`` / ``max_cache_entries`` policy a direct
-    save applies.
+    set, exactly as a live restore would age them), capped at the same
+    :data:`~repro.persist.writer.MAX_CACHE_ENTRIES` most recent entries a
+    direct save keeps.  Only ``parameters.mmap`` is read: it says how the
+    chain is restored.
     """
     from .reader import restore_snapshot
 
     parameters = parameters or PersistParameters()
     restored = restore_snapshot(directory, mmap=parameters.mmap)
-    cache_entries = restored.cache_entries if parameters.include_caches else []
-    if (
-        parameters.max_cache_entries is not None
-        and len(cache_entries) > parameters.max_cache_entries
-    ):
-        cache_entries = cache_entries[-parameters.max_cache_entries :]
     return write_snapshot(
         out_directory,
         graph=restored.graph,
         store=restored.store,
-        cache_entries=cache_entries,
+        cache_entries=restored.cache_entries[-MAX_CACHE_ENTRIES:],
         epoch=restored.epoch,
         service_info=restored.manifest.get("service"),
-        parameters=parameters,
     )

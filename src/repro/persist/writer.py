@@ -32,7 +32,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..config import PersistParameters
 from ..core.estimator import CostEstimate
 from ..core.hybrid_graph import HybridGraph
 from ..core.variables import SOURCE_SPEED_LIMIT, InstantiatedVariable
@@ -45,6 +44,10 @@ from ..trajectories.matched import MatchedTrajectory
 from ..trajectories.mutable import MutableTrajectoryStore, TrajectorySnapshot
 from ..trajectories.store import TrajectoryStore
 from . import format as fmt
+
+#: Most warm result-cache entries a full snapshot carries (the most recently
+#: used ones), so a restored process boots with the hot part of the cache.
+MAX_CACHE_ENTRIES = 4096
 
 
 def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
@@ -244,7 +247,6 @@ def write_snapshot(
     cache_entries: Sequence[tuple[tuple, CostEstimate]] = (),
     epoch: int | None = None,
     service_info: dict | None = None,
-    parameters: PersistParameters | None = None,
 ) -> dict:
     """Write a **full** snapshot directory; return its manifest.
 
@@ -253,7 +255,6 @@ def write_snapshot(
     Array blobs are written before the manifest, so an interrupted write
     never yields a loadable half-snapshot.
     """
-    del parameters  # full writes have no knobs today; kept for symmetry
     directory = FSPath(directory)
     if graph is None and store is None:
         raise PersistError("a snapshot needs at least a hybrid graph or a store")

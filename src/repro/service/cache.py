@@ -9,19 +9,8 @@ diverse traffic -- the motivation mirrors bounded-memory operator design in
 database systems: degrade gracefully (recompute) instead of growing without
 limit.
 
-Statistics (hits, misses, evictions) are recorded per cache so operators
-can size capacities from observed hit rates.
-
-Capacities are **memory-adaptive**: besides the entry-count bound, a cache
-may carry a *byte* budget (``max_bytes``) with a ``sizer`` callable that
-prices each value in bytes (the service uses the real array footprints --
-``Histogram1D.nbytes`` / ``PropagatedJoint.nbytes``).  Inserts evict
-least-recently-used entries past the budget, and
-:meth:`LRUCache.shrink_to_bytes` tightens the budget at runtime -- the
-graceful-degradation response to memory pressure (shed cold entries and
-recompute on demand, never fail).  Byte usage, byte-driven evictions and
-pressure shrinks are all surfaced through :class:`CacheStats` and the
-telemetry gauges.
+Statistics (hits, misses, evictions, invalidations) are recorded per cache
+so operators can size capacities (entry counts) from observed hit rates.
 """
 
 from __future__ import annotations
@@ -52,15 +41,6 @@ class CacheStats:
     #: Entries removed by targeted invalidation (as opposed to capacity
     #: evictions): stale data dropped because new trajectories arrived.
     invalidations: int = 0
-    #: Bytes of cached values currently held (0 when the cache has no sizer).
-    bytes_in_use: int = 0
-    #: The byte budget, or ``None`` when bounded by entry count only.
-    max_bytes: int | None = None
-    #: Evictions forced by the byte budget (a subset of ``evictions``).
-    byte_evictions: int = 0
-    #: Times the budget was tightened under memory pressure
-    #: (:meth:`LRUCache.shrink_to_bytes`).
-    pressure_shrinks: int = 0
 
     @property
     def requests(self) -> int:
@@ -84,98 +64,24 @@ class CacheStats:
 class LRUCache(Generic[K, V]):
     """A capacity-bounded mapping with least-recently-used eviction.
 
-    All operations take an internal lock, so a cache may be shared by the
-    batch executor's worker threads.
+    All operations take an internal lock, so a cache may be shared by every
+    thread calling the service.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        max_bytes: int | None = None,
-        sizer: Callable[[V], int] | None = None,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ServiceError(f"cache capacity must be >= 1, got {capacity}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ServiceError(f"max_bytes must be >= 1 or None, got {max_bytes}")
-        if max_bytes is not None and sizer is None:
-            raise ServiceError("a byte budget (max_bytes) requires a sizer")
         self._capacity = capacity
-        self._max_bytes = max_bytes
-        self._sizer = sizer
         self._entries: OrderedDict[K, V] = OrderedDict()
-        #: Per-entry byte sizes (maintained only when a sizer is set).
-        self._sizes: dict[K, int] = {}
-        self._bytes = 0
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
-        self._byte_evictions = 0
-        self._pressure_shrinks = 0
 
     @property
     def capacity(self) -> int:
         return self._capacity
-
-    @property
-    def max_bytes(self) -> int | None:
-        """The byte budget, or ``None`` when bounded by entry count only."""
-        with self._lock:
-            return self._max_bytes
-
-    @property
-    def bytes_in_use(self) -> int:
-        """Bytes of cached values currently held (0 without a sizer)."""
-        with self._lock:
-            return self._bytes
-
-    def _size_of(self, value: V) -> int:
-        return int(self._sizer(value)) if self._sizer is not None else 0
-
-    def _drop_entry_locked(self, key: K) -> None:
-        """Remove ``key`` and its byte accounting (caller holds the lock)."""
-        del self._entries[key]
-        self._bytes -= self._sizes.pop(key, 0)
-
-    def _evict_over_budget_locked(self, keep_newest: bool = True) -> int:
-        """Evict LRU entries until the byte budget holds; returns the count.
-
-        With ``keep_newest`` the most-recently-used entry survives even if
-        it alone exceeds the budget -- an oversized value passes through
-        the cache (stored, then evicted by the *next* insert) rather than
-        poisoning the insert path with errors.
-        """
-        if self._max_bytes is None:
-            return 0
-        evicted = 0
-        floor = 1 if keep_newest else 0
-        while self._bytes > self._max_bytes and len(self._entries) > floor:
-            key, _value = self._entries.popitem(last=False)
-            self._bytes -= self._sizes.pop(key, 0)
-            self._evictions += 1
-            self._byte_evictions += 1
-            evicted += 1
-        return evicted
-
-    def shrink_to_bytes(self, max_bytes: int) -> int:
-        """Tighten the byte budget and evict LRU entries to fit; returns the count.
-
-        The memory-pressure hook: shedding cold entries degrades hit rate,
-        never correctness (evicted answers are recomputed on demand).
-        Requires a sizer.  Also *loosens* the budget when ``max_bytes`` is
-        larger than the current one -- the same hook recovers capacity when
-        pressure subsides.
-        """
-        if max_bytes < 1:
-            raise ServiceError(f"max_bytes must be >= 1, got {max_bytes}")
-        if self._sizer is None:
-            raise ServiceError("cannot apply a byte budget without a sizer")
-        with self._lock:
-            self._max_bytes = max_bytes
-            self._pressure_shrinks += 1
-            return self._evict_over_budget_locked(keep_newest=False)
 
     def __len__(self) -> int:
         with self._lock:
@@ -227,42 +133,30 @@ class LRUCache(Generic[K, V]):
         so a stale value can never land *after* the scan that should have
         removed it.  Returns whether the entry was stored.
         """
-        size = self._size_of(value)
         with self._lock:
             if guard is not None and not guard():
                 return False
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self._entries[key] = value
-                if self._sizer is not None:
-                    self._bytes += size - self._sizes.get(key, 0)
-                    self._sizes[key] = size
-                self._evict_over_budget_locked()
                 return True
             if len(self._entries) >= self._capacity:
-                evicted_key, _value = self._entries.popitem(last=False)
-                self._bytes -= self._sizes.pop(evicted_key, 0)
+                self._entries.popitem(last=False)
                 self._evictions += 1
             self._entries[key] = value
-            if self._sizer is not None:
-                self._sizes[key] = size
-                self._bytes += size
-            self._evict_over_budget_locked()
             return True
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
         with self._lock:
             self._entries.clear()
-            self._sizes.clear()
-            self._bytes = 0
 
     def invalidate(self, key: K) -> bool:
         """Drop one entry if present; ``True`` when something was removed."""
         with self._lock:
             if key not in self._entries:
                 return False
-            self._drop_entry_locked(key)
+            del self._entries[key]
             self._invalidations += 1
             return True
 
@@ -277,7 +171,7 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             doomed = [key for key in self._entries if predicate(key)]
             for key in doomed:
-                self._drop_entry_locked(key)
+                del self._entries[key]
             self._invalidations += len(doomed)
             return doomed
 
@@ -292,7 +186,7 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             doomed = [key for key, value in self._entries.items() if predicate(value)]
             for key in doomed:
-                self._drop_entry_locked(key)
+                del self._entries[key]
             self._invalidations += len(doomed)
             return doomed
 
@@ -312,10 +206,6 @@ class LRUCache(Generic[K, V]):
             size=len(self._entries),
             capacity=self._capacity,
             invalidations=self._invalidations,
-            bytes_in_use=self._bytes,
-            max_bytes=self._max_bytes,
-            byte_evictions=self._byte_evictions,
-            pressure_shrinks=self._pressure_shrinks,
         )
 
     def stats(self) -> CacheStats:

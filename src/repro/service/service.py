@@ -79,27 +79,31 @@ CacheKey = tuple[tuple[int, ...], int, str]
 #: probability threshold, per-request search-limit overrides).
 RouteKey = tuple[int, int, int, float, str, float, int | None, int | None]
 
+#: Capacity of the route cache (finished :class:`RouteResult` answers).
+ROUTE_CACHE_CAPACITY = 1024
+
 #: Fields of :class:`ServiceParameters` that older snapshot manifests record
-#: and that no longer exist; :meth:`CostEstimationService.from_snapshot`
-#: ignores them.
-_RETIRED_SERVICE_PARAMETERS = frozenset({"max_workers", "kernel_backend"})
+#: and that no longer exist, with the value each one held by default.
+#: :meth:`CostEstimationService.from_snapshot` ignores a retired key at its
+#: old default and refuses any other value, since the restored service could
+#: no longer honour it.
+_RETIRED_SERVICE_DEFAULTS = {
+    "default_method": None,
+    "warmup_top_paths": 16,
+    "warmup_max_cardinality": 4,
+    "warmup_intervals_per_path": 4,
+    "route_cache_capacity": ROUTE_CACHE_CAPACITY,
+    "route_batch_size": 16,
+    "route_max_path_edges": 40,
+    "route_max_expansions": 20000,
+    "result_cache_max_bytes": None,
+    "decomposition_cache_max_bytes": None,
+    "route_cache_max_bytes": None,
+}
 
-
-def _estimate_nbytes(estimate: CostEstimate) -> int:
-    """Byte price of a cached estimate: its histogram's array footprint."""
-    return estimate.histogram.nbytes
-
-
-def _joint_nbytes(joint: PropagatedJoint) -> int:
-    """Byte price of a cached decomposition: the joint's array footprint."""
-    return joint.nbytes
-
-
-def _route_nbytes(result: RouteResult) -> int:
-    """Byte price of a cached route: the winning path's edge ids (or a token)."""
-    if result.path is None:
-        return 64
-    return 64 + 8 * len(result.path.edge_ids)
+#: Retired fields an older manifest may record with any value: they chose how
+#: work was executed, never what it computed.
+_RETIRED_EXECUTION_PARAMETERS = frozenset({"max_workers", "kernel_backend"})
 
 
 @dataclass(frozen=True)
@@ -158,10 +162,10 @@ class CostEstimationService:
     ) -> None:
         self.parameters = parameters or ServiceParameters()
         self._family = _EstimatorFamily(estimator)
-        #: Method served when a request does not override it; ``None`` in the
-        #: configuration means "whatever the wrapped estimator runs", so the
-        #: service stays a numerical drop-in for rank-capped or RD bases.
-        self.default_method = self.parameters.default_method or estimator.method_name
+        #: Method served when a request does not override it: whatever the
+        #: wrapped estimator runs, so the service stays a numerical drop-in
+        #: for rank-capped or RD bases.
+        self.default_method = estimator.method_name
         self._rd_lock = threading.Lock()
         #: Bumped (under its lock) before every invalidation/rebase; cache
         #: puts are guarded on it so an estimate computed concurrently with
@@ -169,20 +173,12 @@ class CostEstimationService:
         self._epoch = 0
         self._epoch_lock = threading.Lock()
         self._result_cache: EstimateCache[CacheKey, CostEstimate] = EstimateCache(
-            self.parameters.result_cache_capacity,
-            max_bytes=self.parameters.result_cache_max_bytes,
-            sizer=_estimate_nbytes,
+            self.parameters.result_cache_capacity
         )
         self._decomposition_cache: EstimateCache[CacheKey, PropagatedJoint] = EstimateCache(
-            self.parameters.decomposition_cache_capacity,
-            max_bytes=self.parameters.decomposition_cache_max_bytes,
-            sizer=_joint_nbytes,
+            self.parameters.decomposition_cache_capacity
         )
-        self._route_cache: RouteCache[RouteKey, RouteResult] = RouteCache(
-            self.parameters.route_cache_capacity,
-            max_bytes=self.parameters.route_cache_max_bytes,
-            sizer=_route_nbytes,
-        )
+        self._route_cache: RouteCache[RouteKey, RouteResult] = RouteCache(ROUTE_CACHE_CAPACITY)
         #: Lazily built routing engine; estimates flow back through this
         #: service, so a rebase is picked up without rebuilding the engine.
         self._route_engine: RoutingEngine | None = None
@@ -271,73 +267,6 @@ class CostEstimationService:
             return {"settled": 0, "estimated": 0}
         return {"settled": engine.settled_total, "estimated": engine.estimated_total}
 
-    def cache_memory_bytes(self) -> dict[str, int]:
-        """Bytes of cached values currently held, per cache."""
-        return {
-            "result": self._result_cache.bytes_in_use,
-            "decomposition": self._decomposition_cache.bytes_in_use,
-            "route": self._route_cache.bytes_in_use,
-        }
-
-    def shrink_caches(self, total_budget_bytes: int) -> dict[str, object]:
-        """Tighten every cache's byte budget to fit ``total_budget_bytes``.
-
-        The budget is split across the three caches proportionally to what
-        each currently holds (an idle cache gets a token floor, so a later
-        fill still respects the squeeze).  Shrinking sheds cold entries --
-        subsequent queries recompute and stay correct; only hit rate
-        degrades.  Returns a report of per-cache budgets and evictions;
-        the shrink itself is surfaced through :class:`CacheStats`
-        (``pressure_shrinks`` / ``byte_evictions``) and the telemetry
-        gauges.
-        """
-        if total_budget_bytes < 3:
-            raise ServiceError(
-                f"total_budget_bytes must be >= 3 (one byte per cache), got {total_budget_bytes}"
-            )
-        caches = (
-            ("result", self._result_cache),
-            ("decomposition", self._decomposition_cache),
-            ("route", self._route_cache),
-        )
-        in_use = {name: cache.bytes_in_use for name, cache in caches}
-        total_in_use = sum(in_use.values())
-        report: dict[str, object] = {"total_budget_bytes": int(total_budget_bytes)}
-        remaining = int(total_budget_bytes)
-        for index, (name, cache) in enumerate(caches):
-            if index == len(caches) - 1:
-                budget = remaining
-            elif total_in_use > 0:
-                budget = int(total_budget_bytes * in_use[name] / total_in_use)
-            else:
-                budget = int(total_budget_bytes // len(caches))
-            budget = max(1, min(budget, remaining - (len(caches) - 1 - index)))
-            remaining -= budget
-            evicted = cache.shrink_to_bytes(budget)
-            report[name] = {"max_bytes": budget, "evicted": evicted}
-        return report
-
-    def adapt_cache_memory(
-        self,
-        available_bytes: int,
-        fraction: float = 0.5,
-    ) -> dict[str, object] | None:
-        """Shrink cache budgets when they outgrow the memory actually available.
-
-        Shrinks the caches to ``fraction`` of ``available_bytes`` (the
-        caller's measurement of free memory) when their combined byte usage
-        exceeds that target -- the Dynamic-Hybrid-Hash-Join move: react to
-        the memory that exists instead of degrading abruptly when it runs
-        out.  Returns the shrink report, or ``None`` when no action was
-        needed.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ServiceError(f"fraction must be in (0, 1], got {fraction}")
-        target = max(3, int(available_bytes * fraction))
-        if sum(self.cache_memory_bytes().values()) <= target:
-            return None
-        return self.shrink_caches(target)
-
     def register_metrics(self, registry: "MetricsRegistry") -> "MetricsRegistry":
         """Expose the service's live stats through a telemetry registry.
 
@@ -404,24 +333,6 @@ class CostEstimationService:
                 "Entries currently cached",
                 labels=labels,
                 callback=lambda c=cache: len(c),
-            )
-            gauge(
-                "repro_service_cache_bytes",
-                "Bytes of cached values currently held",
-                labels=labels,
-                callback=lambda c=cache: c.stats().bytes_in_use,
-            )
-            gauge(
-                "repro_service_cache_byte_evictions_total",
-                "Entries evicted by the byte budget",
-                labels=labels,
-                callback=lambda c=cache: c.stats().byte_evictions,
-            )
-            gauge(
-                "repro_service_cache_pressure_shrinks_total",
-                "Times the byte budget was tightened under memory pressure",
-                labels=labels,
-                callback=lambda c=cache: c.stats().pressure_shrinks,
             )
         for outcome in ("computed", "reused"):
             gauge(
@@ -790,9 +701,6 @@ class CostEstimationService:
                     engine = RoutingEngine(
                         self.hybrid_graph.network,
                         self,
-                        max_path_edges=self.parameters.route_max_path_edges,
-                        batch_size=self.parameters.route_batch_size,
-                        max_expansions=self.parameters.route_max_expansions,
                         # Looked up per search, so a rebase is picked up here too.
                         edge_cost_bounds=lambda: self.hybrid_graph.edge_cost_bounds(),
                     )
@@ -883,7 +791,7 @@ class CostEstimationService:
         """Seed the caches from the store's most-traveled paths.
 
         See :func:`repro.service.warmup.warmup_from_store` for the keyword
-        arguments; defaults come from :class:`ServiceParameters`.
+        arguments and their defaults.
         """
         from .warmup import warmup_from_store
 
@@ -954,38 +862,25 @@ class CostEstimationService:
             },
         }
 
-    def save_snapshot(
-        self,
-        directory,
-        store: "TrajectoryStore | None" = None,
-        persist_parameters=None,
-    ) -> dict:
+    def save_snapshot(self, directory, store: "TrajectoryStore | None" = None) -> dict:
         """Write a full columnar snapshot of this service's state; return the manifest.
 
         Persists the hybrid graph (instantiated variables, fallback
-        cache), the service/estimator configuration, the warm result-cache
-        entries (when ``persist_parameters.include_caches``), and
-        optionally the trajectory ``store`` that backs the graph -- the
-        snapshot is tagged with the store's ingest epoch.  A process can
-        then boot from the snapshot with :meth:`from_snapshot`, never
-        touching raw GPS data.
+        cache), the service/estimator configuration, the
+        :data:`~repro.persist.MAX_CACHE_ENTRIES` most-recently-used warm
+        result-cache entries, and optionally the trajectory ``store`` that
+        backs the graph -- the snapshot is tagged with the store's ingest
+        epoch.  A process can then boot from the snapshot with
+        :meth:`from_snapshot`, never touching raw GPS data.
         """
-        from ..config import PersistParameters
-        from ..persist.writer import write_snapshot
+        from ..persist.writer import MAX_CACHE_ENTRIES, write_snapshot
 
-        persist_parameters = persist_parameters or PersistParameters()
-        cache_entries = (
-            self.export_cache_entries(limit=persist_parameters.max_cache_entries)
-            if persist_parameters.include_caches
-            else ()
-        )
         return write_snapshot(
             directory,
             graph=self.hybrid_graph,
             store=store,
-            cache_entries=cache_entries,
+            cache_entries=self.export_cache_entries(limit=MAX_CACHE_ENTRIES),
             service_info=self._snapshot_service_info(),
-            parameters=persist_parameters,
         )
 
     @classmethod
@@ -1002,8 +897,9 @@ class CostEstimationService:
         imports the exported warm cache entries, so the first queries of
         the restored process hit the cache exactly like the process that
         wrote the snapshot.  ``parameters`` overrides the snapshot's
-        recorded :class:`ServiceParameters`; the retired keys older
-        manifests record are ignored and any other unknown key raises
+        recorded :class:`ServiceParameters`.  A retired key an older
+        manifest records is ignored at its old default; any other value of
+        it, and any unknown key, raises
         :class:`~repro.exceptions.PersistError`.
         """
         from ..config import PersistParameters
@@ -1028,7 +924,17 @@ class CostEstimationService:
         if parameters is None and info.get("parameters"):
             recorded = info["parameters"]
             known = {field.name for field in fields(ServiceParameters)}
-            unknown = sorted(set(recorded) - known - _RETIRED_SERVICE_PARAMETERS)
+            for name, default in _RETIRED_SERVICE_DEFAULTS.items():
+                if name in recorded and recorded[name] != default:
+                    raise PersistError(
+                        f"snapshot {directory} records retired service parameter "
+                        f"{name}={recorded[name]!r}; only its old default {default!r} "
+                        "can still be honoured"
+                    )
+            unknown = sorted(
+                set(recorded) - known - set(_RETIRED_SERVICE_DEFAULTS)
+                - _RETIRED_EXECUTION_PARAMETERS
+            )
             if unknown:
                 raise PersistError(
                     f"snapshot {directory} records unknown service parameters {unknown}"
@@ -1037,7 +943,7 @@ class CostEstimationService:
                 **{name: value for name, value in recorded.items() if name in known}
             )
         service = cls(estimator, parameters)
-        if persist_parameters.include_caches and restored.cache_entries:
+        if restored.cache_entries:
             from .warmup import warm_boot_from_entries
 
             warm_boot_from_entries(service, restored.cache_entries)

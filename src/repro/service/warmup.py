@@ -70,27 +70,18 @@ def most_traveled_paths(
 def warmup_from_store(
     service: "CostEstimationService",
     store: "TrajectoryStore",
-    top_paths: int | None = None,
-    max_cardinality: int | None = None,
-    intervals_per_path: int | None = None,
+    top_paths: int = 16,
+    max_cardinality: int = 4,
+    intervals_per_path: int = 4,
     method: str | None = None,
 ) -> WarmupReport:
     """Seed the service's caches from the store's most-traveled paths.
 
-    For each selected path, the busiest ``intervals_per_path``
-    alpha-intervals (by observation count) are precomputed at their
-    midpoints.  Defaults come from the service's
-    :class:`~repro.config.ServiceParameters`.
+    The ``top_paths`` most-traveled paths of cardinality 2 ..
+    ``max_cardinality`` are selected; for each, the busiest
+    ``intervals_per_path`` alpha-intervals (by observation count) are
+    precomputed at their midpoints.
     """
-    parameters = service.parameters
-    top_paths = parameters.warmup_top_paths if top_paths is None else top_paths
-    max_cardinality = (
-        parameters.warmup_max_cardinality if max_cardinality is None else max_cardinality
-    )
-    intervals_per_path = (
-        parameters.warmup_intervals_per_path if intervals_per_path is None else intervals_per_path
-    )
-
     started = time.perf_counter()
     alpha = service.alpha_minutes
     width_s = alpha * 60.0

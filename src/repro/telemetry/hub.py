@@ -26,7 +26,6 @@ class Telemetry:
         self.tracer = Tracer(
             sample_every=self.parameters.trace_sample_every,
             slow_log_capacity=self.parameters.slow_log_capacity,
-            recent_capacity=self.parameters.recent_traces_capacity,
         )
 
     def snapshot(self) -> dict:
@@ -54,19 +53,14 @@ class Telemetry:
         return render_prometheus(self.registry)
 
     def reporter(
-        self, path: str | Path, period_s: float | None = None, **kwargs
+        self, path: str | Path, period_s: float = 1.0, **kwargs
     ) -> StatsReporter:
         """A :class:`StatsReporter` writing this hub's snapshots to ``path``.
 
         Extra keyword arguments (``max_bytes``, ``on_full``,
         ``fsync_period_s``) pass through to the reporter.
         """
-        return StatsReporter(
-            self.snapshot,
-            path,
-            period_s=period_s if period_s is not None else self.parameters.reporter_period_s,
-            **kwargs,
-        )
+        return StatsReporter(self.snapshot, path, period_s=period_s, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Telemetry({len(self.registry)} series, {self.tracer!r})"

@@ -160,17 +160,12 @@ class TestServing:
             for blocker in blockers:
                 blocker.result(timeout=30.0)
 
-    def test_default_deadline_from_parameters(self, service, estimate_requests):
-        frontend = ServingFrontend(
-            service,
-            FrontendParameters(
-                queue_capacity=8, max_batch_size=4, default_deadline_s=30.0
-            ),
-        )
-        with frontend:
-            ticket = frontend.submit_estimate(estimate_requests[0])
+    def test_per_submit_deadline_is_applied(self, service, estimate_requests):
+        with small_frontend(service) as frontend:
+            ticket = frontend.submit_estimate(estimate_requests[0], deadline_s=30.0)
             assert ticket.deadline_at_s is not None
             assert ticket.result(timeout=30.0).ok
+            assert frontend.submit_estimate(estimate_requests[1]).deadline_at_s is None
 
     def test_wrong_request_type_raises(self, service, estimate_requests):
         with small_frontend(service) as frontend:
@@ -314,10 +309,19 @@ class TestParameters:
             FrontendParameters(max_linger_ms=-1.0)
         with pytest.raises(ConfigurationError):
             FrontendParameters(n_workers=0)
-        with pytest.raises(ConfigurationError):
-            FrontendParameters(default_deadline_s=0.0)
 
     def test_negative_deadline_rejected_at_submit(self, service, estimate_requests):
         with small_frontend(service) as frontend:
             with pytest.raises(FrontendError):
                 frontend.submit_estimate(estimate_requests[0], deadline_s=-1.0)
+
+    @pytest.mark.parametrize("deadline_s", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_deadline_rejected_at_submit(self, service, estimate_requests, deadline_s):
+        """A NaN or infinite deadline would never expire: it is refused, not ignored."""
+        route = RouteRequest(0, 1, 8 * 3600.0, 600.0)
+        with small_frontend(service) as frontend:
+            with pytest.raises(FrontendError, match="finite"):
+                frontend.submit_estimate(estimate_requests[0], deadline_s=deadline_s)
+            with pytest.raises(FrontendError, match="finite"):
+                frontend.submit_route(route, deadline_s=deadline_s)
+            assert frontend.stats().submitted == 0

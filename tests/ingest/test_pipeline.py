@@ -130,26 +130,6 @@ class TestTargetedInvalidation:
         assert stats.invalidated_results >= 1
         assert service.result_cache_stats().invalidations >= 1
 
-    def test_rewarm_recomputes_dropped_entries(
-        self, base_trajectories, stream_trajectories, builder_factory
-    ):
-        store = MutableTrajectoryStore(base_trajectories)
-        service = make_service(store, builder_factory)
-        pipeline = TrajectoryIngestPipeline(
-            store,
-            service=service,
-            builder_factory=builder_factory,
-            parameters=IngestParameters(rewarm_invalidated=True),
-        )
-        _clean, dirty = clean_and_dirty_paths(base_trajectories, stream_trajectories)
-        departure = stream_trajectories[0].departure_time_s
-        service.estimate(dirty, departure)
-        report = pipeline.ingest_batch(stream_trajectories)
-        assert report.rewarmed >= 1
-        response = service.submit(EstimateRequest(dirty, departure))
-        assert response.cache_hit
-        assert response.source == SOURCE_RESULT_CACHE
-
 
 class TestRefresh:
     def test_refresh_matches_cold_rebuild(
@@ -221,22 +201,6 @@ class TestRefresh:
         pipeline = TrajectoryIngestPipeline(MutableTrajectoryStore(base_trajectories))
         with pytest.raises(IngestError):
             pipeline.refresh()
-
-    def test_auto_refresh_triggers_every_n_trajectories(
-        self, base_trajectories, stream_trajectories, builder_factory
-    ):
-        store = MutableTrajectoryStore(base_trajectories)
-        service = make_service(store, builder_factory)
-        pipeline = TrajectoryIngestPipeline(
-            store,
-            service=service,
-            builder_factory=builder_factory,
-            parameters=IngestParameters(auto_refresh_trajectories=10),
-        )
-        for trajectory in stream_trajectories[:20]:
-            pipeline.ingest(trajectory)
-        assert pipeline.stats().refreshes == 2
-        assert pipeline.stats().pending_dirty_edges == 0
 
 
 class TestStreamingMode:

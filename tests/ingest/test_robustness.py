@@ -13,7 +13,6 @@ import pytest
 
 from repro import (
     IngestParameters,
-    MapMatchingError,
     MatchedTrajectory,
     MutableTrajectoryStore,
     Trajectory,
@@ -61,6 +60,10 @@ class TestNormalization:
         with pytest.raises(TrajectoryError):
             normalize_gps_records(1, [record(0, 0, 10.0)])
 
+    def test_two_usable_records_suffice(self):
+        trajectory = normalize_gps_records(1, [record(0, 0, 20.0), record(5, 0, 10.0)])
+        assert [r.time_s for r in trajectory.records] == [10.0, 20.0]
+
     def test_all_duplicates_raise(self):
         records = [record(0, 0, 10.0), record(1, 0, 10.0), record(2, 0, 10.0)]
         with pytest.raises(TrajectoryError):
@@ -91,18 +94,6 @@ class TestPipelineRobustness:
         result = gps_pipeline.ingest(off_network)
         assert not result.accepted
         assert result.reason == REASON_UNMATCHABLE
-
-    def test_raise_policy_propagates_map_matching_error(self, ingest_matcher):
-        pipeline = TrajectoryIngestPipeline(
-            MutableTrajectoryStore(),
-            matcher=ingest_matcher,
-            parameters=IngestParameters(match_failure_policy="raise"),
-        )
-        off_network = Trajectory(
-            7003, [record(1e7, 1e7, 1.0), record(1e7 + 40, 1e7, 6.0)]
-        )
-        with pytest.raises(MapMatchingError):
-            pipeline.ingest(off_network)
 
     def test_mixed_stream_never_crashes_and_accounts_for_everything(
         self, ingest_matcher, live_gps
@@ -155,15 +146,12 @@ class TestPipelineRobustness:
         assert stats.skip_reasons["ingest-error"] == 2
         assert len(store) == 1
 
-    def test_streaming_raise_policy_still_records_real_reason(self, ingest_matcher):
-        """On a worker thread there is no caller to re-raise to: failures
-        are recorded under their true reason even with policy='raise'."""
+    def test_streaming_records_the_real_skip_reason(self, ingest_matcher):
+        """A queue worker records each failure under its true reason."""
         pipeline = TrajectoryIngestPipeline(
             MutableTrajectoryStore(),
             matcher=ingest_matcher,
-            parameters=IngestParameters(
-                n_workers=1, queue_capacity=4, match_failure_policy="raise"
-            ),
+            parameters=IngestParameters(n_workers=1, queue_capacity=4),
         )
         off_network = Trajectory(
             7301, [record(1e7, 1e7, 1.0), record(1e7 + 40, 1e7, 6.0)]

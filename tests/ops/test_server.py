@@ -9,7 +9,6 @@ from repro import (
     SLOEngine,
     SLOParameters,
     Telemetry,
-    TelemetryParameters,
     parse_prometheus_text,
 )
 
@@ -141,6 +140,26 @@ class TestEndpoints:
         assert status == 200
         assert len(body["slow_queries"]) == 1
 
+    @pytest.mark.parametrize("endpoint", ["/traces", "/slow-queries"])
+    @pytest.mark.parametrize("bad", ["-1", "abc", "1.5"])
+    def test_bad_trace_count_is_a_400(
+        self, server, frontend, estimate_requests, http_get, endpoint, bad
+    ):
+        """A negative count must not slice from the end, nor a malformed one return all."""
+        for request in estimate_requests[:6]:
+            frontend.submit_estimate(request)
+        frontend.drain()
+        status, body = http_get(server.url(f"{endpoint}?n={bad}"))
+        assert status == 400
+        assert "non-negative integer" in body["error"]
+        assert bad in body["error"]
+        key = "traces" if endpoint == "/traces" else "slow_queries"
+        status, body = http_get(server.url(f"{endpoint}?n=0"))
+        assert (status, body[key]) == (200, [])
+        status, body = http_get(server.url(f"{endpoint}?n=1"))
+        assert status == 200
+        assert len(body[key]) == 1
+
     def test_alerts_404_without_engine(self, server, http_get):
         status, body = http_get(server.url("/alerts"))
         assert status == 404
@@ -163,27 +182,6 @@ class TestEndpoints:
             assert "availability" in names
             assert any(name.startswith("latency-") for name in names)
 
-    def test_profile_on_demand(self, server, http_get):
-        status, body = http_get(server.url("/profile?seconds=0.1&top=3"))
-        assert status == 200
-        assert body["mode"] == "on-demand"
-        assert body["samples"] > 0
-        assert all(len(c["top"]) <= 3 for c in body["components"].values())
-
-    def test_profile_duration_is_clamped(self, frontend, http_get):
-        parameters = OpsParameters(
-            profile_default_seconds=0.05, profile_max_seconds=0.1
-        )
-        with AdminServer(frontend=frontend, parameters=parameters) as admin:
-            status, body = http_get(admin.url("/profile?seconds=60"))
-            assert status == 200
-            assert body["duration_s"] < 5.0
-
-    def test_profile_rejects_bad_seconds(self, server, http_get):
-        status, body = http_get(server.url("/profile?seconds=-1"))
-        assert status == 400
-        assert "seconds" in body["error"]
-
     def test_request_counts(self, server, http_get):
         http_get(server.url("/healthz"))
         http_get(server.url("/healthz"))
@@ -191,31 +189,6 @@ class TestEndpoints:
         counts = server.request_counts()
         assert counts["/healthz"] >= 2
         assert counts["/readyz"] >= 1
-
-
-class TestContinuousProfiling:
-    def test_always_on_profiler_backs_profile_endpoint(self, service, http_get):
-        from repro import FrontendParameters, ServingFrontend
-
-        telemetry = Telemetry(TelemetryParameters(continuous_profile_hz=50.0))
-        frontend = ServingFrontend(
-            service, FrontendParameters(n_workers=1), telemetry=telemetry
-        )
-        frontend.start()
-        try:
-            with AdminServer(frontend=frontend) as admin:
-                import time
-
-                time.sleep(0.1)
-                status, body = http_get(admin.url("/profile"))
-                assert status == 200
-                assert body["mode"] == "continuous"
-                assert body["samples"] > 0
-                # An explicit duration still runs an on-demand session.
-                status, body = http_get(admin.url("/profile?seconds=0.05"))
-                assert body["mode"] == "on-demand"
-        finally:
-            frontend.stop(drain=False)
 
 
 class TestBareTelemetryServer:

@@ -24,6 +24,7 @@ from repro import (
     write_delta_snapshot,
     write_snapshot,
 )
+from repro.persist import COMPACT_EVERY_DELTAS
 
 
 @pytest.fixture
@@ -36,7 +37,6 @@ def pipeline(mutable_seed_store, persist_builder_factory, tmp_path):
         service=service,
         builder_factory=persist_builder_factory,
         persist_dir=tmp_path / "snapshots",
-        persist_parameters=PersistParameters(),
     )
 
 
@@ -107,36 +107,26 @@ class TestPipelineSnapshots:
             service=service,
             builder_factory=persist_builder_factory,
             persist_dir=tmp_path / "snapshots",
-            persist_parameters=PersistParameters(compact_every_deltas=2),
         )
         kinds = [pipeline.save_snapshot(tmp_path / "snapshots" / "s0").kind]
-        for index, start in enumerate((160, 170, 180, 190)):
-            pipeline.ingest_batch(persist_trajectories[start : start + 10])
+        for index in range(COMPACT_EVERY_DELTAS + 1):
+            start = 160 + 4 * index
+            pipeline.ingest_batch(persist_trajectories[start : start + 4])
             kinds.append(
                 pipeline.save_snapshot(tmp_path / "snapshots" / f"s{index + 1}").kind
             )
-        assert kinds == ["full", "delta", "delta", "full", "delta"]
+        assert kinds == ["full"] + ["delta"] * COMPACT_EVERY_DELTAS + ["full"]
 
-    def test_auto_snapshot_on_commit(
-        self, mutable_seed_store, persist_builder_factory, persist_trajectories, tmp_path
-    ):
-        service = CostEstimationService.from_hybrid_graph(
-            persist_builder_factory().build(mutable_seed_store.snapshot())
-        )
-        pipeline = TrajectoryIngestPipeline(
-            mutable_seed_store,
-            service=service,
-            builder_factory=persist_builder_factory,
-            persist_dir=tmp_path / "auto",
-            persist_parameters=PersistParameters(auto_snapshot_trajectories=10),
-        )
-        pipeline.ingest_batch(persist_trajectories[160:175])
-        stats = pipeline.stats()
-        assert stats.snapshots >= 1
-        directories = sorted((tmp_path / "auto").iterdir())
-        assert directories
-        restored = restore_snapshot(directories[-1])
-        assert restored.epoch > 160
+    def test_full_snapshot_carries_the_warm_cache(self, pipeline, warm_query):
+        path, departure = warm_query
+        pipeline.service.estimate(path, departure)
+        report = pipeline.save_snapshot()
+        assert report.kind == "full"
+        restored = restore_snapshot(report.path)
+        assert [key for key, _ in restored.cache_entries] == [
+            key for key, _ in pipeline.service.export_cache_entries()
+        ]
+        assert restored.cache_entries
 
     def test_idle_resave_does_not_destroy_the_snapshot(
         self, pipeline, persist_trajectories
@@ -279,7 +269,7 @@ class TestCompaction:
         graphs_bit_identical(chain_restore.graph, flat_restore.graph)
         assert len(flat_restore.store) == len(chain_restore.store)
 
-    def test_compaction_honors_cache_export_policy(
+    def test_compaction_carries_the_chain_cache_entries(
         self, pipeline, persist_trajectories, warm_query
     ):
         path, departure = warm_query
@@ -287,9 +277,8 @@ class TestCompaction:
         pipeline.save_snapshot()
         pipeline.ingest_batch(persist_trajectories[160:170])
         delta = pipeline.save_snapshot()
-        out = pipeline._persist_dir / "no-cache"
-        manifest = compact_snapshot(
-            delta.path, out, PersistParameters(include_caches=False)
-        )
-        assert manifest["cache"]["n_entries"] == 0
-        assert restore_snapshot(out).cache_entries == []
+        out = pipeline._persist_dir / "compacted"
+        manifest = compact_snapshot(delta.path, out, PersistParameters(mmap=False))
+        chain_keys = [key for key, _ in restore_snapshot(delta.path).cache_entries]
+        assert manifest["cache"]["n_entries"] == len(chain_keys)
+        assert [key for key, _ in restore_snapshot(out).cache_entries] == chain_keys

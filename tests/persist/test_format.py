@@ -177,15 +177,6 @@ class TestWriterValidation:
         assert len(restored.store) == len(persist_store)
         assert restored.store.covered_edges() == persist_store.covered_edges()
 
-    def test_persist_parameters_validation(self):
-        with pytest.raises(Exception):
-            PersistParameters(max_cache_entries=0)
-        with pytest.raises(Exception):
-            PersistParameters(auto_snapshot_trajectories=-1)
-        with pytest.raises(Exception):
-            PersistParameters(compact_every_deltas=-1)
-        assert PersistParameters(max_cache_entries=None).max_cache_entries is None
-
 
 class TestMmapZeroCopy:
     def test_restored_histograms_view_snapshot_files(self, tmp_path, persist_graph):

@@ -16,7 +16,6 @@ from repro import (
     CostEstimationService,
     MutableTrajectoryStore,
     PersistError,
-    PersistParameters,
     TrajectoryIngestPipeline,
     TrajectoryStore,
     restore_snapshot,
@@ -103,7 +102,6 @@ class TestDeferredStore:
             service=service,
             builder_factory=persist_builder_factory,
             persist_dir=tmp_path / "chain",
-            persist_parameters=PersistParameters(),
         )
         pipeline.save_snapshot()
         for start in (160, 180):

@@ -197,6 +197,25 @@ class TestServiceRoundTrip:
             response.estimate.entropy, original.entropy, rtol=0.0, atol=0.0, equal_nan=True
         )
 
+    def test_snapshot_carries_at_most_max_cache_entries_most_recent(
+        self, tmp_path, persist_service, persist_simulator, monkeypatch
+    ):
+        import repro.persist.writer
+
+        route = persist_simulator.popular_routes[0]
+        departure = route.busy_hour * 3600.0
+        paths = [route.path.prefix(length) for length in (2, 3, 4, 5)]
+        for path in paths:
+            persist_service.estimate(path, departure)
+        manifest = persist_service.save_snapshot(tmp_path / "all")
+        assert manifest["cache"]["n_entries"] == len(paths)
+        monkeypatch.setattr(repro.persist.writer, "MAX_CACHE_ENTRIES", 2)
+        persist_service.save_snapshot(tmp_path / "capped")
+        restored = restore_snapshot(tmp_path / "capped")
+        assert [key[0] for key, _ in restored.cache_entries] == [
+            paths[-2].edge_ids, paths[-1].edge_ids
+        ]
+
     def test_cache_export_limit_keeps_most_recent(self, persist_service, persist_simulator):
         route = persist_simulator.popular_routes[0]
         departure = route.busy_hour * 3600.0
@@ -258,18 +277,49 @@ def rewrite_service_parameters(directory, **extra) -> None:
     manifest_path.write_text(json.dumps(manifest))
 
 
+#: The service parameters older manifests record and that no longer exist,
+#: each at the value it held by default.
+RETIRED_AT_OLD_DEFAULTS = {
+    "default_method": None,
+    "warmup_top_paths": 16,
+    "warmup_max_cardinality": 4,
+    "warmup_intervals_per_path": 4,
+    "route_cache_capacity": 1024,
+    "route_batch_size": 16,
+    "route_max_path_edges": 40,
+    "route_max_expansions": 20000,
+    "result_cache_max_bytes": None,
+    "decomposition_cache_max_bytes": None,
+    "route_cache_max_bytes": None,
+}
+
+
 class TestRecordedServiceParameters:
     def test_retired_keys_are_ignored(
-        self, tmp_path, persist_service, persist_store, persist_simulator
+        self, tmp_path, persist_service, persist_store, persist_simulator, persist_network,
+        warm_query,
     ):
         persist_service.save_snapshot(tmp_path / "s", store=persist_store)
         rewrite_service_parameters(
             tmp_path / "s",
             max_workers=2,
             kernel_backend={"backend": "threaded", "max_workers": 2},
+            **RETIRED_AT_OLD_DEFAULTS,
         )
         restored = CostEstimationService.from_snapshot(tmp_path / "s")
         assert restored.parameters == persist_service.parameters
+        assert restored.default_method == persist_service.default_method
+        path, departure = warm_query
+        request = RouteRequest(
+            source=persist_network.edge(path.edge_ids[0]).source,
+            target=persist_network.edge(path.edge_ids[-1]).target,
+            departure_time_s=departure,
+            budget_s=400.0,
+        )
+        ours, theirs = persist_service.route(request).result, restored.route(request).result
+        assert ours.found
+        assert ours.path.edge_ids == theirs.path.edge_ids
+        assert (ours.probability, ours.expansions) == (theirs.probability, theirs.expansions)
         for route in persist_simulator.popular_routes[:3]:
             departure = route.busy_hour * 3600.0
             for length in (2, 3, 4):
@@ -282,8 +332,9 @@ class TestRecordedServiceParameters:
     @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
     @pytest.mark.parametrize(
         "retired",
-        [{"max_workers": 4}, {"kernel_backend": {"backend": "auto", "tile_size": 64}}],
-        ids=["max_workers", "kernel_backend"],
+        [{"max_workers": 4}, {"kernel_backend": {"backend": "auto", "tile_size": 64}}]
+        + [{name: value} for name, value in RETIRED_AT_OLD_DEFAULTS.items()],
+        ids=lambda retired: next(iter(retired)),
     )
     def test_each_retired_key_alone_is_ignored(
         self, tmp_path, persist_service, persist_store, warm_query, retired, mmap
@@ -340,9 +391,33 @@ class TestRecordedServiceParameters:
     def test_recorded_non_default_parameters_are_restored(
         self, tmp_path, persist_graph, persist_store
     ):
-        parameters = ServiceParameters(
-            result_cache_capacity=33, route_batch_size=5, route_cache_max_bytes=1 << 20
-        )
+        parameters = ServiceParameters(result_cache_capacity=33, decomposition_cache_capacity=7)
         service = CostEstimationService.from_hybrid_graph(persist_graph, parameters=parameters)
         service.save_snapshot(tmp_path / "s", store=persist_store)
         assert CostEstimationService.from_snapshot(tmp_path / "s").parameters == parameters
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("default_method", "OD-2"),
+            ("default_method", "OD"),
+            ("warmup_top_paths", 8),
+            ("warmup_max_cardinality", 3),
+            ("warmup_intervals_per_path", 2),
+            ("route_cache_capacity", 64),
+            ("route_batch_size", 5),
+            ("route_max_path_edges", 12),
+            ("route_max_expansions", 400),
+            ("result_cache_max_bytes", 1 << 20),
+            ("decomposition_cache_max_bytes", 1 << 20),
+            ("route_cache_max_bytes", 1 << 20),
+        ],
+    )
+    def test_non_default_value_is_a_persist_error(
+        self, tmp_path, persist_service, persist_store, name, value
+    ):
+        """The restored service could not honour the value: refuse, never drift."""
+        persist_service.save_snapshot(tmp_path / "s", store=persist_store)
+        rewrite_service_parameters(tmp_path / "s", **{name: value})
+        with pytest.raises(PersistError, match=f"{name}={value!r}"):
+            CostEstimationService.from_snapshot(tmp_path / "s")

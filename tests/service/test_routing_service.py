@@ -9,25 +9,28 @@ from repro import (
     PathCostEstimator,
     RouteRequest,
     RoutingError,
-    ServiceParameters,
     TrajectoryIngestPipeline,
 )
 from repro.service.requests import SOURCE_COMPUTED, SOURCE_ROUTE_CACHE
 
 DEPARTURE_S = 8 * 3600.0
 
+#: Search limits every request here carries, so the searches stay small.
+LIMITS = {"max_path_edges": 12, "max_expansions": 400}
+
 
 @pytest.fixture()
 def service(hybrid_graph):
-    return CostEstimationService(
-        PathCostEstimator(hybrid_graph),
-        ServiceParameters(route_max_path_edges=12, route_max_expansions=400),
-    )
+    return CostEstimationService(PathCostEstimator(hybrid_graph))
 
 
-def _request(source, target, budget_s=3600.0, **kwargs):
+def _request(source, target, budget_s=3600.0, departure_time_s=DEPARTURE_S, **kwargs):
     return RouteRequest(
-        source=source, target=target, departure_time_s=DEPARTURE_S, budget_s=budget_s, **kwargs
+        source=source,
+        target=target,
+        departure_time_s=departure_time_s,
+        budget_s=budget_s,
+        **{**LIMITS, **kwargs},
     )
 
 
@@ -51,9 +54,7 @@ class TestRouteAPI:
     def test_same_interval_departures_share_the_cached_route(self, service):
         first = service.route(_request(0, 9))
         # 5 minutes later, same 30-minute alpha-interval: cache hit.
-        shifted = RouteRequest(
-            source=0, target=9, departure_time_s=DEPARTURE_S + 300.0, budget_s=3600.0
-        )
+        shifted = _request(0, 9, departure_time_s=DEPARTURE_S + 300.0)
         assert service.route(shifted).cache_hit
         assert not first.cache_hit
 
@@ -63,7 +64,7 @@ class TestRouteAPI:
         assert all(r.found for r in responses)
 
     def test_find_route_convenience(self, service):
-        result = service.find_route(0, 9, DEPARTURE_S, 3600.0)
+        result = service.find_route(0, 9, DEPARTURE_S, 3600.0, **LIMITS)
         assert result.found
         assert service.stats()["routes_computed"] == 1
 
@@ -83,12 +84,8 @@ class TestRouteAPI:
         with pytest.raises(RoutingError):
             RouteRequest(source=0, target=1, departure_time_s=0.0, budget_s=1.0, method="")
 
-    def test_truncated_searches_are_reported(self, hybrid_graph):
-        service = CostEstimationService(
-            PathCostEstimator(hybrid_graph),
-            ServiceParameters(route_max_path_edges=18, route_max_expansions=2),
-        )
-        response = service.route(_request(0, 63))
+    def test_truncated_searches_are_reported(self, service):
+        response = service.route(_request(0, 63, max_path_edges=18, max_expansions=2))
         assert response.truncated
 
 
@@ -149,10 +146,7 @@ class TestRouteCacheInvalidation:
         assert engine.edge_cost_bounds() is rebuilt.edge_cost_bounds()
 
         after = service.route(slow_request)
-        fresh = CostEstimationService(
-            PathCostEstimator(rebuilt),
-            ServiceParameters(route_max_path_edges=12, route_max_expansions=400),
-        ).route(slow_request)
+        fresh = CostEstimationService(PathCostEstimator(rebuilt)).route(slow_request)
         for field in ("path", "probability", "expansions", "paths_evaluated", "truncated"):
             assert getattr(after.result, field) == getattr(fresh.result, field)
         stats = service.stats()["routing"]

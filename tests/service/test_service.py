@@ -231,11 +231,6 @@ class TestOverridesAndValidation:
         assert service.default_method == "OD-2"
         assert_estimates_identical(od2.estimate(path, departure), service.estimate(path, departure))
 
-    def test_explicit_default_method_overrides_estimator(self, estimator, busy_query):
-        path, departure = busy_query
-        service = CostEstimationService(estimator, ServiceParameters(default_method="OD-2"))
-        assert service.estimate(path, departure).method == "OD-2"
-
     def test_from_hybrid_graph_constructor(self, hybrid_graph, busy_query):
         path, departure = busy_query
         service = CostEstimationService.from_hybrid_graph(hybrid_graph)
@@ -291,6 +286,16 @@ class TestWarmup:
             call(service, store, path, departure)
         assert service.stats()["served"] == 0
 
+    def test_warmup_defaults(self, estimator, store):
+        """16 paths of cardinality <= 4, the 4 busiest intervals each."""
+        implicit = CostEstimationService(estimator).warmup(store)
+        explicit = CostEstimationService(PathCostEstimator(estimator.hybrid_graph)).warmup(
+            store, top_paths=16, max_cardinality=4, intervals_per_path=4
+        )
+        assert implicit.n_paths == explicit.n_paths <= 16
+        assert implicit.n_requests == explicit.n_requests <= 4 * implicit.n_paths
+        assert implicit.n_computed == explicit.n_computed
+
     def test_most_traveled_paths_ranked_and_bounded(self, store):
         ranked = most_traveled_paths(store, top_paths=5, max_cardinality=3)
         assert len(ranked) <= 5
@@ -300,6 +305,13 @@ class TestWarmup:
 
 
 class TestRoutingIntegration:
+    def test_routing_engine_and_route_cache_use_fixed_defaults(self, service):
+        from repro.service.service import ROUTE_CACHE_CAPACITY
+
+        engine = service.routing_engine()
+        assert (engine.max_path_edges, engine.batch_size, engine.max_expansions) == (40, 16, 20000)
+        assert service.route_cache_stats().capacity == ROUTE_CACHE_CAPACITY == 1024
+
     def test_budget_query_accepts_service(self, service, estimator, small_network, busy_query):
         path, departure = busy_query
         source = small_network.edge(path.edge_ids[0]).source

@@ -172,10 +172,10 @@ class TestTelemetryHub:
         hub.registry.counter("repro_x_total").inc()
         assert "repro_x_total 1" in hub.render_prometheus()
 
-    def test_reporter_uses_configured_period(self, tmp_path):
+    def test_reporter_period(self, tmp_path):
         hub = Telemetry()
-        reporter = hub.reporter(tmp_path / "r.jsonl")
-        assert reporter._period_s == hub.parameters.reporter_period_s
+        assert hub.reporter(tmp_path / "a.jsonl")._period_s == 1.0
+        assert hub.reporter(tmp_path / "b.jsonl", period_s=0.5)._period_s == 0.5
 
 
 class TestAdversarialLabelRoundTrip:

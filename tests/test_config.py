@@ -1,14 +1,20 @@
 """Unit tests for the configuration objects."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro import (
     ConfigurationError,
     EstimatorParameters,
     ExperimentParameters,
+    FrontendParameters,
+    IngestParameters,
+    OpsParameters,
     PersistParameters,
     ServiceParameters,
     SimulationParameters,
+    TelemetryParameters,
 )
 
 
@@ -70,7 +76,8 @@ class TestSimulationParameters:
 class TestServiceParameters:
     def test_defaults_valid(self):
         parameters = ServiceParameters()
-        assert parameters.default_method is None  # = the wrapped estimator's method
+        assert parameters.result_cache_capacity == 4096
+        assert parameters.decomposition_cache_capacity == 1024
 
     def test_invalid_capacities(self):
         with pytest.raises(ConfigurationError):
@@ -79,50 +86,58 @@ class TestServiceParameters:
             ServiceParameters(decomposition_cache_capacity=0)
 
     @pytest.mark.parametrize(
-        "retired", [{"max_workers": 2}, {"kernel_backend": {"backend": "fused"}}]
+        "retired",
+        [
+            {"max_workers": 2},
+            {"kernel_backend": {"backend": "fused"}},
+            {"default_method": "OD"},
+            {"route_batch_size": 16},
+            {"result_cache_max_bytes": 1024},
+        ],
     )
     def test_retired_options_are_not_accepted(self, retired):
         with pytest.raises(TypeError):
             ServiceParameters(**retired)
 
-    def test_method_names_validated(self):
-        ServiceParameters(default_method="OD-3")
-        ServiceParameters(default_method="RD")
-        with pytest.raises(ConfigurationError):
-            ServiceParameters(default_method="LB")
-        with pytest.raises(ConfigurationError):
-            ServiceParameters(default_method="OD-0")
-        with pytest.raises(ConfigurationError):
-            ServiceParameters(default_method="OD-x")
-
-    def test_invalid_warmup_settings(self):
-        with pytest.raises(ConfigurationError):
-            ServiceParameters(warmup_top_paths=0)
-        with pytest.raises(ConfigurationError):
-            ServiceParameters(warmup_max_cardinality=0)
-        with pytest.raises(ConfigurationError):
-            ServiceParameters(warmup_intervals_per_path=0)
-
 
 class TestPersistParameters:
     def test_defaults(self):
-        parameters = PersistParameters()
-        assert parameters.include_caches
-        assert parameters.max_cache_entries == 4096
-        assert parameters.mmap
-        assert parameters.auto_snapshot_trajectories == 0
-        assert parameters.compact_every_deltas == 8
+        assert PersistParameters().mmap
 
-    def test_unlimited_cache_export(self):
-        assert PersistParameters(max_cache_entries=None).max_cache_entries is None
+    @pytest.mark.parametrize(
+        "retired", [{"include_caches": False}, {"compact_every_deltas": 2}]
+    )
+    def test_retired_options_are_not_accepted(self, retired):
+        with pytest.raises(TypeError):
+            PersistParameters(**retired)
 
-    def test_invalid_values(self):
-        with pytest.raises(ConfigurationError):
-            PersistParameters(max_cache_entries=0)
-        with pytest.raises(ConfigurationError):
-            PersistParameters(auto_snapshot_trajectories=-1)
-        with pytest.raises(ConfigurationError):
-            PersistParameters(compact_every_deltas=-1)
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (ServiceParameters, ["result_cache_capacity", "decomposition_cache_capacity"]),
+        (
+            FrontendParameters,
+            [
+                "queue_capacity", "backpressure", "block_timeout_s", "max_batch_size",
+                "max_linger_ms", "n_workers",
+            ],
+        ),
+        (TelemetryParameters, ["trace_sample_every", "slow_log_capacity"]),
+        (
+            OpsParameters,
+            [
+                "host", "port", "queue_saturation_fraction", "max_ingest_backlog",
+                "max_pending_dirty_edges", "require_warm", "slo_evaluation_period_s",
+            ],
+        ),
+        (IngestParameters, ["queue_capacity", "n_workers"]),
+        (PersistParameters, ["mmap"]),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else "",
+)
+def test_serving_classes_hold_only_fields_with_a_reader(cls, names):
+    assert [field.name for field in fields(cls)] == names
 
 
 class TestExperimentParameters:
