@@ -180,7 +180,7 @@ def main(http_mode: bool = False) -> None:
             #     beside the front-end, a ticker polling it over HTTP
             #     while the load generator runs, and a dashboard built
             #     entirely from scraped endpoints afterwards.
-            with AdminServer(frontend=frontend, ingest=pipeline) as admin:
+            with AdminServer(frontend=frontend) as admin:
                 print(f"admin server at {admin.url('/')}")
                 stop = threading.Event()
                 ticker = threading.Thread(

@@ -256,88 +256,6 @@ class TelemetryParameters:
 
 
 @dataclass(frozen=True)
-class SLOParameters:
-    """Declarative service-level objectives evaluated by the SLO engine
-    (:class:`repro.ops.SLOEngine`).
-
-    Each objective defines a *good-event fraction* target; the engine
-    turns the complement into an error budget and alerts on multi-window
-    **burn rate** -- how many times faster than budget the service is
-    consuming its error allowance -- rather than on raw threshold
-    crossings, so a brief blip does not page but a sustained degradation
-    does, quickly.
-
-    Attributes
-    ----------
-    latency_threshold_s:
-        Requests slower than this are latency-SLO violations.  ``None``
-        disables the latency objective.
-    latency_objective:
-        Target fraction of requests at or under ``latency_threshold_s``
-        (e.g. ``0.99``: the p99 latency target is the threshold).
-    availability_objective:
-        Target fraction of submitted requests answered ``ok`` -- the
-        complement counts sheds (rejected/dropped/timeout) and typed
-        errors against the budget.  ``None`` disables the objective.
-    staleness_backlog_limit:
-        Ingest staleness proxy: readings of the ingest backlog above this
-        limit are staleness violations (estimates are aging faster than
-        the write path drains).  ``None`` disables the objective.
-    staleness_objective:
-        Target fraction of backlog readings at or under the limit.
-    fast_window_s / slow_window_s:
-        The two burn-rate windows.  The fast window catches a degradation
-        quickly; the slow window confirms it is material (both must burn
-        for an alert to fire, so a single slow batch cannot page).
-    fast_burn_threshold / slow_burn_threshold:
-        Burn-rate multiples that fire the alert (classic SRE defaults:
-        14.4x on the fast window, 6x on the slow one).
-    """
-
-    latency_threshold_s: float | None = None
-    latency_objective: float = 0.99
-    availability_objective: float | None = 0.999
-    staleness_backlog_limit: int | None = None
-    staleness_objective: float = 0.99
-    fast_window_s: float = 60.0
-    slow_window_s: float = 600.0
-    fast_burn_threshold: float = 14.4
-    slow_burn_threshold: float = 6.0
-
-    def __post_init__(self) -> None:
-        if self.latency_threshold_s is not None and self.latency_threshold_s <= 0:
-            raise ConfigurationError(
-                f"latency_threshold_s must be positive or None, got {self.latency_threshold_s}"
-            )
-        for label in ("latency_objective", "staleness_objective"):
-            objective = getattr(self, label)
-            if not 0.0 < objective < 1.0:
-                raise ConfigurationError(
-                    f"{label} must be in (0, 1), got {objective}"
-                )
-        if self.availability_objective is not None and not 0.0 < self.availability_objective < 1.0:
-            raise ConfigurationError(
-                "availability_objective must be in (0, 1) or None, got "
-                f"{self.availability_objective}"
-            )
-        if self.staleness_backlog_limit is not None and self.staleness_backlog_limit < 0:
-            raise ConfigurationError(
-                "staleness_backlog_limit must be >= 0 or None, got "
-                f"{self.staleness_backlog_limit}"
-            )
-        if not 0 < self.fast_window_s < self.slow_window_s:
-            raise ConfigurationError(
-                "need 0 < fast_window_s < slow_window_s, got "
-                f"{self.fast_window_s}..{self.slow_window_s}"
-            )
-        if self.fast_burn_threshold <= 0 or self.slow_burn_threshold <= 0:
-            raise ConfigurationError(
-                "burn thresholds must be positive, got "
-                f"{self.fast_burn_threshold}/{self.slow_burn_threshold}"
-            )
-
-
-@dataclass(frozen=True)
 class OpsParameters:
     """Parameters for the operational control plane (:mod:`repro.ops`).
 
@@ -348,55 +266,16 @@ class OpsParameters:
         ephemeral port (read it back from
         :attr:`~repro.ops.AdminServer.port`), which is what tests and
         multi-worker fleets on one machine want.
-    queue_saturation_fraction:
-        Readiness gate: a front-end admission lane at or above this
-        fraction of its capacity marks the worker NOT ready (load
-        balancers should stop sending it traffic) while ``/healthz``
-        stays up (it must not be restarted).
-    max_ingest_backlog:
-        Readiness gate on the ingest pipeline's streaming backlog;
-        ``None`` skips the check.
-    max_pending_dirty_edges:
-        Readiness gate on edges dirtied since the last hybrid-graph
-        refresh (unbounded churn means estimates are drifting from the
-        store); ``None`` skips the check.
-    require_warm:
-        When true, readiness additionally requires the service to have
-        been warmed (cache warm-up ran, or a snapshot's cache entries
-        were imported) or an explicit
-        :meth:`~repro.ops.HealthMonitor.mark_warm` call -- the
-        "snapshot loaded" half of a warm-boot rollout.
-    slo_evaluation_period_s:
-        Period of the SLO engine's background evaluation loop (also the
-        sampling cadence of its sliding windows).
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    queue_saturation_fraction: float = 0.9
-    max_ingest_backlog: int | None = None
-    max_pending_dirty_edges: int | None = None
-    require_warm: bool = False
-    slo_evaluation_period_s: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.host:
             raise ConfigurationError("host must be non-empty")
         if not 0 <= self.port <= 65535:
             raise ConfigurationError(f"port must be in [0, 65535], got {self.port}")
-        if not 0.0 < self.queue_saturation_fraction <= 1.0:
-            raise ConfigurationError(
-                "queue_saturation_fraction must be in (0, 1], got "
-                f"{self.queue_saturation_fraction}"
-            )
-        for label in ("max_ingest_backlog", "max_pending_dirty_edges"):
-            limit = getattr(self, label)
-            if limit is not None and limit < 0:
-                raise ConfigurationError(f"{label} must be >= 0 or None, got {limit}")
-        if self.slo_evaluation_period_s <= 0:
-            raise ConfigurationError(
-                f"slo_evaluation_period_s must be positive, got {self.slo_evaluation_period_s}"
-            )
 
 
 @dataclass(frozen=True)
@@ -538,5 +417,4 @@ DEFAULT_SIMULATION_PARAMETERS = SimulationParameters()
 DEFAULT_EXPERIMENT_PARAMETERS = ExperimentParameters()
 DEFAULT_INGEST_PARAMETERS = IngestParameters()
 DEFAULT_TELEMETRY_PARAMETERS = TelemetryParameters()
-DEFAULT_SLO_PARAMETERS = SLOParameters()
 DEFAULT_OPS_PARAMETERS = OpsParameters()

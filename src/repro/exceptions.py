@@ -64,7 +64,7 @@ class TelemetryError(ReproError):
 
 
 class OpsError(ReproError):
-    """Raised by the operational control plane (admin server, SLO engine)
+    """Raised by the operational control plane (admin server)
     for invalid use -- never for unhealthy/unready states, which
     are reported as HTTP statuses and typed payloads instead."""
 

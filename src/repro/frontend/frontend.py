@@ -324,13 +324,6 @@ class ServingFrontend:
         queue = self._queue
         return 0 if queue is None else queue.depth(lane)
 
-    @property
-    def latency_histograms(self) -> "dict[str, LatencyHistogram]":
-        """Per-lane end-to-end latency histograms (empty until telemetry is
-        attached via :meth:`register_metrics`).  The SLO engine windows
-        these; the dict is a copy, the histograms are live."""
-        return dict(self._latency_hists)
-
     def stats(self) -> FrontendStats:
         """A consistent snapshot of the serving counters."""
         queue = self._queue

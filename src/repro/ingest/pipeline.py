@@ -499,22 +499,6 @@ class TrajectoryIngestPipeline:
         with self._lock:
             return list(self._recent_skips)
 
-    @property
-    def backlog(self) -> int:
-        """Items waiting in the streaming queue (0 when not streaming).
-
-        A staleness signal: a growing backlog means served estimates lag
-        the observed traffic, which is what readiness probes and the
-        staleness SLO watch."""
-        queue = self._queue
-        return queue.qsize() if queue is not None else 0
-
-    @property
-    def pending_dirty_edges(self) -> int:
-        """Edges written since the last refresh (un-propagated updates)."""
-        with self._lock:
-            return len(self._pending_dirty)
-
     def register_metrics(self, registry: "MetricsRegistry") -> "MetricsRegistry":
         """Expose the write path's live stats through a telemetry registry.
 

@@ -8,10 +8,9 @@ conflated:
   restarts on liveness failure, so it must *not* flap during overload
   or drains.
 * **readiness** (``/readyz``) -- "should traffic be routed here right
-  now?"  It composes cheap checks over the live components: the
-  front-end is started and not draining, admission queues have headroom,
-  the service is warm (when required), and the ingest pipeline is not
-  so far behind that served estimates would be stale.
+  now?"  It composes cheap checks over the front-end: it is started and
+  not draining, and every admission lane is below
+  :data:`QUEUE_SATURATION_FRACTION` of its capacity.
 
 Each check is evaluated independently and reported with its own detail,
 so a failing probe says *why* -- the report is the JSON body of the
@@ -24,13 +23,15 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..config import DEFAULT_OPS_PARAMETERS, OpsParameters
 from ..frontend.requests import LANES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..frontend.frontend import ServingFrontend
-    from ..ingest.pipeline import IngestPipeline
-    from ..service.service import CostEstimationService
+
+#: A front-end admission lane at or above this fraction of its capacity
+#: marks the worker NOT ready (load balancers should stop sending it
+#: traffic) while ``/healthz`` stays up (it must not be restarted).
+QUEUE_SATURATION_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
@@ -63,38 +64,19 @@ class ReadinessReport:
 
 
 class HealthMonitor:
-    """Evaluates liveness/readiness over a front-end, service, and ingest.
+    """Evaluates liveness/readiness over a front-end.
 
-    Any component may be ``None`` -- its checks are simply skipped, so the
-    monitor works for a bare service as well as the full stack.
-    Thresholds come from :class:`~repro.config.OpsParameters`; a limit
-    left ``None`` disables that check.
+    The front-end may be ``None`` -- its checks are simply skipped, so a
+    bare-telemetry deployment is always ready.
     """
 
-    def __init__(
-        self,
-        frontend: "ServingFrontend | None" = None,
-        service: "CostEstimationService | None" = None,
-        ingest: "IngestPipeline | None" = None,
-        parameters: OpsParameters | None = None,
-    ) -> None:
+    def __init__(self, frontend: "ServingFrontend | None" = None) -> None:
         self.frontend = frontend
-        self.service = service if service is not None else (
-            frontend.service if frontend is not None else None
-        )
-        self.ingest = ingest
-        self.parameters = parameters or DEFAULT_OPS_PARAMETERS
         self._born_at = time.perf_counter()
-        self._warm_override = False
 
     @property
     def uptime_s(self) -> float:
         return time.perf_counter() - self._born_at
-
-    def mark_warm(self) -> None:
-        """Force the warm check to pass (deployments that boot cold and
-        warm organically)."""
-        self._warm_override = True
 
     # ------------------------------------------------------------------ #
     # Probes
@@ -110,13 +92,6 @@ class HealthMonitor:
             checks.append(self._check_not_draining())
             if self.frontend.running:
                 checks.append(self._check_queue_headroom())
-        if self.parameters.require_warm and self.service is not None:
-            checks.append(self._check_warm())
-        if self.ingest is not None:
-            if self.parameters.max_ingest_backlog is not None:
-                checks.append(self._check_ingest_backlog())
-            if self.parameters.max_pending_dirty_edges is not None:
-                checks.append(self._check_dirty_edges())
         return ReadinessReport(
             ready=all(check.ok for check in checks), checks=tuple(checks)
         )
@@ -134,7 +109,7 @@ class HealthMonitor:
 
     def _check_queue_headroom(self) -> CheckResult:
         capacity = self.frontend.parameters.queue_capacity
-        limit = self.parameters.queue_saturation_fraction * capacity
+        limit = QUEUE_SATURATION_FRACTION * capacity
         depths = {lane: self.frontend.queue_depth(lane) for lane in LANES}
         worst = max(depths.values())
         return CheckResult(
@@ -145,24 +120,6 @@ class HealthMonitor:
                 "capacity_per_lane": capacity,
                 "saturation_at": limit,
             },
-        )
-
-    def _check_warm(self) -> CheckResult:
-        warmed = self._warm_override or self.service.warmed
-        return CheckResult("warm", warmed, {"warmed": warmed})
-
-    def _check_ingest_backlog(self) -> CheckResult:
-        backlog = self.ingest.backlog
-        limit = self.parameters.max_ingest_backlog
-        return CheckResult(
-            "ingest_backlog", backlog <= limit, {"backlog": backlog, "limit": limit}
-        )
-
-    def _check_dirty_edges(self) -> CheckResult:
-        pending = self.ingest.pending_dirty_edges
-        limit = self.parameters.max_pending_dirty_edges
-        return CheckResult(
-            "dirty_edges", pending <= limit, {"pending": pending, "limit": limit}
         )
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""The admin HTTP server: metrics, probes, traces, alerts.
+"""The admin HTTP server: metrics, probes, traces.
 
 A stdlib-only (:mod:`http.server`) control-plane transport mounted
 *beside* a serving stack -- it never touches the request hot path, it
@@ -12,13 +12,10 @@ only reads the bookkeeping the stack already maintains:
 ``GET /readyz``    readiness -- 200/503 plus the per-check report
 ``GET /traces``    newest sampled request traces (JSON; ``?n=``)
 ``GET /slow-queries``  worst-K traces by duration (JSON; ``?n=``)
-``GET /alerts``    SLO burn state + alert history (JSON)
 ================  ====================================================
 
-``?n=`` must be a non-negative integer; anything else answers 400.  The
-server owns the rest of the control plane's lifecycle: starting it starts
-the SLO engine's evaluation loop (when one is attached) and stopping
-stops it.  ``port=0`` binds an ephemeral port -- read
+``?n=`` must be a non-negative integer; anything else answers 400, and
+any other path answers 404.  ``port=0`` binds an ephemeral port -- read
 :attr:`AdminServer.port` after :meth:`start`.
 """
 
@@ -36,9 +33,7 @@ from .health import HealthMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..frontend.frontend import ServingFrontend
-    from ..ingest.pipeline import IngestPipeline
     from ..telemetry.hub import Telemetry
-    from .slo import SLOEngine
 
 #: text/plain content type Prometheus scrapers expect.
 _PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -46,7 +41,7 @@ _JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
 _ENDPOINTS = (
     "/", "/metrics", "/stats", "/healthz", "/readyz",
-    "/traces", "/slow-queries", "/alerts",
+    "/traces", "/slow-queries",
 )
 
 
@@ -62,9 +57,7 @@ class AdminServer:
         self,
         frontend: "ServingFrontend | None" = None,
         telemetry: "Telemetry | None" = None,
-        ingest: "IngestPipeline | None" = None,
         health: HealthMonitor | None = None,
-        slo_engine: "SLOEngine | None" = None,
         parameters: OpsParameters | None = None,
     ) -> None:
         self.parameters = parameters or DEFAULT_OPS_PARAMETERS
@@ -72,20 +65,13 @@ class AdminServer:
         if telemetry is None and frontend is not None:
             telemetry = frontend.telemetry
         self.telemetry = telemetry
-        self.ingest = ingest
-        self.health = health or HealthMonitor(
-            frontend=frontend, ingest=ingest, parameters=self.parameters
-        )
-        self.slo_engine = slo_engine
+        self.health = health or HealthMonitor(frontend=frontend)
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
-        self._started_engine = False
         self._requests_lock = threading.Lock()
         self._requests: dict[str, int] = {}
         if self.telemetry is not None:
             self.health.register_metrics(self.telemetry.registry)
-            if self.slo_engine is not None:
-                self.slo_engine.register_metrics(self.telemetry.registry)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -102,9 +88,6 @@ class AdminServer:
             target=self._httpd.serve_forever, name="admin-http", daemon=True
         )
         self._thread.start()
-        if self.slo_engine is not None and not self.slo_engine.running:
-            self.slo_engine.start(self.parameters.slo_evaluation_period_s)
-            self._started_engine = True
         return self
 
     def stop(self) -> None:
@@ -115,9 +98,6 @@ class AdminServer:
         self._httpd.server_close()
         self._httpd = None
         self._thread = None
-        if self._started_engine and self.slo_engine is not None:
-            self.slo_engine.stop()
-            self._started_engine = False
 
     @property
     def running(self) -> bool:
@@ -190,13 +170,6 @@ class AdminServer:
             if path == "/traces":
                 return self._json({"traces": self.telemetry.recent_traces(n)})
             return self._json({"slow_queries": self.telemetry.slow_queries(n)})
-        if path == "/alerts":
-            if self.slo_engine is None:
-                return self._json({"error": "no SLO engine attached"}, 404)
-            return self._json({
-                **self.slo_engine.snapshot(),
-                "alerts": [a.to_dict() for a in self.slo_engine.alerts()],
-            })
         return self._json({"error": f"unknown path {path!r}"}, 404)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -192,10 +192,6 @@ class CostEstimationService:
         self._routes_computed = 0
         self._batches = 0
         self._batch_items = 0
-        #: Set once the caches have been seeded (warmup run or snapshot
-        #: entries imported); readiness probes configured with
-        #: ``require_warm`` gate on it.
-        self._warmed = False
 
     @classmethod
     def from_hybrid_graph(
@@ -795,24 +791,7 @@ class CostEstimationService:
         """
         from .warmup import warmup_from_store
 
-        report = warmup_from_store(self, store, **kwargs)
-        self._warmed = True
-        return report
-
-    @property
-    def warmed(self) -> bool:
-        """Whether the caches have been seeded (warmup or snapshot import).
-
-        Purely informational until a readiness probe opts in with
-        ``OpsParameters.require_warm``; :meth:`mark_warm` lets a deployment
-        that boots cold declare itself warm once it has served enough
-        organic traffic.
-        """
-        return self._warmed
-
-    def mark_warm(self) -> None:
-        """Declare the service warm without running a warmup pass."""
-        self._warmed = True
+        return warmup_from_store(self, store, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Snapshot persistence (repro.persist)
@@ -842,8 +821,6 @@ class CostEstimationService:
         for key, estimate in entries:
             if self._result_cache.put(key, estimate, guard=lambda: self._epoch == epoch):
                 stored += 1
-        if stored:
-            self._warmed = True
         return stored
 
     def _snapshot_service_info(self) -> dict:

@@ -11,10 +11,6 @@ one place to report through:
 * exporters: :func:`render_prometheus`, JSON snapshots, and the
   background :class:`StatsReporter` (:mod:`.export`);
 * the :class:`GaugeSampler` time-series primitive (:mod:`.sampling`);
-* sliding-window reducers over cumulative metrics --
-  :class:`CounterWindow`, :class:`HistogramWindow`, :class:`GaugeWindow`
-  (:mod:`.windows`) -- the bridge from forever-growing counters to
-  "what happened in the last minute" questions (SLO burn rates);
 * the :class:`Telemetry` hub bundling one registry + one tracer
   (:mod:`.hub`).
 
@@ -35,15 +31,11 @@ from .metrics import (
 )
 from .sampling import GaugeSampler
 from .trace import SlowQueryLog, Span, Trace, Tracer
-from .windows import CounterWindow, GaugeWindow, HistogramWindow
 
 __all__ = [
     "Counter",
-    "CounterWindow",
     "Gauge",
     "GaugeSampler",
-    "GaugeWindow",
-    "HistogramWindow",
     "LatencyHistogram",
     "MetricsRegistry",
     "SlowQueryLog",

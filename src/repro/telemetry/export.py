@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..exceptions import TelemetryError
-from .metrics import KIND_HISTOGRAM, LatencyHistogram, MetricsRegistry
+from .metrics import LatencyHistogram, MetricsRegistry
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
@@ -101,11 +101,12 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         lines.append(f"# TYPE {name} {family.kind}")
         for items, metric in sorted(family.children.items()):
             if isinstance(metric, LatencyHistogram):
-                for bound, cumulative in metric.cumulative_buckets():
+                pairs, total, count = metric.exposition()
+                for bound, cumulative in pairs:
                     le = f'le="{_format_le(bound)}"'
                     lines.append(f"{name}_bucket{_render_labels(items, le)} {cumulative}")
-                lines.append(f"{name}_sum{_render_labels(items)} {_format_value(metric.sum)}")
-                lines.append(f"{name}_count{_render_labels(items)} {metric.count}")
+                lines.append(f"{name}_sum{_render_labels(items)} {_format_value(total)}")
+                lines.append(f"{name}_count{_render_labels(items)} {count}")
             else:
                 lines.append(f"{name}{_render_labels(items)} {_format_value(metric.value)}")
     return "\n".join(lines) + "\n"
@@ -243,13 +244,6 @@ class StatsReporter:
     snapshot is written on :meth:`stop`, so short runs still produce at
     least one line.
 
-    Long-running daemons bound the output with ``max_bytes``: when the
-    next line would push the file past the budget, the reporter either
-    rotates once (``on_full="rotate"``: the current file moves to
-    ``<path>.1``, replacing any previous rotation, so total disk stays
-    under ~2x the budget) or drops oldest lines in place
-    (``on_full="truncate"``: the newest lines that fit are kept, so the
-    file itself never exceeds the budget by more than one line).
     ``fsync_period_s`` additionally fsyncs the file at most that often --
     flight-recorder durability across power loss without paying an fsync
     per line.
@@ -260,17 +254,11 @@ class StatsReporter:
         snapshot_fn: Callable[[], dict],
         path: str | Path,
         period_s: float = 1.0,
-        max_bytes: int | None = None,
-        on_full: str = "rotate",
         fsync_period_s: float | None = None,
     ) -> None:
-        if period_s <= 0:
-            raise TelemetryError(f"period_s must be positive, got {period_s}")
-        if max_bytes is not None and max_bytes < 1:
-            raise TelemetryError(f"max_bytes must be >= 1, got {max_bytes}")
-        if on_full not in ("rotate", "truncate"):
+        if not (math.isfinite(period_s) and period_s > 0):
             raise TelemetryError(
-                f"on_full must be 'rotate' or 'truncate', got {on_full!r}"
+                f"period_s must be finite and positive, got {period_s}"
             )
         if fsync_period_s is not None and fsync_period_s < 0:
             raise TelemetryError(
@@ -279,55 +267,13 @@ class StatsReporter:
         self._snapshot_fn = snapshot_fn
         self.path = Path(path)
         self._period_s = period_s
-        self._max_bytes = max_bytes
-        self._on_full = on_full
         self._fsync_period_s = fsync_period_s
         self._last_fsync = float("-inf")
-        self._rotations = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._started_at = 0.0
         self._lines_written = 0
         self._write_lock = threading.Lock()
-
-    @property
-    def rotations(self) -> int:
-        """How many times the output hit ``max_bytes`` (rotate or truncate)."""
-        with self._write_lock:
-            return self._rotations
-
-    def _current_size(self) -> int:
-        try:
-            return self.path.stat().st_size
-        except OSError:
-            return 0
-
-    def _make_room(self, incoming_bytes: int) -> None:
-        """The next line would exceed ``max_bytes``: rotate or drop oldest."""
-        self._rotations += 1
-        if self._on_full == "rotate":
-            os.replace(self.path, self.path.with_name(self.path.name + ".1"))
-            return
-        # truncate: keep the newest complete lines that still leave room for
-        # the incoming line within the budget.
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return
-        budget = self._max_bytes - incoming_bytes
-        kept = b""
-        if budget > 0:
-            tail = raw[-budget:]
-            # Drop the partial first line of the tail so every kept line is
-            # complete JSON.
-            newline = tail.find(b"\n")
-            if newline >= 0 and len(tail) < len(raw):
-                kept = tail[newline + 1:]
-            elif len(tail) == len(raw):
-                kept = tail
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_bytes(kept)
-        os.replace(tmp, self.path)
 
     def _write_line(self) -> None:
         payload = dict(self._snapshot_fn())
@@ -336,12 +282,6 @@ class StatsReporter:
         line = json.dumps(payload, sort_keys=True, default=str) + "\n"
         data = line.encode("utf-8")
         with self._write_lock:
-            if (
-                self._max_bytes is not None
-                and self._current_size() + len(data) > self._max_bytes
-                and self._current_size() > 0
-            ):
-                self._make_room(len(data))
             with self.path.open("ab") as handle:
                 handle.write(data)
                 if self._fsync_period_s is not None:

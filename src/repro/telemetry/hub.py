@@ -57,8 +57,8 @@ class Telemetry:
     ) -> StatsReporter:
         """A :class:`StatsReporter` writing this hub's snapshots to ``path``.
 
-        Extra keyword arguments (``max_bytes``, ``on_full``,
-        ``fsync_period_s``) pass through to the reporter.
+        ``period_s`` must be finite and positive.  Extra keyword arguments
+        (``fsync_period_s``) pass through to the reporter.
         """
         return StatsReporter(self.snapshot, path, period_s=period_s, **kwargs)
 

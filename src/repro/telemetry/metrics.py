@@ -43,6 +43,9 @@ _FOLD_THRESHOLD = 4096
 #: eventual fold pay those fixed costs once *per chunk*.
 EAGER_OBSERVE_MAX = 16
 
+#: The percentiles a histogram snapshot reports.
+_DEFAULT_POINTS = (50.0, 95.0, 99.0, 99.9)
+
 #: Label sets are stored as sorted ``(key, value)`` tuples so dict ordering
 #: never makes two spellings of the same series distinct.
 LabelItems = tuple[tuple[str, str], ...]
@@ -309,8 +312,20 @@ class LatencyHistogram:
             self._fold_locked()
             return self._sum
 
+    def _read(self) -> tuple[list[int], int, int, float, float, float]:
+        """``(counts, overflow, count, sum, min, max)`` from one locked read.
+
+        Every reader derives its view from one reading, so a scrape taken
+        while writers run never shows a ``count`` that disagrees with the
+        buckets it is reported beside.
+        """
+        with self._lock:
+            self._fold_locked()
+            return (list(self._counts), self._overflow, self._count,
+                    self._sum, self._min, self._max)
+
     def percentiles(
-        self, points: Iterable[float] = (50.0, 95.0, 99.0, 99.9)
+        self, points: Iterable[float] = _DEFAULT_POINTS
     ) -> dict[str, float]:
         """Estimated named percentiles (``{"p50": ..., ...}``; ``{}`` when empty).
 
@@ -321,15 +336,12 @@ class LatencyHistogram:
         reports its own bucket's range for every p, and ``p999`` on a
         short run degrades gracefully to the maximum observed bucket.
         """
+        return self._percentiles(self._read(), points)
+
+    def _percentiles(self, reading, points: Iterable[float]) -> dict[str, float]:
         from ..frontend.stats import percentile_label
 
-        with self._lock:
-            self._fold_locked()
-            total = self._count
-            counts = list(self._counts)
-            overflow = self._overflow
-            observed_max = self._max
-            observed_min = self._min
+        counts, overflow, total, _, observed_min, observed_max = reading
         if total == 0:
             return {}
         results: dict[str, float] = {}
@@ -360,14 +372,8 @@ class LatencyHistogram:
 
     def snapshot(self) -> dict:
         """A JSON-ready summary: count/sum/min/max, percentiles, busy buckets."""
-        with self._lock:
-            self._fold_locked()
-            total = self._count
-            counts = list(self._counts)
-            overflow = self._overflow
-            minimum = self._min
-            maximum = self._max
-            running_sum = self._sum
+        reading = self._read()
+        counts, overflow, total, running_sum, minimum, maximum = reading
         busy = [
             [self._bounds[index], count]
             for index, count in enumerate(counts)
@@ -381,23 +387,21 @@ class LatencyHistogram:
             "min": minimum if total else None,
             "max": maximum if total else None,
             "mean": (running_sum / total) if total else None,
-            "percentiles": self.percentiles(),
+            "percentiles": self._percentiles(reading, _DEFAULT_POINTS),
             "buckets": busy,
         }
 
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        """Prometheus-style ``(le, cumulative count)`` pairs, ``+Inf`` last."""
-        with self._lock:
-            self._fold_locked()
-            counts = list(self._counts)
-            overflow = self._overflow
+    def exposition(self) -> tuple[list[tuple[float, int]], float, int]:
+        """Prometheus ``(le, cumulative count)`` pairs (``+Inf`` last), sum
+        and count, from one reading: the ``+Inf`` bucket equals the count."""
+        counts, overflow, total, running_sum, _, _ = self._read()
         pairs: list[tuple[float, int]] = []
         cumulative = 0
         for bound, count in zip(self._bounds, counts):
             cumulative += count
             pairs.append((bound, cumulative))
         pairs.append((math.inf, cumulative + overflow))
-        return pairs
+        return pairs, running_sum, total
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"LatencyHistogram({self.name}, n={self.count})"

@@ -11,6 +11,7 @@ the same underlying callable, so they can never disagree.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Callable
@@ -33,8 +34,10 @@ class GaugeSampler:
         transform: Callable[[float], float] | None = None,
         thread_name: str = "gauge-sampler",
     ) -> None:
-        if interval_s <= 0:
-            raise TelemetryError(f"interval_s must be positive, got {interval_s}")
+        if not (math.isfinite(interval_s) and interval_s > 0):
+            raise TelemetryError(
+                f"interval_s must be finite and positive, got {interval_s}"
+            )
         self._gauge = gauge
         self._interval_s = interval_s
         self._transform = transform

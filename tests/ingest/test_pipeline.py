@@ -8,6 +8,7 @@ from repro import (
     EstimateRequest,
     IngestError,
     IngestParameters,
+    MetricsRegistry,
     MutableTrajectoryStore,
     Path,
     PathCostEstimator,
@@ -76,6 +77,33 @@ class TestSynchronousIngest:
         assert stats.skipped == 0
         assert stats.store_version == 4
         assert stats.match_failure_rate == 0.0
+
+    def test_stats_report_pending_dirty_edges_until_refresh(
+        self, base_trajectories, stream_trajectories, builder_factory
+    ):
+        store = MutableTrajectoryStore(base_trajectories)
+        pipeline = TrajectoryIngestPipeline(
+            store, service=make_service(store, builder_factory), builder_factory=builder_factory
+        )
+        report = pipeline.ingest_batch(stream_trajectories[:4])
+        stats = pipeline.stats()
+        assert stats.pending_dirty_edges == len(report.dirty_edges) > 0
+        assert stats.backlog == 0  # synchronous mode never queues
+        refresh = pipeline.refresh()
+        assert refresh.dirty_edges == report.dirty_edges
+        assert pipeline.stats().pending_dirty_edges == 0
+
+    def test_registered_gauges_mirror_stats(self, stream_trajectories):
+        registry = MetricsRegistry()
+        pipeline = TrajectoryIngestPipeline(MutableTrajectoryStore())
+        pipeline.register_metrics(registry)
+        pipeline.ingest_batch(stream_trajectories[:3])
+        stats = pipeline.stats()
+        snapshot = registry.snapshot()
+        assert snapshot["repro_ingest_pending_dirty_edges"] == stats.pending_dirty_edges
+        assert snapshot["repro_ingest_backlog"] == stats.backlog == 0
+        assert snapshot["repro_ingest_accepted_total"] == stats.accepted == 3
+        assert snapshot["repro_ingest_store_version"] == stats.store_version
 
     def test_rejects_non_mutable_store(self, base_trajectories):
         with pytest.raises(IngestError):

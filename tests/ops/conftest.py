@@ -3,7 +3,9 @@
 The service and front-end are rebuilt per test (counters and caches are
 stateful); the heavy inputs come from the session fixtures in the
 top-level conftest.  ``http_get`` is a tiny stdlib client that returns
-``(status, parsed body)`` for both 2xx and error responses.
+``(status, parsed body)`` for both 2xx and error responses, and
+``make_stub`` builds a front-end stand-in whose readiness inputs a test
+sets directly.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro import (
     Telemetry,
     TelemetryParameters,
 )
+from repro.frontend.requests import LANES
 
 
 @pytest.fixture
@@ -90,3 +93,35 @@ def http_get():
         return status, text
 
     return get
+
+
+class StubFrontend:
+    """Just the surface HealthMonitor reads, every knob controllable."""
+
+    def __init__(self, capacity=10):
+        self.parameters = FrontendParameters(queue_capacity=capacity)
+        self.running = True
+        self.draining = False
+        self.depths = {lane: 0 for lane in LANES}
+        self.telemetry = None
+
+    def queue_depth(self, lane=None):
+        if lane is None:
+            return sum(self.depths.values())
+        return self.depths[lane]
+
+    def make_unready(self, condition):
+        """Enter one not-ready state; return the readiness check it fails."""
+        if condition == "stopped":
+            self.running = False
+            return "frontend_running"
+        if condition == "draining":
+            self.draining = True
+            return "not_draining"
+        self.depths["route"] = self.parameters.queue_capacity
+        return "queue_headroom"
+
+
+@pytest.fixture
+def make_stub():
+    return StubFrontend

@@ -1,45 +1,18 @@
 """Tests for liveness/readiness semantics (repro.ops.health)."""
 
+import math
 import time
 
 import pytest
 
 from repro import (
-    FrontendParameters,
     HealthMonitor,
     MetricsRegistry,
-    OpsParameters,
+    parse_prometheus_text,
     render_prometheus,
 )
 from repro.frontend.requests import LANES
-
-
-class StubFrontend:
-    """Just the surface HealthMonitor reads, every knob controllable."""
-
-    def __init__(self, capacity=10):
-        self.parameters = FrontendParameters(queue_capacity=capacity)
-        self.running = True
-        self.draining = False
-        self.depths = {lane: 0 for lane in LANES}
-        self.service = StubService()
-        self.telemetry = None
-
-    def queue_depth(self, lane=None):
-        if lane is None:
-            return sum(self.depths.values())
-        return self.depths[lane]
-
-
-class StubService:
-    def __init__(self):
-        self.warmed = False
-
-
-class StubIngest:
-    def __init__(self):
-        self.backlog = 0
-        self.pending_dirty_edges = 0
+from repro.ops.health import QUEUE_SATURATION_FRACTION, CheckResult
 
 
 class TestLiveness:
@@ -50,8 +23,8 @@ class TestLiveness:
         time.sleep(0.01)
         assert monitor.liveness()["uptime_s"] >= first["uptime_s"]
 
-    def test_liveness_stays_ok_while_readiness_fails(self):
-        frontend = StubFrontend()
+    def test_liveness_stays_ok_while_readiness_fails(self, make_stub):
+        frontend = make_stub()
         frontend.running = False
         monitor = HealthMonitor(frontend=frontend)
         assert not monitor.readiness().ready
@@ -64,94 +37,44 @@ class TestReadiness:
         assert report.ready
         assert report.checks == ()
 
-    def test_healthy_frontend_is_ready(self):
-        monitor = HealthMonitor(frontend=StubFrontend())
+    def test_healthy_frontend_is_ready(self, make_stub):
+        monitor = HealthMonitor(frontend=make_stub())
         report = monitor.readiness()
         assert report.ready
         names = [check.name for check in report.checks]
         assert names == ["frontend_running", "not_draining", "queue_headroom"]
 
-    def test_stopped_frontend_not_ready(self):
-        frontend = StubFrontend()
+    def test_stopped_frontend_not_ready(self, make_stub):
+        frontend = make_stub()
         frontend.running = False
         report = HealthMonitor(frontend=frontend).readiness()
         assert not report.ready
         assert [c.name for c in report.failing()] == ["frontend_running"]
 
-    def test_draining_frontend_not_ready(self):
-        frontend = StubFrontend()
+    def test_draining_frontend_not_ready(self, make_stub):
+        frontend = make_stub()
         frontend.draining = True
         report = HealthMonitor(frontend=frontend).readiness()
         assert not report.ready
         assert [c.name for c in report.failing()] == ["not_draining"]
 
-    def test_saturated_lane_not_ready(self):
-        frontend = StubFrontend(capacity=10)
-        parameters = OpsParameters(queue_saturation_fraction=0.9)
-        monitor = HealthMonitor(frontend=frontend, parameters=parameters)
-        frontend.depths["estimate"] = 8
+    def test_saturated_lane_not_ready(self, make_stub):
+        frontend = make_stub(capacity=10)
+        monitor = HealthMonitor(frontend=frontend)
+        saturated = math.ceil(QUEUE_SATURATION_FRACTION * 10)
+        frontend.depths["estimate"] = saturated - 1
         assert monitor.readiness().ready
-        frontend.depths["estimate"] = 9  # 90% of capacity: saturated
+        frontend.depths["estimate"] = saturated
         report = monitor.readiness()
         assert not report.ready
         (failing,) = report.failing()
         assert failing.name == "queue_headroom"
-        assert failing.detail["depths"]["estimate"] == 9
+        assert failing.detail["depths"]["estimate"] == saturated
 
-    def test_warm_gate_opt_in(self):
-        frontend = StubFrontend()
-        cold = HealthMonitor(frontend=frontend)
-        assert cold.readiness().ready  # not required by default
-        gated = HealthMonitor(
-            frontend=frontend, parameters=OpsParameters(require_warm=True)
-        )
-        report = gated.readiness()
-        assert not report.ready
-        assert [c.name for c in report.failing()] == ["warm"]
-        frontend.service.warmed = True
-        assert gated.readiness().ready
-
-    def test_mark_warm_overrides_cold_service(self):
-        frontend = StubFrontend()
-        monitor = HealthMonitor(
-            frontend=frontend, parameters=OpsParameters(require_warm=True)
-        )
-        assert not monitor.readiness().ready
-        monitor.mark_warm()
-        assert monitor.readiness().ready
-
-    def test_ingest_backlog_gate(self):
-        ingest = StubIngest()
-        monitor = HealthMonitor(
-            ingest=ingest, parameters=OpsParameters(max_ingest_backlog=100)
-        )
-        assert monitor.readiness().ready
-        ingest.backlog = 101
-        report = monitor.readiness()
-        assert not report.ready
-        (failing,) = report.failing()
-        assert failing.name == "ingest_backlog"
-        assert failing.detail == {"backlog": 101, "limit": 100}
-
-    def test_dirty_edges_gate(self):
-        ingest = StubIngest()
-        monitor = HealthMonitor(
-            ingest=ingest, parameters=OpsParameters(max_pending_dirty_edges=50)
-        )
-        ingest.pending_dirty_edges = 51
-        assert [c.name for c in monitor.readiness().failing()] == ["dirty_edges"]
-
-    def test_unset_limits_skip_ingest_checks(self):
-        ingest = StubIngest()
-        ingest.backlog = 10_000
-        report = HealthMonitor(ingest=ingest).readiness()
-        assert report.ready
-        assert report.checks == ()
-
-    def test_report_is_json_ready(self):
+    def test_report_is_json_ready(self, make_stub):
         import json
 
-        frontend = StubFrontend()
+        frontend = make_stub()
         frontend.draining = True
         payload = HealthMonitor(frontend=frontend).readiness().to_dict()
         parsed = json.loads(json.dumps(payload))
@@ -159,10 +82,61 @@ class TestReadiness:
         assert any(not check["ok"] for check in parsed["checks"])
 
 
+    @pytest.mark.parametrize("lane", LANES)
+    @pytest.mark.parametrize("capacity", [1, 7, 10, 100])
+    def test_saturation_threshold_per_lane(self, make_stub, capacity, lane):
+        """Each lane flips at the first depth reaching 90 % of its capacity."""
+        frontend = make_stub(capacity=capacity)
+        monitor = HealthMonitor(frontend=frontend)
+        saturated = math.ceil(QUEUE_SATURATION_FRACTION * capacity)
+        frontend.depths[lane] = saturated - 1
+        assert monitor.readiness().ready
+        frontend.depths[lane] = saturated
+        report = monitor.readiness()
+        assert [c.name for c in report.failing()] == ["queue_headroom"]
+        other = next(name for name in LANES if name != lane)
+        assert report.failing()[0].detail["depths"][other] == 0
+
+    def test_headroom_detail_reports_the_limit(self, make_stub):
+        frontend = make_stub(capacity=20)
+        frontend.depths["estimate"] = 3
+        (check,) = [
+            c for c in HealthMonitor(frontend=frontend).readiness().checks
+            if c.name == "queue_headroom"
+        ]
+        assert check.ok
+        assert check.detail == {
+            "depths": {"estimate": 3, "route": 0},
+            "capacity_per_lane": 20,
+            "saturation_at": QUEUE_SATURATION_FRACTION * 20,
+        }
+
+    def test_stopped_frontend_skips_queue_check(self, make_stub):
+        frontend = make_stub()
+        frontend.running = False
+        frontend.depths["estimate"] = 10
+        report = HealthMonitor(frontend=frontend).readiness()
+        assert [c.name for c in report.checks] == ["frontend_running", "not_draining"]
+
+    def test_every_failing_check_is_reported(self, make_stub):
+        frontend = make_stub()
+        frontend.running = False
+        frontend.draining = True
+        report = HealthMonitor(frontend=frontend).readiness()
+        assert [c.name for c in report.failing()] == ["frontend_running", "not_draining"]
+
+    def test_check_result_dict_is_a_copy(self):
+        detail = {"depth": 1}
+        payload = CheckResult("queue_headroom", True, detail).to_dict()
+        payload["detail"]["depth"] = 99
+        assert detail == {"depth": 1}
+        assert payload == {"name": "queue_headroom", "ok": True, "detail": {"depth": 99}}
+
+
 class TestHealthMetrics:
-    def test_gauges_track_readiness(self):
+    def test_gauges_track_readiness(self, make_stub):
         registry = MetricsRegistry()
-        frontend = StubFrontend()
+        frontend = make_stub()
         monitor = HealthMonitor(frontend=frontend)
         monitor.register_metrics(registry)
         text = render_prometheus(registry)
@@ -170,6 +144,25 @@ class TestHealthMetrics:
         assert "repro_ops_ready 1" in text
         frontend.running = False
         assert "repro_ops_ready 0" in render_prometheus(registry)
+
+
+    @pytest.mark.parametrize("condition", ["stopped", "draining", "saturated"])
+    def test_ready_gauge_follows_each_failing_check(self, make_stub, condition):
+        registry = MetricsRegistry()
+        frontend = make_stub()
+        HealthMonitor(frontend=frontend).register_metrics(registry)
+        frontend.make_unready(condition)
+        series = parse_prometheus_text(render_prometheus(registry))
+        assert series["repro_ops_ready"] == 0.0
+        assert series["repro_ops_up"] == 1.0
+
+    def test_uptime_gauge_grows(self):
+        registry = MetricsRegistry()
+        HealthMonitor().register_metrics(registry)
+        first = parse_prometheus_text(render_prometheus(registry))
+        time.sleep(0.01)
+        second = parse_prometheus_text(render_prometheus(registry))
+        assert second["repro_ops_uptime_seconds"] > first["repro_ops_uptime_seconds"] >= 0.0
 
 
 class TestRealStack:

@@ -4,13 +4,13 @@ import pytest
 
 from repro import (
     AdminServer,
+    HealthMonitor,
     OpsError,
     OpsParameters,
-    SLOEngine,
-    SLOParameters,
     Telemetry,
     parse_prometheus_text,
 )
+from repro.ops.server import _ENDPOINTS
 
 
 @pytest.fixture
@@ -43,37 +43,24 @@ class TestLifecycle:
         admin.stop()
         assert not admin.running
 
+    def test_url_uses_configured_host(self, frontend):
+        with AdminServer(
+            frontend=frontend, parameters=OpsParameters(host="localhost")
+        ) as admin:
+            assert admin.url("/metrics") == f"http://localhost:{admin.port}/metrics"
+
+    def test_construction_registers_probe_gauges(self, frontend):
+        AdminServer(frontend=frontend)
+        series = parse_prometheus_text(frontend.telemetry.render_prometheus())
+        assert series["repro_ops_up"] == 1.0
+        assert series["repro_ops_ready"] == 1.0
+        assert "repro_ops_uptime_seconds" in series
+
     def test_context_manager(self, frontend, http_get):
         with AdminServer(frontend=frontend) as admin:
             status, _ = http_get(admin.url("/healthz"))
             assert status == 200
         assert not admin.running
-
-    def test_starts_and_stops_attached_slo_engine(self, frontend):
-        engine = SLOEngine.for_stack(
-            frontend=frontend,
-            parameters=SLOParameters(latency_threshold_s=0.5),
-        )
-        admin = AdminServer(
-            frontend=frontend,
-            slo_engine=engine,
-            parameters=OpsParameters(slo_evaluation_period_s=0.01),
-        )
-        with admin:
-            assert engine.running
-        assert not engine.running
-
-    def test_leaves_externally_started_engine_alone(self, frontend):
-        engine = SLOEngine.for_stack(
-            frontend=frontend, parameters=SLOParameters(latency_threshold_s=0.5)
-        )
-        engine.start(period_s=0.01)
-        try:
-            with AdminServer(frontend=frontend, slo_engine=engine):
-                pass
-            assert engine.running  # the server did not stop what it did not start
-        finally:
-            engine.stop()
 
 
 class TestEndpoints:
@@ -83,8 +70,28 @@ class TestEndpoints:
         assert "/metrics" in body["endpoints"]
         assert "/readyz" in body["endpoints"]
 
-    def test_unknown_path_404(self, server, http_get):
-        status, body = http_get(server.url("/nope"))
+    @pytest.mark.parametrize("path", _ENDPOINTS)
+    def test_every_listed_endpoint_is_served(self, server, http_get, path):
+        status, _ = http_get(server.url(path))
+        assert status == 200
+
+    def test_trailing_slash_and_query_are_ignored(self, server, http_get):
+        status, body = http_get(server.url("/healthz/?verbose=1"))
+        assert status == 200
+        assert body["status"] == "ok"
+        assert server.request_counts()["/healthz"] == 1
+
+    def test_content_types(self, server):
+        import urllib.request
+
+        with urllib.request.urlopen(server.url("/metrics"), timeout=10.0) as response:
+            assert response.headers["Content-Type"].startswith("text/plain; version=0.0.4")
+        with urllib.request.urlopen(server.url("/healthz"), timeout=10.0) as response:
+            assert response.headers["Content-Type"].startswith("application/json")
+
+    @pytest.mark.parametrize("path", ["/nope", "/alerts"])
+    def test_unknown_path_404(self, server, http_get, path):
+        status, body = http_get(server.url(path))
         assert status == 404
         assert "unknown path" in body["error"]
 
@@ -160,27 +167,12 @@ class TestEndpoints:
         assert status == 200
         assert len(body[key]) == 1
 
-    def test_alerts_404_without_engine(self, server, http_get):
-        status, body = http_get(server.url("/alerts"))
-        assert status == 404
-        assert "SLO" in body["error"]
-
-    def test_alerts_with_engine(self, frontend, http_get):
-        engine = SLOEngine.for_stack(
-            frontend=frontend, parameters=SLOParameters(latency_threshold_s=0.5)
-        )
-        admin = AdminServer(
-            frontend=frontend,
-            slo_engine=engine,
-            parameters=OpsParameters(slo_evaluation_period_s=0.01),
-        )
-        with admin:
-            status, body = http_get(admin.url("/alerts"))
-            assert status == 200
-            assert body["alerts"] == []
-            names = [slo["name"] for slo in body["slos"]]
-            assert "availability" in names
-            assert any(name.startswith("latency-") for name in names)
+    def test_request_counts_include_errors(self, server, http_get):
+        http_get(server.url("/nope"))
+        http_get(server.url("/traces?n=abc"))
+        counts = server.request_counts()
+        assert counts["/nope"] == 1
+        assert counts["/traces"] == 1
 
     def test_request_counts(self, server, http_get):
         http_get(server.url("/healthz"))
@@ -204,9 +196,34 @@ class TestBareTelemetryServer:
 
     def test_missing_components_answer_404(self, http_get):
         with AdminServer() as admin:
-            for path in ("/metrics", "/stats", "/traces", "/slow-queries", "/alerts"):
+            for path in ("/metrics", "/stats", "/traces", "/slow-queries"):
                 status, body = http_get(admin.url(path))
                 assert status == 404, path
                 assert "error" in body
+            status, _ = http_get(admin.url("/healthz"))
+            assert status == 200
+
+
+class TestInjectedHealthMonitor:
+    @pytest.mark.parametrize("condition", ["stopped", "draining", "saturated"])
+    def test_readyz_503_names_the_failing_check(self, make_stub, http_get, condition):
+        frontend = make_stub()
+        expected = frontend.make_unready(condition)
+        with AdminServer(health=HealthMonitor(frontend=frontend)) as admin:
+            status, body = http_get(admin.url("/readyz"))
+            assert status == 503
+            assert [c["name"] for c in body["checks"] if not c["ok"]] == [expected]
+            status, _ = http_get(admin.url("/healthz"))
+            assert status == 200
+
+    def test_endpoint_error_answers_500(self, http_get):
+        class BrokenHealth(HealthMonitor):
+            def readiness(self):
+                raise RuntimeError("probe exploded")
+
+        with AdminServer(health=BrokenHealth()) as admin:
+            status, body = http_get(admin.url("/readyz"))
+            assert status == 500
+            assert body["error"] == "RuntimeError: probe exploded"
             status, _ = http_get(admin.url("/healthz"))
             assert status == 200

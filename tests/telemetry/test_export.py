@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 from repro import TelemetryError
 from repro.telemetry import (
+    GaugeSampler,
     MetricsRegistry,
     StatsReporter,
     Telemetry,
@@ -302,57 +305,43 @@ class TestLabelRoundTripProperty:
         assert sorted(series.values()) == sorted(float(i) for i in range(len(values)))
 
 
-class TestBoundedStatsReporter:
+class TestScrapeConsistency:
+    def test_histogram_count_matches_inf_bucket_under_load(self):
+        """Buckets, sum and count of one scrape come from one reading."""
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat_seconds", "latency")
+        stop = threading.Event()
+
+        def hammer():
+            value = 0.0
+            while not stop.is_set():
+                value += 1e-6
+                hist.observe_batch([value] * 64)
+                hist.observe(value)
+
+        writers = [threading.Thread(target=hammer, daemon=True) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for writer in writers:
+                writer.start()
+            for _ in range(400):
+                series = parse_prometheus_text(render_prometheus(registry))
+                assert series["lat_seconds_count"] == series['lat_seconds_bucket{le="+Inf"}']
+                snapshot = hist.snapshot()
+                assert snapshot["count"] == sum(n for _, n in snapshot["buckets"])
+                assert snapshot["percentiles"]["p999"] <= snapshot["max"]
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for writer in writers:
+                writer.join(timeout=10.0)
+        assert not any(writer.is_alive() for writer in writers)
+
+
+class TestStatsReporterOptions:
     def snapshot_fn(self):
         return {"payload": "x" * 64}
-
-    def test_rotate_bounds_total_growth(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        reporter = StatsReporter(
-            self.snapshot_fn, path, period_s=0.005, max_bytes=512, on_full="rotate"
-        )
-        with reporter:
-            time.sleep(0.25)
-        rotated = tmp_path / "r.jsonl.1"
-        # One line is ~120 bytes; the budget is enforced up to one line.
-        slack = 512 + 256
-        assert path.stat().st_size <= slack
-        assert reporter.rotations >= 1
-        assert rotated.exists()
-        assert rotated.stat().st_size <= slack
-        # Every surviving line is complete JSON.
-        for file in (path, rotated):
-            for line in file.read_text(encoding="utf-8").strip().splitlines():
-                assert json.loads(line)["payload"].startswith("x")
-
-    def test_truncate_drops_oldest_keeps_newest(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        counter = {"n": 0}
-
-        def snapshot():
-            counter["n"] += 1
-            return {"n": counter["n"], "pad": "y" * 64}
-
-        reporter = StatsReporter(
-            snapshot, path, period_s=0.005, max_bytes=600, on_full="truncate"
-        )
-        with reporter:
-            time.sleep(0.25)
-        assert path.stat().st_size <= 600 + 256
-        assert reporter.rotations >= 1
-        assert not (tmp_path / "r.jsonl.1").exists()
-        lines = [json.loads(l) for l in path.read_text().strip().splitlines()]
-        # Newest lines survive, in order; the oldest were dropped.
-        ns = [line["n"] for line in lines]
-        assert ns == sorted(ns)
-        assert ns[-1] == counter["n"]
-        assert ns[0] > 1
-
-    def test_unbounded_reporter_never_rotates(self, tmp_path):
-        reporter = StatsReporter(self.snapshot_fn, tmp_path / "r.jsonl", period_s=0.01)
-        with reporter:
-            time.sleep(0.03)
-        assert reporter.rotations == 0
 
     def test_fsync_period_accepted(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -366,14 +355,35 @@ class TestBoundedStatsReporter:
 
     def test_invalid_options_raise(self, tmp_path):
         with pytest.raises(TelemetryError):
-            StatsReporter(lambda: {}, tmp_path / "r.jsonl", max_bytes=0)
-        with pytest.raises(TelemetryError):
-            StatsReporter(lambda: {}, tmp_path / "r.jsonl", on_full="explode")
-        with pytest.raises(TelemetryError):
             StatsReporter(lambda: {}, tmp_path / "r.jsonl", fsync_period_s=-1.0)
 
-    def test_hub_reporter_passes_through_bounds(self, tmp_path):
-        hub = Telemetry()
-        reporter = hub.reporter(tmp_path / "r.jsonl", max_bytes=4096, on_full="truncate")
-        assert reporter._max_bytes == 4096
-        assert reporter._on_full == "truncate"
+    def test_hub_reporter_passes_fsync_through(self, tmp_path):
+        reporter = Telemetry().reporter(tmp_path / "r.jsonl", fsync_period_s=0.5)
+        assert reporter._fsync_period_s == 0.5
+        with pytest.raises(TelemetryError):
+            Telemetry().reporter(tmp_path / "r.jsonl", fsync_period_s=-1.0)
+
+    def test_stop_before_start_writes_nothing(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        assert StatsReporter(lambda: {}, path).stop() == 0
+        assert not path.exists()
+
+    @pytest.mark.parametrize("period", [0.0, -1.0])
+    def test_non_positive_period_raises(self, tmp_path, period):
+        with pytest.raises(TelemetryError, match="finite and positive"):
+            StatsReporter(lambda: {}, tmp_path / "r.jsonl", period_s=period)
+        with pytest.raises(TelemetryError, match="finite and positive"):
+            Telemetry().reporter(tmp_path / "r.jsonl", period_s=period)
+        with pytest.raises(TelemetryError, match="finite and positive"):
+            GaugeSampler(lambda: 0.0, interval_s=period)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf])
+    def test_non_finite_period_raises(self, tmp_path, period):
+        # nan would make the thread spin (Event.wait(nan) returns at once);
+        # inf would kill it on its first wait.
+        with pytest.raises(TelemetryError, match="finite and positive"):
+            StatsReporter(lambda: {}, tmp_path / "r.jsonl", period_s=period)
+        with pytest.raises(TelemetryError, match="finite and positive"):
+            Telemetry().reporter(tmp_path / "r.jsonl", period_s=period)
+        with pytest.raises(TelemetryError, match="finite and positive"):
+            GaugeSampler(lambda: 0.0, interval_s=period)

@@ -1,9 +1,11 @@
 """Tests for the metrics registry: counters, gauges, histograms, families."""
 
+import json
 import math
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import TelemetryError
@@ -15,6 +17,7 @@ from repro.telemetry import (
     MetricsRegistry,
     default_latency_bounds,
 )
+from repro.telemetry.metrics import EAGER_OBSERVE_MAX
 
 
 class TestCounter:
@@ -142,7 +145,8 @@ class TestLatencyHistogram:
         hist = LatencyHistogram("latency_seconds", bounds=(0.001, 0.01))
         hist.observe(5.0)  # beyond the last bound
         hist.observe(0.005)
-        pairs = hist.cumulative_buckets()
+        pairs, _, count = hist.exposition()
+        assert count == 2
         assert pairs[-1][0] == math.inf
         assert pairs[-1][1] == 2
         assert hist.percentiles()["p999"] == pytest.approx(5.0)
@@ -151,7 +155,7 @@ class TestLatencyHistogram:
         hist = LatencyHistogram("latency_seconds")
         hist.observe(-0.001)
         assert hist.count == 1
-        assert hist.cumulative_buckets()[0][1] == 1
+        assert hist.exposition()[0][0][1] == 1
 
     def test_count_sum_min_max(self):
         hist = LatencyHistogram("latency_seconds")
@@ -182,10 +186,92 @@ class TestLatencyHistogram:
         hist = LatencyHistogram("latency_seconds")
         for value in (1e-5, 1e-3, 0.1, 2.0, 100.0):
             hist.observe(value)
-        pairs = hist.cumulative_buckets()
+        pairs, _, _ = hist.exposition()
         cumulatives = [count for _, count in pairs]
         assert cumulatives == sorted(cumulatives)
         assert cumulatives[-1] == 5
+
+
+class TestHistogramReading:
+    """Percentile interpolation and the batch paths, read back exactly."""
+
+    def four_samples(self):
+        hist = LatencyHistogram("latency_seconds", bounds=(1.0, 2.0, 3.0))
+        for value in (0.1, 0.9, 1.1, 1.9):
+            hist.observe(value)
+        return hist
+
+    @pytest.mark.parametrize(
+        "point, expected",
+        [
+            (0.0, 0.1),  # bucket floor 0, clamped up to the observed minimum
+            (25.0, 0.5),  # half-way through the first bucket's two samples
+            (50.0, 1.0),  # the first bucket's upper edge
+            (75.0, 1.5),  # half-way through the second bucket
+            (100.0, 1.9),  # bucket edge 2.0, clamped down to the observed maximum
+        ],
+    )
+    def test_linear_interpolation_within_bucket(self, point, expected):
+        (value,) = self.four_samples().percentiles(points=(point,)).values()
+        assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_percentiles_follow_bucket_mass(self):
+        hist = LatencyHistogram("latency_seconds", bounds=(0.01, 0.1, 1.0))
+        for _ in range(99):
+            hist.observe(0.005)
+        hist.observe(0.5)
+        estimates = hist.percentiles(points=(50.0, 99.9))
+        assert estimates["p50"] <= 0.01
+        assert estimates["p999"] > 0.1
+
+    @pytest.mark.parametrize("size", [1, EAGER_OBSERVE_MAX, EAGER_OBSERVE_MAX + 1, 5000])
+    def test_batch_matches_one_by_one(self, size):
+        values = np.random.default_rng(size).lognormal(-6.0, 2.0, size).tolist()
+        single = LatencyHistogram("latency_seconds")
+        for value in values:
+            single.observe(value)
+        batched = LatencyHistogram("latency_seconds")
+        batched.observe_batch(values)
+        pairs, total, count = batched.exposition()
+        expected_pairs, expected_total, expected_count = single.exposition()
+        assert (pairs, count) == (expected_pairs, expected_count)
+        assert total == pytest.approx(expected_total, rel=1e-12)
+        assert batched.snapshot()["min"] == min(values)
+        assert batched.snapshot()["max"] == max(values)
+
+    @pytest.mark.parametrize("size", [4, 100])
+    def test_batch_offset_is_added_to_every_value(self, size):
+        values = [i * 1e-4 for i in range(size)]
+        shifted = LatencyHistogram("latency_seconds")
+        for value in values:
+            shifted.observe(value + 0.25)
+        batched = LatencyHistogram("latency_seconds")
+        batched.observe_batch(values, offset=0.25)
+        assert batched.exposition()[0] == shifted.exposition()[0]
+        assert batched.snapshot()["min"] == 0.25
+        assert batched.snapshot()["max"] == values[-1] + 0.25
+
+    def test_parked_samples_count_before_the_fold(self):
+        hist = LatencyHistogram("latency_seconds")
+        hist.observe_batch([0.001] * 100)
+        assert hist.count == 100
+        pairs, _, count = hist.exposition()
+        assert count == pairs[-1][1] == 100
+
+    def test_ndarray_batch_snapshot_is_plain_json(self):
+        hist = LatencyHistogram("latency_seconds")
+        hist.observe_batch(np.array([0.001, 0.002, 0.004]))
+        snapshot = hist.snapshot()
+        assert json.loads(json.dumps(snapshot))["count"] == 3
+        assert type(snapshot["count"]) is int
+        assert type(snapshot["min"]) is float
+        assert type(snapshot["sum"]) is float
+
+    def test_snapshot_lists_overflow_as_infinite_bucket(self):
+        hist = LatencyHistogram("latency_seconds", bounds=(0.001, 0.01))
+        hist.observe(5.0)
+        hist.observe(0.005)
+        assert hist.snapshot()["buckets"] == [[0.01, 1], [math.inf, 1]]
 
 
 class TestMetricsRegistry:

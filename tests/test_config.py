@@ -112,6 +112,39 @@ class TestPersistParameters:
             PersistParameters(**retired)
 
 
+class TestOpsParameters:
+    def test_defaults_bind_an_ephemeral_loopback_port(self):
+        parameters = OpsParameters()
+        assert (parameters.host, parameters.port) == ("127.0.0.1", 0)
+
+    @pytest.mark.parametrize("port", [0, 8080, 65535])
+    def test_port_range_accepted(self, port):
+        assert OpsParameters(port=port).port == port
+
+    @pytest.mark.parametrize("port", [-1, 65536])
+    def test_port_out_of_range(self, port):
+        with pytest.raises(ConfigurationError, match="port"):
+            OpsParameters(port=port)
+
+    def test_empty_host(self):
+        with pytest.raises(ConfigurationError, match="host"):
+            OpsParameters(host="")
+
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            {"slo_evaluation_period_s": 1.0},
+            {"require_warm": True},
+            {"max_ingest_backlog": 10},
+            {"max_pending_dirty_edges": 10},
+            {"queue_saturation_fraction": 0.5},
+        ],
+    )
+    def test_retired_options_are_not_accepted(self, retired):
+        with pytest.raises(TypeError):
+            OpsParameters(**retired)
+
+
 @pytest.mark.parametrize(
     "cls, names",
     [
@@ -124,13 +157,7 @@ class TestPersistParameters:
             ],
         ),
         (TelemetryParameters, ["trace_sample_every", "slow_log_capacity"]),
-        (
-            OpsParameters,
-            [
-                "host", "port", "queue_saturation_fraction", "max_ingest_backlog",
-                "max_pending_dirty_edges", "require_warm", "slo_evaluation_period_s",
-            ],
-        ),
+        (OpsParameters, ["host", "port"]),
         (IngestParameters, ["queue_capacity", "n_workers"]),
         (PersistParameters, ["mmap"]),
     ],
