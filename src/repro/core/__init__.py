@@ -6,7 +6,6 @@ from .instantiation import HybridGraphBuilder
 from .relevance import CandidateArray, RelevantVariable, shift_and_enlarge, updated_departure_interval
 from .decomposition import Decomposition, coarsest_decomposition, random_decomposition
 from .joint import PropagatedJoint, decomposition_entropy, propagate_joint
-from .marginal import collapse_to_cost_histogram
 from .estimator import CostEstimate, PathCostEstimator
 from .baselines import (
     AccuracyOptimalEstimator,
@@ -30,7 +29,6 @@ __all__ = [
     "RandomDecompositionEstimator",
     "RelevantVariable",
     "coarsest_decomposition",
-    "collapse_to_cost_histogram",
     "decomposition_entropy",
     "propagate_joint",
     "random_decomposition",

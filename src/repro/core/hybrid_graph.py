@@ -320,7 +320,7 @@ class HybridGraph:
         return self.storage_size(include_fallbacks) * _BYTES_PER_SCALAR
 
     def array_memory_bytes(self, include_fallbacks: bool = True) -> int:
-        """True array-backed footprint of ``W_P`` in bytes (``ndarray.nbytes``).
+        """Array-backed size of ``W_P`` in bytes (the arrays' ``nbytes``).
 
         Sums the actual backing arrays of every instantiated variable
         (bucket bounds and probabilities for rank-one histograms;

@@ -12,14 +12,11 @@ worked example (Figure 7).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..exceptions import EstimationError
 from ..histograms import kernels
-from ..histograms.multivariate import MultiHistogram
-from ..histograms.univariate import Bucket, Histogram1D
+from ..histograms.univariate import Histogram1D
 
 
 def collapse_cells_to_cost_histogram(
@@ -40,26 +37,3 @@ def collapse_cells_to_cost_histogram(
     cells = kernels.rearrange(lows, highs, probs)
     cells = kernels.truncate_to_max_buckets(*cells, max_buckets)
     return Histogram1D._from_trusted_arrays(*cells)
-
-
-def collapse_to_cost_histogram(
-    weighted_buckets: Sequence[tuple[Bucket, float]],
-    max_buckets: int | None = 64,
-) -> Histogram1D:
-    """Rearrange weighted, possibly-overlapping cost buckets into a histogram.
-
-    Object-level wrapper around :func:`collapse_cells_to_cost_histogram`
-    for callers holding ``(Bucket, probability)`` pairs.
-    """
-    if not weighted_buckets:
-        raise EstimationError("cannot build a cost distribution from no buckets")
-    items = list(weighted_buckets)
-    lows = np.fromiter((bucket.lower for bucket, _ in items), dtype=float, count=len(items))
-    highs = np.fromiter((bucket.upper for bucket, _ in items), dtype=float, count=len(items))
-    probs = np.fromiter((prob for _, prob in items), dtype=float, count=len(items))
-    return collapse_cells_to_cost_histogram(lows, highs, probs, max_buckets=max_buckets)
-
-
-def joint_to_cost_histogram(joint: MultiHistogram, max_buckets: int | None = 64) -> Histogram1D:
-    """Convenience wrapper: the cost distribution of a materialised joint histogram."""
-    return joint.cost_distribution(max_buckets=max_buckets)

@@ -51,6 +51,8 @@ MIN_WIDTH = 1e-9
 
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+_INVALID_RANGE = "ranges need finite bounds, positive widths and finite, non-negative mass"
+
 
 # ---------------------------------------------------------------------- #
 # Rearrangement (Section 4.2): overlapping weighted ranges -> disjoint
@@ -66,7 +68,13 @@ def rearrange(
     The real line is split at every range boundary and each input range
     contributes to a refined cell proportionally to the overlap width
     (uniform mass within a range).  Implemented with a difference array
-    over the sorted unique boundaries, so the cost is O(n log n).
+    over the sorted unique boundaries from one sort, which also places
+    every bound, and one ``np.bincount`` that adds ``+d`` at each low and
+    ``-d`` at each high in input order (``x + (-d)`` is ``x - d`` exactly),
+    so the cost is O(n log n).  Every range must be a valid
+    :class:`~repro.histograms.univariate.Bucket` with a finite, non-negative
+    probability, or :class:`HistogramError` is raised; zero-probability
+    ranges are dropped.
 
     With ``normalize=True`` the output masses are scaled to sum to one;
     with ``normalize=False`` the input's total mass is preserved, which is
@@ -76,36 +84,54 @@ def rearrange(
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    keep = probs > 0.0
-    if not np.all(keep):
-        lows, highs, probs = lows[keep], highs[keep], probs[keep]
     if probs.size == 0:
         raise HistogramError("cannot rearrange an empty set of buckets")
+    # Bucket's rule, checked with one reduction on the common path: min
+    # propagates NaN and NaN compares false, so this rejects NaN bounds and
+    # zero or negative widths; an infinite bound shows at either end of the
+    # sorted boundaries, an infinite probability in the total.
+    widths = highs - lows
+    if not widths.min() > 0.0:
+        raise HistogramError(_INVALID_RANGE)
+    keep = probs > 0.0
+    if not np.all(keep):
+        if not (probs.min() >= 0.0 and widths.max() < np.inf):
+            raise HistogramError(_INVALID_RANGE)
+        lows, highs, probs, widths = lows[keep], highs[keep], probs[keep], widths[keep]
+        if probs.size == 0:
+            raise HistogramError("cannot rearrange a set of buckets without mass")
     total = probs.sum()
-    if total <= 0:
-        raise HistogramError("total probability of buckets must be positive")
+    if not total < np.inf:
+        raise HistogramError(_INVALID_RANGE)
 
-    boundaries = np.unique(np.concatenate([lows, highs]))
-    if boundaries.size < 2:
-        raise HistogramError("cannot rearrange zero-width buckets")
-    densities = probs / (highs - lows)
-    low_positions = np.searchsorted(boundaries, lows)
-    high_positions = np.searchsorted(boundaries, highs)
-    delta = np.zeros(boundaries.size)
-    np.add.at(delta, low_positions, densities)
-    np.subtract.at(delta, high_positions, densities)
+    # One sort places every bound (``np.unique``'s inverse, without the
+    # per-call overhead that dominates the usual small input).
+    n = probs.size
+    bounds = np.concatenate([lows, highs])
+    order = bounds.argsort()
+    bounds = bounds[order]
+    first = np.concatenate([[True], bounds[1:] != bounds[:-1]])
+    boundaries = bounds[first]
+    positions = np.empty(2 * n, dtype=np.intp)
+    positions[order] = np.cumsum(first) - 1
+    if not (boundaries[0] > -np.inf and boundaries[-1] < np.inf):
+        raise HistogramError(_INVALID_RANGE)
+    densities = probs / widths
+    size = boundaries.size
+    delta = np.bincount(positions, weights=np.concatenate([densities, -densities]), minlength=size)
     cell_density = np.cumsum(delta)[:-1]
     # Integer coverage counts pin gap cells to exactly zero: floating-point
     # cancellation in the density cumsum must not leave phantom mass where
     # no input range overlaps.
-    coverage_delta = np.zeros(boundaries.size, dtype=np.int64)
-    np.add.at(coverage_delta, low_positions, 1)
-    np.subtract.at(coverage_delta, high_positions, 1)
-    covered = np.cumsum(coverage_delta)[:-1] > 0
+    coverage = np.bincount(positions[:n], minlength=size) - np.bincount(positions[n:], minlength=size)
+    covered = np.cumsum(coverage)[:-1] > 0
     masses = np.where(covered, cell_density * np.diff(boundaries), 0.0)
     if normalize:
         masses = masses / total
     keep = masses > 0.0
+    if keep.all():
+        # No gap: two views of one boundary array, as in :func:`coarsen`.
+        return boundaries[:-1], boundaries[1:], masses
     return boundaries[:-1][keep], boundaries[1:][keep], masses[keep]
 
 
@@ -125,7 +151,8 @@ def coarsen(lows: np.ndarray, highs: np.ndarray, probs: np.ndarray, max_buckets:
     edges[-1] = np.nextafter(highs[-1], np.inf)
     masses = np.diff(cdf_at_many(lows, highs, probs, edges, normalized=False))
     masses = np.clip(masses, 0.0, None)
-    return edges[:-1].copy(), edges[1:].copy(), masses
+    # Two views of one edge array: a served histogram holds one buffer, not two.
+    return edges[:-1], edges[1:], masses
 
 
 # ---------------------------------------------------------------------- #
@@ -150,10 +177,7 @@ def convolve(
     lows = np.add.outer(lows_a, lows_b).ravel()
     highs = np.add.outer(highs_a, highs_b).ravel()
     probs = np.outer(probs_a, probs_b).ravel()
-    result = rearrange(lows, highs, probs)
-    if max_buckets is not None and result[2].size > max_buckets:
-        result = coarsen(*result, max_buckets)
-    return result
+    return truncate_to_max_buckets(*rearrange(lows, highs, probs), max_buckets)
 
 
 def convolve_accumulate(
@@ -178,9 +202,7 @@ def convolve_accumulate(
     result = components[0]
     for component in components[1:]:
         result = convolve(*result, *component, max_buckets=working_buckets)
-    if max_buckets is not None and result[2].size > max_buckets:
-        result = coarsen(*result, max_buckets)
-    return result
+    return truncate_to_max_buckets(*result, max_buckets)
 
 
 # ---------------------------------------------------------------------- #
@@ -233,13 +255,15 @@ def deposit_onto_grid(
     span is clamped onto the boundary cells only insofar as ranges extend
     past the edges (callers build grids spanning the full support).
     """
-    slope, intercept, const = _range_difference_arrays(lows, highs, probs, edges)
+    return _grid_masses(edges, *_range_difference_arrays(lows, highs, probs, edges))
+
+
+def _grid_masses(
+    edges: np.ndarray, slope: np.ndarray, intercept: np.ndarray, const: np.ndarray
+) -> np.ndarray:
+    """Cell masses on ``edges`` from the difference arrays of :func:`_range_difference_arrays`."""
     size = edges.size
-    cumulative = (
-        edges * np.cumsum(slope)[:size]
-        - np.cumsum(intercept)[:size]
-        + np.cumsum(const)[:size]
-    )
+    cumulative = edges * np.cumsum(slope)[:size] - np.cumsum(intercept)[:size] + np.cumsum(const)[:size]
     return np.clip(np.diff(cumulative), 0.0, None)
 
 
@@ -282,14 +306,7 @@ def _fused_convolve_step(accumulator: Triple, component: Triple, working_buckets
         slope += delta_slope
         intercept += delta_intercept
         const += delta_const
-    size = edges.size
-    cumulative = (
-        edges * np.cumsum(slope)[:size]
-        - np.cumsum(intercept)[:size]
-        + np.cumsum(const)[:size]
-    )
-    masses = np.clip(np.diff(cumulative), 0.0, None)
-    return edges[:-1].copy(), edges[1:].copy(), masses
+    return edges[:-1].copy(), edges[1:].copy(), _grid_masses(edges, slope, intercept, const)
 
 
 def rearrange_convolve_coarsen(
@@ -327,9 +344,7 @@ def rearrange_convolve_coarsen(
     result = components[0]
     for component in components[1:]:
         result = _fused_convolve_step(result, component, working_buckets)
-    if max_buckets is not None and result[2].size > max_buckets:
-        result = coarsen(*result, max_buckets)
-    return result
+    return truncate_to_max_buckets(*result, max_buckets)
 
 
 class FusedFoldBackend:

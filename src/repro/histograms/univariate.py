@@ -89,7 +89,7 @@ def rearrange_buckets(weighted_buckets: Iterable[tuple[Bucket, float]]) -> "Hist
 class Histogram1D:
     """A univariate travel-cost distribution as a disjoint bucket histogram."""
 
-    __slots__ = ("_lows", "_highs", "_probs", "_cum", "_bucket_cache")
+    __slots__ = ("_lows", "_highs", "_probs", "_cumulative", "_bucket_cache")
 
     def __init__(self, buckets: Sequence[Bucket], probabilities: Sequence[float]) -> None:
         if len(buckets) == 0:
@@ -122,7 +122,7 @@ class Histogram1D:
         self._lows = lows
         self._highs = highs
         self._probs = probs
-        self._cum = np.cumsum(probs)
+        self._cumulative = None
         self._bucket_cache: tuple[Bucket, ...] | None = None
 
     # ------------------------------------------------------------------ #
@@ -169,7 +169,7 @@ class Histogram1D:
         self._lows = lows
         self._highs = highs
         self._probs = probs / total
-        self._cum = np.cumsum(self._probs)
+        self._cumulative = None
         self._bucket_cache = None
         return self
 
@@ -190,7 +190,7 @@ class Histogram1D:
         self._lows = np.ascontiguousarray(lows, dtype=float)
         self._highs = np.ascontiguousarray(highs, dtype=float)
         self._probs = np.ascontiguousarray(probs, dtype=float)
-        self._cum = np.cumsum(self._probs)
+        self._cumulative = None
         self._bucket_cache = None
         return self
 
@@ -318,14 +318,21 @@ class Histogram1D:
 
     @property
     def nbytes(self) -> int:
-        """Actual bytes of the backing arrays (lows, highs, probabilities).
+        """Bytes of the three arrays (lows, highs, probabilities), each counted whole.
 
-        This is both the resident array footprint (modulo the derived
-        cumulative-probability cache) and the payload a columnar snapshot
-        writes to disk; contrast with the scalar-count accounting of
-        :meth:`storage_size` used by the paper's Figure 12.
+        This is the payload a columnar snapshot writes to disk.  Resident
+        memory can be up to ``n * 8`` bytes less: a coarsened or gap-free
+        rearranged histogram's lows and highs are two views of one edge
+        array.  Contrast with :meth:`storage_size` (the paper's Figure 12).
         """
         return int(self._lows.nbytes + self._highs.nbytes + self._probs.nbytes)
+
+    @property
+    def _cum(self) -> np.ndarray:
+        """Cumulative probabilities, computed on the first :meth:`cdf` (its only reader)."""
+        if self._cumulative is None:
+            self._cumulative = np.cumsum(self._probs)
+        return self._cumulative
 
     # ------------------------------------------------------------------ #
     # Probability queries

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro import Bucket, EstimationError, Histogram1D, MultiHistogram, Path
+from repro import EstimationError, Histogram1D, MultiHistogram, Path
 from repro.core.decomposition import Decomposition
 from repro.core.joint import decomposition_entropy, propagate_joint
-from repro.core.marginal import collapse_to_cost_histogram, joint_to_cost_histogram
+from repro.core.marginal import collapse_cells_to_cost_histogram
 from repro.core.relevance import RelevantVariable
 from repro.core.variables import InstantiatedVariable
 from repro.timeutil import interval_of
@@ -183,35 +183,43 @@ class TestEntropy:
 
 class TestMarginalCollapse:
     def test_collapse_matches_figure7(self):
-        weighted = [
-            (Bucket(40, 70), 0.30),
-            (Bucket(50, 90), 0.25),
-            (Bucket(60, 90), 0.20),
-            (Bucket(70, 110), 0.25),
-        ]
-        histogram = collapse_to_cost_histogram(weighted)
+        histogram = collapse_cells_to_cost_histogram(
+            np.array([40.0, 50.0, 60.0, 70.0]),
+            np.array([70.0, 90.0, 90.0, 110.0]),
+            np.array([0.30, 0.25, 0.20, 0.25]),
+        )
         assert histogram.prob_between(40, 50) == pytest.approx(0.1, abs=1e-6)
         assert histogram.prob_between(90, 110) == pytest.approx(0.125, abs=1e-6)
 
     def test_collapse_respects_bucket_cap(self, rng):
-        weighted = [
-            (Bucket(float(low), float(low) + 5.0), 1.0 / 200)
-            for low in rng.uniform(0, 1000, size=200)
-        ]
-        histogram = collapse_to_cost_histogram(weighted, max_buckets=32)
+        lows = rng.uniform(0, 1000, size=200)
+        histogram = collapse_cells_to_cost_histogram(
+            lows, lows + 5.0, np.full(200, 1.0 / 200), max_buckets=32
+        )
         assert histogram.n_buckets <= 32
 
     def test_collapse_empty_rejected(self):
+        empty = np.zeros(0)
         with pytest.raises(EstimationError):
-            collapse_to_cost_histogram([])
+            collapse_cells_to_cost_histogram(empty, empty, empty)
 
-    def test_joint_to_cost_histogram(self, rng):
+    def test_joint_cost_distribution_collapses_the_summed_cell_bounds(self, rng):
         samples = correlated_samples(rng, 200, 2)
         joint = MultiHistogram.from_samples(
             [1, 2], samples, [list(np.linspace(samples[:, i].min(), samples[:, i].max() + 1, 4)) for i in range(2)]
         )
-        histogram = joint_to_cost_histogram(joint)
-        assert histogram.mean == pytest.approx(joint.cost_distribution().mean)
+        lows = np.zeros(joint.n_hyper_buckets())
+        highs = np.zeros(joint.n_hyper_buckets())
+        for axis, dim in enumerate(joint.dims):
+            edges = np.asarray(joint.boundaries_of(dim))
+            lows += edges[joint.cell_indices[:, axis]]
+            highs += edges[joint.cell_indices[:, axis] + 1]
+        expected = collapse_cells_to_cost_histogram(
+            lows, highs, np.asarray(joint.cell_probabilities), max_buckets=None
+        )
+        assert joint.cost_distribution(max_buckets=None) == expected
+        midpoints = 0.5 * (lows + highs)
+        assert expected.mean == pytest.approx(float(np.dot(midpoints, joint.cell_probabilities)))
 
     def test_invalid_max_aggregate_buckets(self, rng):
         samples = correlated_samples(rng, 100, 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Bucket, Histogram1D, HistogramError
+from repro.core.marginal import collapse_cells_to_cost_histogram
 from repro.histograms import FusedFoldBackend, kernels
 
 from reference_histograms import (
@@ -45,6 +46,31 @@ class TestRearrange:
     def test_zero_mass_rejected(self):
         with pytest.raises(HistogramError):
             kernels.rearrange(*triple([(0, 1, 0.0)]))
+
+    @pytest.mark.parametrize(
+        "lows, highs, probs",
+        [
+            ([0.0, 5.0], [0.0, 10.0], [0.5, 0.5]),  # zero width: NaN used to empty the output
+            ([0.0, 5.0], [np.inf, 10.0], [0.5, 0.5]),  # infinite bound
+            ([0.0, np.nan], [1.0, 10.0], [0.5, 0.5]),  # NaN bound
+            ([2.0, 5.0], [1.0, 10.0], [0.5, 0.5]),  # inverted range
+            ([-np.inf, 5.0], [1.0, 10.0], [0.5, 0.5]),
+            ([0.0, 5.0], [1.0, 10.0], [np.nan, 0.5]),  # NaN probability
+            ([0.0, 5.0], [1.0, 10.0], [-0.1, 0.5]),  # negative probability
+            ([0.0, 5.0], [1.0, 10.0], [np.inf, 0.5]),
+            ([0.0, 5.0], [0.0, 10.0], [0.0, 0.5]),  # invalid even without mass
+            ([-np.inf, 5.0], [1.0, 10.0], [0.0, 0.5]),
+        ],
+    )
+    def test_invalid_ranges_and_probabilities_raise(self, lows, highs, probs):
+        """Each of these used to return a histogram that lost mass (or an
+        empty one); they are not buckets, so they raise."""
+        arrays = (np.array(lows), np.array(highs), np.array(probs))
+        for normalize in (True, False):
+            with pytest.raises(HistogramError):
+                kernels.rearrange(*arrays, normalize=normalize)
+        with pytest.raises(HistogramError):
+            collapse_cells_to_cost_histogram(*arrays)
 
 
 class TestConvolve:
@@ -272,6 +298,24 @@ class TestGroupedRearrangeCoarsen:
         level = np.array([1.0 - 5e-13])
         result = float(kernels.quantile_many(lows, highs, probs, level)[0])
         assert result == pytest.approx(1.5, abs=1e-3)
+
+    def test_invalid_range_in_an_over_cap_group_raises(self):
+        lows = np.array([0.0, 5.0, 6.0])
+        highs = np.array([1.0, 4.0, 7.0])
+        with pytest.raises(HistogramError):
+            kernels.grouped_rearrange_coarsen(
+                lows, highs, np.array([0.2, 0.3, 0.5]), np.array([0, 1, 1]), max_buckets=1
+            )
+
+    def test_a_width_the_window_shift_rounds_to_zero_raises(self):
+        """Group 1 is shifted by ~1e8, where a 1e-9 wide cell has no width
+        left: a typed error, not a histogram that lost the cell's mass."""
+        lows = np.array([0.0, 5.0, 6.0])
+        highs = np.array([1e8, 5.0 + 1e-9, 7.0])
+        with pytest.raises(HistogramError):
+            kernels.grouped_rearrange_coarsen(
+                lows, highs, np.array([0.2, 0.3, 0.5]), np.array([0, 1, 1]), max_buckets=1
+            )
 
     def test_under_cap_groups_pass_through_untouched(self):
         lows = np.array([0.0, 5.0, 100.0, 104.0])

@@ -35,12 +35,14 @@ from repro import (
     TrajectoryStore,
     grid_network,
 )
+import repro.core.joint
 from repro.core.decomposition import Decomposition
 from repro.core.joint import PropagationMemo, decomposition_entropy, propagate_joint
 from repro.core.relevance import RelevantVariable
 from repro.core.variables import InstantiatedVariable
 from repro.timeutil import interval_of
 
+import reference_joint
 from reference_joint import propagate_joint_reference
 
 INTERVAL = interval_of(8 * 3600.0, 30)
@@ -222,6 +224,72 @@ class TestFixedChain:
         first = decomposition_entropy(decomposition)
         assert decomposition_entropy(decomposition) == first
         assert first == propagate_joint_reference(decomposition).entropy
+
+
+def explicit_variable(edge_ids, samples, boundaries):
+    """A variable over ``edge_ids`` built from the given samples and bucket boundaries."""
+    samples = np.asarray(samples, dtype=float)
+    distribution = MultiHistogram.from_samples(list(edge_ids), samples, boundaries)
+    return InstantiatedVariable(Path(list(edge_ids)), INTERVAL, distribution, support=len(samples))
+
+
+class TestSeparatorJoinCases:
+    """Steps whose (state cell, factor cell) pairs include zero-weight ones, which
+    the separator join never forms and the reference forms and then prunes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_product_below_the_pruning_threshold(self, monkeypatch, seed):
+        """With the threshold above every product, only the ``> 0`` fallback
+        decides what a step keeps, in both implementations."""
+        monkeypatch.setattr(repro.core.joint, "_PRUNE_THRESHOLD", 2.0)
+        monkeypatch.setattr(reference_joint, "_PRUNE_THRESHOLD", 2.0)
+        decomposition = build_chain([(0, 3), (2, 4), (1, 3), (2, 3), (0, 2)], seed=seed)
+        assert any(separator is not None for separator in decomposition.separators())
+        for limits in ({}, dict(max_aggregate_buckets=4, max_state_cells=8)):
+            assert_same_joint(
+                propagate_joint(decomposition, **limits),
+                propagate_joint_reference(decomposition, **limits),
+            )
+
+    def test_a_state_group_overlapping_no_factor_group(self):
+        """Edge 1 separates A from B.  A's edge-1 bucket [1000, 1010) lies past
+        everything B saw on edge 1, so its state group takes the fallback row;
+        A's [0, 10), [10, 20) and [20, 30) overlap one or two of B's groups, so
+        their rows hold zero weights beside non-zero ones."""
+        rng = np.random.default_rng(11)
+        near = rng.uniform(0.0, 30.0, size=70)
+        far = rng.uniform(1000.0, 1010.0, size=30)
+        a_samples = np.column_stack([rng.uniform(0.0, 20.0, size=100), np.concatenate([near, far])])
+        a = explicit_variable((0, 1), a_samples, [[0, 10, 20], [0, 10, 20, 30, 1000, 1010]])
+        b_samples = np.column_stack([rng.uniform(0.0, 30.0, 80), rng.uniform(0.0, 20.0, 80)])
+        b = explicit_variable((1, 2), b_samples, [[0, 15, 30], [0, 10, 20]])
+        c_samples = np.column_stack([rng.uniform(0.0, 20.0, 60), rng.uniform(5.0, 25.0, 60)])
+        c = explicit_variable((2, 3), c_samples, [[0, 5, 12, 20], [5, 15, 25]])
+        decomposition = Decomposition(
+            Path([0, 1, 2, 3]),
+            (RelevantVariable(a, 0), RelevantVariable(b, 1), RelevantVariable(c, 2)),
+        )
+        for limits in ({}, dict(max_aggregate_buckets=2, max_state_cells=5)):
+            assert_same_joint(
+                propagate_joint(decomposition, **limits),
+                propagate_joint_reference(decomposition, **limits),
+            )
+
+    def test_a_one_cell_state(self):
+        """A single-bucket first element: one state cell, one separator group."""
+        rng = np.random.default_rng(12)
+        a = explicit_variable((0, 1), rng.uniform(0.0, 50.0, size=(40, 2)), [[0, 50], [0, 50]])
+        assert a.joint().n_hyper_buckets() == 1
+        b_samples = np.column_stack([rng.uniform(0.0, 60.0, 90), rng.uniform(0.0, 60.0, 90)])
+        b = explicit_variable((1, 2), b_samples, [[0, 20, 40, 60], [0, 30, 60]])
+        decomposition = Decomposition(
+            Path([0, 1, 2]), (RelevantVariable(a, 0), RelevantVariable(b, 1))
+        )
+        for limits in ({}, dict(max_state_cells=1)):
+            assert_same_joint(
+                propagate_joint(decomposition, **limits),
+                propagate_joint_reference(decomposition, **limits),
+            )
 
 
 def test_every_corridor_prefix_of_the_tiny_fixture_matches_reference():

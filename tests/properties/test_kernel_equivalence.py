@@ -4,12 +4,16 @@ The array refactor's safety net: on randomized histograms, the numpy
 kernels of :mod:`repro.histograms.kernels` must agree with the loop-based
 reference implementations of ``tests/reference_histograms.py`` to within
 ``atol=1e-9`` for rearrangement, convolution and CDF evaluation.
+``rearrange`` is also pinned bit for bit to the ``searchsorted`` /
+``np.add.at`` version it replaced (``reference_rearrange_arrays``).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import HistogramError
 from repro.histograms import kernels
 
 from reference_histograms import (
@@ -17,6 +21,7 @@ from reference_histograms import (
     reference_coarsen,
     reference_convolve,
     reference_rearrange,
+    reference_rearrange_arrays,
 )
 
 ATOL = 1e-9
@@ -78,6 +83,63 @@ class TestRearrangeEquivalence:
         expected = reference_rearrange(cells, normalize=False)
         _, _, masses = kernels.rearrange(*as_triple(cells), normalize=False)
         np.testing.assert_allclose(masses, as_triple(expected)[2], atol=ATOL)
+
+
+@st.composite
+def grid_ranges(draw):
+    """Ranges with integer bounds on a short axis, so most boundaries are shared,
+    plus exact duplicates of some of them and weightless ranges."""
+    base = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-5, max_value=30),
+                st.integers(min_value=1, max_value=12),
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(min_value=1e-12, max_value=5.0),
+                    st.sampled_from([0.125, 0.25, 1.0]),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    duplicates = draw(st.lists(st.integers(min_value=0, max_value=len(base) - 1), max_size=10))
+    ranges = base + [base[index] for index in duplicates]
+    order = draw(st.permutations(range(len(ranges))))
+    ranges = [ranges[index] for index in order]
+    lows = np.array([float(low) for low, _, _ in ranges])
+    highs = lows + np.array([float(width) for _, width, _ in ranges])
+    probs = np.array([prob for _, _, prob in ranges])
+    return lows, highs, probs
+
+
+def assert_bit_identical(got, expected):
+    for ours, theirs in zip(got, expected):
+        assert ours.dtype == theirs.dtype
+        np.testing.assert_array_equal(ours, theirs)
+
+
+class TestRearrangeBitIdentical:
+    @given(grid_ranges(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_shared_boundaries_duplicates_and_weightless_ranges(self, ranges, normalize):
+        try:
+            expected = reference_rearrange_arrays(*ranges, normalize=normalize)
+        except HistogramError:
+            with pytest.raises(HistogramError):
+                kernels.rearrange(*ranges, normalize=normalize)
+            return
+        assert_bit_identical(kernels.rearrange(*ranges, normalize=normalize), expected)
+
+    @given(raw_cells, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_float_ranges(self, items, normalize):
+        ranges = as_triple([(low, low + width, weight) for low, width, weight in items])
+        assert_bit_identical(
+            kernels.rearrange(*ranges, normalize=normalize),
+            reference_rearrange_arrays(*ranges, normalize=normalize),
+        )
 
 
 class TestConvolveEquivalence:

@@ -10,6 +10,9 @@ The kernel functions operate on *cell lists*: plain Python lists of
 ``(low, high, prob)`` tuples with ``low < high``, sorted where the
 operation requires it.  They are deliberately loop-based and allocate
 freely -- do not "optimise" them; their slowness is the point.
+:func:`reference_rearrange_arrays` is the exception: the array
+``rearrange`` kernel as it was before it used one sort, which
+``kernels.rearrange`` must match bit for bit.
 
 :func:`reference_run_dp` and the functions after it are the write path
 (Section 3) one distribution at a time: the scalar V-Optimal dynamic
@@ -60,6 +63,50 @@ def reference_rearrange(cells: Cells, normalize: bool = True) -> Cells:
         if mass > 0.0:
             result.append((cell_low, cell_high, mass / total if normalize else mass))
     return result
+
+
+def reference_rearrange_arrays(
+    lows: np.ndarray, highs: np.ndarray, probs: np.ndarray, normalize: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The difference-array ``kernels.rearrange`` before it used one sort.
+
+    Boundary indexes from two ``np.searchsorted`` calls over the unique
+    boundaries, densities added with ``np.add.at`` and taken off with
+    ``np.subtract.at``, coverage counted the same way.  The kernel must
+    return the same three arrays bit for bit on valid input (it also
+    rejects invalid ranges, which this version let through).
+    """
+    lows = np.asarray(lows, dtype=float)
+    highs = np.asarray(highs, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    keep = probs > 0.0
+    if not np.all(keep):
+        lows, highs, probs = lows[keep], highs[keep], probs[keep]
+    if probs.size == 0:
+        raise HistogramError("cannot rearrange an empty set of buckets")
+    total = probs.sum()
+    if total <= 0:
+        raise HistogramError("total probability of buckets must be positive")
+
+    boundaries = np.unique(np.concatenate([lows, highs]))
+    if boundaries.size < 2:
+        raise HistogramError("cannot rearrange zero-width buckets")
+    densities = probs / (highs - lows)
+    low_positions = np.searchsorted(boundaries, lows)
+    high_positions = np.searchsorted(boundaries, highs)
+    delta = np.zeros(boundaries.size)
+    np.add.at(delta, low_positions, densities)
+    np.subtract.at(delta, high_positions, densities)
+    cell_density = np.cumsum(delta)[:-1]
+    coverage_delta = np.zeros(boundaries.size, dtype=np.int64)
+    np.add.at(coverage_delta, low_positions, 1)
+    np.subtract.at(coverage_delta, high_positions, 1)
+    covered = np.cumsum(coverage_delta)[:-1] > 0
+    masses = np.where(covered, cell_density * np.diff(boundaries), 0.0)
+    if normalize:
+        masses = masses / total
+    keep = masses > 0.0
+    return boundaries[:-1][keep], boundaries[1:][keep], masses[keep]
 
 
 def reference_cumulative(cells: Cells, value: float) -> float:
