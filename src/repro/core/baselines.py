@@ -32,7 +32,7 @@ from .decomposition import pairwise_decomposition
 from .estimator import CostEstimate, PathCostEstimator
 from .hybrid_graph import HybridGraph
 from .joint import propagate_joint
-from .relevance import build_candidate_array
+from .relevance import build_candidate_array, check_departure
 
 
 class AccuracyOptimalEstimator:
@@ -114,6 +114,7 @@ class LegacyBaseline:
         :func:`~repro.histograms.univariate.convolve_many` pass (final
         truncation, no per-step regridding drift).
         """
+        check_departure(departure_time_s)
         started = time.perf_counter()
         alpha = self.parameters.alpha_minutes
         clock = float(departure_time_s)

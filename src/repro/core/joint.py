@@ -40,6 +40,19 @@ cell) weights, row by row, expanded to each cell of the group.  That is the
 dense product's order without the pairs it multiplied by zero and pruned,
 so every float is the same.  Without a separator every pair has mass.
 
+**One-cell steps.**  An edge without enough trajectories in an interval is a
+speed-limit unit variable with one bucket, and on sparse graphs most steps
+meet one of them with a one-cell state.  When neither has a separator
+group, the general step forms one pair: its bounds are the two sums
+``agg + release``, its probability ``x = p_state * p_factor`` survives the
+prune whenever ``x > 0`` and normalises to ``x / x``, which is exactly
+``1.0`` for every finite positive ``x``; consolidating a one-cell state of
+probability 1.0 changes nothing.  :func:`_propagate_step` therefore makes
+such a step the two one-element additions (a zero, infinite or NaN product
+raises as it would have) and :func:`_consolidate` passes its state through.  The branch reads only
+cell counts and groups, never where the variable came from; a one-cell
+factor on a multi-cell state keeps the general step.
+
 **Why this is exact.**  A group's label is the lexicographic rank of its
 bucket-*index* tuple on the separator axes.  Bucket boundaries are strictly
 increasing, so ordering groups by their index tuples is ordering them by
@@ -101,6 +114,10 @@ _MIN_WIDTH = 1e-9
 
 #: Cells with probability below this (after each step) are pruned.
 _PRUNE_THRESHOLD = 1e-9
+
+#: The probability column of every state a one-cell step leaves (shared, read-only).
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
 #: States a :class:`PropagationMemo` holds before the least recently used
 #: goes.  Measured on the benchmark's city: the 4,096 states left by a pass
@@ -486,6 +503,15 @@ def _overlap_weights(state: _State, plan: _FactorPlan) -> np.ndarray:
 
 def _propagate_step(state: _State, plan: _FactorPlan) -> _State:
     """Absorb one more decomposition element into the propagation state."""
+    if state.group is None and plan.next_group is None and state.n_cells == 1 == plan.prob.size:
+        # One-cell steps (module docstring): the pair's bounds, probability 1.0.
+        if not 0.0 < state.prob[0] * plan.prob[0] < np.inf:
+            raise EstimationError("joint propagation lost all probability mass")
+        return _State(
+            agg_low=state.agg_low + plan.release_low,
+            agg_high=state.agg_high + plan.release_high,
+            prob=_ONE,
+        )
     if state.group is not None:
         # The pair join (module docstring): each state group's non-zero
         # weights in factor-cell order, expanded to every cell of the group.
@@ -542,6 +568,8 @@ def _consolidate(state: _State, max_aggregate_buckets: int, max_state_cells: int
     afterwards, the lowest-probability cells are pruned (and the remainder
     renormalised).
     """
+    if state.prob is _ONE:
+        return state  # a one-cell step's state: consolidating it changes nothing
     if not (state.prob > 0.0).any():
         raise EstimationError("joint propagation lost all probability mass")
     if state.group is None:

@@ -28,6 +28,7 @@ strict ``>``).  Rows therefore come out in rank order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +138,12 @@ class CandidateArray:
         return f"CandidateArray(|P|={len(self._rows)}, max ranks per row={ranks})"
 
 
+def check_departure(departure_time_s: float) -> None:
+    """Raise :class:`EstimationError` for a NaN or infinite departure (no interval holds it)."""
+    if not math.isfinite(departure_time_s):
+        raise EstimationError(f"departure_time_s must be finite, got {departure_time_s}")
+
+
 def build_candidate_array(
     hybrid_graph: HybridGraph,
     query_path: Path,
@@ -147,8 +154,9 @@ def build_candidate_array(
 
     ``max_rank`` caps the rank of the variables that are considered, which
     yields the paper's OD-2/OD-3/OD-4 variants; ``None`` imposes no cap
-    (plain OD).
+    (plain OD).  A departure must be finite.
     """
+    check_departure(departure_time_s)
     query_ids = query_path.edge_ids
     n = len(query_ids)
     ranks = hybrid_graph.ranks()

@@ -80,10 +80,18 @@ def rearrange(
     with ``normalize=False`` the input's total mass is preserved, which is
     what the grouped kernels need.  Cells with zero mass (gaps) are
     dropped, so the output is disjoint but not necessarily contiguous.
+
+    A single range (the collapse of a one-cell propagated joint) is one
+    cell: the same checks and the difference array's operations in its
+    order, ``((p / w) * w) / p`` with ``w = high - low``, on scalars; the
+    result is two views of one ``[low, high]`` array, or an empty triple
+    where the mass underflows to zero.
     """
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
     probs = np.asarray(probs, dtype=float)
+    if probs.size == 1 == lows.size == highs.size:
+        return _rearrange_one(lows[0], highs[0], probs[0], normalize)
     if probs.size == 0:
         raise HistogramError("cannot rearrange an empty set of buckets")
     # Bucket's rule, checked with one reduction on the common path: min
@@ -133,6 +141,26 @@ def rearrange(
         # No gap: two views of one boundary array, as in :func:`coarsen`.
         return boundaries[:-1], boundaries[1:], masses
     return boundaries[:-1][keep], boundaries[1:][keep], masses[keep]
+
+
+def _rearrange_one(low: np.float64, high: np.float64, prob: np.float64, normalize: bool) -> Triple:
+    """:func:`rearrange` of one range, with its errors in its order."""
+    width = high - low
+    if not width > 0.0:
+        raise HistogramError(_INVALID_RANGE)
+    if not prob > 0.0:
+        if not (prob >= 0.0 and width < np.inf):
+            raise HistogramError(_INVALID_RANGE)
+        raise HistogramError("cannot rearrange a set of buckets without mass")
+    if not (prob < np.inf and low > -np.inf and high < np.inf):
+        raise HistogramError(_INVALID_RANGE)
+    mass = (prob / width) * width
+    if normalize:
+        mass = mass / prob
+    if not mass > 0.0:
+        return np.empty(0), np.empty(0), np.empty(0)
+    boundaries = np.array([low, high])
+    return boundaries[:-1], boundaries[1:], np.array([mass])
 
 
 def coarsen(lows: np.ndarray, highs: np.ndarray, probs: np.ndarray, max_buckets: int) -> Triple:

@@ -44,7 +44,7 @@ from ..exceptions import RoutingError
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.path import Path
 from ..roadnet.routing import ReverseBoundsIndex
-from .engine import RouteResult, RoutingEngine
+from .engine import RouteResult, RoutingEngine, check_route_query
 from .queries import SupportsEstimate
 
 __all__ = ["DFSStochasticRouter", "RouteResult"]
@@ -152,10 +152,7 @@ class DFSStochasticRouter:
         pins both to the same best probability within 1e-9); kept as the
         engine's estimate-everything reference implementation.
         """
-        if source == target:
-            raise RoutingError("source and target must differ")
-        if budget_s <= 0:
-            raise RoutingError("budget_s must be positive")
+        check_route_query(source, target, departure_time_s, budget_s)
         started = time.perf_counter()
         threshold = self.probability_threshold
         lower_bounds = self.bounds_index.bounds_to(target)

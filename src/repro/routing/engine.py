@@ -81,6 +81,21 @@ SUPPORT_MARGIN = 1e-6
 _UNBOUNDED = (-math.inf, math.inf)
 
 
+def check_route_query(source: int, target: int, departure_time_s: float, budget_s: float) -> None:
+    """Raise :class:`RoutingError` unless source and target differ, the
+    departure is finite and the budget positive (NaN compares false).
+
+    A NaN budget or departure would otherwise search: support bounds settle
+    paths without reading the departure.
+    """
+    if source == target:
+        raise RoutingError("source and target must differ")
+    if not math.isfinite(departure_time_s):
+        raise RoutingError(f"departure_time_s must be finite, got {departure_time_s}")
+    if not budget_s > 0:
+        raise RoutingError("budget_s must be positive")
+
+
 @dataclass(frozen=True)
 class RouteResult:
     """The outcome of a stochastic route search.
@@ -137,12 +152,7 @@ class RouteRequest:
     max_expansions: int | None = None
 
     def __post_init__(self) -> None:
-        if self.source == self.target:
-            raise RoutingError("source and target must differ")
-        if not math.isfinite(self.departure_time_s):
-            raise RoutingError(f"departure_time_s must be finite, got {self.departure_time_s}")
-        if not self.budget_s > 0:
-            raise RoutingError("budget_s must be positive")
+        check_route_query(self.source, self.target, self.departure_time_s, self.budget_s)
         if self.method is not None and not _valid_method_name(self.method):
             raise RoutingError(
                 f"method must be 'OD', 'OD-<k>' or 'RD', got {self.method!r}"
@@ -313,10 +323,7 @@ class RoutingEngine:
         max_expansions: int | None = None,
     ) -> RouteResult:
         """Find the source-target path with the highest P(travel time <= budget)."""
-        if source == target:
-            raise RoutingError("source and target must differ")
-        if budget_s <= 0:
-            raise RoutingError("budget_s must be positive")
+        check_route_query(source, target, departure_time_s, budget_s)
         threshold = (
             self.probability_threshold if probability_threshold is None else probability_threshold
         )

@@ -27,6 +27,21 @@ def od(hybrid_graph):
     return PathCostEstimator(hybrid_graph)
 
 
+@pytest.mark.parametrize("departure", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "make", [PathCostEstimator, RandomDecompositionEstimator, HPBaseline, LegacyBaseline]
+)
+def test_a_non_finite_departure_is_an_estimation_error(hybrid_graph, busy_query, make, departure):
+    """No interval holds it: a typed error, not numpy's ``cannot convert float NaN``."""
+    estimator = make(hybrid_graph)
+    path, _departure = busy_query
+    with pytest.raises(EstimationError, match="departure_time_s must be finite"):
+        estimator.estimate(path, departure)
+    if isinstance(estimator, PathCostEstimator):
+        with pytest.raises(EstimationError, match="departure_time_s must be finite"):
+            estimator.propagate(path, departure)
+
+
 class TestPathCostEstimator:
     def test_estimate_returns_valid_histogram(self, od, busy_query):
         path, departure = busy_query

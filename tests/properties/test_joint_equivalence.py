@@ -7,7 +7,9 @@ replaced, which carries per-cell float separator bounds and regroups them
 with a lexicographic sort on every step.  The rewrite changes no
 arithmetic, so the two must agree bit for bit -- on random chains whose
 elements overlap in 0-4 edges with *different* bucket boundaries on the
-shared edges, and on every corridor prefix of a simulated city.
+shared edges, some of them one bucket on every edge (a speed-limit
+fallback's shape, whose steps on a one-cell state are a shift), and on
+every corridor prefix of a simulated city.
 
 The same reference pins the propagation memo: a family of chains that share
 prefixes, run in any order through one
@@ -24,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    EstimationError,
     EstimatorParameters,
     Histogram1D,
     HybridGraphBuilder,
@@ -47,8 +50,10 @@ from reference_joint import propagate_joint_reference
 
 INTERVAL = interval_of(8 * 3600.0, 30)
 
-#: One chain element: (edges shared with the previous element, rank).
-element_shapes = st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=5))
+#: One chain element: (edges shared with the previous element, rank, one bucket).
+element_shapes = st.tuples(
+    st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=5), st.booleans()
+)
 
 chains = st.tuples(
     st.lists(element_shapes, min_size=2, max_size=8),
@@ -64,8 +69,9 @@ def random_boundaries(rng, values):
     return list(edges[np.concatenate([[True], np.diff(edges) >= 0.5])])
 
 
-def random_variable(rng, edge_ids, edge_means):
-    """A variable over ``edge_ids`` with its own bucket boundaries on every edge."""
+def random_variable(rng, edge_ids, edge_means, one_bucket=False):
+    """A variable over ``edge_ids`` with its own bucket boundaries on every edge
+    (one bucket spanning the samples with ``one_bucket``)."""
     n_samples = int(rng.integers(30, 200))
     latent = rng.normal(0.0, 1.0, size=(n_samples, 1))
     samples = (
@@ -77,6 +83,8 @@ def random_variable(rng, edge_ids, edge_means):
         # nothing on the other side exercise the zero-overlap fallback.
         samples = samples + 1000.0
     boundaries = [random_boundaries(rng, samples[:, axis]) for axis in range(len(edge_ids))]
+    if one_bucket:
+        boundaries = [[edges[0], edges[-1]] for edges in boundaries]
     if len(edge_ids) == 1:
         distribution = Histogram1D.from_values(samples[:, 0], boundaries[0])
     else:
@@ -87,16 +95,18 @@ def random_variable(rng, edge_ids, edge_means):
 def build_chain(shapes, seed, shared=()) -> Decomposition:
     """A decomposition whose consecutive elements share ``overlap`` edges.
 
-    The overlap is cut down where needed so that no element is a sub-path
-    of its predecessor (starts and ends strictly increase); zero overlap
-    makes consecutive elements disjoint.  The leading elements are taken
-    from ``shared`` (elements of a chain built from the same leading
-    shapes) instead of being drawn.
+    A shape is ``(overlap, rank)`` or ``(overlap, rank, one_bucket)``.  The
+    overlap is cut down where needed so that no element is a sub-path of
+    its predecessor (starts and ends strictly increase); zero overlap makes
+    consecutive elements disjoint.  The leading elements are taken from
+    ``shared`` (elements of a chain built from the same leading shapes)
+    instead of being drawn.
     """
+    shapes = [(*shape, False)[:3] for shape in shapes]
     rng = np.random.default_rng(seed)
     spans = []
     start, end = 0, 0
-    for index, (overlap, rank) in enumerate(shapes):
+    for index, (overlap, rank, _one_bucket) in enumerate(shapes):
         if index:
             overlap = min(overlap, rank - 1, end - start - 1)
             start = end - overlap
@@ -104,8 +114,11 @@ def build_chain(shapes, seed, shared=()) -> Decomposition:
         spans.append((start, end))
     edge_means = {edge: float(rng.uniform(20.0, 90.0)) for edge in range(end)}
     elements = tuple(shared) + tuple(
-        RelevantVariable(random_variable(rng, tuple(range(first, last)), edge_means), first)
-        for first, last in spans[len(shared) :]
+        RelevantVariable(
+            random_variable(rng, tuple(range(first, last)), edge_means, one_bucket=shape[2]),
+            first,
+        )
+        for (first, last), shape in zip(spans[len(shared) :], shapes[len(shared) :])
     )
     return Decomposition(Path(list(range(end))), elements)
 
@@ -168,8 +181,10 @@ class TestSharedMemo:
         rng = np.random.default_rng(seed)
         full = build_chain(shapes, seed)
         split = int(rng.integers(1, len(shapes)))
-        overlap, rank = shapes[split]
-        sibling_shapes = [*shapes[:split], ((overlap + 1) % 5, rank + 1), *shapes[split + 1 :]]
+        overlap, rank, one_bucket = shapes[split]
+        sibling_shapes = [
+            *shapes[:split], ((overlap + 1) % 5, rank + 1, one_bucket), *shapes[split + 1 :]
+        ]
         sibling = build_chain(sibling_shapes, seed + 1, shared=full.elements[:split])
         family = [prefix_of(full, n) for n in range(1, len(full) + 1)]
         family += [prefix_of(sibling, n) for n in range(split + 1, len(sibling) + 1)]
@@ -290,6 +305,54 @@ class TestSeparatorJoinCases:
                 propagate_joint(decomposition, **limits),
                 propagate_joint_reference(decomposition, **limits),
             )
+
+
+class TestOneCellSteps:
+    """A one-cell state meeting a one-cell factor, neither with a separator, is a shift."""
+
+    #: A one-cell first element, a run of one-cell steps, a multi-cell element,
+    #: a one-cell factor on its multi-cell state, and one-cell elements on
+    #: both sides of a separator.
+    SHAPES = [
+        (0, 1, True), (0, 2, True), (0, 1, True), (0, 3, False),
+        (0, 1, True), (0, 2, True), (1, 3, True), (0, 1, True),
+    ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_with_and_without_a_memo(self, seed):
+        decomposition = build_chain(self.SHAPES, seed)
+        memo = PropagationMemo()
+        for limits in ({}, dict(max_aggregate_buckets=4, max_state_cells=8)):
+            for n in range(1, len(decomposition) + 1):
+                prefix = prefix_of(decomposition, n)
+                expected = propagate_joint_reference(prefix, **limits)
+                assert_same_joint(propagate_joint(prefix, **limits), expected)
+                shared = propagate_joint(replace(prefix, memo=weakref.ref(memo)), **limits)
+                assert_same_joint(shared, expected)
+        assert memo.stats()["reused"] > 0
+
+    def test_the_step_is_a_shift_with_probability_one(self):
+        decomposition = build_chain(self.SHAPES[:2], seed=0)
+        first, second = (element.variable for element in decomposition.elements)
+        state = repro.core.joint._consolidate(
+            repro.core.joint._initial_state(repro.core.joint._factor_plan(first, (), ())), 32, 4096
+        )
+        plan = repro.core.joint._factor_plan(second, (), ())
+        shifted = repro.core.joint._propagate_step(state, plan)
+        assert shifted.prob is repro.core.joint._ONE
+        assert shifted.agg_low[0] == state.agg_low[0] + plan.release_low[0]
+        assert shifted.agg_high[0] == state.agg_high[0] + plan.release_high[0]
+        assert repro.core.joint._consolidate(shifted, 32, 4096) is shifted
+
+    @pytest.mark.parametrize("probability", [0.0, np.nan, np.inf])
+    def test_a_product_without_mass_raises(self, probability):
+        """As in the general step, which prunes the pair (0, NaN) or normalises it to
+        NaN and raises when consolidating (inf)."""
+        decomposition = build_chain(self.SHAPES[:2], seed=0)
+        plan = repro.core.joint._factor_plan(decomposition.elements[1].variable, (), ())
+        state = repro.core.joint._State(np.array([1.0]), np.array([2.0]), np.array([probability]))
+        with pytest.raises(EstimationError):
+            repro.core.joint._consolidate(repro.core.joint._propagate_step(state, plan), 32, 4096)
 
 
 def test_every_corridor_prefix_of_the_tiny_fixture_matches_reference():

@@ -8,6 +8,8 @@ reference implementations of ``tests/reference_histograms.py`` to within
 ``np.add.at`` version it replaced (``reference_rearrange_arrays``).
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,45 @@ def assert_bit_identical(got, expected):
         np.testing.assert_array_equal(ours, theirs)
 
 
+#: One range ``(low, high, prob)``: ordinary ones (``(p / w) * w`` is not ``p``
+#: in the second), extreme magnitudes, and the last two, whose density
+#: underflows to zero, rearranged to an empty triple.
+SINGLE_RANGES = [
+    (0.0, 1.0, 1.0),
+    (2.0, 5.0, 0.9),
+    (3.0, 17.5, 0.3),
+    (-40.0, -2.0, 0.7),
+    (1e15, 1e15 + 0.25, 0.5),
+    (1e300, 1.5e300, 1.0),
+    (-1.5e300, -1e300, 0.25),
+    (0.0, 1e-300, 1e-300),
+    (0.0, 1.0, 1e300),
+    (0.0, 1.0, 5e-324),
+    (0.0, 1e10, 5e-324),
+    (0.0, 1e300, 1e-300),
+]
+
+#: The invalid ranges of ``tests/histograms/test_kernels.py``, one at a time,
+#: and a valid range without mass.
+INVALID_SINGLE_RANGES = [
+    (0.0, 0.0, 0.5),
+    (0.0, np.inf, 0.5),
+    (np.nan, 10.0, 0.5),
+    (2.0, 1.0, 0.5),
+    (-np.inf, 1.0, 0.5),
+    (0.0, 1.0, np.nan),
+    (0.0, 1.0, -0.1),
+    (0.0, 1.0, np.inf),
+    (0.0, 0.0, 0.0),
+    (-np.inf, 1.0, 0.0),
+    (0.0, 1.0, 0.0),
+]
+
+
+def one_range(low, high, prob, copies=1):
+    return np.full(copies, low), np.full(copies, high), np.full(copies, prob)
+
+
 class TestRearrangeBitIdentical:
     @given(grid_ranges(), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -140,6 +181,42 @@ class TestRearrangeBitIdentical:
             kernels.rearrange(*ranges, normalize=normalize),
             reference_rearrange_arrays(*ranges, normalize=normalize),
         )
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("low, high, prob", SINGLE_RANGES)
+    def test_a_single_range(self, low, high, prob, normalize):
+        """One range is one cell, taken without the difference array: the same
+        floats, and a kept cell is two views of one ``[low, high]`` array."""
+        ranges = one_range(low, high, prob)
+        got = kernels.rearrange(*ranges, normalize=normalize)
+        assert_bit_identical(got, reference_rearrange_arrays(*ranges, normalize=normalize))
+        if got[2].size:
+            assert got[0].base is got[1].base
+        else:
+            assert all(column.size == 0 for column in got)
+
+    @given(
+        st.floats(min_value=-1e6, max_value=1e6),
+        st.floats(min_value=1e-6, max_value=1e6),
+        st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_single_float_ranges(self, low, width, prob, normalize):
+        ranges = one_range(low, low + width, prob)
+        assert_bit_identical(
+            kernels.rearrange(*ranges, normalize=normalize),
+            reference_rearrange_arrays(*ranges, normalize=normalize),
+        )
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("low, high, prob", INVALID_SINGLE_RANGES)
+    def test_an_invalid_single_range_raises_as_two_copies_do(self, low, high, prob, normalize):
+        """Two copies of a range take the general path: one copy raises the same error."""
+        with pytest.raises(HistogramError) as general:
+            kernels.rearrange(*one_range(low, high, prob, copies=2), normalize=normalize)
+        with pytest.raises(HistogramError, match=f"^{re.escape(str(general.value))}$"):
+            kernels.rearrange(*one_range(low, high, prob), normalize=normalize)
 
 
 class TestConvolveEquivalence:

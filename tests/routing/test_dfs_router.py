@@ -89,3 +89,12 @@ class TestDFSRouter:
             router.find_route(0, 5, 0.0, -10.0)
         with pytest.raises(RoutingError):
             DFSStochasticRouter(small_network, PathCostEstimator(hybrid_graph), max_path_edges=0)
+
+    @pytest.mark.parametrize(
+        "departure, budget",
+        [(8 * 3600.0, float("nan")), (float("nan"), 3600.0), (float("-inf"), 3600.0)],
+    )
+    def test_a_nan_budget_or_a_non_finite_departure_is_rejected(self, router, departure, budget):
+        for find_route in (router.find_route, router.reference_find_route):
+            with pytest.raises(RoutingError):
+                find_route(0, 18, departure, budget)

@@ -10,6 +10,7 @@ from repro import (
     PathCostEstimator,
     ReverseBoundsIndex,
     RoadNetwork,
+    RouteRequest,
     RoutingEngine,
     RoutingError,
     Histogram1D,
@@ -224,6 +225,25 @@ class TestRoutingEngine:
             RoutingEngine(small_network, PathCostEstimator(hybrid_graph), batch_size=0)
         with pytest.raises(RoutingError):
             RoutingEngine(small_network, PathCostEstimator(hybrid_graph), max_path_edges=0)
+
+    @pytest.mark.parametrize(
+        "departure, budget",
+        [(8 * 3600.0, float("nan")), (float("nan"), 3600.0), (float("inf"), 3600.0)],
+    )
+    def test_what_a_route_request_rejects_the_engine_rejects(
+        self, small_network, hybrid_graph, departure, budget
+    ):
+        """A NaN budget used to search and answer "no route"; a NaN departure,
+        whose every bound the support bounds settled, "found" at 1.0."""
+        estimator = _CountingEstimator(PathCostEstimator(hybrid_graph))
+        engine = RoutingEngine(
+            small_network, estimator, edge_cost_bounds=hybrid_graph.edge_cost_bounds
+        )
+        with pytest.raises(RoutingError):
+            RouteRequest(0, 18, departure, budget)
+        with pytest.raises(RoutingError):
+            engine.find_route(0, 18, departure, budget)
+        assert estimator.paths == [] and engine.searches == 0
 
     def test_larger_budget_never_lowers_probability(self, small_network, hybrid_graph):
         engine = RoutingEngine(
