@@ -104,16 +104,22 @@ class Decomposition:
     def max_rank(self) -> int:
         return max(element.rank for element in self.elements)
 
-    def separators(self) -> list[Path | None]:
-        """The shared paths between consecutive elements (``None`` when disjoint).
+    def separators(self) -> list[tuple[int, ...] | None]:
+        """The edge ids shared by consecutive elements (``None`` when disjoint).
 
         Entry ``i`` is ``P_i ∩ P_{i+1}``; these are the denominators of
-        Equation 2.
+        Equation 2.  Elements are aligned slices of the query path whose
+        starts and ends both increase (see :meth:`validate`), so the shared
+        edges are the query path from the later element's start to the
+        earlier element's end.
         """
-        shared: list[Path | None] = []
-        for first, second in zip(self.elements[:-1], self.elements[1:]):
-            shared.append(first.path.intersection(second.path))
-        return shared
+        query_ids = self.query_path.edge_ids
+        return [
+            query_ids[second.start_index : first.end_index]
+            if second.start_index < first.end_index
+            else None
+            for first, second in zip(self.elements, self.elements[1:])
+        ]
 
     def is_coarser_than(self, other: "Decomposition") -> bool:
         """The paper's "coarser" relation between two decompositions of the same path."""

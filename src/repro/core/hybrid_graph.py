@@ -7,10 +7,11 @@ function* ``W_P``: the collection of instantiated random variables, one per
 speed-limit-derived distribution, created lazily and cached.
 
 Beside the ``(path, interval)`` table the graph keeps a *path index*: the
-variables of each path across intervals, in insertion order, and how many
-paths each rank has.  It answers the one question the candidate array asks
-("which variables sit on exactly these edges?") with a dictionary lookup,
-and tells it which ranks are worth asking about at all.
+variables of each path across intervals, in insertion order, how many
+paths each rank has and how many paths start with each of their prefixes.
+It answers the one question the candidate array asks ("which variables sit
+on exactly these edges?") with a dictionary lookup, and tells it which
+ranks are worth asking about and where no longer one can match.
 
 One more table is derived from ``W_P``, for the router:
 :meth:`HybridGraph.edge_cost_bounds` maps every edge to the smallest and the
@@ -30,7 +31,7 @@ counted in the memory accounting.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from ..config import EstimatorParameters
 from ..exceptions import InstantiationError
@@ -64,9 +65,11 @@ class HybridGraph:
         # (path edge ids, interval index) -> variable.
         self._variables: dict[tuple[tuple[int, ...], int], InstantiatedVariable] = {}
         # The path index: path edge ids -> its variables across intervals, in
-        # insertion order; rank -> number of indexed paths of that rank.
+        # insertion order; rank -> number of indexed paths of that rank; edge
+        # ids -> number of indexed paths starting with them.
         self._by_path: dict[tuple[int, ...], list[InstantiatedVariable]] = {}
         self._paths_per_rank: dict[int, int] = {}
+        self._prefix_counts: dict[tuple[int, ...], int] = {}
         # (edge id, interval index) -> lazily created speed-limit fallback.
         self._fallback_cache: dict[tuple[int, int], InstantiatedVariable] = {}
         # edge id -> the path, histogram and joint view all of the edge's
@@ -92,7 +95,7 @@ class HybridGraph:
         on_path = self._by_path.get(key[0])
         if on_path is None:
             self._by_path[key[0]] = [variable]
-            self._count_paths(len(key[0]), +1)
+            self._count_path(key[0], +1)
         else:
             on_path.append(variable)
 
@@ -115,15 +118,25 @@ class HybridGraph:
             del self._variables[key]
             # A path touching the dirty set loses every interval at once.
             if self._by_path.pop(key[0], None) is not None:
-                self._count_paths(len(key[0]), -1)
+                self._count_path(key[0], -1)
         return doomed
 
-    def _count_paths(self, rank: int, change: int) -> None:
+    def _count_path(self, edge_ids: tuple[int, ...], change: int) -> None:
+        """Count an indexed path in (``+1``) or out (``-1``) of its rank and its prefixes."""
+        rank = len(edge_ids)
         count = self._paths_per_rank.get(rank, 0) + change
         if count:
             self._paths_per_rank[rank] = count
         else:
             del self._paths_per_rank[rank]
+        counts = self._prefix_counts
+        for end in range(1, rank + 1):
+            prefix = edge_ids[:end]
+            count = counts.get(prefix, 0) + change
+            if count:
+                counts[prefix] = count
+            else:
+                del counts[prefix]
 
     # ------------------------------------------------------------------ #
     # The path weight function W_P
@@ -158,14 +171,13 @@ class HybridGraph:
         """The ranks that have at least one instantiated variable, ascending."""
         return tuple(sorted(self._paths_per_rank))
 
-    def variables_starting_with(self, edge_id: int) -> list[InstantiatedVariable]:
-        """All variables whose path starts with ``edge_id``, grouped by path."""
-        return [
-            variable
-            for edge_ids, variables in self._by_path.items()
-            if edge_ids[0] == edge_id
-            for variable in variables
-        ]
+    def prefix_counts(self) -> Mapping[tuple[int, ...], int]:
+        """Edge ids -> how many indexed paths start with them (only counts above zero).
+
+        The index's own dictionary, handed out uncopied for the
+        candidate-array scan: read it, do not change it.
+        """
+        return self._prefix_counts
 
     def unit_variable(self, edge_id: int, interval: TimeInterval) -> InstantiatedVariable:
         """The unit-path variable for an edge and interval, with speed-limit fallback.

@@ -47,11 +47,15 @@ group, the general step forms one pair: its bounds are the two sums
 ``agg + release``, its probability ``x = p_state * p_factor`` survives the
 prune whenever ``x > 0`` and normalises to ``x / x``, which is exactly
 ``1.0`` for every finite positive ``x``; consolidating a one-cell state of
-probability 1.0 changes nothing.  :func:`_propagate_step` therefore makes
-such a step the two one-element additions (a zero, infinite or NaN product
-raises as it would have) and :func:`_consolidate` passes its state through.  The branch reads only
-cell counts and groups, never where the variable came from; a one-cell
-factor on a multi-cell state keeps the general step.
+probability 1.0 changes nothing.  Such a step is therefore a *shift*:
+:func:`propagate_joint` carries the state it leaves as two Python floats,
+the accumulated cost's bounds, and adds the factor's one release cell,
+which its plan keeps as floats (``_FactorPlan.shift``), to them; a zero,
+infinite or NaN product raises as the general step would have.  A
+:class:`_State` is built from the two floats only when a general step needs
+it or at the chain's end.  The shift reads only cell counts and groups,
+never where the variable came from; a one-cell factor on a multi-cell
+state keeps the general step.
 
 **Why this is exact.**  A group's label is the lexicographic rank of its
 bucket-*index* tuple on the separator axes.  Bucket boundaries are strictly
@@ -69,10 +73,14 @@ function of the variables ``0..i``, of the separator ids after each of them
 and of the two size limits; nothing about the rest of the query enters it.
 Stochastic routing asks for "path + another edge" and a corridor is asked
 for prefix by prefix, so most chains have been walked before.  A
-:class:`PropagationMemo` keeps the states of recent chains;
+:class:`PropagationMemo` keeps the states of recent chains, one link per
+step; a shift's link holds its two floats, not a state.  Every step keeps
+its link, shifts included, so a walk reaches past a run of shifts to the
+general steps after it (a memo that skipped the shifts' links cut the
+corridor walks short at their first shift and lost their reuse).
 :func:`propagate_joint` follows the decomposition's chain for as long as
 its states are known and computes only the rest, with the same operations
-on the same arrays in the same order: the result is bit-identical whether
+on the same numbers in the same order: the result is bit-identical whether
 or not anything was reused.  ``n_cells_processed`` therefore stays the
 chain's total -- a property of the answer, not of the work done this time
 (the memo's own counters say what was reused).  A chain is keyed by the
@@ -94,6 +102,7 @@ cost histogram lives in :mod:`repro.core.marginal` ("MC").
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -105,7 +114,6 @@ from ..exceptions import EstimationError
 from ..histograms import kernels
 from ..histograms.multivariate import MultiHistogram
 from ..histograms.univariate import Histogram1D
-from ..roadnet.path import Path
 from .decomposition import Decomposition
 from .variables import InstantiatedVariable
 
@@ -115,7 +123,7 @@ _MIN_WIDTH = 1e-9
 #: Cells with probability below this (after each step) are pruned.
 _PRUNE_THRESHOLD = 1e-9
 
-#: The probability column of every state a one-cell step leaves (shared, read-only).
+#: The probability column of a state built from a shift's two floats (shared, read-only).
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
 
@@ -167,6 +175,9 @@ class _FactorPlan:
     in the next one (their cost is released by this step).  The
     ``next_*`` fields group the cells on the next separator the same way
     and become the labels and bound tables of the state after the step.
+    ``shift`` is ``(probability, release low, release high)`` of a factor
+    with one cell and no separator on either side, as floats (see "One-cell
+    steps"); ``None`` otherwise.
     """
 
     prob: np.ndarray
@@ -182,6 +193,7 @@ class _FactorPlan:
     next_group: np.ndarray | None = None
     next_low: np.ndarray | None = None
     next_high: np.ndarray | None = None
+    shift: tuple[float, float, float] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,12 +246,13 @@ class PropagationMemo:
     A chain is addressed link by link: ``get(token, variable, sep_next_ids)``
     answers "the chain that ``token`` stands for, extended by ``variable``
     with this separator after it" with the extended chain's own token, its
-    state and the cells processed along it.  The token of the empty chain is
-    the pair of size limits; every stored link gets a fresh one from a
-    counter that never repeats, so a link whose predecessor was evicted or
-    overwritten is unreachable and ages out.  Bounded (least recently used
-    first out) and thread-safe; two threads computing one chain both store,
-    the later token wins and the other's descendants age out.
+    state (a shift's: two floats) and the cells processed along it.  The
+    token of the empty chain is the pair of size limits; every stored link
+    gets a fresh one from a counter that never repeats, so a link whose
+    predecessor was evicted or overwritten is unreachable and ages out.
+    Bounded (least recently used first out) and thread-safe; two threads
+    computing one chain both store, the later token wins and the other's
+    descendants age out.
     """
 
     def __init__(self) -> None:
@@ -265,14 +278,15 @@ class PropagationMemo:
         token,
         variable: InstantiatedVariable,
         sep_next_ids: tuple[int, ...],
-        state: _State,
+        state: _State | tuple[float, float],
         n_cells_processed: int,
     ):
         """Store a computed link and return the extended chain's token."""
-        # Later queries hand these columns to the kernels again: a kernel that
-        # one day wrote into its input must fail, not corrupt their answers.
-        for column in (state.agg_low, state.agg_high, state.prob):
-            column.setflags(write=False)
+        if type(state) is _State:
+            # Later queries hand these columns to the kernels again: a kernel
+            # that one day wrote into its input must fail, not corrupt them.
+            for column in (state.agg_low, state.agg_high, state.prob):
+                column.setflags(write=False)
         key = (token, id(variable), sep_next_ids)
         with self._lock:
             extended = next(self._tokens)
@@ -295,7 +309,7 @@ class PropagationMemo:
 
 
 def decomposition_entropy(
-    decomposition: Decomposition, separators: Sequence[Path | None] | None = None
+    decomposition: Decomposition, separators: Sequence[tuple[int, ...] | None] | None = None
 ) -> float:
     """The entropy ``H_DE`` of the estimated joint distribution (Theorem 2).
 
@@ -314,7 +328,7 @@ def decomposition_entropy(
     for later_element, separator in zip(decomposition.elements[1:], separators):
         if separator is None:
             continue
-        total -= later_element.variable.marginal_entropy(separator.edge_ids)
+        total -= later_element.variable.marginal_entropy(separator)
     return total
 
 
@@ -331,7 +345,7 @@ def propagate_joint(
     separators = decomposition.separators()
     # The chain: each element's variable and the separator ids after it.
     chain = [
-        (element.variable, separator.edge_ids if separator is not None else ())
+        (element.variable, separator or ())
         for element, separator in zip(decomposition.elements, [*separators, None])
     ]
     memo = decomposition.memo() if decomposition.memo is not None else None
@@ -348,17 +362,21 @@ def propagate_joint(
                 break
             token, state, n_cells_processed = link
             known += 1
-    # ... and compute the rest.
+    # ... and compute the rest; a shift leaves its state as two floats.
     for variable, sep_next_ids in chain[known:]:
-        if state is None:
-            state = _initial_state(_factor_plan(variable, (), sep_next_ids))
+        plan = _factor_plan(variable, state.sep_ids if type(state) is _State else (), sep_next_ids)
+        shifted = _shift(state, plan)
+        if shifted is not None:
+            n_cells_processed += 1
+            state = shifted
         else:
-            state = _propagate_step(state, _factor_plan(variable, state.sep_ids, sep_next_ids))
-        n_cells_processed += state.n_cells
-        state = _consolidate(state, max_aggregate_buckets, max_state_cells)
+            state = _initial_state(plan) if state is None else _propagate_step(_as_state(state), plan)
+            n_cells_processed += state.n_cells
+            state = _consolidate(state, max_aggregate_buckets, max_state_cells)
         if memo is not None:
             token = memo.put(token, variable, sep_next_ids, state, n_cells_processed)
 
+    state = _as_state(state)
     highs = np.maximum(state.agg_high, state.agg_low + _MIN_WIDTH)
     keep = state.prob > 0.0
     if not np.any(keep):
@@ -418,10 +436,13 @@ def _build_plan(
     if sep_next_ids:
         group, low, high = _separator_groups(factor, sep_next_ids)
         groups.update(next_group=group, next_low=low, next_high=high)
+    release_low, release_high = release_low.sum(axis=1), release_high.sum(axis=1)
+    if prob.size == 1 and not groups:
+        groups.update(shift=(float(prob[0]), float(release_low[0]), float(release_high[0])))
     plan = _FactorPlan(
         prob=prob,
-        release_low=release_low.sum(axis=1),
-        release_high=release_high.sum(axis=1),
+        release_low=release_low,
+        release_high=release_high,
         sep_next_ids=sep_next_ids,
         **groups,
     )
@@ -477,6 +498,34 @@ def _initial_state(plan: _FactorPlan) -> _State:
     )
 
 
+def _shift(state: _State | tuple[float, float] | None, plan: _FactorPlan) -> tuple[float, float] | None:
+    """The step as a shift (module docstring): the bounds it leaves, or ``None`` if it is not one.
+
+    ``state`` is ``None`` before the first element; a pair of floats is a
+    shift's state, whose probability is 1.0.
+    """
+    if plan.shift is None:
+        return None
+    mass, low, high = plan.shift
+    if type(state) is tuple:
+        low, high = state[0] + low, state[1] + high
+    elif state is not None:
+        if state.group is not None or state.n_cells != 1:
+            return None
+        low, high = float(state.agg_low[0]) + low, float(state.agg_high[0]) + high
+        mass *= float(state.prob[0])
+    if not 0.0 < mass < math.inf:
+        raise EstimationError("joint propagation lost all probability mass")
+    return low, high
+
+
+def _as_state(state: _State | tuple[float, float]) -> _State:
+    """A shift's two floats as a one-cell state of probability 1.0 (a state as it is)."""
+    if type(state) is not tuple:
+        return state
+    return _State(agg_low=np.array(state[:1]), agg_high=np.array(state[1:]), prob=_ONE)
+
+
 def _overlap_weights(state: _State, plan: _FactorPlan) -> np.ndarray:
     """Overlap weights between the state's and the factor's separator groups.
 
@@ -503,15 +552,6 @@ def _overlap_weights(state: _State, plan: _FactorPlan) -> np.ndarray:
 
 def _propagate_step(state: _State, plan: _FactorPlan) -> _State:
     """Absorb one more decomposition element into the propagation state."""
-    if state.group is None and plan.next_group is None and state.n_cells == 1 == plan.prob.size:
-        # One-cell steps (module docstring): the pair's bounds, probability 1.0.
-        if not 0.0 < state.prob[0] * plan.prob[0] < np.inf:
-            raise EstimationError("joint propagation lost all probability mass")
-        return _State(
-            agg_low=state.agg_low + plan.release_low,
-            agg_high=state.agg_high + plan.release_high,
-            prob=_ONE,
-        )
     if state.group is not None:
         # The pair join (module docstring): each state group's non-zero
         # weights in factor-cell order, expanded to every cell of the group.
@@ -568,8 +608,6 @@ def _consolidate(state: _State, max_aggregate_buckets: int, max_state_cells: int
     afterwards, the lowest-probability cells are pruned (and the remainder
     renormalised).
     """
-    if state.prob is _ONE:
-        return state  # a one-cell step's state: consolidating it changes nothing
     if not (state.prob > 0.0).any():
         raise EstimationError("joint propagation lost all probability mass")
     if state.group is None:

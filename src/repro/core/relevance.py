@@ -17,46 +17,53 @@ at least the unit-path variable for its edge (falling back to the
 speed-limit distribution), so a decomposition that covers the query path
 always exists.
 
-**One lookup per rank.**  A row is not found by scanning what starts at its
-edge: for each rank the hybrid graph holds at all (and the query's
-remaining length and ``max_rank`` allow), the graph's path index is asked
-for the variables on exactly that slice of the query path.  Among a path's
-intervals the one overlapping the updated departure interval most is kept;
-**on equal overlap the variable inserted first wins** (the comparison is a
-strict ``>``).  Rows therefore come out in rank order.
+**One lookup per rank, up to the first dead slice.**  A row is not found by
+scanning what starts at its edge: for each rank the hybrid graph holds at
+all (and the query's remaining length and ``max_rank`` allow), the graph's
+path index is asked for the variables on exactly that slice of the query
+path, until a slice that no indexed path starts with
+(:meth:`~repro.core.hybrid_graph.HybridGraph.prefix_counts`), which every
+longer slice extends: most rows of a sparse query stop at their first rank.
+Among a path's intervals the one overlapping the updated departure interval
+most (in raw seconds, so not past midnight; on the first edge, the one
+containing the time of day) is kept; **on equal overlap the variable
+inserted first wins** (a strict ``>``).  Rows come out in rank order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import EstimationError
 from ..roadnet.path import Path
+from ..timeutil import SECONDS_PER_DAY
 from .hybrid_graph import HybridGraph
 from .variables import InstantiatedVariable
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class RelevantVariable:
     """An instantiated variable aligned with a position of the query path.
 
     ``rank`` and ``end_index`` (one past the last query-path edge the
     variable covers) are fixed at construction: decomposition selection and
-    validation read them for every candidate of every query.
+    validation read them for every candidate of every query.  Compared and
+    hashed by value like a frozen dataclass; read it, do not change it.
     """
 
     variable: InstantiatedVariable
     start_index: int
-    rank: int = field(init=False)
-    end_index: int = field(init=False)
+    rank: int
+    end_index: int
 
-    def __post_init__(self) -> None:
-        rank = len(self.variable.path)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "end_index", self.start_index + rank)
+    def __init__(self, variable: InstantiatedVariable, start_index: int) -> None:
+        self.variable = variable
+        self.start_index = start_index
+        self.rank = len(variable.path)
+        self.end_index = start_index + self.rank
 
     @property
     def path(self) -> Path:
@@ -75,7 +82,8 @@ def shift_and_enlarge(
     start, end = interval
     if end < start:
         raise EstimationError(f"invalid departure interval [{start}, {end}]")
-    return start + unit_variable.min_cost, end + unit_variable.max_cost
+    min_cost, max_cost = unit_variable.cost_range
+    return start + min_cost, end + max_cost
 
 
 def updated_departure_interval(
@@ -102,7 +110,10 @@ def updated_departure_interval(
 
 
 class CandidateArray:
-    """The two-dimensional array of spatio-temporally relevant variables (Table 1)."""
+    """The two-dimensional array of spatio-temporally relevant variables (Table 1).
+
+    Rows are kept as given: in ascending rank, as :func:`build_candidate_array` emits them.
+    """
 
     def __init__(self, query_path: Path, departure_time_s: float, rows: list[list[RelevantVariable]]):
         if len(rows) != len(query_path):
@@ -112,7 +123,7 @@ class CandidateArray:
                 raise EstimationError(f"candidate array row {index} is empty")
         self.query_path = query_path
         self.departure_time_s = departure_time_s
-        self._rows = [sorted(row, key=lambda rv: rv.rank) for row in rows]
+        self._rows = rows
 
     def row(self, position: int) -> list[RelevantVariable]:
         """Relevant variables whose path starts at the given query-path position."""
@@ -162,12 +173,12 @@ def build_candidate_array(
     ranks = hybrid_graph.ranks()
     if max_rank is not None:
         ranks = tuple(rank for rank in ranks if rank <= max_rank)
+    prefix_counts = hybrid_graph.prefix_counts()
+    variables_on = hybrid_graph.variables_on
 
     rows: list[list[RelevantVariable]] = []
-    departure_interval = (float(departure_time_s), float(departure_time_s))
+    interval_start = interval_end = float(departure_time_s)
     for position in range(n):
-        interval_start, interval_end = departure_interval
-        degenerate = interval_end == interval_start
         # The unit variable at the interval's midpoint: it advances the
         # departure interval across this edge and, when no unit variable is
         # temporally relevant, guarantees the row one so a covering
@@ -181,26 +192,37 @@ def build_candidate_array(
             if position + rank > n:
                 break
             # Spatial relevance: the variables on exactly this slice of the
-            # query path.  Temporal relevance: the variable's interval must
-            # intersect the updated departure interval at this position;
-            # among a path's intervals, keep the one with the largest overlap.
+            # query path; no longer slice matches once no path starts with it.
+            edge_ids = query_ids[position : position + rank]
+            if edge_ids not in prefix_counts:
+                break
+            # Temporal relevance: the variable's interval must intersect the
+            # updated departure interval at this position; among a path's
+            # intervals, keep the first with the largest overlap.
             best: InstantiatedVariable | None = None
-            best_overlap = 0.0
-            for variable in hybrid_graph.variables_on(query_ids[position : position + rank]):
-                if degenerate:
-                    # Degenerate interval (the first edge): containment decides.
-                    overlap = 1.0 if variable.interval.contains(interval_start) else 0.0
-                else:
-                    overlap = variable.interval.overlap_s(interval_start, interval_end)
-                if overlap > best_overlap:
-                    best_overlap = overlap
-                    best = variable
+            if interval_end == interval_start:
+                # Degenerate interval (the first edge): containment decides.
+                time_of_day = interval_start % SECONDS_PER_DAY
+                for variable in variables_on(edge_ids):
+                    if variable.interval.start_s <= time_of_day < variable.interval.end_s:
+                        best = variable
+                        break
+            else:
+                best_overlap = 0.0
+                for variable in variables_on(edge_ids):
+                    interval = variable.interval
+                    overlap = min(interval.end_s, interval_end) - max(interval.start_s, interval_start)
+                    if overlap > best_overlap:
+                        best_overlap = overlap
+                        best = variable
             if best is not None:
                 row.append(RelevantVariable(best, position))
         if not row or row[0].rank != 1:
             row.insert(0, RelevantVariable(unit, position))
         rows.append(row)
 
-        departure_interval = shift_and_enlarge(departure_interval, unit)
+        # Shift-and-enlarge across this edge.
+        min_cost, max_cost = unit.cost_range
+        interval_start, interval_end = interval_start + min_cost, interval_end + max_cost
 
     return CandidateArray(query_path, departure_time_s, rows)

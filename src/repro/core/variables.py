@@ -102,22 +102,15 @@ class InstantiatedVariable:
             return self.distribution
         return self.distribution.cost_distribution(max_buckets=max_buckets)
 
-    @property
-    def min_cost(self) -> float:
-        """Smallest possible total cost (used by shift-and-enlarge)."""
-        if isinstance(self.distribution, Histogram1D):
-            return self.distribution.min
-        return sum(
-            float(self.distribution.boundaries_of(dim)[0]) for dim in self.distribution.dims
-        )
-
-    @property
-    def max_cost(self) -> float:
-        """Largest possible total cost (used by shift-and-enlarge)."""
-        if isinstance(self.distribution, Histogram1D):
-            return self.distribution.max
-        return sum(
-            float(self.distribution.boundaries_of(dim)[-1]) for dim in self.distribution.dims
+    @cached_property
+    def cost_range(self) -> tuple[float, float]:
+        """Smallest and largest possible total cost (memoised: shift-and-enlarge reads it per edge)."""
+        distribution = self.distribution
+        if isinstance(distribution, Histogram1D):
+            return distribution.min, distribution.max
+        return (
+            sum(float(distribution.boundaries_of(dim)[0]) for dim in distribution.dims),
+            sum(float(distribution.boundaries_of(dim)[-1]) for dim in distribution.dims),
         )
 
     def entropy(self) -> float:

@@ -349,13 +349,13 @@ class Histogram1D:
 
         The final bucket's upper edge is closed: ``cdf(max)`` is exactly
         ``1.0``, so a budget equal to the largest possible cost is always
-        met with certainty.
+        met with certainty.  A NaN value raises :class:`HistogramError`.
         """
         if value >= self._highs[-1]:
             return 1.0
         index = int(np.searchsorted(self._highs, value, side="right"))
-        if index >= self._probs.size:  # NaN sorts past every bound
-            return 0.0
+        if index >= self._probs.size:  # only NaN sorts past every bound
+            raise HistogramError(f"the CDF is undefined at {value}")
         before = float(self._cum[index - 1]) if index > 0 else 0.0
         low = self._lows[index]
         if value <= low:
@@ -364,7 +364,7 @@ class Histogram1D:
         return min(1.0, before + float(self._probs[index]) * fraction)
 
     def prob_at_most(self, budget: float) -> float:
-        """Alias of :meth:`cdf`; probability of completing within ``budget``."""
+        """Alias of :meth:`cdf`; probability of completing within ``budget`` (NaN raises)."""
         return self.cdf(budget)
 
     def prob_between(self, lower: float, upper: float) -> float:

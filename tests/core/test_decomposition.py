@@ -83,7 +83,7 @@ class TestSeparatorsAndCoarseness:
             query_path, (relevant([1, 2, 3], 0), relevant([3, 4], 2), relevant([5], 4))
         )
         separators = decomposition.separators()
-        assert separators[0] == Path([3])
+        assert separators[0] == (3,)
         assert separators[1] is None
 
     def test_paper_coarser_example(self, query_path):

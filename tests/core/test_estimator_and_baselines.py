@@ -11,6 +11,7 @@ import pytest
 from repro import (
     AccuracyOptimalEstimator,
     EstimationError,
+    HistogramError,
     HPBaseline,
     LegacyBaseline,
     Path,
@@ -40,6 +41,15 @@ def test_a_non_finite_departure_is_an_estimation_error(hybrid_graph, busy_query,
     if isinstance(estimator, PathCostEstimator):
         with pytest.raises(EstimationError, match="departure_time_s must be finite"):
             estimator.propagate(path, departure)
+
+
+def test_a_nan_budget_raises(od, busy_query):
+    """``prob_within(nan)`` is a typed error, from the estimate and from the estimator."""
+    path, departure = busy_query
+    with pytest.raises(HistogramError, match="undefined at nan"):
+        od.estimate(path, departure).prob_within(float("nan"))
+    with pytest.raises(HistogramError, match="undefined at nan"):
+        od.prob_within(path, departure, float("nan"))
 
 
 class TestPathCostEstimator:

@@ -57,16 +57,15 @@ class TestUnitInstantiation:
     def test_corridor_edges_instantiated(self, built_graph, corridor_store):
         corridor = corridor_store.trajectories[0].path
         for edge_id in corridor.edge_ids:
-            variables = [
-                v for v in built_graph.variables_starting_with(edge_id) if v.rank == 1
-            ]
+            variables = built_graph.variables_on((edge_id,))
             assert variables, f"edge {edge_id} should have a unit variable"
             assert all(v.source == SOURCE_TRAJECTORIES for v in variables)
             assert all(v.support >= 30 for v in variables)
 
     def test_undersupported_edge_not_instantiated(self, built_graph, small_network):
         other = small_network.out_edges(20)[0]
-        assert all(v.rank != 1 for v in built_graph.variables_starting_with(other.edge_id))
+        assert not built_graph.variables_on((other.edge_id,))
+        assert all(v.path.edge_ids != (other.edge_id,) for v in built_graph.variables)
 
 
 class TestJointInstantiation:

@@ -6,6 +6,7 @@ hold, for how long, and who can reach it.
 """
 
 import gc
+import itertools
 import pickle
 import sys
 import threading
@@ -40,6 +41,12 @@ DEPARTURE = 8 * 3600.0
 
 def unit_var(edge_id, low, high):
     histogram = Histogram1D([Bucket(low, (low + high) / 2), Bucket((low + high) / 2, high)], [0.7, 0.3])
+    return InstantiatedVariable(Path([edge_id]), interval_of(DEPARTURE, 30), histogram, support=30)
+
+
+def one_bucket_var(edge_id, low, high):
+    """A unit variable of one bucket, the shape of a speed-limit fallback."""
+    histogram = Histogram1D([Bucket(low, high)], [1.0])
     return InstantiatedVariable(Path([edge_id]), interval_of(DEPARTURE, 30), histogram, support=30)
 
 
@@ -112,6 +119,40 @@ class TestBounds:
         for _variable, _token, state, _cells in memo._links.values():
             with pytest.raises(ValueError):
                 state.prob[0] = 0.0
+
+
+class TestFloatLinks:
+    """A shift's link holds the accumulated cost's two bounds as floats."""
+
+    def test_a_run_of_shifts_keeps_one_link_per_step(self):
+        memo = PropagationMemo()
+        lows, highs = [30.0 + edge for edge in range(5)], [90.0 + 2 * edge for edge in range(5)]
+        elements = tuple(
+            RelevantVariable(one_bucket_var(edge, low, high), edge)
+            for edge, (low, high) in enumerate(zip(lows, highs))
+        )
+        chain = Decomposition(Path(list(range(5))), elements, weakref.ref(memo))
+        expected = propagate_joint_reference(chain)
+        assert_same_joint(propagate_joint(chain), expected)
+        links = list(memo._links.values())
+        assert [link[2] for link in links] == list(
+            zip(itertools.accumulate(lows), itertools.accumulate(highs))
+        )
+        assert [link[3] for link in links] == [1, 2, 3, 4, 5]
+        assert memo.stats() == {"computed": 5, "reused": 0, "states": 5}
+        assert_same_joint(propagate_joint(chain), expected)
+        assert memo.stats() == {"computed": 5, "reused": 5, "states": 5}
+
+        # "path + another edge" with two buckets: the walk ends on a float
+        # link and one general step starts from it.
+        extended = Decomposition(
+            Path(list(range(6))),
+            (*elements, RelevantVariable(unit_var(5, 40.0, 80.0), 5)),
+            weakref.ref(memo),
+        )
+        assert_same_joint(propagate_joint(extended), propagate_joint_reference(extended))
+        assert memo.stats() == {"computed": 6, "reused": 10, "states": 6}
+        assert type(list(memo._links.values())[-1][2]) is joint_module._State
 
 
 class TestKeying:

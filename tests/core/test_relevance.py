@@ -236,29 +236,57 @@ def tiny_city():
     return network, simulator, graph
 
 
+def city_queries(network, simulator):
+    """Every corridor prefix at three departures and 200 seeded walks at three."""
+    rng = np.random.default_rng(11)
+    queries = [
+        (route.path.prefix(length), route.busy_hour * 3600.0 + shift)
+        for route in simulator.popular_routes
+        for length in range(1, len(route.path) + 1)
+        for shift in (0.0, 1740.0, -3600.0)
+    ]
+    walks = []
+    while len(walks) < 200:
+        walk = random_path(network, 3 + len(walks) % 10, rng)
+        if walk is not None:
+            walks.append(walk)
+    return queries + [
+        (walk, departure) for walk in walks for departure in (7.5 * 3600.0, 12 * 3600.0, 17.9 * 3600.0)
+    ]
+
+
 class TestPathIndexMatchesTheScan:
     @pytest.mark.parametrize("max_rank", [None, 1, 2, 3])
     def test_corridor_prefixes_and_seeded_walks(self, tiny_city, max_rank):
         network, simulator, graph = tiny_city
         by_first_edge = index_by_first_edge(graph)
-        rng = np.random.default_rng(11)
-        queries = [
-            (route.path.prefix(length), route.busy_hour * 3600.0 + shift)
-            for route in simulator.popular_routes
-            for length in range(1, len(route.path) + 1)
-            for shift in (0.0, 1740.0, -3600.0)
-        ]
-        walks = []
-        while len(walks) < 200:
-            walk = random_path(network, 3 + len(walks) % 10, rng)
-            if walk is not None:
-                walks.append(walk)
-        queries += [
-            (walk, departure) for walk in walks for departure in (7.5 * 3600.0, 12 * 3600.0, 17.9 * 3600.0)
-        ]
         assert graph.max_rank() > 2
-        for path, departure in queries:
+        for path, departure in city_queries(network, simulator):
             assert_same_rows(graph, path, departure, max_rank, by_first_edge)
+
+    @pytest.mark.parametrize("max_rank", [None, 2])
+    def test_after_a_discard(self, tiny_city, max_rank):
+        """The rows of a graph that lost every path through the top-rank paths' edges.
+
+        A prefix dropped with a path another path still starts with would cut
+        rows short here; one left behind only costs lookups, which
+        ``TestPrefixCounts`` in ``test_variables_and_graph.py`` catches."""
+        network, simulator, graph = tiny_city
+        discarded = HybridGraph(network, graph.parameters)
+        for variable in graph.variables:
+            discarded.add_variable(variable)
+        top_rank = graph.max_rank()
+        dirty = {
+            edge_id
+            for variable in graph.variables
+            if variable.rank == top_rank
+            for edge_id in variable.path.edge_ids
+        }
+        assert discarded.discard_variables_touching(dirty)
+        assert discarded.max_rank() > 1
+        by_first_edge = index_by_first_edge(discarded)
+        for path, departure in city_queries(network, simulator):
+            assert_same_rows(discarded, path, departure, max_rank, by_first_edge)
 
     def test_rank_three_without_a_rank_two_on_its_prefix(self, small_network, corridor_path):
         departure = 8 * 3600.0

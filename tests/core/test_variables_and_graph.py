@@ -1,5 +1,7 @@
 """Unit tests for instantiated variables and the hybrid graph container."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,38 @@ from repro import (
     InstantiationError,
     MultiHistogram,
     Path,
+    restore_snapshot,
+    write_delta_snapshot,
+    write_snapshot,
 )
 from repro.core.variables import SOURCE_SPEED_LIMIT, InstantiatedVariable
 from repro.timeutil import interval_of
+
+
+def rebuilt_prefix_counts(graph):
+    """Edge ids -> indexed paths starting with them, counted afresh from the path index."""
+    return dict(
+        Counter(edge_ids[:end] for edge_ids in graph._by_path for end in range(1, len(edge_ids) + 1))
+    )
+
+
+def copy_of(graph):
+    """A graph holding the same variables, added in the same order."""
+    copy = HybridGraph(graph.network, graph.parameters)
+    for variable in graph.variables:
+        copy.add_variable(variable)
+    return copy
+
+
+def top_rank_edges(graph):
+    """Every edge of every top-rank path: discarding them removes that rank and more."""
+    top_rank = graph.max_rank()
+    return {
+        edge_id
+        for variable in graph.variables
+        if variable.rank == top_rank
+        for edge_id in variable.path.edge_ids
+    }
 
 
 @pytest.fixture
@@ -43,11 +74,10 @@ class TestInstantiatedVariable:
         assert unit_variable.is_unit
         assert pair_variable.rank == 2
 
-    def test_min_max_cost(self, unit_variable, pair_variable):
-        assert unit_variable.min_cost == 50
-        assert unit_variable.max_cost == 100
-        assert pair_variable.min_cost == 40 + 30
-        assert pair_variable.max_cost == 90 + 60
+    def test_cost_range(self, unit_variable, pair_variable):
+        assert unit_variable.cost_range == (50, 100)
+        assert pair_variable.cost_range == (40 + 30, 90 + 60)
+        assert pair_variable.cost_range is pair_variable.cost_range
 
     def test_cost_distribution(self, pair_variable):
         cost = pair_variable.cost_distribution()
@@ -98,19 +128,12 @@ class TestHybridGraphContainer:
         with pytest.raises(InstantiationError):
             graph.add_variable(unit_variable)
 
-    def test_variables_starting_with(self, small_network, unit_variable, pair_variable):
-        graph = HybridGraph(small_network, EstimatorParameters())
-        graph.add_variable(unit_variable)
-        graph.add_variable(pair_variable)
-        assert len(graph.variables_starting_with(3)) == 2
-        assert graph.variables_starting_with(4) == []
-
     def test_unit_variable_fallback_from_speed_limit(self, small_network, interval):
         graph = HybridGraph(small_network, EstimatorParameters())
         edge = next(iter(small_network.edges()))
         fallback = graph.unit_variable(edge.edge_id, interval)
         assert fallback.source == SOURCE_SPEED_LIMIT
-        assert fallback.min_cost == pytest.approx(edge.free_flow_time_s)
+        assert fallback.cost_range[0] == pytest.approx(edge.free_flow_time_s)
         # Cached: the same object is returned the second time.
         assert graph.unit_variable(edge.edge_id, interval) is fallback
 
@@ -191,7 +214,10 @@ class TestPathIndex:
         assert list(graph.variables_on((3,))) == [later, unit_variable]
         assert graph.variables_for_path(Path([3])) == [later, unit_variable]
         assert list(graph.variables_on((4,))) == []
-        assert graph.variables_starting_with(3) == [pair_variable, later, unit_variable]
+        assert list(graph.variables_on((3, 4))) == [pair_variable]
+        assert graph.variables == [pair_variable, later, unit_variable]
+        # Both paths start with edge 3; one of them with (3, 4); none with 4.
+        assert graph.prefix_counts() == {(3,): 2, (3, 4): 1}
 
     def test_discard_agrees_with_a_graph_built_without_the_variables(
         self, small_network, hybrid_graph
@@ -200,15 +226,8 @@ class TestPathIndex:
         variables = hybrid_graph.variables
         top_rank = hybrid_graph.max_rank()
         # Every path of the top rank goes, and whatever else touches its edges.
-        dirty = {
-            edge_id
-            for variable in variables
-            if variable.rank == top_rank
-            for edge_id in variable.path.edge_ids
-        }
-        discarded = HybridGraph(small_network, hybrid_graph.parameters)
-        for variable in variables:
-            discarded.add_variable(variable)
+        dirty = top_rank_edges(hybrid_graph)
+        discarded = copy_of(hybrid_graph)
         assert discarded.edge_cost_bounds() == hybrid_graph.edge_cost_bounds()
         removed = discarded.discard_variables_touching(dirty)
         kept = [variable for variable in variables if dirty.isdisjoint(variable.path.edge_ids)]
@@ -234,16 +253,74 @@ class TestPathIndex:
             assert identities(discarded.variables_for_path(path)) == identities(
                 expected.variables_for_path(path)
             )
-        for edge in small_network.edges():
-            assert identities(discarded.variables_starting_with(edge.edge_id)) == identities(
-                expected.variables_starting_with(edge.edge_id)
-            )
+        # Every survivor keeps its place: the table is the never-had-them graph's, in order.
+        assert identities(discarded.variables) == identities(expected.variables)
+        assert discarded.prefix_counts() == expected.prefix_counts()
         # The discarded paths can be supplied again (what a delta restore does).
         for key in removed:
             discarded.add_variable(hybrid_graph.variable_for(Path(list(key[0])), key[1]))
         assert discarded.ranks() == hybrid_graph.ranks()
         assert discarded.num_variables() == hybrid_graph.num_variables()
         assert discarded.edge_cost_bounds() == hybrid_graph.edge_cost_bounds()
+
+
+class TestPrefixCounts:
+    """Every prefix of every indexed path is counted, and only those."""
+
+    def test_after_add_discard_and_re_add(self, hybrid_graph):
+        graph = copy_of(hybrid_graph)
+        built = dict(graph.prefix_counts())  # the live index, copied before it changes
+        assert built == rebuilt_prefix_counts(graph)
+        assert max(map(len, built)) == graph.max_rank() > 2
+        # A prefix shared by several paths counts each of them.
+        assert any(count > 1 for count in built.values())
+
+        removed = graph.discard_variables_touching(top_rank_edges(hybrid_graph))
+        assert removed
+        assert graph.prefix_counts() == rebuilt_prefix_counts(graph)
+        assert graph.prefix_counts() != built
+        # A count that falls to zero is removed, not kept at zero.
+        assert all(count > 0 for count in graph.prefix_counts().values())
+        assert not any(edge_ids in graph.prefix_counts() for edge_ids, _interval in removed)
+
+        for edge_ids, interval_index in removed:
+            graph.add_variable(hybrid_graph.variable_for(Path(list(edge_ids)), interval_index))
+        assert graph.prefix_counts() == rebuilt_prefix_counts(graph) == built
+
+    def test_a_second_interval_of_a_path_adds_no_count(self, small_network, unit_variable, interval):
+        graph = HybridGraph(small_network, EstimatorParameters())
+        graph.add_variable(unit_variable)
+        graph.add_variable(
+            InstantiatedVariable(
+                Path([3]), interval_of(9 * 3600.0, 30), unit_variable.distribution, support=40
+            )
+        )
+        assert graph.prefix_counts() == {(3,): 1}
+        graph.discard_variables_touching([3])
+        assert graph.prefix_counts() == {}
+
+    def test_after_a_full_and_a_delta_restore(self, hybrid_graph, tmp_path):
+        write_snapshot(tmp_path / "full", graph=hybrid_graph)
+        full = restore_snapshot(tmp_path / "full").graph
+        assert full.prefix_counts() == rebuilt_prefix_counts(full) == hybrid_graph.prefix_counts()
+
+        # A delta whose dirty edges lost their variables: the restore discards
+        # them from the base and re-adds nothing on them.
+        dirty = top_rank_edges(hybrid_graph)
+        shrunk = copy_of(hybrid_graph)
+        shrunk.discard_variables_touching(dirty)
+        write_delta_snapshot(tmp_path / "delta", base=tmp_path / "full", graph=shrunk, dirty_edges=dirty)
+        delta = restore_snapshot(tmp_path / "delta").graph
+        assert delta.num_variables() == shrunk.num_variables() < hybrid_graph.num_variables()
+        assert delta.prefix_counts() == rebuilt_prefix_counts(delta) == shrunk.prefix_counts()
+
+        # A delta that re-supplies them: discarded, then added back.
+        write_delta_snapshot(
+            tmp_path / "again", base=tmp_path / "delta", graph=hybrid_graph, dirty_edges=dirty
+        )
+        again = restore_snapshot(tmp_path / "again").graph
+        assert again.num_variables() == hybrid_graph.num_variables()
+        assert again.prefix_counts() == rebuilt_prefix_counts(again) == hybrid_graph.prefix_counts()
 
 
 class TestEdgeCostBounds:

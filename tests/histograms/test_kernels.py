@@ -361,9 +361,12 @@ class TestClosedUpperEdge:
     def test_batched_cdf_closed_edge(self, histogram):
         assert kernels.batch_cdf([histogram.as_triple()], np.array([histogram.max]))[0] == 1.0
 
-    def test_cdf_of_nan_is_zero(self, histogram):
-        assert histogram.cdf(float("nan")) == 0.0
-        assert histogram.prob_at_most(float("nan")) == 0.0
+    def test_cdf_of_nan_raises(self, histogram):
+        """NaN is no cost: a typed error, not a probability of 0.0."""
+        with pytest.raises(HistogramError, match="undefined at nan"):
+            histogram.cdf(float("nan"))
+        with pytest.raises(HistogramError, match="undefined at nan"):
+            histogram.prob_at_most(float("nan"))
 
     def test_as_triple_is_read_only(self, histogram):
         lows, highs, probs = histogram.as_triple()

@@ -108,6 +108,14 @@ class TestProbabilityQueries:
         assert values[0] == 0.0
         assert values[-1] == pytest.approx(1.0)
 
+    def test_infinite_and_nan_bounds(self, simple):
+        """Infinite values are outside the support; a NaN bound raises (see test_kernels)."""
+        assert simple.cdf(float("inf")) == 1.0
+        assert simple.cdf(float("-inf")) == 0.0
+        assert simple.prob_between(float("-inf"), float("inf")) == 1.0
+        with pytest.raises(HistogramError, match="undefined at nan"):
+            simple.prob_between(0.0, float("nan"))
+
     def test_cdf_values_matches_scalar_cdf(self, simple):
         points = np.linspace(15, 55, 30)
         assert np.allclose(simple.cdf_values(points), [simple.cdf(p) for p in points])

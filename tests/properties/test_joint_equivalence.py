@@ -331,28 +331,132 @@ class TestOneCellSteps:
                 assert_same_joint(shared, expected)
         assert memo.stats()["reused"] > 0
 
-    def test_the_step_is_a_shift_with_probability_one(self):
+    def test_the_shift_is_the_general_step(self):
+        """The general step on a one-cell state and a one-cell factor leaves one cell
+        of probability 1.0 at the two sums: the shift's two floats."""
         decomposition = build_chain(self.SHAPES[:2], seed=0)
         first, second = (element.variable for element in decomposition.elements)
         state = repro.core.joint._consolidate(
             repro.core.joint._initial_state(repro.core.joint._factor_plan(first, (), ())), 32, 4096
         )
         plan = repro.core.joint._factor_plan(second, (), ())
-        shifted = repro.core.joint._propagate_step(state, plan)
-        assert shifted.prob is repro.core.joint._ONE
-        assert shifted.agg_low[0] == state.agg_low[0] + plan.release_low[0]
-        assert shifted.agg_high[0] == state.agg_high[0] + plan.release_high[0]
-        assert repro.core.joint._consolidate(shifted, 32, 4096) is shifted
+        assert plan.shift == (plan.prob[0], plan.release_low[0], plan.release_high[0])
+        general = repro.core.joint._consolidate(
+            repro.core.joint._propagate_step(state, plan), 32, 4096
+        )
+        shifted = repro.core.joint._shift(state, plan)
+        assert type(shifted) is tuple and all(type(bound) is float for bound in shifted)
+        assert shifted == (general.agg_low[0], general.agg_high[0])
+        assert general.prob.tolist() == [1.0]
+        # From the shift's own two floats (probability 1.0) the next shift adds the same.
+        assert repro.core.joint._shift(shifted, plan) == repro.core.joint._shift(
+            repro.core.joint._as_state(shifted), plan
+        )
+
+    def test_multi_cell_and_separator_plans_are_not_shifts(self):
+        decomposition = build_chain([(0, 2, True), (1, 3, True), (0, 1, False)], seed=0)
+        pair, triple, unit = (element.variable for element in decomposition.elements)
+        assert repro.core.joint._factor_plan(pair, (), (1,)).shift is None
+        assert repro.core.joint._factor_plan(triple, (1,), ()).shift is None
+        assert repro.core.joint._factor_plan(unit, (), ()).shift is None
+        one_cell = repro.core.joint._factor_plan(pair, (), ())
+        assert one_cell.shift is not None
+        two_cells = repro.core.joint._State(np.array([1.0, 2.0]), np.array([2.0, 3.0]), np.array([0.5, 0.5]))
+        assert repro.core.joint._shift(two_cells, one_cell) is None
 
     @pytest.mark.parametrize("probability", [0.0, np.nan, np.inf])
     def test_a_product_without_mass_raises(self, probability):
         """As in the general step, which prunes the pair (0, NaN) or normalises it to
-        NaN and raises when consolidating (inf)."""
+        NaN and raises when consolidating (inf): from a one-cell state, from a
+        shift's two floats and before the first element."""
         decomposition = build_chain(self.SHAPES[:2], seed=0)
         plan = repro.core.joint._factor_plan(decomposition.elements[1].variable, (), ())
         state = repro.core.joint._State(np.array([1.0]), np.array([2.0]), np.array([probability]))
         with pytest.raises(EstimationError):
-            repro.core.joint._consolidate(repro.core.joint._propagate_step(state, plan), 32, 4096)
+            repro.core.joint._shift(state, plan)
+        massless = replace(plan, shift=(probability, *plan.shift[1:]))
+        for start in ((1.0, 2.0), None):
+            with pytest.raises(EstimationError):
+                repro.core.joint._shift(start, massless)
+
+
+class TestFloatLinks:
+    """A shift's memo link holds its two floats, and a walk reaches past it."""
+
+    #: A separator step, three shifts, a general step into a separator, another
+    #: separator step.  Element 1 leaves one cell without a separator, so the
+    #: run starts from a state and goes on from floats.
+    SHAPES = [
+        (0, 2, True), (1, 3, True), (0, 1, True), (0, 1, True), (0, 1, True),
+        (0, 2, True), (1, 3, True),
+    ]
+    FLOAT_LINKS = [False, False, True, True, True, False, False]
+
+    @staticmethod
+    def held(memo):
+        """The memo's links in the order they were stored: is each a shift's two floats?"""
+        return [type(link[2]) is tuple for link in memo._links.values()]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_chain_is_reused_past_its_shift_run(self, seed):
+        chain = build_chain(self.SHAPES, seed)
+        expected = propagate_joint_reference(chain)
+        memo = PropagationMemo()
+        shared = replace(chain, memo=weakref.ref(memo))
+        assert_same_joint(propagate_joint(shared), expected)
+        assert self.held(memo) == self.FLOAT_LINKS
+        assert all(
+            type(bound) is float for link in memo._links.values() if type(link[2]) is tuple for bound in link[2]
+        )
+        assert memo.stats() == {"computed": 7, "reused": 0, "states": 7}
+        assert_same_joint(propagate_joint(shared), expected)
+        assert memo.stats() == {"computed": 7, "reused": 7, "states": 7}
+        # A sibling that differs only in its last element walks the whole run
+        # and the general step after it, and computes one step.
+        sibling = build_chain(
+            [*self.SHAPES[:-1], (1, 2, False)], seed + 1, shared=chain.elements[:-1]
+        )
+        assert_same_joint(
+            propagate_joint(replace(sibling, memo=weakref.ref(memo))),
+            propagate_joint_reference(sibling),
+        )
+        assert memo.stats() == {"computed": 8, "reused": 13, "states": 8}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_walk_ending_on_a_float_link(self, seed):
+        """Prefixes whose last link is a shift's, and a multi-cell element after
+        one: the state built from the two floats is a memo-less propagation's."""
+        chain = build_chain(self.SHAPES, seed)
+        memo = PropagationMemo()
+        propagate_joint(replace(chain, memo=weakref.ref(memo)))
+        for n in (3, 4, 5):
+            prefix = prefix_of(chain, n)
+            before = memo.stats()
+            shared = propagate_joint(replace(prefix, memo=weakref.ref(memo)))
+            assert memo.stats()["computed"] == before["computed"]
+            assert memo.stats()["reused"] == before["reused"] + n
+            assert_same_joint(shared, propagate_joint(prefix))
+            assert_same_joint(shared, propagate_joint_reference(prefix))
+            # ... and continued by a multi-cell element: a general step from the floats.
+            onward = build_chain([*self.SHAPES[:n], (0, 2, False)], seed + n, shared=prefix.elements)
+            assert_same_joint(
+                propagate_joint(replace(onward, memo=weakref.ref(memo))),
+                propagate_joint_reference(onward),
+            )
+            assert memo.stats()["computed"] == before["computed"] + 1
+
+    def test_a_one_cell_first_element(self):
+        chain = build_chain([(0, 1, True), (0, 2, True), (0, 3, False)], seed=4)
+        memo = PropagationMemo()
+        for n in range(1, 4):
+            prefix = prefix_of(chain, n)
+            expected = propagate_joint_reference(prefix)
+            assert_same_joint(propagate_joint(prefix), expected)
+            assert_same_joint(propagate_joint(replace(prefix, memo=weakref.ref(memo))), expected)
+        assert self.held(memo) == [True, True, False]
+        first_link = next(iter(memo._links.values()))[2]
+        plan = repro.core.joint._factor_plan(chain.elements[0].variable, (), ())
+        assert first_link == plan.shift[1:]
 
 
 def test_every_corridor_prefix_of_the_tiny_fixture_matches_reference():

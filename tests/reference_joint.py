@@ -69,7 +69,7 @@ def decomposition_entropy_reference(decomposition: Decomposition) -> float:
         if separator is None:
             continue
         joint = later_element.variable.joint()
-        total -= joint.marginal(list(separator.edge_ids)).entropy()
+        total -= joint.marginal(list(separator)).entropy()
     return total
 
 
@@ -119,7 +119,7 @@ def _separator_ids(separators, index: int, n_elements: int) -> tuple[int, ...]:
     if index >= n_elements - 1:
         return ()
     separator = separators[index]
-    return separator.edge_ids if separator is not None else ()
+    return separator or ()
 
 
 def _cell_bounds(joint: MultiHistogram, dims: list[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ import pytest
 from repro import (
     CostEstimationService,
     EstimateRequest,
+    HistogramError,
     PathCostEstimator,
     ProbabilisticBudgetQuery,
     ServiceError,
@@ -222,6 +223,17 @@ class TestOverridesAndValidation:
             EstimateRequest(path, departure, method="OD-2", max_rank=2)
         with pytest.raises(ServiceError):
             EstimateRequest(path, float("nan"))
+
+    def test_a_nan_budget_raises(self, service, busy_query):
+        """From the service and from its response: a typed error, not 0.0."""
+        path, departure = busy_query
+        with pytest.raises(HistogramError, match="undefined at nan"):
+            service.prob_within(path, departure, float("nan"))
+        response = service.submit(EstimateRequest(path, departure))
+        assert response.cache_hit
+        with pytest.raises(HistogramError, match="undefined at nan"):
+            response.prob_within(float("nan"))
+        assert 0.0 <= response.prob_within(1e9) == 1.0
 
     def test_default_method_follows_wrapped_estimator(self, hybrid_graph, busy_query):
         """Wrapping a rank-capped estimator must stay a numerical drop-in."""
