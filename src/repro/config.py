@@ -308,10 +308,8 @@ class IngestParameters:
 class PersistParameters:
     """Parameters for the snapshot persistence layer (:mod:`repro.persist`).
 
-    Full snapshots always carry the service's most recently used warm
-    cache entries (:data:`repro.persist.MAX_CACHE_ENTRIES` of them), and the
-    ingest pipeline writes a full snapshot after
-    :data:`repro.persist.COMPACT_EVERY_DELTAS` consecutive deltas.
+    A snapshot always carries the service's most recently used warm cache
+    entries (:data:`repro.persist.MAX_CACHE_ENTRIES` of them).
 
     Attributes
     ----------

@@ -95,48 +95,15 @@ class HybridGraph:
         on_path = self._by_path.get(key[0])
         if on_path is None:
             self._by_path[key[0]] = [variable]
-            self._count_path(key[0], +1)
+            # A new path counts in its rank and in each of its prefixes.
+            rank = len(key[0])
+            self._paths_per_rank[rank] = self._paths_per_rank.get(rank, 0) + 1
+            counts = self._prefix_counts
+            for end in range(1, rank + 1):
+                prefix = key[0][:end]
+                counts[prefix] = counts.get(prefix, 0) + 1
         else:
             on_path.append(variable)
-
-    def discard_variables_touching(self, edge_ids) -> list[tuple[tuple[int, ...], int]]:
-        """Remove every instantiated variable whose path intersects ``edge_ids``.
-
-        Returns the removed ``(path edge ids, interval index)`` keys.  Used
-        when applying a delta snapshot: the delta re-supplies the current
-        variables for every path touching its dirty-edge set, so the stale
-        base-snapshot versions are dropped first.  Speed-limit fallbacks
-        are untouched (they derive from edge attributes, not trajectories).
-        """
-        dirty = frozenset(edge_ids)
-        if not dirty:
-            return []
-        doomed = [key for key in self._variables if not dirty.isdisjoint(key[0])]
-        if doomed:
-            self._edge_cost_bounds = None
-        for key in doomed:
-            del self._variables[key]
-            # A path touching the dirty set loses every interval at once.
-            if self._by_path.pop(key[0], None) is not None:
-                self._count_path(key[0], -1)
-        return doomed
-
-    def _count_path(self, edge_ids: tuple[int, ...], change: int) -> None:
-        """Count an indexed path in (``+1``) or out (``-1``) of its rank and its prefixes."""
-        rank = len(edge_ids)
-        count = self._paths_per_rank.get(rank, 0) + change
-        if count:
-            self._paths_per_rank[rank] = count
-        else:
-            del self._paths_per_rank[rank]
-        counts = self._prefix_counts
-        for end in range(1, rank + 1):
-            prefix = edge_ids[:end]
-            count = counts.get(prefix, 0) + change
-            if count:
-                counts[prefix] = count
-            else:
-                del counts[prefix]
 
     # ------------------------------------------------------------------ #
     # The path weight function W_P

@@ -75,4 +75,4 @@ class ConfigurationError(ReproError):
 
 class PersistError(ReproError):
     """Raised by the snapshot persistence layer for unreadable, incompatible,
-    or inconsistent snapshots (wrong format version, broken delta chains)."""
+    or inconsistent snapshots (wrong format version or kind, corrupt arrays)."""

@@ -31,7 +31,6 @@ from .results import (
     IngestResult,
     IngestStats,
     RefreshReport,
-    SnapshotReport,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "REASON_TOO_FEW_RECORDS",
     "REASON_UNMATCHABLE",
     "RefreshReport",
-    "SnapshotReport",
     "TrajectoryIngestPipeline",
     "TrajectorySnapshot",
     "normalize_gps_records",

@@ -32,7 +32,6 @@ import queue
 import threading
 import time
 from collections import Counter, deque
-from pathlib import Path as FSPath
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..config import IngestParameters
@@ -50,7 +49,6 @@ from .results import (
     IngestResult,
     IngestStats,
     RefreshReport,
-    SnapshotReport,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -104,10 +102,6 @@ class TrajectoryIngestPipeline:
     parameters:
         :class:`~repro.config.IngestParameters`; defaults apply when
         ``None``.
-    persist_dir:
-        Directory for epoch-tagged snapshots (:mod:`repro.persist`).
-        Required only for auto-named :meth:`save_snapshot` calls; an
-        explicit directory per call works without it.
     """
 
     def __init__(
@@ -118,7 +112,6 @@ class TrajectoryIngestPipeline:
         frontend: "ServingFrontend | None" = None,
         builder_factory: "Callable[[], HybridGraphBuilder] | None" = None,
         parameters: IngestParameters | None = None,
-        persist_dir: "str | FSPath | None" = None,
         telemetry: "Telemetry | None" = None,
     ) -> None:
         if not isinstance(store, MutableTrajectoryStore):
@@ -158,12 +151,6 @@ class TrajectoryIngestPipeline:
         self._invalidated_decompositions = 0
         self._invalidated_routes = 0
         self._refreshes = 0
-        # Snapshot persistence state (guarded by the commit lock).
-        self._persist_dir = None if persist_dir is None else FSPath(persist_dir)
-        self._dirty_since_snapshot: set[int] = set()
-        self._last_snapshot_path: FSPath | None = None
-        self._deltas_since_full = 0
-        self._snapshots = 0
         #: Optional telemetry: per-stage latency histograms plus callback
         #: gauges over the counters above.  ``None`` keeps the write path
         #: free of any timing work (one attribute check per stage).
@@ -361,116 +348,24 @@ class TrajectoryIngestPipeline:
         )
 
     # ------------------------------------------------------------------ #
-    # Snapshot persistence: epoch-tagged full / delta snapshots
+    # Snapshot persistence
     # ------------------------------------------------------------------ #
-    def save_snapshot(self, directory=None, full: bool = False) -> SnapshotReport:
-        """Persist the pipeline's state as an epoch-tagged snapshot.
+    def save_snapshot(self, directory) -> dict:
+        """Write a full snapshot of the served graph, the store and the warm cache.
 
-        The first snapshot (and any ``full=True`` call) writes a **full**
-        snapshot: hybrid graph, the whole store, and the service's warm
-        cache entries.  Later calls write **delta** snapshots against the
-        previous one, containing only the variables whose path intersects
-        the dirty-edge set accumulated since that snapshot -- the same
-        per-append sets that drive targeted cache invalidation -- plus the
-        appended store segment.  After
-        :data:`~repro.persist.COMPACT_EVERY_DELTAS` consecutive deltas the
-        chain is compacted by writing a full snapshot instead.
-
-        ``directory`` defaults to ``<persist_dir>/snapshot-<epoch>``.  For
-        delta-restore equality with a cold rebuild, call :meth:`refresh`
-        first (a delta persists the graph *as served*, which may lag the
-        store between refreshes).
+        The store and the graph are taken together under the commit lock,
+        and the snapshot is tagged with the store's version (the ingest
+        epoch).  It persists the graph *as served*, which may lag the store
+        between refreshes: call :meth:`refresh` first for a snapshot equal
+        to a cold rebuild over the store.  Returns the manifest.
         """
-        with self._lock:
-            return self._save_snapshot_locked(directory, full)
-
-    def _save_snapshot_locked(self, directory, full: bool) -> SnapshotReport:
-        from ..persist.delta import COMPACT_EVERY_DELTAS, write_delta_snapshot
-        from ..persist.writer import MAX_CACHE_ENTRIES, write_snapshot
-
         if self.service is None:
             raise IngestError(
                 "save_snapshot() needs a service: the hybrid graph to persist "
                 "lives behind it"
             )
-        started = time.perf_counter()
-        snapshot = self.store.snapshot()
-        graph = self.service.hybrid_graph
-        if directory is None:
-            if self._persist_dir is None:
-                raise IngestError(
-                    "save_snapshot() without a directory needs the pipeline to be "
-                    "constructed with persist_dir"
-                )
-            directory = self._persist_dir / f"snapshot-{snapshot.version:08d}"
-        directory = FSPath(directory)
-        if (
-            self._last_snapshot_path is not None
-            and directory.resolve() == self._last_snapshot_path.resolve()
-        ):
-            # Nothing new to persist (e.g. a second auto-named snapshot
-            # with no append since the last one resolves to the same
-            # epoch-named directory).  Writing a delta *into its own base*
-            # would destroy the snapshot; report the existing one instead.
-            from ..persist.format import read_manifest
-
-            manifest = read_manifest(directory)
-            return SnapshotReport(
-                path=str(directory),
-                kind=manifest["kind"],
-                epoch=int(manifest["epoch"]),
-                n_trajectories=len(snapshot),
-                n_variables_written=0,
-                dirty_edges=frozenset(),
-                duration_s=time.perf_counter() - started,
-            )
-
-        write_delta = (
-            not full
-            and self._last_snapshot_path is not None
-            and self._deltas_since_full < COMPACT_EVERY_DELTAS
-        )
-        dirty = frozenset(self._dirty_since_snapshot)
-        if write_delta:
-            manifest = write_delta_snapshot(
-                directory,
-                base=self._last_snapshot_path,
-                graph=graph,
-                store=snapshot,
-                dirty_edges=dirty,
-                epoch=snapshot.version,
-                service_info=self.service._snapshot_service_info(),
-            )
-            self._deltas_since_full += 1
-        else:
-            manifest = write_snapshot(
-                directory,
-                graph=graph,
-                store=snapshot,
-                cache_entries=self.service.export_cache_entries(limit=MAX_CACHE_ENTRIES),
-                epoch=snapshot.version,
-                service_info=self.service._snapshot_service_info(),
-            )
-            self._deltas_since_full = 0
-        self._last_snapshot_path = directory
-        # Edges dirtied since the last *refresh* are not yet reflected in
-        # the served graph this snapshot persisted: a later refresh will
-        # change their variables, so they must stay dirty for the next
-        # delta.  Only edges the graph has absorbed are truly settled.
-        self._dirty_since_snapshot = set(self._pending_dirty)
-        self._snapshots += 1
-        graph_meta = manifest.get("graph") or {}
-        return SnapshotReport(
-            path=str(directory),
-            kind=manifest["kind"],
-            epoch=int(manifest["epoch"]),
-            n_trajectories=len(snapshot),
-            n_variables_written=int(
-                graph_meta.get("n_univariate", 0) + graph_meta.get("n_multivariate", 0)
-            ),
-            dirty_edges=dirty if manifest["kind"] == "delta" else frozenset(),
-            duration_s=time.perf_counter() - started,
-        )
+        with self._lock:
+            return self.service.save_snapshot(directory, store=self.store.snapshot())
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -491,7 +386,6 @@ class TrajectoryIngestPipeline:
                 invalidated_decompositions=self._invalidated_decompositions,
                 invalidated_routes=self._invalidated_routes,
                 refreshes=self._refreshes,
-                snapshots=self._snapshots,
             )
 
     def recent_skips(self) -> list[IngestResult]:
@@ -518,7 +412,6 @@ class TrajectoryIngestPipeline:
             ("repro_ingest_invalidated_decompositions_total", "Decomposition-cache entries dropped by ingest invalidation", lambda: self._invalidated_decompositions),
             ("repro_ingest_invalidated_routes_total", "Route-cache entries dropped by ingest invalidation", lambda: self._invalidated_routes),
             ("repro_ingest_refreshes_total", "Hybrid-graph refresh + service rebase passes", lambda: self._refreshes),
-            ("repro_ingest_snapshots_total", "Snapshots written by the pipeline", lambda: self._snapshots),
             ("repro_ingest_pending_dirty_edges", "Edges dirtied since the last refresh", lambda: len(self._pending_dirty)),
             ("repro_ingest_backlog", "Items waiting in the streaming queue", lambda: self._queue.qsize() if self._queue is not None else 0),
             ("repro_ingest_store_version", "Store version (one bump per append batch)", lambda: self.store.version),
@@ -624,7 +517,6 @@ class TrajectoryIngestPipeline:
             dirty = self.store.append_many(matched_batch)
             self._accepted += len(matched_batch)
             self._pending_dirty |= dirty
-            self._dirty_since_snapshot |= dirty
             invalidation = None
             if self.service is not None and dirty:
                 invalidation = self._invalidate(dirty)

@@ -101,35 +101,6 @@ class RefreshReport:
 
 
 @dataclass(frozen=True)
-class SnapshotReport:
-    """The outcome of persisting the pipeline's state (:mod:`repro.persist`).
-
-    ``kind`` is ``"full"`` for a complete snapshot or ``"delta"`` when only
-    the variables touching the dirty-edge set accumulated since the last
-    snapshot (plus the appended store segment) were written.
-    """
-
-    path: str
-    kind: str
-    #: The ingest epoch (store version) the snapshot captures.
-    epoch: int
-    n_trajectories: int
-    #: Variables written into this snapshot (all of them for a full
-    #: snapshot; only dirty-path variables for a delta).
-    n_variables_written: int
-    #: Dirty edges the snapshot covered (empty for full snapshots).
-    dirty_edges: frozenset[int]
-    duration_s: float
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"SnapshotReport({self.kind}, epoch={self.epoch}, "
-            f"variables={self.n_variables_written}, "
-            f"trajectories={self.n_trajectories}, {self.duration_s:.3f}s)"
-        )
-
-
-@dataclass(frozen=True)
 class IngestStats:
     """A point-in-time snapshot of the pipeline's counters."""
 
@@ -150,8 +121,6 @@ class IngestStats:
     #: Cached routes evicted because their path crossed a dirty edge.
     invalidated_routes: int = 0
     refreshes: int = 0
-    #: Snapshots written (full + delta) via :mod:`repro.persist`.
-    snapshots: int = 0
 
     @property
     def match_failure_rate(self) -> float:

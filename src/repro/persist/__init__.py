@@ -8,14 +8,10 @@ the instantiated state durable and makes process boot *warm*:
 * a **versioned columnar format** (:mod:`repro.persist.format`): one
   ``manifest.json`` plus per-array ``.npy`` blobs, restored zero-copy via
   ``numpy.load(..., mmap_mode="r")``;
-* **full snapshots** (:func:`write_snapshot` / :func:`restore_snapshot`)
+* **one snapshot kind** (:func:`write_snapshot` / :func:`restore_snapshot`)
   round-tripping the hybrid graph (variables, ranks, intervals, fallback
-  cache), the trajectory stores, and the service's warm estimate cache
-  bit-exactly;
-* **epoch-tagged delta snapshots** (:func:`write_delta_snapshot`) that
-  reuse the ingest pipeline's dirty-edge sets to persist only changed
-  variables and appended store segments, with
-  :func:`compact_snapshot` folding chains back into full snapshots;
+  cache), the trajectory store, and the service's warm estimate cache
+  bit-exactly, tagged with the ingest epoch (store version) it captures;
 * **multi-process warm boot**: N workers restoring the same snapshot share
   the OS page cache through the memory maps
   (``examples/snapshot_serving.py``).
@@ -29,19 +25,15 @@ The serving-layer entry points are
 from .format import FORMAT_NAME, FORMAT_VERSION, MANIFEST_FILENAME, read_manifest
 from .reader import RestoredSnapshot, restore_snapshot, snapshot_info
 from .writer import MAX_CACHE_ENTRIES, write_snapshot
-from .delta import COMPACT_EVERY_DELTAS, compact_snapshot, write_delta_snapshot
 
 __all__ = [
-    "COMPACT_EVERY_DELTAS",
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "MANIFEST_FILENAME",
     "MAX_CACHE_ENTRIES",
     "RestoredSnapshot",
-    "compact_snapshot",
     "read_manifest",
     "restore_snapshot",
     "snapshot_info",
-    "write_delta_snapshot",
     "write_snapshot",
 ]

@@ -2,8 +2,8 @@
 
 A snapshot is a **directory** containing
 
-* ``manifest.json`` -- format name + version, snapshot kind (``"full"`` or
-  ``"delta"``), the ingest **epoch** (store version) the snapshot captures,
+* ``manifest.json`` -- format name + version, snapshot kind (always
+  ``"full"``), the ingest **epoch** (store version) the snapshot captures,
   the estimator/service configuration needed to boot without raw GPS data,
   section metadata (network, graph, store, cache), and the logical-name ->
   file map of every array blob;
@@ -19,9 +19,10 @@ A directory without a readable manifest is never a valid snapshot, so a
 crashed writer can not produce a half-snapshot that loads.
 
 Versioning is strict: :func:`read_manifest` refuses snapshots whose
-``version`` differs from :data:`FORMAT_VERSION` with an actionable error
-instead of deserialising garbage.  Bump :data:`FORMAT_VERSION` whenever the
-column layout changes incompatibly.
+``version`` differs from :data:`FORMAT_VERSION`, or whose kind is not
+``"full"`` (older builds also wrote ``"delta"`` snapshots), with an
+actionable error instead of deserialising garbage.  Bump
+:data:`FORMAT_VERSION` whenever the column layout changes incompatibly.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ FORMAT_VERSION = 1
 #: The manifest file completing (and validating) a snapshot directory.
 MANIFEST_FILENAME = "manifest.json"
 
-#: Snapshot kinds.
+#: The one snapshot kind: every array a restore needs is in the directory.
 KIND_FULL = "full"
-KIND_DELTA = "delta"
 
 
 def manifest_path(directory: str | os.PathLike) -> FSPath:
@@ -80,8 +80,9 @@ def read_manifest(directory: str | os.PathLike) -> dict:
     """Load and validate a snapshot manifest.
 
     Raises :class:`~repro.exceptions.PersistError` when the directory is
-    not a snapshot, the manifest is unreadable, or the format version does
-    not match this build's :data:`FORMAT_VERSION`.
+    not a snapshot, the manifest is unreadable, the format version does
+    not match this build's :data:`FORMAT_VERSION`, or the kind is not
+    :data:`KIND_FULL`.
     """
     path = manifest_path(directory)
     if not path.is_file():
@@ -108,8 +109,13 @@ def read_manifest(directory: str | os.PathLike) -> dict:
             "a repro release matching the snapshot's version"
         )
     kind = manifest.get("kind")
-    if kind not in (KIND_FULL, KIND_DELTA):
-        raise PersistError(f"snapshot {os.fspath(directory)} has unknown kind {kind!r}")
+    if kind != KIND_FULL:
+        raise PersistError(
+            f"snapshot {os.fspath(directory)} has kind {kind!r}, but this build of repro "
+            f"reads {KIND_FULL!r} snapshots only (delta snapshots are no longer "
+            "restored); re-save a full snapshot (save_snapshot) from the process "
+            "that holds the state"
+        )
     return manifest
 
 

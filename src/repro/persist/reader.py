@@ -33,12 +33,6 @@ Restores are **bit-exact**: the adopted arrays are never renormalised or
 re-sorted, so a restored graph serves estimates identical to the process
 that wrote the snapshot (and, because the builder seeds its RNG per
 variable, identical to a cold rebuild from the same trajectories).
-
-Delta snapshots restore recursively: the base chain is restored first,
-then each delta drops the base variables touching its dirty-edge set,
-re-adds the delta's (current) versions, appends its store segment, and
-filters inherited cache entries the same way the live service's targeted
-invalidation would have.
 """
 
 from __future__ import annotations
@@ -70,30 +64,20 @@ from ..trajectories.mutable import MutableTrajectoryStore
 from ..trajectories.store import TrajectoryStore
 from . import format as fmt
 
-#: Guard against pathological (cyclic or unboundedly deep) delta chains.
-_MAX_CHAIN_DEPTH = 64
-
 
 @dataclass(frozen=True)
 class StoreSection:
-    """A restored store before it is built: its type and checked ``traj_*`` columns.
-
-    ``segments`` holds one column set per snapshot of the chain that
-    carries a store section, base-first; the store is their trajectories
-    back to back.
-    """
+    """A restored store before it is built: its type and checked ``traj_*`` columns."""
 
     type_name: str
-    segments: tuple[TraversalColumns, ...]
+    columns: TraversalColumns
 
     @property
     def n_trajectories(self) -> int:
-        return sum(segment.traj_ids.size for segment in self.segments)
+        return self.columns.traj_ids.size
 
     def build(self) -> TrajectoryStore:
-        trajectories = [
-            trajectory for segment in self.segments for trajectory in decode_trajectories(segment)
-        ]
+        trajectories = decode_trajectories(self.columns)
         if self.type_name == "MutableTrajectoryStore":
             return MutableTrajectoryStore(trajectories)
         return TrajectoryStore(trajectories)
@@ -101,7 +85,7 @@ class StoreSection:
 
 @dataclass
 class RestoredSnapshot:
-    """Everything a snapshot (or delta chain) restores.
+    """Everything a snapshot restores.
 
     ``graph`` / ``store`` are ``None`` when the snapshot was written
     without them (e.g. a store-only snapshot from a detached pipeline).
@@ -112,8 +96,6 @@ class RestoredSnapshot:
     manifest: dict
     graph: HybridGraph | None
     cache_entries: list[tuple[tuple, CostEstimate]] = field(default_factory=list)
-    #: Snapshot directories restored, base-first (length 1 for full snapshots).
-    chain: tuple[str, ...] = ()
     #: The store section, checked at restore; ``None`` without a store.
     store_section: StoreSection | None = None
 
@@ -121,10 +103,6 @@ class RestoredSnapshot:
     def epoch(self) -> int:
         """The ingest epoch (store version) the snapshot captures."""
         return int(self.manifest.get("epoch", 0))
-
-    @property
-    def kind(self) -> str:
-        return self.manifest.get("kind", fmt.KIND_FULL)
 
     @cached_property
     def store(self) -> TrajectoryStore | None:
@@ -246,18 +224,12 @@ def _decode_graph(directory, manifest, mmap: bool) -> HybridGraph:
     graph = HybridGraph(network, parameters)
     for variable in decode_variables(directory, manifest, parameters.alpha_minutes, mmap):
         graph.add_variable(variable)
-    _prime_fallbacks(graph, directory, manifest, mmap)
-    return graph
-
-
-def _prime_fallbacks(graph: HybridGraph, directory, manifest, mmap: bool) -> None:
-    intervals = all_intervals(graph.parameters.alpha_minutes)
+    intervals = all_intervals(parameters.alpha_minutes)
     load = _loader(directory, manifest, mmap)
     for edge_id, interval_index in zip(load("fb_edge").tolist(), load("fb_interval").tolist()):
-        # Re-derives the deterministic speed-limit uniform and caches it;
-        # keys shadowed by a real variable (possible after a delta) are
-        # simply not re-cached.
+        # Re-derives the deterministic speed-limit uniform and caches it.
         graph.unit_variable(edge_id, intervals[interval_index])
+    return graph
 
 
 def load_trajectory_columns(directory, manifest) -> TraversalColumns:
@@ -368,92 +340,22 @@ def decode_cache_entries(
 
 
 # --------------------------------------------------------------------- #
-# Restore (full snapshots and delta chains)
+# Restore
 # --------------------------------------------------------------------- #
-def restore_snapshot(directory, mmap: bool = True, _depth: int = 0) -> RestoredSnapshot:
-    """Restore a snapshot directory (recursively resolving delta chains)."""
-    if _depth > _MAX_CHAIN_DEPTH:
-        raise PersistError(
-            f"delta chain deeper than {_MAX_CHAIN_DEPTH} snapshots at "
-            f"{os.fspath(directory)}; compact the chain (repro.persist.compact_snapshot)"
-        )
+def restore_snapshot(directory, mmap: bool = True) -> RestoredSnapshot:
+    """Restore a snapshot directory."""
     directory = FSPath(directory)
     manifest = fmt.read_manifest(directory)
-    if manifest["kind"] == fmt.KIND_DELTA:
-        base_directory = (directory / manifest["base"]).resolve()
-        base = restore_snapshot(base_directory, mmap=mmap, _depth=_depth + 1)
-        return _apply_delta(base, directory, manifest, mmap)
-
     graph = _decode_graph(directory, manifest, mmap) if manifest.get("graph") else None
     store_section = None
     if manifest.get("store"):
         store_section = StoreSection(
-            manifest["store"]["type"], (load_trajectory_columns(directory, manifest),)
+            manifest["store"]["type"], load_trajectory_columns(directory, manifest)
         )
     return RestoredSnapshot(
         manifest=manifest,
         graph=graph,
         cache_entries=decode_cache_entries(directory, manifest, mmap),
-        chain=(str(directory),),
-        store_section=store_section,
-    )
-
-
-def _apply_delta(
-    base: RestoredSnapshot, directory: FSPath, manifest: dict, mmap: bool
-) -> RestoredSnapshot:
-    """Apply one delta snapshot on top of its restored base."""
-    if base.epoch != manifest.get("base_epoch"):
-        raise PersistError(
-            f"delta snapshot {directory} was written against epoch "
-            f"{manifest.get('base_epoch')}, but its base chain restored epoch "
-            f"{base.epoch}; the base snapshot was regenerated or the chain is mixed up"
-        )
-    dirty = frozenset(int(edge) for edge in manifest.get("dirty_edges", ()))
-
-    graph = base.graph
-    if manifest.get("graph") is not None:
-        if graph is None:
-            raise PersistError(
-                f"delta snapshot {directory} carries graph columns but its base has no graph"
-            )
-        graph.discard_variables_touching(dirty)
-        for variable in decode_variables(
-            directory, manifest, graph.parameters.alpha_minutes, mmap
-        ):
-            graph.add_variable(variable)
-        _prime_fallbacks(graph, directory, manifest, mmap)
-
-    store_section = base.store_section
-    if manifest.get("store") is not None:
-        segment_offset = int(manifest["store"]["segment_offset"])
-        base_segments = store_section.segments if store_section is not None else ()
-        n_base = store_section.n_trajectories if store_section is not None else 0
-        if n_base != segment_offset:
-            raise PersistError(
-                f"delta snapshot {directory} expects a base store of "
-                f"{segment_offset} trajectories, found {n_base}"
-            )
-        store_section = StoreSection(
-            manifest["store"]["type"],
-            base_segments + (load_trajectory_columns(directory, manifest),),
-        )
-
-    # Inherited warm-cache entries age the same way the live service's
-    # targeted invalidation ages them: entries on paths touching the dirty
-    # set are dropped; entries on disjoint paths stay valid.
-    cache_entries = [
-        (key, estimate)
-        for key, estimate in base.cache_entries
-        if dirty.isdisjoint(key[0])
-    ]
-    cache_entries.extend(decode_cache_entries(directory, manifest, mmap))
-
-    return RestoredSnapshot(
-        manifest=manifest,
-        graph=graph,
-        cache_entries=cache_entries,
-        chain=base.chain + (str(directory),),
         store_section=store_section,
     )
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..exceptions import RoutingError
+from ..exceptions import PathError, RoutingError
 from .graph import Edge, RoadNetwork
 from .path import Path
 
@@ -302,7 +302,7 @@ def k_shortest_paths(
                 continue
             try:
                 total = Path.from_edges(network, total_ids)
-            except Exception:
+            except PathError:  # root + spur is not a simple path
                 continue
             key = total.edge_ids
             if key in seen_candidates or total in accepted:

@@ -168,8 +168,8 @@ class MutableTrajectoryStore(TrajectoryStore):
         life.  The persistence layer (:mod:`repro.persist`) relies on it:
         snapshots are epoch-tagged with the version, and a
         ``MutableTrajectoryStore`` rebuilt from a restored snapshot
-        resumes at exactly the snapshot's epoch -- delta segments line up
-        without any separate epoch bookkeeping.
+        resumes at exactly the snapshot's epoch, without any separate
+        epoch bookkeeping.
         """
         with self._append_lock:
             return self._version

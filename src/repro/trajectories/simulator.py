@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import SimulationParameters
-from ..exceptions import TrajectoryError
+from ..exceptions import RoutingError, TrajectoryError
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.path import Path
 from ..roadnet.routing import random_path, shortest_path
@@ -102,7 +102,7 @@ class TrafficSimulator:
             source, target = rng.choice(vertices, size=2, replace=False)
             try:
                 path = shortest_path(self.network, int(source), int(target))
-            except Exception:
+            except RoutingError:  # the pair is not connected: draw another
                 continue
             if not parameters.min_trip_edges <= len(path) <= parameters.max_trip_edges:
                 continue

@@ -30,8 +30,7 @@ def assert_graphs_bit_identical(
     """Every instantiated variable equal down to the last array bit.
 
     With ``insertion_order`` the variable table and every path's interval
-    list must also be in the same order (two builds; a delta restore
-    re-adds the dirty paths last).
+    list must also be in the same order.
     """
     assert second.num_variables() == first.num_variables()
     assert second.edge_cost_bounds() == first.edge_cost_bounds()
@@ -72,8 +71,24 @@ def assert_graphs_bit_identical(
 
 @pytest.fixture
 def graphs_bit_identical():
-    """The bit-exact graph comparison (builds, snapshot round trips, delta restores)."""
+    """The bit-exact graph comparison (builds, snapshot round trips)."""
     return assert_graphs_bit_identical
+
+
+@pytest.fixture
+def graph_without():
+    """``graph_without(graph, edge_ids)``: a fresh graph holding ``graph``'s
+    variables, in order, minus every one whose path touches ``edge_ids``."""
+
+    def thinned(graph: HybridGraph, edge_ids) -> HybridGraph:
+        dropped = frozenset(edge_ids)
+        fresh = HybridGraph(graph.network, graph.parameters)
+        for variable in graph.variables:
+            if dropped.isdisjoint(variable.path.edge_ids):
+                fresh.add_variable(variable)
+        return fresh
+
+    return thinned
 
 
 @pytest.fixture(scope="session")

@@ -193,10 +193,10 @@ class TestKeying:
             )
         assert memo.stats() == {"computed": 10, "reused": 10, "states": 10}
 
-    def test_an_equal_valued_replacement_variable_does_not_hit(self, small_network):
-        """Re-adding a variable after ``discard_variables_touching`` (what a delta
-        restore does) yields a new object: identity keys the memo, so its
-        chains are computed again and the untouched edge's are not."""
+    def test_an_equal_valued_replacement_variable_does_not_hit(self, small_network, graph_without):
+        """A graph holding an equal-valued copy of a variable (what a rebuild
+        yields) hands out a new object: identity keys the memo, so its chains
+        are computed again and the untouched edge's are not."""
         first_edge = small_network.out_edges(0)[0]
         second_edge = next(
             edge
@@ -212,10 +212,11 @@ class TestKeying:
         assert estimator.propagation_stats() == {"computed": 2, "reused": 0, "states": 2}
 
         old = graph.weight(Path([second_edge.edge_id]), DEPARTURE)
-        graph.discard_variables_touching([second_edge.edge_id])
+        replaced = graph_without(graph, [second_edge.edge_id])
         replacement = unit_var(second_edge.edge_id, 40.0, 80.0)
         assert replacement == old and replacement is not old
-        graph.add_variable(replacement)
+        replaced.add_variable(replacement)
+        estimator.hybrid_graph = replaced
         after = estimator.propagate(path, DEPARTURE)
         assert after.decomposition.elements[1].variable is replacement
         assert estimator.propagation_stats() == {"computed": 3, "reused": 1, "states": 3}

@@ -265,16 +265,13 @@ class TestPathIndexMatchesTheScan:
             assert_same_rows(graph, path, departure, max_rank, by_first_edge)
 
     @pytest.mark.parametrize("max_rank", [None, 2])
-    def test_after_a_discard(self, tiny_city, max_rank):
-        """The rows of a graph that lost every path through the top-rank paths' edges.
+    def test_on_a_thinned_graph(self, tiny_city, max_rank, graph_without):
+        """The rows of a graph without any path through the top-rank paths' edges.
 
-        A prefix dropped with a path another path still starts with would cut
-        rows short here; one left behind only costs lookups, which
-        ``TestPrefixCounts`` in ``test_variables_and_graph.py`` catches."""
+        A prefix counted for a path the graph does not hold would only cost
+        lookups, which ``TestPrefixCounts`` in ``test_variables_and_graph.py``
+        catches; a prefix missing for a path it holds would cut rows short here."""
         network, simulator, graph = tiny_city
-        discarded = HybridGraph(network, graph.parameters)
-        for variable in graph.variables:
-            discarded.add_variable(variable)
         top_rank = graph.max_rank()
         dirty = {
             edge_id
@@ -282,11 +279,11 @@ class TestPathIndexMatchesTheScan:
             if variable.rank == top_rank
             for edge_id in variable.path.edge_ids
         }
-        assert discarded.discard_variables_touching(dirty)
-        assert discarded.max_rank() > 1
-        by_first_edge = index_by_first_edge(discarded)
+        thinned = graph_without(graph, dirty)
+        assert 1 < thinned.max_rank() < top_rank
+        by_first_edge = index_by_first_edge(thinned)
         for path, departure in city_queries(network, simulator):
-            assert_same_rows(discarded, path, departure, max_rank, by_first_edge)
+            assert_same_rows(thinned, path, departure, max_rank, by_first_edge)
 
     def test_rank_three_without_a_rank_two_on_its_prefix(self, small_network, corridor_path):
         departure = 8 * 3600.0

@@ -14,7 +14,6 @@ from repro import (
     MultiHistogram,
     Path,
     restore_snapshot,
-    write_delta_snapshot,
     write_snapshot,
 )
 from repro.core.variables import SOURCE_SPEED_LIMIT, InstantiatedVariable
@@ -28,16 +27,8 @@ def rebuilt_prefix_counts(graph):
     )
 
 
-def copy_of(graph):
-    """A graph holding the same variables, added in the same order."""
-    copy = HybridGraph(graph.network, graph.parameters)
-    for variable in graph.variables:
-        copy.add_variable(variable)
-    return copy
-
-
 def top_rank_edges(graph):
-    """Every edge of every top-rank path: discarding them removes that rank and more."""
+    """Every edge of every top-rank path: dropping them removes that rank and more."""
     top_rank = graph.max_rank()
     return {
         edge_id
@@ -219,72 +210,64 @@ class TestPathIndex:
         # Both paths start with edge 3; one of them with (3, 4); none with 4.
         assert graph.prefix_counts() == {(3,): 2, (3, 4): 1}
 
-    def test_discard_agrees_with_a_graph_built_without_the_variables(
-        self, small_network, hybrid_graph
-    ):
-        """Index, lookups and ``max_rank`` after a discard equal a graph that never had them."""
+    def test_a_thinned_graph_indexes_only_its_variables(self, hybrid_graph, graph_without):
+        """Index, lookups and ``max_rank`` of a graph without some paths, then with them added back."""
         variables = hybrid_graph.variables
         top_rank = hybrid_graph.max_rank()
         # Every path of the top rank goes, and whatever else touches its edges.
         dirty = top_rank_edges(hybrid_graph)
-        discarded = copy_of(hybrid_graph)
-        assert discarded.edge_cost_bounds() == hybrid_graph.edge_cost_bounds()
-        removed = discarded.discard_variables_touching(dirty)
+        thinned = graph_without(hybrid_graph, dirty)
         kept = [variable for variable in variables if dirty.isdisjoint(variable.path.edge_ids)]
         assert 0 < len(kept) < len(variables)
-        assert len(removed) == len(variables) - len(kept)
-        expected = HybridGraph(small_network, hybrid_graph.parameters)
-        for variable in kept:
-            expected.add_variable(variable)
 
         def identities(found):
             return [id(variable) for variable in found]
 
-        assert discarded.max_rank() == expected.max_rank() < top_rank
-        assert discarded.edge_cost_bounds() == expected.edge_cost_bounds()
-        assert discarded.edge_cost_bounds() != hybrid_graph.edge_cost_bounds()
-        assert discarded.ranks() == expected.ranks()
-        assert discarded._by_path.keys() == expected._by_path.keys()
+        assert identities(thinned.variables) == identities(kept)
+        assert thinned.max_rank() == max(variable.rank for variable in kept) < top_rank
+        assert thinned.ranks() == tuple(sorted({variable.rank for variable in kept}))
+        assert set(thinned._by_path) == {variable.path.edge_ids for variable in kept}
+        assert thinned.edge_cost_bounds() != hybrid_graph.edge_cost_bounds()
         for variable in variables:
             path = variable.path
-            assert identities(discarded.variables_on(path.edge_ids)) == identities(
-                expected.variables_on(path.edge_ids)
-            )
-            assert identities(discarded.variables_for_path(path)) == identities(
-                expected.variables_for_path(path)
-            )
-        # Every survivor keeps its place: the table is the never-had-them graph's, in order.
-        assert identities(discarded.variables) == identities(expected.variables)
-        assert discarded.prefix_counts() == expected.prefix_counts()
-        # The discarded paths can be supplied again (what a delta restore does).
-        for key in removed:
-            discarded.add_variable(hybrid_graph.variable_for(Path(list(key[0])), key[1]))
-        assert discarded.ranks() == hybrid_graph.ranks()
-        assert discarded.num_variables() == hybrid_graph.num_variables()
-        assert discarded.edge_cost_bounds() == hybrid_graph.edge_cost_bounds()
+            on_path = identities(kept_variable for kept_variable in kept if kept_variable.path == path)
+            assert identities(thinned.variables_on(path.edge_ids)) == on_path
+            assert identities(thinned.variables_for_path(path)) == on_path
+        # The dropped paths added back, last: the full graph's index and bounds.
+        for variable in variables:
+            if not dirty.isdisjoint(variable.path.edge_ids):
+                thinned.add_variable(variable)
+        assert thinned.ranks() == hybrid_graph.ranks()
+        assert thinned.num_variables() == hybrid_graph.num_variables()
+        assert thinned.edge_cost_bounds() == hybrid_graph.edge_cost_bounds()
+        assert thinned.prefix_counts() == hybrid_graph.prefix_counts()
 
 
 class TestPrefixCounts:
     """Every prefix of every indexed path is counted, and only those."""
 
-    def test_after_add_discard_and_re_add(self, hybrid_graph):
-        graph = copy_of(hybrid_graph)
-        built = dict(graph.prefix_counts())  # the live index, copied before it changes
-        assert built == rebuilt_prefix_counts(graph)
-        assert max(map(len, built)) == graph.max_rank() > 2
+    def test_after_thinning_and_re_adding(self, hybrid_graph, graph_without):
+        built = hybrid_graph.prefix_counts()
+        assert built == rebuilt_prefix_counts(hybrid_graph)
+        assert max(map(len, built)) == hybrid_graph.max_rank() > 2
         # A prefix shared by several paths counts each of them.
         assert any(count > 1 for count in built.values())
 
-        removed = graph.discard_variables_touching(top_rank_edges(hybrid_graph))
+        dirty = top_rank_edges(hybrid_graph)
+        graph = graph_without(hybrid_graph, dirty)
+        removed = [
+            variable for variable in hybrid_graph.variables
+            if not dirty.isdisjoint(variable.path.edge_ids)
+        ]
         assert removed
         assert graph.prefix_counts() == rebuilt_prefix_counts(graph)
         assert graph.prefix_counts() != built
-        # A count that falls to zero is removed, not kept at zero.
+        # Only prefixes of held paths are counted, never at zero.
         assert all(count > 0 for count in graph.prefix_counts().values())
-        assert not any(edge_ids in graph.prefix_counts() for edge_ids, _interval in removed)
+        assert not any(variable.path.edge_ids in graph.prefix_counts() for variable in removed)
 
-        for edge_ids, interval_index in removed:
-            graph.add_variable(hybrid_graph.variable_for(Path(list(edge_ids)), interval_index))
+        for variable in removed:
+            graph.add_variable(variable)
         assert graph.prefix_counts() == rebuilt_prefix_counts(graph) == built
 
     def test_a_second_interval_of_a_path_adds_no_count(self, small_network, unit_variable, interval):
@@ -296,31 +279,18 @@ class TestPrefixCounts:
             )
         )
         assert graph.prefix_counts() == {(3,): 1}
-        graph.discard_variables_touching([3])
-        assert graph.prefix_counts() == {}
 
-    def test_after_a_full_and_a_delta_restore(self, hybrid_graph, tmp_path):
+    def test_after_a_restore(self, hybrid_graph, graph_without, tmp_path):
         write_snapshot(tmp_path / "full", graph=hybrid_graph)
         full = restore_snapshot(tmp_path / "full").graph
         assert full.prefix_counts() == rebuilt_prefix_counts(full) == hybrid_graph.prefix_counts()
 
-        # A delta whose dirty edges lost their variables: the restore discards
-        # them from the base and re-adds nothing on them.
-        dirty = top_rank_edges(hybrid_graph)
-        shrunk = copy_of(hybrid_graph)
-        shrunk.discard_variables_touching(dirty)
-        write_delta_snapshot(tmp_path / "delta", base=tmp_path / "full", graph=shrunk, dirty_edges=dirty)
-        delta = restore_snapshot(tmp_path / "delta").graph
-        assert delta.num_variables() == shrunk.num_variables() < hybrid_graph.num_variables()
-        assert delta.prefix_counts() == rebuilt_prefix_counts(delta) == shrunk.prefix_counts()
-
-        # A delta that re-supplies them: discarded, then added back.
-        write_delta_snapshot(
-            tmp_path / "again", base=tmp_path / "delta", graph=hybrid_graph, dirty_edges=dirty
-        )
-        again = restore_snapshot(tmp_path / "again").graph
-        assert again.num_variables() == hybrid_graph.num_variables()
-        assert again.prefix_counts() == rebuilt_prefix_counts(again) == hybrid_graph.prefix_counts()
+        # A graph that lost the top-rank paths' edges restores its own counts.
+        thinned = graph_without(hybrid_graph, top_rank_edges(hybrid_graph))
+        write_snapshot(tmp_path / "thinned", graph=thinned)
+        restored = restore_snapshot(tmp_path / "thinned").graph
+        assert restored.num_variables() == thinned.num_variables() < hybrid_graph.num_variables()
+        assert restored.prefix_counts() == rebuilt_prefix_counts(restored) == thinned.prefix_counts()
 
 
 class TestEdgeCostBounds:
@@ -352,19 +322,18 @@ class TestEdgeCostBounds:
         assert table[5] == untouched[5]
 
     def test_the_table_is_kept_until_the_variables_change(
-        self, small_network, unit_variable, pair_variable
+        self, small_network, unit_variable, pair_variable, graph_without
     ):
         graph = HybridGraph(small_network, EstimatorParameters())
         graph.add_variable(unit_variable)
         table = graph.edge_cost_bounds()
         assert graph.edge_cost_bounds() is table
-        assert graph.discard_variables_touching({4}) == []  # nothing removed: kept
+        graph.weight(Path([4]), 8 * 3600.0)  # a lookup changes nothing: kept
         assert graph.edge_cost_bounds() is table
         graph.add_variable(pair_variable)
         assert graph.edge_cost_bounds() is not table
         assert graph.edge_cost_bounds()[4] != table[4]
-        graph.discard_variables_touching({4})
-        assert graph.edge_cost_bounds() == table
+        assert graph_without(graph, {4}).edge_cost_bounds() == table
 
     def test_not_counted_as_memory(self, hybrid_graph):
         before = (hybrid_graph.storage_size(), hybrid_graph.array_memory_bytes())

@@ -47,6 +47,33 @@ class TestVersionGuard:
         assert str(FORMAT_VERSION) in message
         assert "regenerate" in message
 
+    @staticmethod
+    def set_kind(snapshot_dir, kind) -> None:
+        path = snapshot_dir / MANIFEST_FILENAME
+        manifest = json.loads(path.read_text())
+        if kind is None:
+            del manifest["kind"]
+        else:
+            manifest["kind"] = kind
+        path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("kind", ["delta", "bogus", None])
+    def test_only_full_snapshots_are_read(self, snapshot_dir, kind):
+        """An older build's delta snapshot, an unknown kind and a missing one are refused by name."""
+        self.set_kind(snapshot_dir, kind)
+        with pytest.raises(PersistError, match=rf"kind {kind!r}.*re-save a full snapshot"):
+            read_manifest(snapshot_dir)
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [restore_snapshot, snapshot_info, CostEstimationService.from_snapshot],
+        ids=["restore_snapshot", "snapshot_info", "from_snapshot"],
+    )
+    def test_a_delta_snapshot_is_refused_at_every_entry_point(self, snapshot_dir, entry_point):
+        self.set_kind(snapshot_dir, "delta")
+        with pytest.raises(PersistError, match="kind 'delta'"):
+            entry_point(snapshot_dir)
+
     def test_wrong_format_name_rejected(self, snapshot_dir):
         path = snapshot_dir / MANIFEST_FILENAME
         manifest = json.loads(path.read_text())

@@ -20,7 +20,6 @@ from repro import (
     TrajectoryStore,
     restore_snapshot,
     snapshot_info,
-    write_delta_snapshot,
     write_snapshot,
 )
 from repro.persist.writer import encode_trajectories
@@ -91,26 +90,20 @@ class TestDeferredStore:
             mutable.store, mutable.epoch, MutableTrajectoryStore, persist_trajectories
         )
 
-    def test_delta_chain_restore_equals_eager_store(
+    def test_pipeline_restore_equals_eager_store(
         self, tmp_path, mutable_seed_store, persist_builder_factory, persist_trajectories
     ):
         service = CostEstimationService.from_hybrid_graph(
             persist_builder_factory().build(mutable_seed_store.snapshot())
         )
         pipeline = TrajectoryIngestPipeline(
-            mutable_seed_store,
-            service=service,
-            builder_factory=persist_builder_factory,
-            persist_dir=tmp_path / "chain",
+            mutable_seed_store, service=service, builder_factory=persist_builder_factory
         )
-        pipeline.save_snapshot()
         for start in (160, 180):
             pipeline.ingest_batch(persist_trajectories[start : start + 20])
             pipeline.refresh()
-            last = pipeline.save_snapshot()
-        assert last.kind == "delta"
-        restored = restore_snapshot(last.path)
-        assert len(restored.chain) == 3
+        pipeline.save_snapshot(tmp_path / "s")
+        restored = restore_snapshot(tmp_path / "s")
         assert restored.store_section.n_trajectories == len(persist_trajectories)
         assert_store_equals(
             restored.store, restored.epoch, MutableTrajectoryStore, persist_trajectories
@@ -155,18 +148,3 @@ class TestColumnChecks:
         rewrite(snapshot_dir, "traj_offsets", lambda offsets: offsets.__setitem__(where, offsets[where] + 1))
         with pytest.raises(PersistError, match="traj_"):
             restore_snapshot(snapshot_dir)
-
-    def test_delta_segment_offset_checked_eagerly(self, tmp_path, persist_trajectories):
-        write_snapshot(tmp_path / "base", store=TrajectoryStore(persist_trajectories[:100]))
-        write_delta_snapshot(
-            tmp_path / "delta",
-            base=tmp_path / "base",
-            store=TrajectoryStore(persist_trajectories),
-            dirty_edges=[0],
-        )
-        # Regenerate the base with fewer trajectories at the same epoch.
-        write_snapshot(
-            tmp_path / "base", store=TrajectoryStore(persist_trajectories[:90]), epoch=100
-        )
-        with pytest.raises(PersistError, match="expects a base store of 100 trajectories, found 90"):
-            restore_snapshot(tmp_path / "delta")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import RoutingError, grid_network, k_shortest_paths, shortest_path
+from repro import Path, PathError, RoutingError, grid_network, k_shortest_paths, shortest_path
 from repro.roadnet.routing import astar_path, dijkstra, random_path
 
 
@@ -71,6 +71,29 @@ class TestYen:
     def test_invalid_k(self, grid):
         with pytest.raises(RoutingError):
             k_shortest_paths(grid, 0, 7, k=0)
+
+    def test_a_candidate_that_is_not_a_path_is_skipped(self, grid, monkeypatch):
+        real = Path.from_edges.__func__
+        rejected = []
+
+        def reject_the_first(cls, network, edge_ids):
+            if not rejected:
+                rejected.append(tuple(edge_ids))
+                raise PathError("path visits a vertex more than once")
+            return real(cls, network, edge_ids)
+
+        monkeypatch.setattr(Path, "from_edges", classmethod(reject_the_first))
+        paths = k_shortest_paths(grid, 0, 12, k=4)
+        assert rejected
+        assert len({path.edge_ids for path in paths}) == 4
+
+    def test_any_other_error_propagates(self, grid, monkeypatch):
+        def broken(cls, network, edge_ids):
+            raise ValueError("a bug in path validation")
+
+        monkeypatch.setattr(Path, "from_edges", classmethod(broken))
+        with pytest.raises(ValueError, match="a bug in path validation"):
+            k_shortest_paths(grid, 0, 12, k=4)
 
 
 class TestRandomPath:

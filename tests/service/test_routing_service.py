@@ -123,10 +123,10 @@ class TestRouteCacheInvalidation:
         assert len(report.route_keys) == 1
         assert service.route_cache_stats().size == 0
 
-    def test_rebase_is_routed_on_the_new_graphs_cost_bounds(self, service, hybrid_graph):
+    def test_rebase_is_routed_on_the_new_graphs_cost_bounds(
+        self, service, hybrid_graph, graph_without
+    ):
         """The engine survives a same-network rebase; the bounds it settles with must not."""
-        from repro import HybridGraph
-
         slow_request = _request(0, 9, budget_s=700.0)
         assert service.stats()["routing"] == {"settled": 0, "estimated": 0}
         before = service.route(slow_request)
@@ -136,10 +136,7 @@ class TestRouteCacheInvalidation:
 
         # The same variables minus everything observed on the found route:
         # those edges fall back to their (different) speed-limit ranges.
-        rebuilt = HybridGraph(hybrid_graph.network, hybrid_graph.parameters)
-        for variable in hybrid_graph.variables:
-            rebuilt.add_variable(variable)
-        rebuilt.discard_variables_touching(before.path.edge_ids)
+        rebuilt = graph_without(hybrid_graph, before.path.edge_ids)
         assert rebuilt.edge_cost_bounds() != hybrid_graph.edge_cost_bounds()
         service.rebase(rebuilt, dirty_edges=None)
         assert service.routing_engine() is engine

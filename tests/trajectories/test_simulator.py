@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import SimulationParameters, TrafficSimulator
+from repro import RoutingError, SimulationParameters, TrafficSimulator
+from repro.trajectories import simulator as simulator_module
 
 
 class TestGeneration:
@@ -39,6 +40,36 @@ class TestGeneration:
         second = TrafficSimulator(small_network, params).generate()
         assert [t.edge_ids for t in first] == [t.edge_ids for t in second]
         assert [t.total_cost for t in first] == [t.total_cost for t in second]
+
+
+class TestBackgroundTrips:
+    @pytest.fixture
+    def traffic(self, small_network):
+        return TrafficSimulator(
+            small_network, SimulationParameters(n_trajectories=40, popular_route_count=4, seed=21)
+        )
+
+    def test_an_unconnected_pair_is_drawn_again(self, traffic, monkeypatch):
+        real = simulator_module.shortest_path
+        pairs = []
+
+        def first_pair_unconnected(network, source, target):
+            pairs.append((source, target))
+            if len(pairs) == 1:
+                raise RoutingError(f"no path from {source} to {target}")
+            return real(network, source, target)
+
+        monkeypatch.setattr(simulator_module, "shortest_path", first_pair_unconnected)
+        trip = traffic._sample_background_trip(np.random.default_rng(0))
+        assert trip is not None and len(pairs) >= 2
+
+    def test_any_other_error_propagates(self, traffic, monkeypatch):
+        def broken(network, source, target):
+            raise ValueError("a bug in the router")
+
+        monkeypatch.setattr(simulator_module, "shortest_path", broken)
+        with pytest.raises(ValueError, match="a bug in the router"):
+            traffic._sample_background_trip(np.random.default_rng(0))
 
 
 class TestGPSEmission:
