@@ -93,11 +93,6 @@ class EstimatorParameters:
         if self.max_buckets < 1:
             raise ConfigurationError(f"max_buckets must be >= 1, got {self.max_buckets}")
 
-    @property
-    def intervals_per_day(self) -> int:
-        """Number of alpha-length intervals that partition a day."""
-        return MINUTES_PER_DAY // self.alpha_minutes
-
     def with_max_rank(self, max_rank: int | None) -> "EstimatorParameters":
         """Return a copy of these parameters with a different rank cap."""
         return EstimatorParameters(

@@ -3,7 +3,7 @@
 from .variables import InstantiatedVariable
 from .hybrid_graph import HybridGraph
 from .instantiation import HybridGraphBuilder
-from .relevance import CandidateArray, RelevantVariable, shift_and_enlarge, updated_departure_interval
+from .relevance import CandidateArray, RelevantVariable
 from .decomposition import Decomposition, coarsest_decomposition, random_decomposition
 from .joint import PropagatedJoint, decomposition_entropy, propagate_joint
 from .estimator import CostEstimate, PathCostEstimator
@@ -32,6 +32,4 @@ __all__ = [
     "decomposition_entropy",
     "propagate_joint",
     "random_decomposition",
-    "shift_and_enlarge",
-    "updated_departure_interval",
 ]

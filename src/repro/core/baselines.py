@@ -50,18 +50,6 @@ class AccuracyOptimalEstimator:
         self.parameters = parameters or EstimatorParameters()
         self._rng = np.random.default_rng(seed)
 
-    def qualified_count(self, path: Path, departure_time_s: float) -> int:
-        """Number of qualified trajectories for the query."""
-        return len(
-            self.store.qualified_observations(
-                path, departure_time_s, self.parameters.qualification_window_minutes
-            )
-        )
-
-    def is_applicable(self, path: Path, departure_time_s: float) -> bool:
-        """True when at least beta qualified trajectories exist for the query."""
-        return self.qualified_count(path, departure_time_s) >= self.parameters.beta
-
     def estimate(self, path: Path, departure_time_s: float) -> CostEstimate:
         """The ground-truth distribution ``D_GT(P, t)``.
 

@@ -94,10 +94,6 @@ class Decomposition:
     def paths(self) -> list[Path]:
         return [element.path for element in self.elements]
 
-    @property
-    def variables(self) -> list:
-        return [element.variable for element in self.elements]
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -118,14 +118,6 @@ class HybridGraph:
         interval = interval_of(departure_time_s, self.parameters.alpha_minutes)
         return self._variables.get((path.edge_ids, interval.index))
 
-    def variable_for(self, path: Path, interval_index: int) -> InstantiatedVariable | None:
-        """The variable for ``path`` during the interval with the given index."""
-        return self._variables.get((path.edge_ids, interval_index))
-
-    def variables_for_path(self, path: Path) -> list[InstantiatedVariable]:
-        """All instantiated variables for ``path``, across intervals."""
-        return list(self._by_path.get(path.edge_ids, ()))
-
     def variables_on(self, edge_ids: tuple[int, ...]) -> Sequence[InstantiatedVariable]:
         """The variables on exactly ``edge_ids``, across intervals, in insertion order.
 

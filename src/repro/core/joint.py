@@ -217,11 +217,6 @@ class PropagatedJoint:
         default_factory=dict, repr=False, compare=False
     )
 
-    @property
-    def nbytes(self) -> int:
-        """Actual bytes of the accumulated-cost cell arrays (true footprint)."""
-        return int(self.cell_lows.nbytes + self.cell_highs.nbytes + self.cell_probs.nbytes)
-
     def cost_histogram(self, max_buckets: int | None = 64) -> Histogram1D:
         """Collapse into the path's univariate cost distribution (Section 4.2).
 

@@ -70,45 +70,6 @@ class RelevantVariable:
         return self.variable.path
 
 
-def shift_and_enlarge(
-    interval: tuple[float, float], unit_variable: InstantiatedVariable
-) -> tuple[float, float]:
-    """The SAE operation: shift a departure interval across one edge.
-
-    ``SAE([ts, te], V_e) = [ts + V_e.min, te + V_e.max]`` where ``V_e.min``
-    and ``V_e.max`` are the minimum and maximum travel times recorded in the
-    unit-path variable of the edge.
-    """
-    start, end = interval
-    if end < start:
-        raise EstimationError(f"invalid departure interval [{start}, {end}]")
-    min_cost, max_cost = unit_variable.cost_range
-    return start + min_cost, end + max_cost
-
-
-def updated_departure_interval(
-    hybrid_graph: HybridGraph,
-    query_path: Path,
-    departure_time_s: float,
-    edge_position: int,
-) -> tuple[float, float]:
-    """The updated departure interval ``UI_k`` on the query path (Equation 3).
-
-    ``edge_position`` is the zero-based index of the edge within the query
-    path; position 0 returns the degenerate interval ``[t, t]``.
-    """
-    if not 0 <= edge_position < len(query_path):
-        raise EstimationError(
-            f"edge position {edge_position} out of range for path of length {len(query_path)}"
-        )
-    interval = (float(departure_time_s), float(departure_time_s))
-    for position in range(edge_position):
-        edge_id = query_path.edge_ids[position]
-        midpoint = (interval[0] + interval[1]) / 2.0
-        interval = shift_and_enlarge(interval, hybrid_graph.unit_variable_at(edge_id, midpoint))
-    return interval
-
-
 class CandidateArray:
     """The two-dimensional array of spatio-temporally relevant variables (Table 1).
 
@@ -140,9 +101,6 @@ class CandidateArray:
 
     def __len__(self) -> int:
         return len(self._rows)
-
-    def total_variables(self) -> int:
-        return sum(len(row) for row in self._rows)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         ranks = [row[-1].rank for row in self._rows]

@@ -62,10 +62,6 @@ class InstantiatedVariable:
         """The paper's rank: the cardinality of the variable's path."""
         return len(self.path)
 
-    @property
-    def is_unit(self) -> bool:
-        return self.rank == 1
-
     @cached_property
     def _unit_joint(self) -> MultiHistogram:
         """Cached 1-D wrapping of a unit variable's histogram.

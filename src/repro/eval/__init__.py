@@ -1,7 +1,7 @@
 """Evaluation harness: datasets, metrics, and one function per paper figure."""
 
 from .datasets import ExperimentDataset, build_dataset
-from .metrics import coverage_ratio, kl_to_ground_truth, mean_entropy
+from .metrics import coverage_ratio, kl_to_ground_truth
 from .sparseness import fig03_sparseness
 from .independence import fig04_independence
 from .experiments import (
@@ -17,7 +17,6 @@ from .experiments import (
     fig15_entropy,
     fig16_efficiency,
     fig17_breakdown,
-    fig18_routing,
 )
 from .reporting import render_series, render_table
 
@@ -39,9 +38,7 @@ __all__ = [
     "fig15_entropy",
     "fig16_efficiency",
     "fig17_breakdown",
-    "fig18_routing",
     "kl_to_ground_truth",
-    "mean_entropy",
     "render_series",
     "render_table",
 ]

@@ -177,21 +177,6 @@ class ExperimentDataset:
         return self.store.without_trajectories(excluded)
 
     # ------------------------------------------------------------------ #
-    def random_query_paths(
-        self, cardinality: int, n_paths: int, seed: int = 0
-    ) -> list[Path]:
-        """Random query paths of a given cardinality (for the no-ground-truth experiments)."""
-        from ..roadnet.routing import random_path
-
-        rng = np.random.default_rng(seed)
-        paths: list[Path] = []
-        attempts = 0
-        while len(paths) < n_paths and attempts < n_paths * 30:
-            attempts += 1
-            path = random_path(self.network, cardinality, rng)
-            if path is not None:
-                paths.append(path)
-        return paths
 
     def query_workload(
         self,

@@ -17,13 +17,13 @@ cardinality -- are what the reproduction checks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import EstimatorParameters
 from ..core.baselines import HPBaseline, LegacyBaseline, RandomDecompositionEstimator
-from ..core.estimator import CostEstimate, PathCostEstimator
+from ..core.estimator import PathCostEstimator
 from ..exceptions import EstimationError
 from ..histograms.autobuckets import (
     auto_bucket_count,
@@ -36,9 +36,7 @@ from ..histograms.raw import RawDistribution
 from ..histograms.univariate import Histogram1D
 from ..histograms.vopt import equal_width_boundaries
 from ..roadnet.path import Path
-from ..roadnet.routing import ReverseBoundsIndex
-from ..routing.dfs_router import DFSStochasticRouter
-from .datasets import EvaluationCase, ExperimentDataset
+from .datasets import ExperimentDataset
 from .metrics import coverage_ratio, kl_to_ground_truth
 
 
@@ -509,87 +507,6 @@ def fig17_breakdown(
                 steps[step].append(estimate.timings_s.get(step, 0.0))
         result[fraction] = {step: float(np.mean(values)) for step, values in steps.items()}
     return BreakdownResult(dataset.name, result)
-
-
-# ====================================================================== #
-# Figure 18 -- stochastic routing run time
-# ====================================================================== #
-@dataclass(frozen=True)
-class RoutingTimeResult:
-    """Figure 18: mean stochastic-routing time per estimator and budget.
-
-    ``truncated_rate`` is the fraction of searches that gave up on the
-    expansion budget (``RouteResult.truncated``) rather than exhausting
-    the candidate space -- the flag that distinguishes "no path meets the
-    budget" from "the search was cut short".
-    """
-
-    dataset_name: str
-    mean_seconds: dict[float, dict[str, float]]
-    success_rate: dict[float, dict[str, float]]
-    truncated_rate: dict[float, dict[str, float]] = field(default_factory=dict)
-
-
-def fig18_routing(
-    dataset: ExperimentDataset,
-    budgets_s: tuple[float, ...] = (600.0, 1200.0, 1800.0),
-    n_pairs: int = 8,
-    max_path_edges: int = 25,
-    max_expansions: int = 1500,
-    seed: int = 0,
-) -> RoutingTimeResult:
-    """Reproduce Figure 18: LB-DFS vs HP-DFS vs OD-DFS routing time."""
-    graph = dataset.hybrid_graph()
-    parameters = dataset.parameters
-    estimators = {
-        "LB-DFS": LegacyBaseline(graph, parameters),
-        "HP-DFS": HPBaseline(graph, parameters),
-        "OD-DFS": PathCostEstimator(graph, parameters),
-    }
-    rng = np.random.default_rng(seed)
-    vertices = [vertex.vertex_id for vertex in dataset.network.vertices()]
-    pairs: list[tuple[int, int]] = []
-    attempts = 0
-    while len(pairs) < n_pairs and attempts < n_pairs * 20:
-        attempts += 1
-        source, target = (int(v) for v in rng.choice(vertices, size=2, replace=False))
-        pairs.append((source, target))
-    departure = 8.0 * 3600.0
-
-    # Free-flow bounds are estimator-independent: share one index across
-    # every (pair, estimator, budget) router so each target pays a single
-    # reverse-Dijkstra sweep -- prewarmed so no estimator's timings absorb
-    # the sweeps.
-    bounds_index = ReverseBoundsIndex(dataset.network)
-    for _, target in pairs:
-        bounds_index.bounds_to(target)
-    times: dict[float, dict[str, float]] = {}
-    success: dict[float, dict[str, float]] = {}
-    truncated: dict[float, dict[str, float]] = {}
-    for budget in budgets_s:
-        per_method_time: dict[str, list[float]] = {name: [] for name in estimators}
-        per_method_found: dict[str, list[float]] = {name: [] for name in estimators}
-        per_method_truncated: dict[str, list[float]] = {name: [] for name in estimators}
-        for source, target in pairs:
-            for name, estimator in estimators.items():
-                router = DFSStochasticRouter(
-                    dataset.network,
-                    estimator,
-                    max_path_edges=max_path_edges,
-                    max_expansions=max_expansions,
-                    bounds_index=bounds_index,
-                    edge_cost_bounds=graph.edge_cost_bounds,
-                )
-                outcome = router.find_route(source, target, departure, budget)
-                per_method_time[name].append(outcome.elapsed_s)
-                per_method_found[name].append(1.0 if outcome.found else 0.0)
-                per_method_truncated[name].append(1.0 if outcome.truncated else 0.0)
-        times[budget] = {name: float(np.mean(values)) for name, values in per_method_time.items()}
-        success[budget] = {name: float(np.mean(values)) for name, values in per_method_found.items()}
-        truncated[budget] = {
-            name: float(np.mean(values)) for name, values in per_method_truncated.items()
-        }
-    return RoutingTimeResult(dataset.name, times, success, truncated)
 
 
 # ====================================================================== #

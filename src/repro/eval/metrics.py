@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from ..core.estimator import CostEstimate
 from ..core.hybrid_graph import HybridGraph
 from ..histograms.divergence import histogram_kl_divergence
@@ -17,14 +13,6 @@ def kl_to_ground_truth(ground_truth: CostEstimate, estimate: CostEstimate) -> fl
     return histogram_kl_divergence(ground_truth.histogram, estimate.histogram)
 
 
-def mean_entropy(estimates: Sequence[CostEstimate]) -> float:
-    """Average entropy ``H_DE`` over a collection of estimates (Figure 15)."""
-    values = [estimate.entropy for estimate in estimates if np.isfinite(estimate.entropy)]
-    if not values:
-        return float("nan")
-    return float(np.mean(values))
-
-
 def coverage_ratio(hybrid_graph: HybridGraph, store: TrajectoryStore) -> float:
     """The paper's coverage: |edges with instantiated variables| / |edges with GPS data|."""
     observed = store.covered_edges()
@@ -32,12 +20,3 @@ def coverage_ratio(hybrid_graph: HybridGraph, store: TrajectoryStore) -> float:
         return 0.0
     covered = hybrid_graph.covered_edges()
     return len(covered & observed) / len(observed)
-
-
-def mean_runtime_s(estimates: Sequence[CostEstimate], key: str = "total") -> float:
-    """Average wall-clock time of the given step across estimates."""
-    values = [estimate.timings_s.get(key, float("nan")) for estimate in estimates]
-    values = [value for value in values if np.isfinite(value)]
-    if not values:
-        return float("nan")
-    return float(np.mean(values))

@@ -247,10 +247,6 @@ class AdmissionQueue:
             self._not_full.notify_all()
             return leftovers
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def depth(self, lane: str | None = None) -> int:
         """Queued tickets in ``lane`` (or across all lanes)."""
         with self._lock:

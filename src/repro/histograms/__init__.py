@@ -7,27 +7,22 @@ loop implementations the kernels are property-tested against.
 
 from . import kernels
 from .kernels import FusedFoldBackend
-from .raw import RawDistribution, raw_from_pairs
+from .raw import RawDistribution
 from .vopt import (
     equal_width_boundaries,
     v_optimal_all_boundaries,
     v_optimal_boundaries,
-    v_optimal_error,
 )
 from .univariate import (
     Bucket,
     Histogram1D,
     convolve_many,
-    rearrange_buckets,
 )
 from .multivariate import MultiHistogram
 from .autobuckets import (
     auto_bucket_count,
     build_auto_histogram,
     build_static_histogram,
-    cross_validated_error,
-    cross_validated_errors,
-    heuristic_bucket_count,
 )
 from .parametric import ExponentialFit, GammaFit, GaussianFit, fit_distribution
 from .divergence import (
@@ -51,20 +46,14 @@ __all__ = [
     "build_auto_histogram",
     "build_static_histogram",
     "convolve_many",
-    "cross_validated_error",
-    "cross_validated_errors",
     "earth_movers_distance",
     "entropy_of_histogram",
     "equal_width_boundaries",
     "fit_distribution",
-    "heuristic_bucket_count",
     "histogram_kl_divergence",
     "kernels",
     "kl_divergence_from_samples",
-    "raw_from_pairs",
-    "rearrange_buckets",
     "total_variation_distance",
     "v_optimal_all_boundaries",
     "v_optimal_boundaries",
-    "v_optimal_error",
 ]

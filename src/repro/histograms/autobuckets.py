@@ -187,32 +187,6 @@ def _cross_validated_errors(
     return totals / folds[:, None]
 
 
-def cross_validated_errors(
-    distribution: RawDistribution,
-    max_buckets: int,
-    n_folds: int = 5,
-    rng: np.random.Generator | None = None,
-) -> list[float]:
-    """The paper's ``E_b`` for every ``b`` in ``1..max_buckets``."""
-    if max_buckets < 1:
-        raise HistogramError(f"max_buckets must be >= 1, got {max_buckets}")
-    rng = rng or np.random.default_rng(0)
-    errors = _cross_validated_errors(
-        *distribution.as_batch(), np.array([max_buckets]), n_folds, [rng]
-    )
-    return list(errors[0])
-
-
-def cross_validated_error(
-    distribution: RawDistribution,
-    n_buckets: int,
-    n_folds: int = 5,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """The paper's ``E_b`` for a single bucket count ``b``."""
-    return cross_validated_errors(distribution, n_buckets, n_folds, rng)[n_buckets - 1]
-
-
 def _auto_bucket_counts(
     values: np.ndarray,
     n: np.ndarray,
@@ -307,11 +281,6 @@ def heuristic_bucket_counts(values: np.ndarray, n: np.ndarray, max_buckets: int 
     with np.errstate(over="ignore"):  # a denormal width: infinitely many buckets, capped
         count = np.ceil(spread / np.where(usable, width, 1.0))
     return np.where(usable, np.clip(count, 1, max_buckets), 1).astype(np.intp)
-
-
-def heuristic_bucket_count(distribution: RawDistribution, max_buckets: int = 6) -> int:
-    """:func:`heuristic_bucket_counts` for one distribution."""
-    return int(heuristic_bucket_counts(*distribution.as_batch(), max_buckets)[0])
 
 
 def build_auto_histograms(

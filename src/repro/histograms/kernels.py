@@ -24,8 +24,8 @@ Three kernel families live here:
   truncation churn of the legacy ``convolve_many``), and
   :func:`rearrange_convolve_coarsen` is its *fused* counterpart: each fold
   step deposits the pairwise sums straight onto a fixed working grid
-  (:func:`deposit_onto_grid`) without sorting boundaries or materialising
-  the intermediate rearranged triple;
+  without sorting boundaries or materialising the intermediate rearranged
+  triple;
 * **batched** kernels: :func:`batch_cdf` evaluates many histograms' CDFs
   with a single interpolation call, and :func:`grouped_rearrange_coarsen`
   rearranges and truncates many cell groups (one per separator combination
@@ -268,22 +268,6 @@ def _range_difference_arrays(
     intercept -= np.bincount(first_past, weights=densities * lows, minlength=length)
     const = np.bincount(first_past, weights=probs, minlength=length)
     return slope, intercept, const
-
-
-def deposit_onto_grid(
-    lows: np.ndarray, highs: np.ndarray, probs: np.ndarray, edges: np.ndarray
-) -> np.ndarray:
-    """Project possibly-overlapping weighted ranges onto a monotone edge grid.
-
-    Returns the mass landing in each ``[edges[j], edges[j+1])`` cell
-    (length ``edges.size - 1``), assuming uniform mass within each range.
-    This is ``rearrange`` + ``coarsen`` collapsed into one O(R + G) pass:
-    no boundary sort and no intermediate disjoint triple -- exactly the
-    memory-traffic the fused path fold avoids.  Mass outside the grid's
-    span is clamped onto the boundary cells only insofar as ranges extend
-    past the edges (callers build grids spanning the full support).
-    """
-    return _grid_masses(edges, *_range_difference_arrays(lows, highs, probs, edges))
 
 
 def _grid_masses(

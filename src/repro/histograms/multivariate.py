@@ -23,9 +23,6 @@ from ..exceptions import HistogramError
 from . import kernels
 from .univariate import Histogram1D
 
-#: Hard cap used when a caller asks for the dense probability tensor.
-_DENSE_CELL_LIMIT = 2_000_000
-
 
 class MultiHistogram:
     """Joint cost distribution of a path's edges, stored sparsely."""
@@ -190,19 +187,6 @@ class MultiHistogram:
         return histograms
 
     @classmethod
-    def from_dense(
-        cls,
-        dims: Sequence[int],
-        boundaries: Sequence[Sequence[float]],
-        tensor: np.ndarray,
-    ) -> "MultiHistogram":
-        """Build from a dense probability tensor (small dimension counts only)."""
-        tensor = np.asarray(tensor, dtype=float)
-        nonzero = np.argwhere(tensor > 0)
-        probs = tensor[tuple(nonzero.T)]
-        return cls(dims, boundaries, nonzero, probs)
-
-    @classmethod
     def _adopt_cells(
         cls,
         dims: Sequence[int],
@@ -239,25 +223,6 @@ class MultiHistogram:
         indices = np.searchsorted(edges, histogram.lows[keep])[:, None]
         return cls([dim], [edges], indices.astype(np.int64), histogram.probabilities[keep])
 
-    @classmethod
-    def independent_product(cls, marginals: Sequence[tuple[int, Histogram1D]]) -> "MultiHistogram":
-        """Joint histogram assuming independence across the given marginals.
-
-        Intended for small numbers of dimensions (tests and the HP baseline);
-        the number of occupied cells is the product of the marginals' bucket
-        counts.
-        """
-        if not marginals:
-            raise HistogramError("need at least one marginal")
-        dims = [dim for dim, _ in marginals]
-        boundaries = [histogram.boundary_values() for _, histogram in marginals]
-        probs = np.array(marginals[0][1].probabilities)
-        for _, histogram in marginals[1:]:
-            probs = np.multiply.outer(probs, np.array(histogram.probabilities))
-        if probs.size > _DENSE_CELL_LIMIT:
-            raise HistogramError("independent_product would create too many hyper-buckets")
-        return cls.from_dense(dims, boundaries, probs)
-
     # ------------------------------------------------------------------ #
     # Inspection
     # ------------------------------------------------------------------ #
@@ -286,14 +251,6 @@ class MultiHistogram:
         view = self._probs.view()
         view.flags.writeable = False
         return view
-
-    def dense_probabilities(self) -> np.ndarray:
-        """The dense probability tensor (only for small grids; raises otherwise)."""
-        if int(np.prod(self.grid_shape)) > _DENSE_CELL_LIMIT:
-            raise HistogramError("grid too large to densify")
-        tensor = np.zeros(self.grid_shape)
-        tensor[tuple(self._indices.T)] = self._probs
-        return tensor
 
     def boundaries_of(self, dim: int) -> np.ndarray:
         """Bucket boundaries of the given dimension label."""
@@ -353,40 +310,6 @@ class MultiHistogram:
         indices, probs = _deduplicate_cells(projected, self._probs)
         boundaries = [self._boundaries[axis] for axis in axes]
         return MultiHistogram(list(dims), boundaries, indices, probs)
-
-    def marginal_1d(self, dim: int) -> Histogram1D:
-        """Marginal distribution of one dimension as a 1-D histogram."""
-        axis = self.axis_of(dim)
-        edges = self._boundaries[axis]
-        probs = np.zeros(edges.size - 1)
-        np.add.at(probs, self._indices[:, axis], self._probs)
-        return Histogram1D.from_boundaries(list(edges), list(probs))
-
-    def conditional_cells(
-        self, dims: Sequence[int], bucket_indices: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Occupied cells compatible with the given bucket indices of ``dims``.
-
-        Returns ``(indices, probabilities)`` over *all* dimensions with the
-        probabilities renormalised; falls back to the unconditioned cells
-        when the conditioning slice has no mass (the "no information" case).
-        """
-        if len(dims) != len(bucket_indices):
-            raise HistogramError("dims and bucket_indices must have equal length")
-        mask = np.ones(self.n_hyper_buckets(), dtype=bool)
-        for dim, index in zip(dims, bucket_indices):
-            mask &= self._indices[:, self.axis_of(dim)] == index
-        if not np.any(mask):
-            indices, probs = self._indices, self._probs
-        else:
-            indices, probs = self._indices[mask], self._probs[mask]
-        return indices, probs / probs.sum()
-
-    def bucket_index_for(self, dim: int, value: float) -> int:
-        """Index of the bucket of ``dim`` containing ``value`` (clamped to the range)."""
-        edges = self._boundaries[self.axis_of(dim)]
-        index = int(np.searchsorted(edges, value, side="right")) - 1
-        return int(np.clip(index, 0, edges.size - 2))
 
     # ------------------------------------------------------------------ #
     # Path-cost transformation (Section 4.2)

@@ -57,21 +57,11 @@ class RawDistribution:
     def mean(self) -> float:
         return float(self._values.mean())
 
-    @property
-    def std(self) -> float:
-        return float(self._values.std())
-
     def quantile(self, q: float) -> float:
         """Empirical quantile for ``q`` in [0, 1]."""
         if not 0.0 <= q <= 1.0:
             raise HistogramError(f"quantile level must be in [0, 1], got {q}")
         return float(np.quantile(self._values, q))
-
-    def probability_pairs(self) -> list[tuple[float, float]]:
-        """Distinct ``(cost, percentage)`` pairs, matching the paper's form."""
-        unique, counts = np.unique(self._values, return_counts=True)
-        total = float(counts.sum())
-        return [(float(v), float(c) / total) for v, c in zip(unique, counts)]
 
     def storage_size(self) -> int:
         """Number of scalar entries needed to store the raw ``(cost, frequency)`` pairs.
@@ -95,14 +85,6 @@ class RawDistribution:
         permuted = rng.permutation(self._values)
         folds = np.array_split(permuted, n_folds)
         return [RawDistribution(fold) for fold in folds if fold.size > 0]
-
-    def subsample(self, fraction: float, rng: np.random.Generator) -> "RawDistribution":
-        """A random subsample containing ``fraction`` of the values (at least one)."""
-        if not 0.0 < fraction <= 1.0:
-            raise HistogramError(f"fraction must be in (0, 1], got {fraction}")
-        count = max(1, int(round(self.n * fraction)))
-        chosen = rng.choice(self._values, size=count, replace=False)
-        return RawDistribution(chosen)
 
     def merge(self, other: "RawDistribution") -> "RawDistribution":
         """The raw distribution of the concatenated multisets."""
@@ -136,18 +118,3 @@ def sorted_batch(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
     values[np.arange(values.shape[1]) < lengths[:, None]] = flat
     values.sort(axis=1)
     return values, lengths
-
-
-def raw_from_pairs(pairs: Sequence[tuple[float, float]], total_count: int = 1000) -> RawDistribution:
-    """Expand ``(cost, percentage)`` pairs back into an approximate multiset.
-
-    Convenience for tests and examples that specify distributions in the
-    paper's ``(cost, perc)`` notation.
-    """
-    if not pairs:
-        raise HistogramError("need at least one (cost, percentage) pair")
-    values: list[float] = []
-    for cost, perc in pairs:
-        count = max(1, int(round(perc * total_count)))
-        values.extend([cost] * count)
-    return RawDistribution(values)

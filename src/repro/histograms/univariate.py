@@ -57,33 +57,11 @@ class Bucket:
     def contains(self, value: float) -> bool:
         return self.lower <= value < self.upper
 
-    def overlap_width(self, other: "Bucket") -> float:
-        """Width of the overlap between this bucket and ``other`` (0 if disjoint)."""
-        return max(0.0, min(self.upper, other.upper) - max(self.lower, other.lower))
-
     def shift(self, offset: float) -> "Bucket":
         return Bucket(self.lower + offset, self.upper + offset)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"[{self.lower:.3g}, {self.upper:.3g})"
-
-
-def rearrange_buckets(weighted_buckets: Iterable[tuple[Bucket, float]]) -> "Histogram1D":
-    """Combine possibly-overlapping weighted buckets into a disjoint histogram.
-
-    This implements the bucket rearrangement of Section 4.2: the real line
-    is split at every bucket boundary, and each original bucket contributes
-    to a refined bucket proportionally to the overlap width (uniform mass
-    within a bucket).  The result is a valid, disjoint histogram.
-
-    This is the object-level entry point; internal callers that already
-    hold arrays use :func:`repro.histograms.kernels.rearrange` directly.
-    """
-    items = list(weighted_buckets)
-    lows = np.fromiter((bucket.lower for bucket, _ in items), dtype=float, count=len(items))
-    highs = np.fromiter((bucket.upper for bucket, _ in items), dtype=float, count=len(items))
-    probs = np.fromiter((prob for _, prob in items), dtype=float, count=len(items))
-    return Histogram1D._from_trusted_arrays(*kernels.rearrange(lows, highs, probs))
 
 
 class Histogram1D:
@@ -224,12 +202,6 @@ class Histogram1D:
     def from_raw(cls, distribution: RawDistribution, boundaries: Sequence[float]) -> "Histogram1D":
         """Histogram of a raw distribution using the provided boundaries."""
         return cls.from_values(distribution.values, boundaries)
-
-    @classmethod
-    def point_mass(cls, value: float, half_width: float = 0.5) -> "Histogram1D":
-        """A narrow single-bucket histogram centred on ``value``."""
-        half_width = max(half_width, 1e-9)
-        return cls([Bucket(value - half_width, value + half_width)], [1.0])
 
     @classmethod
     def uniform(cls, lower: float, upper: float) -> "Histogram1D":

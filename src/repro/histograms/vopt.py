@@ -355,18 +355,3 @@ def v_optimal_boundaries(distribution: RawDistribution, n_buckets: int) -> list[
     if n_buckets < 1:
         raise HistogramError(f"n_buckets must be >= 1, got {n_buckets}")
     return _boundaries_of(distribution, np.array([n_buckets]))[0]
-
-
-def v_optimal_error(distribution: RawDistribution, n_buckets: int) -> float:
-    """The optimal within-bucket squared error achieved with ``n_buckets``."""
-    boundaries = v_optimal_boundaries(distribution, n_buckets)
-    costs, freqs, m = _value_frequencies(*distribution.as_batch())
-    values, freqs = costs[0, : m[0]], freqs[0, : m[0]]
-    error = 0.0
-    for low, high in zip(boundaries[:-1], boundaries[1:]):
-        mask = (values >= low) & (values < high)
-        if not np.any(mask):
-            continue
-        group = freqs[mask]
-        error += float(np.sum((group - group.mean()) ** 2))
-    return error

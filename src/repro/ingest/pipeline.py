@@ -31,7 +31,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import Counter, deque
+from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..config import IngestParameters
@@ -145,7 +145,6 @@ class TrajectoryIngestPipeline:
         self._submitted = 0
         self._accepted = 0
         self._skip_reasons: Counter[str] = Counter()
-        self._recent_skips: deque[IngestResult] = deque(maxlen=64)
         self._pending_dirty: set[int] = set()
         self._invalidated_results = 0
         self._invalidated_decompositions = 0
@@ -388,11 +387,6 @@ class TrajectoryIngestPipeline:
                 refreshes=self._refreshes,
             )
 
-    def recent_skips(self) -> list[IngestResult]:
-        """The most recent skipped items, oldest first (bounded window)."""
-        with self._lock:
-            return list(self._recent_skips)
-
     def register_metrics(self, registry: "MetricsRegistry") -> "MetricsRegistry":
         """Expose the write path's live stats through a telemetry registry.
 
@@ -495,7 +489,6 @@ class TrajectoryIngestPipeline:
     def _record_skip(self, result: IngestResult) -> None:
         with self._lock:
             self._skip_reasons[result.reason or REASON_ERROR] += 1
-            self._recent_skips.append(result)
 
     def _commit(
         self, matched_batch: list[MatchedTrajectory]

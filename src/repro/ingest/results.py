@@ -122,14 +122,6 @@ class IngestStats:
     invalidated_routes: int = 0
     refreshes: int = 0
 
-    @property
-    def match_failure_rate(self) -> float:
-        """Fraction of processed items that were skipped (0.0 when idle)."""
-        processed = self.accepted + self.skipped
-        if processed == 0:
-            return 0.0
-        return self.skipped / processed
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"IngestStats(submitted={self.submitted}, accepted={self.accepted}, "

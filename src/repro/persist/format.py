@@ -13,10 +13,11 @@ A snapshot is a **directory** containing
   views into the snapshot file and worker processes restoring the same
   snapshot share the OS page cache).
 
-The write protocol is crash-safe by ordering: array blobs are written
-first, the manifest last (to a temporary file, then atomically renamed).
-A directory without a readable manifest is never a valid snapshot, so a
-crashed writer can not produce a half-snapshot that loads.
+The write protocol is crash-safe by ordering: an existing manifest is
+removed first, array blobs are written next, the manifest last (to a
+temporary file, then atomically renamed).  A directory without a readable
+manifest is never a valid snapshot, so a crashed writer can not produce a
+half-snapshot, or a mix of an old and a new one, that loads.
 
 Versioning is strict: :func:`read_manifest` refuses snapshots whose
 ``version`` differs from :data:`FORMAT_VERSION`, or whose kind is not
@@ -151,19 +152,3 @@ def load_array(
         raise PersistError(f"snapshot array file missing: {path}") from error
     except (ValueError, OSError, EOFError) as error:
         raise PersistError(f"snapshot array {name!r} is unreadable ({path}): {error}") from error
-
-
-def snapshot_payload_bytes(directory: str | os.PathLike, prefix: str | None = None) -> int:
-    """Total on-disk bytes of a snapshot's array blobs.
-
-    With ``prefix`` given, only logical arrays whose name starts with it
-    are counted (e.g. ``"uni_"`` + ``"multi_"`` for the variable payload).
-    """
-    manifest = read_manifest(directory)
-    directory = FSPath(directory)
-    total = 0
-    for name, filename in manifest.get("arrays", {}).items():
-        if prefix is not None and not name.startswith(prefix):
-            continue
-        total += (directory / filename).stat().st_size
-    return total

@@ -52,7 +52,7 @@ from ..core.variables import (
     SOURCE_TRAJECTORIES,
     InstantiatedVariable,
 )
-from ..exceptions import PersistError
+from ..exceptions import GraphError, PathError, PersistError
 from ..histograms.multivariate import MultiHistogram
 from ..histograms.univariate import Histogram1D
 from ..roadnet.graph import RoadNetwork
@@ -342,11 +342,31 @@ def decode_cache_entries(
 # --------------------------------------------------------------------- #
 # Restore
 # --------------------------------------------------------------------- #
+def _decoded(directory, section: str, decode, *args):
+    """``decode(*args)``, with a blob that decodes to nonsense (an offset past
+    its column, an index out of range, an edge naming no vertex) raised as
+    :class:`PersistError` naming the directory and section."""
+    try:
+        return decode(*args)
+    except (ValueError, IndexError, GraphError, PathError) as error:
+        raise PersistError(
+            f"snapshot {os.fspath(directory)}: cannot decode its {section} section: "
+            f"{type(error).__name__}: {error}"
+        ) from error
+
+
 def restore_snapshot(directory, mmap: bool = True) -> RestoredSnapshot:
-    """Restore a snapshot directory."""
+    """Restore a snapshot directory.
+
+    Every failure to read or decode it is a :class:`PersistError`.  Blobs
+    carry no checksums, so a corrupted value that still decodes to a valid
+    graph is not detected.
+    """
     directory = FSPath(directory)
     manifest = fmt.read_manifest(directory)
-    graph = _decode_graph(directory, manifest, mmap) if manifest.get("graph") else None
+    graph = None
+    if manifest.get("graph"):
+        graph = _decoded(directory, "graph", _decode_graph, directory, manifest, mmap)
     store_section = None
     if manifest.get("store"):
         store_section = StoreSection(
@@ -355,7 +375,9 @@ def restore_snapshot(directory, mmap: bool = True) -> RestoredSnapshot:
     return RestoredSnapshot(
         manifest=manifest,
         graph=graph,
-        cache_entries=decode_cache_entries(directory, manifest, mmap),
+        cache_entries=_decoded(
+            directory, "cache", decode_cache_entries, directory, manifest, mmap
+        ),
         store_section=store_section,
     )
 

@@ -25,6 +25,7 @@ encoding, so writing the same graph twice produces byte-identical blobs.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import asdict
 from pathlib import Path as FSPath
@@ -239,6 +240,25 @@ def _store_type_name(store: TrajectoryStore) -> str:
 # --------------------------------------------------------------------- #
 # Snapshot writer
 # --------------------------------------------------------------------- #
+def _named_blobs(directory: FSPath) -> set[str]:
+    """The blob files the directory's manifest names (none without a readable one).
+
+    Only plain ``.npy`` file names count, so a re-save never removes a file
+    outside the directory whatever the old manifest says.
+    """
+    try:
+        file_map = json.loads(fmt.manifest_path(directory).read_text()).get("arrays")
+    except (OSError, ValueError, AttributeError):
+        return set()
+    if not isinstance(file_map, dict):
+        return set()
+    return {
+        name
+        for name in file_map.values()
+        if isinstance(name, str) and name.endswith(".npy") and FSPath(name).name == name
+    }
+
+
 def write_snapshot(
     directory,
     *,
@@ -252,8 +272,11 @@ def write_snapshot(
 
     ``epoch`` tags the snapshot with the ingest epoch it captures; it
     defaults to the store's version (mutable stores) or trajectory count.
-    Array blobs are written before the manifest, so an interrupted write
-    never yields a loadable half-snapshot.
+    Array blobs are written before the manifest, and a directory that
+    already holds a snapshot loses its manifest before the first blob is
+    overwritten, so an interrupted write never yields a loadable
+    half-snapshot or a mix of two.  Blobs only the replaced manifest named
+    are removed once the new manifest is in place.
     """
     directory = FSPath(directory)
     if graph is None and store is None:
@@ -304,6 +327,10 @@ def write_snapshot(
     manifest["cache"] = cache_meta
     manifest["service"] = service_info
 
+    replaced = _named_blobs(directory)
+    fmt.manifest_path(directory).unlink(missing_ok=True)
     manifest["arrays"] = fmt.write_arrays(directory, arrays)
     fmt.write_manifest(directory, manifest)
+    for filename in replaced - set(manifest["arrays"].values()):
+        (directory / filename).unlink(missing_ok=True)
     return manifest

@@ -10,14 +10,13 @@ from .generators import (
 )
 from .routing import (
     ReverseBoundsIndex,
-    astar_path,
     dijkstra,
     k_shortest_paths,
     random_path,
     reverse_dijkstra,
     shortest_path,
 )
-from .spatial import Point, haversine_m, project_point_to_segment
+from .spatial import Point, project_point_to_segment
 
 __all__ = [
     "Edge",
@@ -27,11 +26,9 @@ __all__ = [
     "RoadNetwork",
     "Vertex",
     "aalborg_like",
-    "astar_path",
     "beijing_like",
     "dijkstra",
     "grid_network",
-    "haversine_m",
     "k_shortest_paths",
     "project_point_to_segment",
     "random_path",

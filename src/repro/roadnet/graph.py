@@ -19,8 +19,8 @@ that want the richer library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
 
 from ..exceptions import GraphError
 from .spatial import Point
@@ -191,11 +191,6 @@ class RoadNetwork:
         except KeyError:
             raise GraphError(f"unknown edge {edge_id}") from None
 
-    def edge_between(self, source: int, target: int) -> Edge | None:
-        """Return the edge from ``source`` to ``target`` or ``None``."""
-        edge_id = self._edge_by_endpoints.get((source, target))
-        return None if edge_id is None else self._edges[edge_id]
-
     def out_edges(self, vertex_id: int) -> list[Edge]:
         """Outgoing edges of ``vertex_id``."""
         if vertex_id not in self._vertices:
@@ -218,10 +213,6 @@ class RoadNetwork:
         first = self.edge(first_edge_id)
         second = self.edge(second_edge_id)
         return first.target == second.source
-
-    def total_length_m(self) -> float:
-        """Total directed length of the network in metres."""
-        return sum(edge.length_m for edge in self._edges.values())
 
     # ------------------------------------------------------------------ #
     # Interoperability
@@ -250,25 +241,6 @@ class RoadNetwork:
                 free_flow_time_s=edge.free_flow_time_s,
             )
         return graph
-
-    @classmethod
-    def from_edge_list(
-        cls,
-        vertices: Iterable[tuple[int, float, float]],
-        edges: Iterable[tuple[int, int, float, float, str]],
-        name: str = "road-network",
-    ) -> "RoadNetwork":
-        """Build a network from explicit vertex and edge tuples.
-
-        ``vertices`` yields ``(vertex_id, x, y)``; ``edges`` yields
-        ``(source, target, length_m, speed_limit_kmh, category)``.
-        """
-        network = cls(name=name)
-        for vertex_id, x, y in vertices:
-            network.add_vertex(vertex_id, x, y)
-        for source, target, length_m, speed, category in edges:
-            network.add_edge(source, target, length_m, speed, category)
-        return network
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"RoadNetwork({self.name!r}, |V|={self.num_vertices}, |E|={self.num_edges})"

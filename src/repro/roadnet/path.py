@@ -50,19 +50,6 @@ class Path:
         path.validate(network)
         return path
 
-    @classmethod
-    def from_vertices(cls, network: "RoadNetwork", vertex_ids: Sequence[int]) -> "Path":
-        """Build a path from a vertex sequence (consecutive vertices must be connected)."""
-        if len(vertex_ids) < 2:
-            raise PathError("need at least two vertices to form a path")
-        edge_ids = []
-        for source, target in zip(vertex_ids[:-1], vertex_ids[1:]):
-            edge = network.edge_between(source, target)
-            if edge is None:
-                raise PathError(f"no edge from vertex {source} to vertex {target}")
-            edge_ids.append(edge.edge_id)
-        return cls.from_edges(network, edge_ids)
-
     def validate(self, network: "RoadNetwork") -> None:
         """Raise :class:`PathError` if the path is invalid in ``network``.
 
@@ -134,23 +121,6 @@ class Path:
         span = len(needle)
         return any(haystack[i : i + span] == needle for i in range(len(haystack) - span + 1))
 
-    def is_proper_subpath_of(self, other: "Path") -> bool:
-        """True if this path is a sub-path of ``other`` and not equal to it."""
-        return self != other and self.is_subpath_of(other)
-
-    def index_in(self, other: "Path") -> int:
-        """Index of the first edge of this path within ``other``.
-
-        Raises :class:`PathError` if this path is not a sub-path of ``other``.
-        """
-        needle = self._edge_ids
-        haystack = other._edge_ids
-        span = len(needle)
-        for i in range(len(haystack) - span + 1):
-            if haystack[i : i + span] == needle:
-                return i
-        raise PathError(f"{self!r} is not a sub-path of {other!r}")
-
     def intersection(self, other: "Path") -> "Path | None":
         """The shared sub-path ``self ∩ other`` or ``None`` if they are disjoint.
 
@@ -177,37 +147,11 @@ class Path:
             return None
         return Path(remaining)
 
-    def concat(self, other: "Path") -> "Path":
-        """Concatenate two edge-disjoint paths (``self`` then ``other``)."""
-        overlap = set(self._edge_ids) & set(other._edge_ids)
-        if overlap:
-            raise PathError(f"cannot concatenate paths sharing edges {sorted(overlap)}")
-        return Path(self._edge_ids + other._edge_ids)
-
     def extend(self, edge_id: int) -> "Path":
         """Return a new path with ``edge_id`` appended ("path + another edge")."""
         if edge_id in self._edge_ids:
             raise PathError(f"edge {edge_id} already in path")
         return Path(self._edge_ids + (int(edge_id),))
-
-    def merge_overlapping(self, other: "Path") -> "Path | None":
-        """Merge two paths that overlap on a shared suffix/prefix.
-
-        Used by the bottom-up instantiation: two paths of cardinality
-        ``k - 1`` sharing ``k - 2`` edges combine into a path of
-        cardinality ``k``.  Returns ``None`` when the paths do not chain.
-        """
-        n = len(other)
-        # self's suffix must equal other's prefix of length n - 1 (or more generally,
-        # find the largest overlap where self[-k:] == other[:k]).
-        max_overlap = min(len(self), n) - 0
-        for k in range(max_overlap, 0, -1):
-            if self._edge_ids[-k:] == other._edge_ids[:k]:
-                merged = self._edge_ids + other._edge_ids[k:]
-                if len(set(merged)) != len(merged):
-                    return None
-                return Path(merged)
-        return None
 
     def prefix(self, n_edges: int) -> "Path":
         """The first ``n_edges`` edges of the path."""
@@ -220,20 +164,6 @@ class Path:
         if not 1 <= n_edges <= len(self):
             raise PathError(f"suffix length {n_edges} out of range for {self!r}")
         return Path(self._edge_ids[-n_edges:])
-
-    def subpaths(self, length: int) -> list["Path"]:
-        """All contiguous sub-paths with exactly ``length`` edges."""
-        if length < 1 or length > len(self):
-            return []
-        return [Path(self._edge_ids[i : i + length]) for i in range(len(self) - length + 1)]
-
-    def all_subpaths(self, max_length: int | None = None) -> list["Path"]:
-        """All contiguous sub-paths up to ``max_length`` edges (default: all)."""
-        limit = len(self) if max_length is None else min(max_length, len(self))
-        result: list[Path] = []
-        for length in range(1, limit + 1):
-            result.extend(self.subpaths(length))
-        return result
 
     def covers(self, paths: Sequence["Path"]) -> bool:
         """True if the union of ``paths`` covers every edge of this path."""

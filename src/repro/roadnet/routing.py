@@ -1,8 +1,8 @@
 """Deterministic routing algorithms over the road network.
 
 These are substrate algorithms: the stochastic routing subsystem and the
-evaluation workload generators need deterministic shortest paths (Dijkstra
-and A*), alternative paths (Yen's k-shortest paths), and random simple
+evaluation workload generators need deterministic shortest paths
+(Dijkstra), alternative paths (Yen's k-shortest paths), and random simple
 paths for sampling query workloads and trip itineraries.
 """
 
@@ -169,11 +169,6 @@ class ReverseBoundsIndex:
             self._bounds.move_to_end(target)
         return bounds
 
-    def clear(self) -> None:
-        """Drop all cached bounds (e.g. after the network itself changed)."""
-        with self._lock:
-            self._bounds.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"ReverseBoundsIndex({self.network.name!r}, targets={len(self._bounds)}, "
@@ -205,43 +200,6 @@ def shortest_path(
         raise RoutingError("source and target must differ")
     _, predecessor = dijkstra(network, source, target, weight)
     return _reconstruct(network, predecessor, source, target)
-
-
-def astar_path(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    weight: EdgeWeight | None = None,
-    max_speed_kmh: float = 110.0,
-) -> Path:
-    """A* shortest path using a straight-line / max-speed admissible heuristic."""
-    if source == target:
-        raise RoutingError("source and target must differ")
-    weight = weight or _free_flow_weight
-    goal = network.vertex(target).location
-    max_speed_ms = max_speed_kmh / 3.6
-
-    def heuristic(vertex_id: int) -> float:
-        return network.vertex(vertex_id).location.distance_to(goal) / max_speed_ms
-
-    g_score: dict[int, float] = {source: 0.0}
-    predecessor: dict[int, int] = {}
-    settled: set[int] = set()
-    heap: list[tuple[float, int]] = [(heuristic(source), source)]
-    while heap:
-        _, vertex = heapq.heappop(heap)
-        if vertex in settled:
-            continue
-        settled.add(vertex)
-        if vertex == target:
-            return _reconstruct(network, predecessor, source, target)
-        for edge in network.out_edges(vertex):
-            candidate = g_score[vertex] + weight(edge)
-            if candidate < g_score.get(edge.target, float("inf")):
-                g_score[edge.target] = candidate
-                predecessor[edge.target] = edge.edge_id
-                heapq.heappush(heap, (candidate + heuristic(edge.target), edge.target))
-    raise RoutingError(f"no path from {source} to {target}")
 
 
 def k_shortest_paths(

@@ -1,8 +1,7 @@
-"""Planar / geodesic geometry helpers used by the road network and map matcher.
+"""Planar geometry helpers used by the road network and map matcher.
 
 The synthetic networks use a local planar coordinate system expressed in
-metres, but the module also provides a haversine distance so real
-latitude/longitude data (e.g. an OpenStreetMap export) can be plugged in.
+metres.
 """
 
 from __future__ import annotations
@@ -10,12 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-EARTH_RADIUS_M = 6_371_000.0
-
 
 @dataclass(frozen=True)
 class Point:
-    """A planar point in metres (or a lon/lat pair when used geodesically)."""
+    """A planar point in metres."""
 
     x: float
     y: float
@@ -31,16 +28,6 @@ class Point:
     def offset(self, dx: float, dy: float) -> "Point":
         """Return a new point translated by ``(dx, dy)``."""
         return Point(self.x + dx, self.y + dy)
-
-
-def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
-    """Great-circle distance in metres between two lon/lat points (degrees)."""
-    phi1 = math.radians(lat1)
-    phi2 = math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
 def project_point_to_segment(p: Point, a: Point, b: Point) -> tuple[Point, float, float]:
@@ -70,8 +57,3 @@ def interpolate(a: Point, b: Point, fraction: float) -> Point:
     """Linear interpolation between ``a`` and ``b`` at ``fraction`` in [0, 1]."""
     fraction = max(0.0, min(1.0, fraction))
     return Point(a.x + (b.x - a.x) * fraction, a.y + (b.y - a.y) * fraction)
-
-
-def polyline_length(points: list[Point]) -> float:
-    """Total length of a planar polyline."""
-    return sum(points[i].distance_to(points[i + 1]) for i in range(len(points) - 1))

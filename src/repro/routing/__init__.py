@@ -13,7 +13,7 @@ The Figure 18 workload runs on two layers:
   engine by the equivalence property suite.
 """
 
-from .queries import ProbabilisticBudgetQuery, first_order_dominates
+from .queries import ProbabilisticBudgetQuery
 from .engine import RouteRequest, RouteResponse, RouteResult, RoutingEngine
 from .dfs_router import DFSStochasticRouter
 
@@ -24,5 +24,4 @@ __all__ = [
     "RouteResponse",
     "RouteResult",
     "RoutingEngine",
-    "first_order_dominates",
 ]

@@ -297,19 +297,6 @@ class RoutingEngine:
             )
         return [self.estimator.estimate(path, departure_time_s) for path in paths]
 
-    def route(self, request: RouteRequest) -> RouteResult:
-        """Answer a :class:`RouteRequest` (convenience over :meth:`find_route`)."""
-        return self.find_route(
-            request.source,
-            request.target,
-            request.departure_time_s,
-            request.budget_s,
-            method=request.method,
-            probability_threshold=request.probability_threshold,
-            max_path_edges=request.max_path_edges,
-            max_expansions=request.max_expansions,
-        )
-
     def find_route(
         self,
         source: int,

@@ -1,10 +1,9 @@
-"""Probabilistic route-quality queries and dominance tests.
+"""Probabilistic route-quality queries.
 
 The motivating example of the paper (Figure 1(a)) asks: *which path has the
 highest probability of arriving within 60 minutes?*  This module provides
 the query objects used to compare candidate paths on their estimated cost
-distributions, plus the first-order stochastic dominance test that
-stochastic routing algorithms use for pruning.
+distributions.
 """
 
 from __future__ import annotations
@@ -12,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-import numpy as np
-
 from ..exceptions import RoutingError
-from ..histograms.univariate import Histogram1D
 from ..roadnet.path import Path
 
 
@@ -24,34 +20,6 @@ class SupportsEstimate(Protocol):
 
     def estimate(self, path: Path, departure_time_s: float):  # pragma: no cover - protocol
         ...
-
-
-def first_order_dominates(first: Histogram1D, second: Histogram1D, n_points: int = 32) -> bool:
-    """True when ``first`` first-order stochastically dominates ``second``.
-
-    ``first`` dominates ``second`` when its CDF is everywhere at least as
-    large (it is "faster" in probability at every budget), and strictly
-    larger somewhere.  The test is evaluated on a grid spanning both
-    supports.
-
-    Dominance is strict, so it is irreflexive: when the combined support is
-    degenerate (``high <= low``), both histograms are the same point mass
-    and neither dominates the other -- the test returns ``False``
-    symmetrically rather than letting argument order decide.
-
-    Both CDFs are evaluated on the whole grid with one vectorised kernel
-    call each and compared elementwise -- no per-point Python loop.
-    """
-    low = min(first.min, second.min)
-    high = max(first.max, second.max)
-    if high <= low:
-        return False
-    points = np.linspace(low, high, max(2, n_points))
-    cdf_first = first.cdf_values(points)
-    cdf_second = second.cdf_values(points)
-    if np.any(cdf_first < cdf_second - 1e-12):
-        return False
-    return bool(np.any(cdf_first > cdf_second + 1e-12))
 
 
 @dataclass(frozen=True)

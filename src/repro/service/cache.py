@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Generic, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, TypeVar
 
 from ..exceptions import ServiceError
 
@@ -79,10 +79,6 @@ class LRUCache(Generic[K, V]):
         self._evictions = 0
         self._invalidations = 0
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -91,11 +87,6 @@ class LRUCache(Generic[K, V]):
         """Membership test; does not touch recency or statistics."""
         with self._lock:
             return key in self._entries
-
-    def keys(self) -> Iterator[K]:
-        """The cached keys, least- to most-recently used (a snapshot)."""
-        with self._lock:
-            return iter(list(self._entries.keys()))
 
     def items(self) -> list[tuple[K, V]]:
         """The cached entries, least- to most-recently used (a snapshot).
@@ -116,12 +107,6 @@ class LRUCache(Generic[K, V]):
             self._entries.move_to_end(key)
             self._hits += 1
             return value
-
-    def peek(self, key: K, default: V | None = None) -> V | None:
-        """Like :meth:`get` but without touching recency or statistics."""
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            return default if value is _MISSING else value
 
     def put(self, key: K, value: V, guard: Callable[[], bool] | None = None) -> bool:
         """Insert or refresh an entry, evicting the LRU entry when full.

@@ -119,10 +119,6 @@ class InvalidationReport:
     #: Route-cache keys that were dropped (routes crossing a dirty edge).
     route_keys: tuple[RouteKey, ...] = ()
 
-    @property
-    def n_invalidated(self) -> int:
-        return len(self.result_keys) + len(self.decomposition_keys) + len(self.route_keys)
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"InvalidationReport(dirty_edges={len(self.dirty_edges)}, "
@@ -387,12 +383,6 @@ class CostEstimationService:
 
     def result_cache_stats(self) -> CacheStats:
         return self._result_cache.stats()
-
-    def decomposition_cache_stats(self) -> CacheStats:
-        return self._decomposition_cache.stats()
-
-    def route_cache_stats(self) -> CacheStats:
-        return self._route_cache.stats()
 
     def clear_caches(self) -> None:
         """Drop all cached results, propagated joints, routes and memoised propagation states.

@@ -4,7 +4,7 @@ The telemetry layer gives every subsystem -- service caches, batch
 executor, admission queue, coalescer, routing engine, ingest pipeline --
 one place to report through:
 
-* :class:`MetricsRegistry` with :class:`Counter` / :class:`Gauge` /
+* :class:`MetricsRegistry` with :class:`Gauge` /
   :class:`LatencyHistogram` families (:mod:`.metrics`);
 * sampled per-request :class:`Trace`/:class:`Span` contexts and a bounded
   :class:`SlowQueryLog` (:mod:`.trace`);
@@ -23,7 +23,6 @@ parallel bookkeeping and near-zero hot-path cost
 from .export import StatsReporter, parse_prometheus_text, render_prometheus
 from .hub import Telemetry
 from .metrics import (
-    Counter,
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
@@ -33,7 +32,6 @@ from .sampling import GaugeSampler
 from .trace import SlowQueryLog, Span, Trace, Tracer
 
 __all__ = [
-    "Counter",
     "Gauge",
     "GaugeSampler",
     "LatencyHistogram",

@@ -48,29 +48,6 @@ def _escape_label_value(value: str) -> str:
     return "".join(_LABEL_ESCAPES.get(ch, ch) for ch in value)
 
 
-def _unescape_label_value(value: str) -> str:
-    """Invert :func:`_escape_label_value` (strict: unknown escapes raise)."""
-    out: list[str] = []
-    index = 0
-    n = len(value)
-    while index < n:
-        ch = value[index]
-        if ch == "\\":
-            if index + 1 >= n:
-                raise TelemetryError(f"dangling backslash in label value {value!r}")
-            replacement = _LABEL_UNESCAPES.get(value[index + 1])
-            if replacement is None:
-                raise TelemetryError(
-                    f"unknown escape \\{value[index + 1]!r} in label value {value!r}"
-                )
-            out.append(replacement)
-            index += 2
-        else:
-            out.append(ch)
-            index += 1
-    return "".join(out)
-
-
 def _render_labels(items: tuple[tuple[str, str], ...], extra: str = "") -> str:
     parts = [f'{_sanitize_name(k)}="{_escape_label_value(v)}"' for k, v in items]
     if extra:

@@ -1,11 +1,9 @@
-"""The process-wide metrics registry: counters, gauges, latency histograms.
+"""The process-wide metrics registry: gauges and latency histograms.
 
-Three metric kinds cover everything the serving stack reports:
+Two metric kinds cover everything the serving stack reports:
 
-* :class:`Counter` -- a monotonically increasing count of events (requests
-  served, cache hits, trajectories appended);
-* :class:`Gauge` -- a point-in-time level.  Gauges are usually
-  *callback-backed*: the component keeps its own counter under its own
+* :class:`Gauge` -- a point-in-time level or a running count.  Gauges are
+  usually *callback-backed*: the component keeps its own counter under its own
   lock (exactly as it did before telemetry existed) and the gauge reads it
   on collection, so instrumentation adds **zero** work to the hot path;
 * :class:`LatencyHistogram` -- a streaming histogram over fixed log-spaced
@@ -55,33 +53,6 @@ def _label_items(labels: Mapping[str, str] | None) -> LabelItems:
     if not labels:
         return ()
     return tuple(sorted((str(key), str(value)) for key, value in labels.items()))
-
-
-class Counter:
-    """A thread-safe, monotonically increasing event count."""
-
-    __slots__ = ("name", "labels", "_lock", "_value")
-
-    def __init__(self, name: str, labels: LabelItems = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def inc(self, amount: int | float = 1) -> None:
-        """Add ``amount`` (must be >= 0: counters only ever go up)."""
-        if amount < 0:
-            raise TelemetryError(f"counter {self.name} cannot decrease (inc({amount}))")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int | float:
-        with self._lock:
-            return self._value
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"Counter({self.name}{dict(self.labels) or ''}={self.value})"
 
 
 class Gauge:
@@ -202,10 +173,6 @@ class LatencyHistogram:
         self._max = -math.inf
         self._pending: list[tuple[Sequence[float], float]] = []
         self._pending_n = 0
-
-    @property
-    def bounds(self) -> tuple[float, ...]:
-        return self._bounds
 
     def observe(self, value: float) -> None:
         """Record one sample (negative values clamp into the first bucket)."""
@@ -408,7 +375,6 @@ class LatencyHistogram:
 
 
 #: Metric kinds a registry can hold (the exporter's ``# TYPE`` line).
-KIND_COUNTER = "counter"
 KIND_GAUGE = "gauge"
 KIND_HISTOGRAM = "histogram"
 
@@ -422,13 +388,13 @@ class _Family:
         self.name = name
         self.kind = kind
         self.help = help
-        self.children: dict[LabelItems, Counter | Gauge | LatencyHistogram] = {}
+        self.children: dict[LabelItems, Gauge | LatencyHistogram] = {}
 
 
 class MetricsRegistry:
     """A thread-safe, name-keyed collection of metric families.
 
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create: asking twice
+    ``gauge`` / ``histogram`` are get-or-create: asking twice
     for the same ``(name, labels)`` returns the same object, so components
     can idempotently register on construction and re-register after a
     restart.  Asking for an existing name with a different *kind* is a
@@ -467,11 +433,6 @@ class MetricsRegistry:
                 child = factory(name, items)
                 family.children[items] = child
             return child
-
-    def counter(
-        self, name: str, help: str = "", labels: Mapping[str, str] | None = None
-    ) -> Counter:
-        return self._get_or_create(name, KIND_COUNTER, help, labels, Counter)
 
     def gauge(
         self,
@@ -516,7 +477,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Every series' current value as one JSON-ready mapping.
 
-        Counters and gauges render as plain numbers; histograms as their
+        Gauges render as plain numbers; histograms as their
         summary dict.  Labeled series are keyed
         ``name{key="value",...}`` -- the same spelling the Prometheus
         exporter uses, so the two views line up one-to-one.

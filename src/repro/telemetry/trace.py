@@ -65,7 +65,7 @@ class Span:
 
 
 class Trace:
-    """The timed story of one request: an ordered list of spans + annotations.
+    """The timed story of one request: an ordered list of spans.
 
     Spans can be added two ways: :meth:`span` as a context manager around
     live code, or :meth:`add_span` for stages whose timestamps were
@@ -78,8 +78,7 @@ class Trace:
     allocation per sampled request.
     """
 
-    __slots__ = ("name", "started_at_s", "ended_at_s", "status", "annotations",
-                 "spans")
+    __slots__ = ("name", "started_at_s", "ended_at_s", "status", "spans")
 
     def __init__(self, name: str, started_at_s: float | None = None) -> None:
         self.name = name
@@ -88,7 +87,6 @@ class Trace:
         )
         self.ended_at_s: float | None = None
         self.status: str | None = None
-        self.annotations: dict = {}
         self.spans: list[Span] = []
 
     def add_span(
@@ -118,9 +116,6 @@ class Trace:
             span.ended_at_s = time.perf_counter()
             self.spans.append(span)
 
-    def annotate(self, **kv) -> None:
-        self.annotations.update(kv)
-
     def finish(self, status: str | None = None) -> None:
         if self.ended_at_s is None:
             self.ended_at_s = time.perf_counter()
@@ -136,28 +131,16 @@ class Trace:
         end = self.ended_at_s if self.ended_at_s is not None else time.perf_counter()
         return max(0.0, end - self.started_at_s)
 
-    def span_durations(self) -> dict[str, float]:
-        """Total seconds per span name (several same-named spans sum)."""
-        spans = list(self.spans)
-        totals: dict[str, float] = {}
-        for span in spans:
-            totals[span.name] = totals.get(span.name, 0.0) + span.duration_s
-        return totals
-
     def to_dict(self) -> dict:
         """JSON-ready: span starts become offsets relative to the trace start."""
         spans = list(self.spans)
-        annotations = dict(self.annotations)
         spans.sort(key=lambda s: s.started_at_s)
-        payload = {
+        return {
             "name": self.name,
             "status": self.status,
             "duration_s": round(self.duration_s, 9),
             "spans": [span.to_dict(origin_s=self.started_at_s) for span in spans],
         }
-        if annotations:
-            payload["annotations"] = annotations
-        return payload
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -37,10 +37,6 @@ class TimeInterval:
         time_s = time_s % SECONDS_PER_DAY
         return self.start_s <= time_s < self.end_s
 
-    def overlap_s(self, start_s: float, end_s: float) -> float:
-        """Length of overlap between this interval and ``[start_s, end_s]`` in seconds."""
-        return max(0.0, min(self.end_s, end_s) - max(self.start_s, start_s))
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"TimeInterval({format_time(self.start_s)}-{format_time(self.end_s)})"
 

@@ -5,7 +5,7 @@ from .matched import EdgeTraversal, MatchedTrajectory, PathObservation
 from .traffic import TimeOfDayProfile, TrafficModel
 from .simulator import TrafficSimulator
 from .mapmatching import HMMMapMatcher
-from .costs import ghg_emissions_g, travel_time_s
+from .costs import ghg_emissions_g
 from .store import TrajectoryStore
 from .mutable import MutableTrajectoryStore, TrajectorySnapshot
 
@@ -23,5 +23,4 @@ __all__ = [
     "TrajectorySnapshot",
     "TrajectoryStore",
     "ghg_emissions_g",
-    "travel_time_s",
 ]

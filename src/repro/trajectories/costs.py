@@ -14,16 +14,10 @@ from __future__ import annotations
 
 from ..exceptions import TrajectoryError
 from ..roadnet.graph import RoadNetwork
-from ..roadnet.path import Path
 from .matched import MatchedTrajectory, PathObservation
 
 #: Grams of CO2-equivalent per litre of petrol burnt.
 GRAMS_CO2_PER_LITRE = 2392.0
-
-
-def travel_time_s(observation: PathObservation | MatchedTrajectory) -> float:
-    """Travel time of a path observation or a whole matched trajectory."""
-    return observation.total_cost
 
 
 def _fuel_litres_per_100km(speed_kmh: float) -> float:
@@ -65,15 +59,3 @@ def ghg_emissions_g(
         litres += 0.8 * idle_seconds / 3600.0
         total_grams += litres * GRAMS_CO2_PER_LITRE
     return total_grams
-
-
-def path_ghg_costs(
-    trajectory: MatchedTrajectory,
-    path: Path,
-    network: RoadNetwork,
-) -> float | None:
-    """GHG emissions of ``trajectory`` on ``path``, or ``None`` if it did not occur on it."""
-    observation = trajectory.observation_on(path)
-    if observation is None:
-        return None
-    return ghg_emissions_g(observation, network)

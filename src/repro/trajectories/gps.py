@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ..exceptions import TrajectoryError
 from ..roadnet.spatial import Point
@@ -77,15 +77,3 @@ class Trajectory:
             f"Trajectory({self.trajectory_id}, {len(self._records)} records, "
             f"{self.start_time_s:.0f}s..{self.end_time_s:.0f}s)"
         )
-
-
-def resample(trajectory: Trajectory, period_s: float) -> Trajectory:
-    """Downsample a trajectory to roughly one record every ``period_s`` seconds."""
-    if period_s <= 0:
-        raise TrajectoryError("period_s must be positive")
-    kept: list[GPSRecord] = [trajectory.records[0]]
-    for record in trajectory.records[1:-1]:
-        if record.time_s - kept[-1].time_s >= period_s:
-            kept.append(record)
-    kept.append(trajectory.records[-1])
-    return Trajectory(trajectory.trajectory_id, kept)

@@ -60,7 +60,6 @@ import numpy as np
 
 from ..exceptions import MapMatchingError
 from ..roadnet.graph import RoadNetwork
-from ..roadnet.path import Path
 from ..roadnet.routing import dijkstra
 from ..roadnet.spatial import Point
 from .gps import Trajectory
@@ -437,7 +436,3 @@ class HMMMapMatcher:
             vertex = self.network.edge(edge_id).source
         edge_ids.reverse()
         return edge_ids[:max_bridge]
-
-    def match_path(self, trajectory: Trajectory) -> Path:
-        """Convenience: return just the matched path of a GPS trajectory."""
-        return self.match(trajectory).path

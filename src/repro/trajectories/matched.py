@@ -120,11 +120,6 @@ class MatchedTrajectory:
         return self._traversals[0].entry_time_s
 
     @property
-    def arrival_time_s(self) -> float:
-        last = self._traversals[-1]
-        return last.entry_time_s + last.cost
-
-    @property
     def total_cost(self) -> float:
         return float(sum(traversal.cost for traversal in self._traversals))
 
@@ -136,26 +131,6 @@ class MatchedTrajectory:
         return len(self._traversals)
 
     # ------------------------------------------------------------------ #
-    def observation_on(self, path: Path) -> PathObservation | None:
-        """The observation of this trajectory on ``path`` if it occurred on it.
-
-        A trajectory occurred on ``path`` iff ``path`` is a sub-path of the
-        trajectory's path; the observation's departure time is the entry
-        time into the first edge of ``path``.
-        """
-        own_ids = self.edge_ids
-        needle = path.edge_ids
-        span = len(needle)
-        for start in range(len(own_ids) - span + 1):
-            if own_ids[start : start + span] == needle:
-                segment = self._traversals[start : start + span]
-                return PathObservation(
-                    path=path,
-                    departure_time_s=segment[0].entry_time_s,
-                    edge_costs=tuple(traversal.cost for traversal in segment),
-                    trajectory_id=self.trajectory_id,
-                )
-        return None
 
     def observation_at(self, start_index: int, length: int) -> PathObservation:
         """The observation on the sub-path starting at ``start_index`` with ``length`` edges."""

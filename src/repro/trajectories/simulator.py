@@ -182,21 +182,3 @@ class TrafficSimulator:
     # ------------------------------------------------------------------ #
     # Ground-truth sampling helpers (used by the evaluation harness)
     # ------------------------------------------------------------------ #
-    def sample_path_costs(
-        self,
-        path: Path,
-        departure_time_s: float,
-        n_samples: int,
-        seed: int | None = None,
-    ) -> np.ndarray:
-        """Draw ``n_samples`` independent per-edge cost vectors for ``path``.
-
-        This bypasses the trajectory population and asks the traffic model
-        directly, which is useful for building large ground-truth samples
-        on held-out paths.  Returns an array of shape ``(n_samples, |path|)``.
-        """
-        rng = np.random.default_rng(self.parameters.seed + 1 if seed is None else seed)
-        samples = np.empty((n_samples, len(path)))
-        for i in range(n_samples):
-            samples[i, :] = self.traffic.sample_trip_costs(list(path.edge_ids), departure_time_s, rng)
-        return samples

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..exceptions import TrajectoryError
 from ..roadnet.path import Path
-from ..timeutil import TimeInterval, interval_index_of
+from ..timeutil import interval_index_of
 from .columns import TraversalColumns
 from .matched import MatchedTrajectory, PathObservation
 
@@ -120,14 +120,6 @@ class TrajectoryStore:
             if abs(observation.departure_time_s - departure_time_s) <= window_s
         ]
 
-    def observations_in_interval(self, path: Path, interval: TimeInterval) -> list[PathObservation]:
-        """Observations on ``path`` whose departure time falls in ``interval``."""
-        return [
-            observation
-            for observation in self.observations_on(path)
-            if interval.contains(observation.departure_time_s)
-        ]
-
     def observations_by_interval(
         self, path: Path, alpha_minutes: int
     ) -> dict[int, list[PathObservation]]:
@@ -140,9 +132,6 @@ class TrajectoryStore:
     # ------------------------------------------------------------------ #
     # Dataset-level statistics
     # ------------------------------------------------------------------ #
-    def unit_paths(self) -> list[Path]:
-        """All unit paths (single edges) that appear in at least one trajectory."""
-        return [Path([edge_id]) for edge_id in sorted(self._edge_index.keys())]
 
     def frequent_subpath_counts(
         self,

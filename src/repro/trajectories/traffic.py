@@ -23,12 +23,12 @@ the generated data:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import SimulationParameters
-from ..roadnet.graph import Edge, RoadNetwork
+from ..roadnet.graph import RoadNetwork
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,6 @@ class TrafficModel:
                 has_signal=has_signal,
             )
 
-    def edge_state(self, edge_id: int) -> _EdgeState:
-        """Latent state of an edge (used by tests and diagnostics)."""
-        return self._edge_states[edge_id]
-
     # ------------------------------------------------------------------ #
     def sample_trip_costs(
         self,
@@ -157,13 +153,3 @@ class TrafficModel:
             costs.append(float(cost))
             clock += cost
         return costs
-
-    def speed_limit_distribution_bounds(self, edge: Edge) -> tuple[float, float]:
-        """Plausible traversal-time range derived from the speed limit only.
-
-        Used to build fallback unit-path distributions when fewer than beta
-        trajectories are available (Section 3.1): the cost is assumed to lie
-        between the free-flow time and a conservative congested time.
-        """
-        free_flow = edge.free_flow_time_s
-        return free_flow, free_flow * 2.5 + 10.0

@@ -128,7 +128,7 @@ def u_turn_trips():
 
     def trips(network, n: int = 25) -> list[MatchedTrajectory]:
         a = network.out_edges(9)[0]
-        back = network.edge_between(a.target, a.source)
+        back = next(e for e in network.out_edges(a.target) if e.target == a.source)
         onward = next(e for e in network.successors_of_edge(a.edge_id) if e.target != a.source)
         return [
             MatchedTrajectory.from_costs(

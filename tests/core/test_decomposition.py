@@ -9,7 +9,6 @@ from repro import (
     EstimatorParameters,
     Histogram1D,
     HybridGraph,
-    MultiHistogram,
     Path,
 )
 from repro.core.decomposition import (
@@ -21,6 +20,7 @@ from repro.core.decomposition import (
 from repro.core.relevance import RelevantVariable, build_candidate_array
 from repro.core.variables import InstantiatedVariable
 from repro.timeutil import interval_of
+from reference_histograms import reference_independent_joint
 
 DEPARTURE = 8 * 3600.0
 
@@ -30,7 +30,7 @@ def make_variable(edge_ids, departure=DEPARTURE, low=40.0, high=80.0):
     if len(edge_ids) == 1:
         distribution = Histogram1D([Bucket(low, high)], [1.0])
     else:
-        distribution = MultiHistogram.independent_product(
+        distribution = reference_independent_joint(
             [(edge_id, Histogram1D([Bucket(low, high)], [1.0])) for edge_id in edge_ids]
         )
     return InstantiatedVariable(Path(list(edge_ids)), interval, distribution, support=30)

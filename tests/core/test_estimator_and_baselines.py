@@ -23,6 +23,14 @@ from repro.histograms import kernels
 from repro.timeutil import interval_of
 
 
+def has_ground_truth(store, parameters, path, departure_time_s) -> bool:
+    """At least beta qualified trajectories: the ground-truth estimator answers."""
+    observations = store.qualified_observations(
+        path, departure_time_s, parameters.qualification_window_minutes
+    )
+    return len(observations) >= parameters.beta
+
+
 @pytest.fixture(scope="module")
 def od(hybrid_graph):
     return PathCostEstimator(hybrid_graph)
@@ -171,7 +179,7 @@ class TestBaselines:
         ground_truth = AccuracyOptimalEstimator(store, estimator_parameters)
         route = max(simulator.popular_routes, key=lambda r: store.count_on(r.path))
         departure = route.busy_hour * 3600.0
-        if not ground_truth.is_applicable(route.path, departure):
+        if not has_ground_truth(store, estimator_parameters, route.path, departure):
             pytest.skip("busiest corridor lacks enough qualified trajectories")
         estimate = ground_truth.estimate(route.path, departure)
         assert estimate.method == "ground-truth"
@@ -183,7 +191,7 @@ class TestBaselines:
         ground_truth = AccuracyOptimalEstimator(store, estimator_parameters)
         rng = np.random.default_rng(5)
         path = random_path(small_network, 8, rng)
-        if ground_truth.is_applicable(path, 3 * 3600.0):
+        if has_ground_truth(store, estimator_parameters, path, 3 * 3600.0):
             pytest.skip("unexpectedly dense random path")
         with pytest.raises(EstimationError):
             ground_truth.estimate(path, 3 * 3600.0)
@@ -205,7 +213,7 @@ class TestAccuracyOrdering:
                 if len(route.path) < length:
                     continue
                 path = Path(route.path.edge_ids[:length])
-                if not ground_truth.is_applicable(path, departure):
+                if not has_ground_truth(store, estimator_parameters, path, departure):
                     continue
                 truth = ground_truth.estimate(path, departure)
                 divergences_od.append(

@@ -89,7 +89,7 @@ class TestJointInstantiation:
         observations = corridor_store.observations_on(corridor)
         observed = np.array([o.edge_costs for o in observations])
         for axis, edge_id in enumerate(corridor.edge_ids):
-            marginal = variable.distribution.marginal_1d(edge_id)
+            marginal = variable.distribution.marginal([edge_id]).cost_distribution(max_buckets=None)
             assert marginal.mean == pytest.approx(observed[:, axis].mean(), rel=0.15)
 
     def test_rank_cap_respected(self, small_network, corridor_store):

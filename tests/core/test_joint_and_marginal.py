@@ -121,17 +121,25 @@ class TestChainPropagation:
         )
         histogram = propagate_joint(decomposition).cost_histogram()
 
-        # Monte Carlo from the same two histograms, conditioning on edge 3's bucket.
+        # Monte Carlo from the same two histograms, conditioning on edge 3's
+        # bucket (all of the second joint's cells when that bucket is empty).
         joint_a = first.distribution
         joint_b = second.distribution
+        cells, cell_probs = joint_b.cell_indices, joint_b.cell_probabilities
+        edges_3, edges_4 = joint_b.boundaries_of(3), joint_b.boundaries_of(4)
+        axis_3, axis_4 = joint_b.axis_of(3), joint_b.axis_of(4)
         draws = joint_a.sample(rng, 4000)
         totals = []
         for row in draws:
-            shared_bucket = joint_b.bucket_index_for(3, row[2])
-            indices, probs = joint_b.conditional_cells([3], [shared_bucket])
-            chosen = indices[rng.choice(indices.shape[0], p=probs)]
-            edges_4 = joint_b.boundaries_of(4)
-            low, high = edges_4[chosen[joint_b.axis_of(4)]], edges_4[chosen[joint_b.axis_of(4)] + 1]
+            shared_bucket = np.clip(
+                np.searchsorted(edges_3, row[2], side="right") - 1, 0, edges_3.size - 2
+            )
+            matching = cells[:, axis_3] == shared_bucket
+            if not matching.any():
+                matching[:] = True
+            probs = cell_probs[matching] / cell_probs[matching].sum()
+            chosen = cells[matching][rng.choice(int(matching.sum()), p=probs)]
+            low, high = edges_4[chosen[axis_4]], edges_4[chosen[axis_4] + 1]
             totals.append(row.sum() + rng.uniform(low, high))
         totals = np.asarray(totals)
         assert histogram.mean == pytest.approx(totals.mean(), rel=0.03)

@@ -7,26 +7,21 @@ import pytest
 
 from repro import (
     Bucket,
-    EstimationError,
     EstimatorParameters,
     Histogram1D,
     HybridGraph,
     HybridGraphBuilder,
-    MultiHistogram,
     Path,
     SimulationParameters,
     TrafficSimulator,
     TrajectoryStore,
     grid_network,
 )
-from repro.core.relevance import (
-    build_candidate_array,
-    shift_and_enlarge,
-    updated_departure_interval,
-)
+from repro.core.relevance import build_candidate_array
 from repro.core.variables import InstantiatedVariable
 from repro.roadnet import random_path
 from repro.timeutil import interval_of
+from reference_histograms import reference_independent_joint
 
 
 def unit_var(edge_id, interval_time, low, high):
@@ -39,7 +34,7 @@ def unit_var(edge_id, interval_time, low, high):
 def pair_var(edge_ids, interval_time, low, high):
     """A variable of any rank >= 2 with independent, identical edge costs."""
     interval = interval_of(interval_time, 30)
-    joint = MultiHistogram.independent_product(
+    joint = reference_independent_joint(
         [(edge_id, Histogram1D([Bucket(low, high)], [1.0])) for edge_id in edge_ids]
     )
     return InstantiatedVariable(Path(list(edge_ids)), interval, joint, support=30)
@@ -55,34 +50,6 @@ def corridor_path(small_network):
         e for e in small_network.successors_of_edge(second.edge_id) if e.target != second.source
     )
     return Path([first.edge_id, second.edge_id, third.edge_id])
-
-
-class TestShiftAndEnlarge:
-    def test_sae_adds_min_and_max(self):
-        variable = unit_var(1, 8 * 3600.0, 60.0, 120.0)
-        assert shift_and_enlarge((1000.0, 1000.0), variable) == (1060.0, 1120.0)
-
-    def test_sae_rejects_invalid_interval(self):
-        variable = unit_var(1, 8 * 3600.0, 60.0, 120.0)
-        with pytest.raises(EstimationError):
-            shift_and_enlarge((10.0, 5.0), variable)
-
-    def test_updated_departure_interval_progression(self, small_network, corridor_path):
-        graph = HybridGraph(small_network, EstimatorParameters())
-        departure = 8 * 3600.0
-        graph.add_variable(unit_var(corridor_path.edge_ids[0], departure, 30.0, 60.0))
-        graph.add_variable(unit_var(corridor_path.edge_ids[1], departure, 40.0, 80.0))
-        first = updated_departure_interval(graph, corridor_path, departure, 0)
-        second = updated_departure_interval(graph, corridor_path, departure, 1)
-        third = updated_departure_interval(graph, corridor_path, departure, 2)
-        assert first == (departure, departure)
-        assert second == (departure + 30.0, departure + 60.0)
-        assert third == (departure + 70.0, departure + 140.0)
-
-    def test_out_of_range_position_rejected(self, small_network, corridor_path):
-        graph = HybridGraph(small_network, EstimatorParameters())
-        with pytest.raises(EstimationError):
-            updated_departure_interval(graph, corridor_path, 0.0, 5)
 
 
 class TestCandidateArray:
@@ -144,15 +111,27 @@ class TestCandidateArray:
         ranks = {array.random_choice(0, np.random.default_rng(seed)).rank for seed in range(10)}
         assert ranks == {1, 2}
 
-    def test_total_variables_counts_all_rows(self, small_network, corridor_path):
+    def test_every_position_has_one_row(self, small_network, corridor_path):
         graph = HybridGraph(small_network, EstimatorParameters())
         array = build_candidate_array(graph, corridor_path, 8 * 3600.0)
-        assert array.total_variables() >= 3
+        assert len(array) == len(corridor_path)
+        assert all(array.row(position) for position in range(len(array)))
 
 
 # ---------------------------------------------------------------------- #
 # The path-indexed candidate array against the scan it replaced
 # ---------------------------------------------------------------------- #
+def overlap_s(interval, start_s, end_s):
+    """Seconds of ``[start_s, end_s]`` inside a ``TimeInterval``."""
+    return max(0.0, min(interval.end_s, end_s) - max(interval.start_s, start_s))
+
+
+def shift_and_enlarge(interval, unit_variable):
+    """Equation 3's SAE: ``[ts + V_e.min, te + V_e.max]`` across one edge."""
+    min_cost, max_cost = unit_variable.cost_range
+    return interval[0] + min_cost, interval[1] + max_cost
+
+
 def index_by_first_edge(graph):
     """First edge id -> variables in insertion order (the index the scan read)."""
     by_first_edge = defaultdict(list)
@@ -192,7 +171,7 @@ def scan_candidate_rows(graph, by_first_edge, query_path, departure_time_s, max_
             best = None
             best_overlap = 0.0
             for variable in variables:
-                overlap = variable.interval.overlap_s(interval_start, interval_end)
+                overlap = overlap_s(variable.interval, interval_start, interval_end)
                 if interval_end == interval_start:
                     overlap = 1.0 if variable.interval.contains(interval_start) else 0.0
                 if overlap > best_overlap:
@@ -307,8 +286,10 @@ class TestPathIndexMatchesTheScan:
         earlier = pair_var(corridor_path.edge_ids[1:], 8 * 3600.0 + 5 * 60, 40.0, 80.0)
         graph.add_variable(later)
         graph.add_variable(earlier)
-        window = updated_departure_interval(graph, corridor_path, departure, 1)
-        assert later.interval.overlap_s(*window) == earlier.interval.overlap_s(*window) == 180.0
+        window = shift_and_enlarge(
+            (departure, departure), graph.unit_variable_at(corridor_path.edge_ids[0], departure)
+        )
+        assert overlap_s(later.interval, *window) == overlap_s(earlier.interval, *window) == 180.0
         array = build_candidate_array(graph, corridor_path, departure)
         assert array.highest_rank(1).variable is later
         assert_same_rows(graph, corridor_path, departure)

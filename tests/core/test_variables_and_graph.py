@@ -51,10 +51,11 @@ def unit_variable(interval):
 
 @pytest.fixture
 def pair_variable(interval):
-    joint = MultiHistogram.from_dense(
+    joint = MultiHistogram(
         [3, 4],
         [[40.0, 60.0, 90.0], [30.0, 60.0]],
-        np.array([[0.5], [0.5]]),
+        np.array([[0, 0], [1, 0]]),
+        np.array([0.5, 0.5]),
     )
     return InstantiatedVariable(Path([3, 4]), interval, joint, support=35)
 
@@ -62,7 +63,7 @@ def pair_variable(interval):
 class TestInstantiatedVariable:
     def test_rank(self, unit_variable, pair_variable):
         assert unit_variable.rank == 1
-        assert unit_variable.is_unit
+        assert unit_variable.rank == 1
         assert pair_variable.rank == 2
 
     def test_cost_range(self, unit_variable, pair_variable):
@@ -85,9 +86,7 @@ class TestInstantiatedVariable:
         assert np.isfinite(pair_variable.entropy())
 
     def test_dimension_mismatch_rejected(self, interval):
-        joint = MultiHistogram.from_dense(
-            [3, 5], [[0.0, 1.0], [0.0, 1.0]], np.array([[1.0]])
-        )
+        joint = MultiHistogram([3, 5], [[0.0, 1.0], [0.0, 1.0]], np.array([[0, 0]]), np.array([1.0]))
         with pytest.raises(InstantiationError):
             InstantiatedVariable(Path([3, 4]), interval, joint, support=35)
 
@@ -178,7 +177,7 @@ class TestHybridGraphContainer:
     def test_trajectory_variables_of_an_edge_keep_their_own_joint_views(self, hybrid_graph):
         by_edge = {}
         for variable in hybrid_graph.variables:
-            if variable.is_unit:
+            if variable.rank == 1:
                 by_edge.setdefault(variable.path.edge_ids, []).append(variable)
         first, second = next(on_edge for on_edge in by_edge.values() if len(on_edge) >= 2)[:2]
         assert first.joint() is first.joint()
@@ -203,7 +202,6 @@ class TestPathIndex:
             graph.add_variable(variable)
         assert graph.ranks() == (1, 2)
         assert list(graph.variables_on((3,))) == [later, unit_variable]
-        assert graph.variables_for_path(Path([3])) == [later, unit_variable]
         assert list(graph.variables_on((4,))) == []
         assert list(graph.variables_on((3, 4))) == [pair_variable]
         assert graph.variables == [pair_variable, later, unit_variable]
@@ -232,7 +230,6 @@ class TestPathIndex:
             path = variable.path
             on_path = identities(kept_variable for kept_variable in kept if kept_variable.path == path)
             assert identities(thinned.variables_on(path.edge_ids)) == on_path
-            assert identities(thinned.variables_for_path(path)) == on_path
         # The dropped paths added back, last: the full graph's index and bounds.
         for variable in variables:
             if not dirty.isdisjoint(variable.path.edge_ids):

@@ -72,11 +72,6 @@ class TestEvaluationCases:
 
 
 class TestWorkloads:
-    def test_random_query_paths(self, small_dataset):
-        paths = small_dataset.random_query_paths(cardinality=6, n_paths=4, seed=1)
-        assert len(paths) == 4
-        assert all(len(path) == 6 for path in paths)
-
     def test_query_workload_has_departures(self, small_dataset):
         workload = small_dataset.query_workload(cardinality=10, n_queries=5, seed=2)
         assert len(workload) == 5

@@ -24,7 +24,6 @@ from repro.eval import (
     fig15_entropy,
     fig16_efficiency,
     fig17_breakdown,
-    fig18_routing,
     render_series,
     render_table,
 )
@@ -118,14 +117,6 @@ class TestEstimationExperiments:
         steps = result.mean_step_seconds[1.0]
         assert set(steps) == {"oi", "jc", "mc"}
         assert all(v >= 0 for v in steps.values())
-
-    def test_fig18_routing_runs_all_estimators(self, small_dataset):
-        result = fig18_routing(
-            small_dataset, budgets_s=(1200.0,), n_pairs=2, max_path_edges=12, max_expansions=300
-        )
-        times = result.mean_seconds[1200.0]
-        assert set(times) == {"LB-DFS", "HP-DFS", "OD-DFS"}
-        assert all(v > 0 for v in times.values())
 
     def test_ablation_bucket_strategies(self, small_dataset):
         result = ablation_bucket_strategies(small_dataset, n_samples=10, thresholds=(0.1,))

@@ -114,6 +114,21 @@ class TestServing:
         direct = service.route(request)
         assert response.response.result.probability == direct.result.probability
 
+    def test_a_route_response_has_no_estimate(self, service, simulator):
+        route = simulator.popular_routes[0]
+        network = simulator.network
+        request = RouteRequest(
+            network.edge(route.path.edge_ids[0]).source,
+            network.edge(route.path.edge_ids[-1]).target,
+            route.busy_hour * 3600.0,
+            3600.0,
+        )
+        with small_frontend(service) as frontend:
+            routed = frontend.route(request, timeout=60.0)
+        assert routed.ok
+        with pytest.raises(FrontendError):
+            routed.estimate
+
     def test_identical_across_live_invalidation(self, service, estimate_requests):
         """Traffic concurrent with invalidate_edges stays bit-identical."""
         stop = threading.Event()

@@ -8,9 +8,8 @@ from repro.histograms.autobuckets import (
     auto_bucket_count,
     build_auto_histogram,
     build_static_histogram,
-    cross_validated_error,
-    cross_validated_errors,
-    heuristic_bucket_count,
+    _cross_validated_errors,
+    heuristic_bucket_counts,
 )
 
 
@@ -27,12 +26,17 @@ def uniformish(rng) -> RawDistribution:
     return RawDistribution(rng.uniform(50, 60, size=60))
 
 
-class TestCrossValidatedErrors:
-    def test_batch_matches_single(self, bimodal, rng):
-        errors = cross_validated_errors(bimodal, 4, n_folds=4, rng=np.random.default_rng(1))
-        single = cross_validated_error(bimodal, 4, n_folds=4, rng=np.random.default_rng(1))
-        assert errors[3] == pytest.approx(single)
+def cross_validated_errors(distribution, max_buckets, n_folds=5, rng=None):
+    """The paper's ``E_b`` for ``b`` in ``1..max_buckets``, one row of the batch kernel."""
+    rng = rng or np.random.default_rng(0)
+    return list(
+        _cross_validated_errors(
+            *distribution.as_batch(), np.array([max_buckets]), n_folds, [rng]
+        )[0]
+    )
 
+
+class TestCrossValidatedErrors:
     def test_error_curve_generally_decreases_initially(self, bimodal):
         errors = cross_validated_errors(bimodal, 5, rng=np.random.default_rng(0))
         assert errors[1] <= errors[0]
@@ -41,10 +45,6 @@ class TestCrossValidatedErrors:
         raw = RawDistribution([10.0])
         errors = cross_validated_errors(raw, 3)
         assert len(errors) == 3
-
-    def test_invalid_bucket_count(self, bimodal):
-        with pytest.raises(Exception):
-            cross_validated_errors(bimodal, 0)
 
 
 class TestAutoSelection:
@@ -87,6 +87,10 @@ class TestHistogramBuilders:
     def test_static_histogram_bucket_count(self, bimodal):
         histogram = build_static_histogram(bimodal, 3)
         assert histogram.n_buckets <= 3
+
+
+def heuristic_bucket_count(distribution: RawDistribution, max_buckets: int = 6) -> int:
+    return int(heuristic_bucket_counts(*distribution.as_batch(), max_buckets)[0])
 
 
 class TestHeuristic:

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from repro import Bucket, Histogram1D, HistogramError, MultiHistogram
+from reference_histograms import reference_dense_joint, reference_independent_joint
+
+
+def marginal_histogram(joint: MultiHistogram, dim: int) -> Histogram1D:
+    """The 1-D marginal of one dimension."""
+    return joint.marginal([dim]).cost_distribution(max_buckets=None)
 
 
 @pytest.fixture
@@ -18,7 +24,7 @@ def figure6() -> MultiHistogram:
         ]
     )
     tensor = tensor / tensor.sum()
-    return MultiHistogram.from_dense([101, 102], boundaries, tensor)
+    return reference_dense_joint([101, 102], boundaries, tensor)
 
 
 @pytest.fixture
@@ -26,11 +32,11 @@ def figure7() -> MultiHistogram:
     """The joint distribution of the Figure 7 worked example."""
     boundaries = [[20.0, 30.0, 50.0], [20.0, 40.0, 60.0]]
     tensor = np.array([[0.30, 0.20], [0.25, 0.25]])
-    return MultiHistogram.from_dense([1, 2], boundaries, tensor)
+    return reference_dense_joint([1, 2], boundaries, tensor)
 
 
 class TestConstruction:
-    def test_from_dense_keeps_only_occupied_cells(self, figure6):
+    def test_only_occupied_cells_are_stored(self, figure6):
         assert figure6.n_hyper_buckets() == 3
         assert figure6.grid_shape == (3, 2)
 
@@ -49,6 +55,35 @@ class TestConstruction:
         with pytest.raises(HistogramError):
             MultiHistogram([1], [[0.0, 1.0]], np.array([[3]]), np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "dims, boundaries, indices, probs",
+        [
+            ([], [], np.zeros((1, 0), dtype=int), [1.0]),
+            ([1, 2], [[0.0, 1.0]], [[0, 0]], [1.0]),
+            ([1], [[0.0]], [[0]], [1.0]),
+            ([1, 2], [[0.0, 1.0], [0.0, 1.0]], [[0]], [1.0]),
+            ([1], [[0.0, 1.0]], [[0]], [0.5, 0.5]),
+            ([1], [[0.0, 1.0]], np.zeros((0, 1), dtype=int), np.zeros(0)),
+            ([1], [[0.0, 1.0, 2.0]], [[0], [1]], [1.5, -0.5]),
+            ([1], [[0.0, 1.0]], [[0]], [0.0]),
+            ([1], [[0.0, 1.0, 2.0]], [[0], [1]], [0.3, 0.3]),
+        ],
+        ids=[
+            "no-dims",
+            "boundaries-per-dim",
+            "one-boundary",
+            "index-shape",
+            "probabilities-align",
+            "no-cells",
+            "negative-probability",
+            "no-mass",
+            "mass-not-one",
+        ],
+    )
+    def test_invalid_cells_rejected(self, dims, boundaries, indices, probs):
+        with pytest.raises(HistogramError):
+            MultiHistogram(dims, boundaries, np.asarray(indices), np.asarray(probs, dtype=float))
+
     def test_from_samples(self, rng):
         samples = rng.normal([50, 100], [5, 10], size=(200, 2))
         joint = MultiHistogram.from_samples([7, 8], samples, [[30, 50, 70], [60, 100, 140]])
@@ -59,26 +94,14 @@ class TestConstruction:
     def test_from_univariate_roundtrip(self):
         histogram = Histogram1D([Bucket(0, 10), Bucket(20, 30)], [0.4, 0.6])
         joint = MultiHistogram.from_univariate(5, histogram)
-        recovered = joint.marginal_1d(5)
+        recovered = joint.cost_distribution(max_buckets=None)
         assert recovered.prob_between(0, 10) == pytest.approx(0.4)
         assert recovered.prob_between(20, 30) == pytest.approx(0.6)
 
-    def test_independent_product(self):
-        a = Histogram1D.from_boundaries([0, 10], [1.0])
-        b = Histogram1D.from_boundaries([5, 15, 25], [0.5, 0.5])
-        joint = MultiHistogram.independent_product([(1, a), (2, b)])
-        assert joint.n_hyper_buckets() == 2
-        assert joint.marginal_1d(2).prob_between(5, 15) == pytest.approx(0.5)
-
-    def test_dense_round_trip(self, figure7):
-        dense = figure7.dense_probabilities()
-        assert dense.shape == (2, 2)
-        assert dense.sum() == pytest.approx(1.0)
-
 
 class TestMarginals:
-    def test_marginal_1d_matches_figure6(self, figure6):
-        marginal = figure6.marginal_1d(101)
+    def test_one_dim_marginal_matches_figure6(self, figure6):
+        marginal = marginal_histogram(figure6, 101)
         total = 0.316 + 0.386 + 0.298
         assert marginal.prob_between(10, 30) == pytest.approx(0.316 / total, abs=1e-6)
         assert marginal.prob_between(50, 90) == pytest.approx(0.298 / total, abs=1e-6)
@@ -92,21 +115,6 @@ class TestMarginals:
         with pytest.raises(HistogramError):
             figure7.marginal([99])
 
-    def test_conditional_cells(self, figure7):
-        indices, probs = figure7.conditional_cells([1], [0])
-        # Conditioning on the first bucket of dim 1: cells (0,0) and (0,1).
-        assert probs.sum() == pytest.approx(1.0)
-        assert np.all(indices[:, figure7.axis_of(1)] == 0)
-
-    def test_conditional_cells_empty_slice_falls_back(self, figure6):
-        indices, probs = figure6.conditional_cells([101], [0])
-        assert probs.sum() == pytest.approx(1.0)
-
-    def test_bucket_index_for(self, figure7):
-        assert figure7.bucket_index_for(1, 25.0) == 0
-        assert figure7.bucket_index_for(1, 45.0) == 1
-        assert figure7.bucket_index_for(1, 1000.0) == 1
-
 
 class TestCostDistribution:
     def test_figure7_summed_bounds(self, figure7):
@@ -119,7 +127,7 @@ class TestCostDistribution:
 
     def test_cost_distribution_mean_matches_sum_of_marginal_means(self, figure7):
         cost = figure7.cost_distribution()
-        expected = figure7.marginal_1d(1).mean + figure7.marginal_1d(2).mean
+        expected = marginal_histogram(figure7, 1).mean + marginal_histogram(figure7, 2).mean
         assert cost.mean == pytest.approx(expected, rel=1e-9)
 
 
@@ -127,7 +135,7 @@ class TestEntropyAndSampling:
     def test_entropy_of_independent_product_adds_up(self):
         a = Histogram1D.from_boundaries([0, 10, 20], [0.5, 0.5])
         b = Histogram1D.from_boundaries([0, 4, 8], [0.25, 0.75])
-        joint = MultiHistogram.independent_product([(1, a), (2, b)])
+        joint = reference_independent_joint([(1, a), (2, b)])
         from repro import entropy_of_histogram
 
         assert joint.entropy() == pytest.approx(
@@ -138,7 +146,7 @@ class TestEntropyAndSampling:
         samples = figure7.sample(rng, 20000)
         assert samples.shape == (20000, 2)
         first_dim_mean = samples[:, 0].mean()
-        assert first_dim_mean == pytest.approx(figure7.marginal_1d(1).mean, rel=0.05)
+        assert first_dim_mean == pytest.approx(marginal_histogram(figure7, 1).mean, rel=0.05)
 
     def test_storage_size_positive(self, figure6):
         assert figure6.storage_size() > 0

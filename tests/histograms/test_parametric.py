@@ -57,6 +57,13 @@ class TestDispatch:
         assert 0.0 <= fit.cdf(gamma_sample.mean) <= 1.0
         assert fit.storage_size() <= 2
 
+    @pytest.mark.parametrize("family", ["gaussian", "gamma", "exponential"])
+    def test_pdf_is_the_derivative_of_the_cdf(self, family, gamma_sample):
+        fit = fit_distribution(gamma_sample, family)
+        x, h = gamma_sample.mean, 1e-3
+        slope = (fit.cdf(x + h) - fit.cdf(x - h)) / (2 * h)
+        assert fit.pdf(x) == pytest.approx(slope, rel=1e-4)
+
     def test_unknown_family_rejected(self, gamma_sample):
         with pytest.raises(HistogramError):
             fit_distribution(gamma_sample, "weibull")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import HistogramError, RawDistribution
-from repro.histograms.raw import raw_from_pairs
 
 
 class TestConstruction:
@@ -14,6 +13,9 @@ class TestConstruction:
         assert raw.min == 10.0
         assert raw.max == 40.0
         assert raw.mean == pytest.approx(25.0)
+
+    def test_len_counts_the_values(self):
+        assert len(RawDistribution([10.0, 20.0, 20.0, 40.0])) == 4
 
     def test_values_are_sorted_and_readonly(self):
         raw = RawDistribution([3.0, 1.0, 2.0])
@@ -40,13 +42,7 @@ class TestConstruction:
             raw.quantile(1.5)
 
 
-class TestProbabilityPairs:
-    def test_pairs_sum_to_one(self):
-        raw = RawDistribution([1.0, 1.0, 2.0, 3.0])
-        pairs = raw.probability_pairs()
-        assert sum(p for _, p in pairs) == pytest.approx(1.0)
-        assert pairs[0] == (1.0, 0.5)
-
+class TestStorage:
     def test_storage_size_counts_distinct_values(self):
         raw = RawDistribution([1.0, 1.0, 2.0])
         assert raw.storage_size() == 4
@@ -63,23 +59,6 @@ class TestSplitting:
         with pytest.raises(HistogramError):
             RawDistribution([1.0, 2.0]).split_folds(5, rng)
 
-    def test_subsample_fraction(self, rng):
-        raw = RawDistribution(range(100))
-        sub = raw.subsample(0.25, rng)
-        assert sub.n == 25
-
     def test_merge(self):
         merged = RawDistribution([1.0]).merge(RawDistribution([2.0, 3.0]))
         assert merged.n == 3
-
-
-class TestFromPairs:
-    def test_expansion_respects_percentages(self):
-        raw = raw_from_pairs([(10.0, 0.25), (20.0, 0.75)], total_count=100)
-        pairs = dict(raw.probability_pairs())
-        assert pairs[10.0] == pytest.approx(0.25, abs=0.02)
-        assert pairs[20.0] == pytest.approx(0.75, abs=0.02)
-
-    def test_empty_pairs_rejected(self):
-        with pytest.raises(HistogramError):
-            raw_from_pairs([])

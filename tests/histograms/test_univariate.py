@@ -5,7 +5,7 @@ import pytest
 
 from repro import Bucket, Histogram1D, HistogramError, RawDistribution
 from repro.histograms import kernels
-from repro.histograms.univariate import convolve_many, rearrange_buckets
+from repro.histograms.univariate import convolve_many
 
 
 @pytest.fixture
@@ -30,10 +30,6 @@ class TestBucket:
             Bucket(5, 5)
         with pytest.raises(HistogramError):
             Bucket(0, float("inf"))
-
-    def test_overlap_width(self):
-        assert Bucket(0, 10).overlap_width(Bucket(5, 20)) == 5
-        assert Bucket(0, 10).overlap_width(Bucket(10, 20)) == 0
 
     def test_shift(self):
         assert Bucket(5, 10).shift(3) == Bucket(8, 13)
@@ -66,6 +62,20 @@ class TestConstruction:
         with pytest.raises(HistogramError):
             Histogram1D.from_boundaries([0, 10], [0.3, 0.7])
 
+    @pytest.mark.parametrize(
+        "lows, highs, probs",
+        [
+            ([], [], []),
+            ([0.0, 1.0], [1.0], [0.5, 0.5]),
+            ([0.0], [float("inf")], [1.0]),
+            ([1.0], [1.0], [1.0]),
+        ],
+        ids=["empty", "unequal-lengths", "non-finite", "zero-width"],
+    )
+    def test_from_arrays_rejects_invalid_ranges(self, lows, highs, probs):
+        with pytest.raises(HistogramError):
+            Histogram1D.from_arrays(lows, highs, probs)
+
     def test_from_values_clamps_outliers(self):
         histogram = Histogram1D.from_values([1, 5, 9, 100], [0, 5, 10])
         assert histogram.probabilities.sum() == pytest.approx(1.0)
@@ -76,9 +86,7 @@ class TestConstruction:
         assert histogram.n_buckets == 2
         assert histogram.probabilities[0] == pytest.approx(0.5)
 
-    def test_point_mass_and_uniform(self):
-        point = Histogram1D.point_mass(50.0)
-        assert point.mean == pytest.approx(50.0)
+    def test_uniform(self):
         uniform = Histogram1D.uniform(0.0, 10.0)
         assert uniform.mean == pytest.approx(5.0)
 
@@ -203,6 +211,14 @@ class TestTransforms:
         assert simple.storage_size() == 3 + 2
 
 
+def rearranged(weighted) -> Histogram1D:
+    """The disjoint histogram of ``(Bucket, weight)`` pairs, through ``kernels.rearrange``."""
+    lows = np.array([bucket.lower for bucket, _ in weighted], dtype=float)
+    highs = np.array([bucket.upper for bucket, _ in weighted], dtype=float)
+    probs = np.array([weight for _, weight in weighted], dtype=float)
+    return Histogram1D.from_arrays(*kernels.rearrange(lows, highs, probs))
+
+
 class TestRearrangeBuckets:
     def test_paper_figure7_example(self):
         """The overlapping-bucket rearrangement example of Figure 7."""
@@ -212,7 +228,7 @@ class TestRearrangeBuckets:
             (Bucket(60, 90), 0.20),
             (Bucket(70, 110), 0.25),
         ]
-        histogram = rearrange_buckets(weighted)
+        histogram = rearranged(weighted)
         lookup = {
             (bucket.lower, bucket.upper): prob
             for bucket, prob in zip(histogram.buckets, histogram.probabilities)
@@ -225,7 +241,7 @@ class TestRearrangeBuckets:
 
     def test_disjoint_buckets_pass_through(self):
         weighted = [(Bucket(0, 10), 0.4), (Bucket(20, 30), 0.6)]
-        histogram = rearrange_buckets(weighted)
+        histogram = rearranged(weighted)
         assert histogram.n_buckets == 2
         assert histogram.probabilities[0] == pytest.approx(0.4)
 
@@ -236,11 +252,11 @@ class TestRearrangeBuckets:
                 rng.uniform(0, 100, 50), rng.uniform(1, 30, 50), rng.dirichlet(np.ones(50))
             )
         ]
-        histogram = rearrange_buckets(weighted)
+        histogram = rearranged(weighted)
         assert histogram.probabilities.sum() == pytest.approx(1.0)
         expected_mean = sum(bucket.midpoint * prob for bucket, prob in weighted)
         assert histogram.mean == pytest.approx(expected_mean, rel=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(HistogramError):
-            rearrange_buckets([])
+            rearranged([])

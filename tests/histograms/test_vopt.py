@@ -10,14 +10,13 @@ from repro.histograms.vopt import (
     equal_width_boundaries,
     v_optimal_all_boundaries,
     v_optimal_boundaries,
-    v_optimal_error,
 )
+from reference_histograms import reference_value_frequencies
 
 
 def brute_force_error(distribution: RawDistribution, n_buckets: int) -> float:
     """Exact optimal within-group SSE by enumerating all contiguous partitions."""
-    pairs = distribution.probability_pairs()
-    freqs = np.array([perc for _, perc in pairs])
+    _, freqs = reference_value_frequencies(distribution)
     n = freqs.size
     if n_buckets >= n:
         return 0.0
@@ -31,6 +30,17 @@ def brute_force_error(distribution: RawDistribution, n_buckets: int) -> float:
         error = sum(group_sse(freqs[a:b]) for a, b in zip(cuts[:-1], cuts[1:]))
         best = min(best, error)
     return best
+
+
+def partition_error(distribution: RawDistribution, boundaries: list[float]) -> float:
+    """Within-bucket SSE of the ``(cost, perc)`` vector the DP partitions, cut at ``boundaries``."""
+    values, freqs = reference_value_frequencies(distribution)
+    error = 0.0
+    for low, high in zip(boundaries[:-1], boundaries[1:]):
+        group = freqs[(values >= low) & (values < high)]
+        if group.size:
+            error += float(np.sum((group - group.mean()) ** 2))
+    return error
 
 
 class TestBoundaries:
@@ -77,14 +87,14 @@ class TestOptimality:
         rng = np.random.default_rng(42)
         values = np.round(rng.gamma(5.0, 10.0, size=60), -1)
         raw = RawDistribution(values)
-        dp_error = v_optimal_error(raw, n_buckets)
+        dp_error = partition_error(raw, v_optimal_boundaries(raw, n_buckets))
         exact = brute_force_error(raw, n_buckets)
         assert dp_error == pytest.approx(exact, abs=1e-9)
 
     def test_error_decreases_with_more_buckets(self):
         rng = np.random.default_rng(1)
         raw = RawDistribution(rng.normal(100, 20, size=50))
-        errors = [v_optimal_error(raw, b) for b in range(1, 8)]
+        errors = [partition_error(raw, v_optimal_boundaries(raw, b)) for b in range(1, 8)]
         assert all(x >= y - 1e-12 for x, y in zip(errors, errors[1:]))
 
 

@@ -84,7 +84,6 @@ class TestSnapshot:
         snapshot = MutableTrajectoryStore().snapshot()
         assert len(snapshot) == 0
         assert snapshot.covered_edges() == set()
-        assert snapshot.unit_paths() == []
 
     def test_snapshot_supports_full_read_api(self, base_trajectories):
         store = MutableTrajectoryStore(base_trajectories)
@@ -100,6 +99,17 @@ class TestSnapshot:
         assert len(snapshot.without_trajectories(held_out)) == len(
             reference.without_trajectories(held_out)
         )
+
+    def test_snapshot_stats_ignore_later_appends(self):
+        store = MutableTrajectoryStore([traj(1, [1, 2]), traj(2, [2, 3])])
+        snapshot = store.snapshot()
+        store.append(traj(3, [3, 4, 5]))
+        assert snapshot.stats() == {
+            "n_trajectories": 2,
+            "total_edge_traversals": 4,
+            "n_covered_edges": 3,
+        }
+        assert store.stats()["n_covered_edges"] == 5
 
     def test_snapshot_trajectory_access(self):
         store = MutableTrajectoryStore([traj(1, [1, 2]), traj(2, [2, 3])])

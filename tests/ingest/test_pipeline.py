@@ -76,7 +76,6 @@ class TestSynchronousIngest:
         assert stats.accepted == 4
         assert stats.skipped == 0
         assert stats.store_version == 4
-        assert stats.match_failure_rate == 0.0
 
     def test_stats_report_pending_dirty_edges_until_refresh(
         self, base_trajectories, stream_trajectories, builder_factory
@@ -135,7 +134,7 @@ class TestTargetedInvalidation:
         service.estimate(dirty, stream_trajectories[0].departure_time_s)
         report = pipeline.ingest_batch(stream_trajectories)
         assert report.invalidation is not None
-        assert report.invalidation.n_invalidated >= 1
+        assert report.invalidation.result_keys or report.invalidation.decomposition_keys
 
         clean_response = service.submit(EstimateRequest(clean, departure))
         assert clean_response.cache_hit

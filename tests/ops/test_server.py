@@ -186,7 +186,7 @@ class TestEndpoints:
 class TestBareTelemetryServer:
     def test_metrics_without_frontend(self, http_get):
         telemetry = Telemetry()
-        telemetry.registry.counter("repro_x_total").inc(3)
+        telemetry.registry.gauge("repro_x_total").set(3)
         with AdminServer(telemetry=telemetry) as admin:
             status, text = http_get(admin.url("/metrics"))
             assert parse_prometheus_text(text)["repro_x_total"] == 3.0

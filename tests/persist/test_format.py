@@ -9,6 +9,7 @@ import pytest
 
 from repro import (
     CostEstimationService,
+    GraphError,
     HybridGraph,
     PersistError,
     PersistParameters,
@@ -18,7 +19,8 @@ from repro import (
     write_snapshot,
 )
 from repro.persist import FORMAT_VERSION, MANIFEST_FILENAME
-from repro.persist.format import read_manifest, snapshot_payload_bytes
+from repro.persist import format as fmt
+from repro.persist.format import read_manifest
 
 
 @pytest.fixture
@@ -152,7 +154,7 @@ class TestFootprintAccounting:
     def test_variable_nbytes_matches_backing_arrays(self, persist_graph):
         variable = persist_graph.variables[0]
         assert variable.nbytes == variable.distribution.nbytes
-        rank_one = [v for v in persist_graph.variables if v.is_unit]
+        rank_one = [v for v in persist_graph.variables if v.rank == 1]
         histogram = rank_one[0].distribution
         assert histogram.nbytes == 3 * 8 * histogram.n_buckets
 
@@ -170,8 +172,11 @@ class TestFootprintAccounting:
         directory = tmp_path / "snap"
         write_snapshot(directory, graph=persist_graph)
         reported = persist_graph.array_memory_bytes(include_fallbacks=False)
-        on_disk = snapshot_payload_bytes(directory, prefix="uni_") + snapshot_payload_bytes(
-            directory, prefix="multi_"
+        arrays = read_manifest(directory)["arrays"]
+        on_disk = sum(
+            (directory / filename).stat().st_size
+            for name, filename in arrays.items()
+            if name.startswith(("uni_", "multi_"))
         )
         assert on_disk >= reported  # metadata only ever adds bytes
         n_variables = persist_graph.num_variables()
@@ -205,12 +210,96 @@ class TestWriterValidation:
         assert restored.store.covered_edges() == persist_store.covered_edges()
 
 
+def _rewrite(directory, name, change):
+    """Load one blob, ``change`` it in place and save it back with ``np.save``."""
+    path = directory / read_manifest(directory)["arrays"][name]
+    array = np.load(path)
+    change(array)
+    np.save(path, array)
+
+
+def _push_last(array):
+    array[-1] += 1_000_000
+
+
+def _push_second(array):
+    array[1] += 1
+
+
+def _out_of_range(array):
+    array[0] = 1_000_000
+
+
+class TestUndecodableBlobs:
+    """A blob whose values point outside their columns is a :class:`PersistError`
+    naming the directory and the section, with the decoding error chained."""
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            ("multi_cell_offsets", _push_last),
+            ("multi_cell_index_offsets", _push_second),
+            ("multi_path_offsets", _push_second),
+            ("multi_interval", _out_of_range),
+            ("net_edge_category", _out_of_range),
+            ("net_edge_source", _out_of_range),
+        ],
+    )
+    def test_raises_persist_error(self, snapshot_dir, name, change, mmap):
+        _rewrite(snapshot_dir, name, change)
+        with pytest.raises(PersistError, match="graph section") as raised:
+            restore_snapshot(snapshot_dir, mmap=mmap)
+        assert str(snapshot_dir) in str(raised.value)
+        assert isinstance(raised.value.__cause__, (ValueError, IndexError, GraphError))
+
+
+class TestReSave:
+    def test_a_resave_killed_before_its_manifest_does_not_restore(
+        self, snapshot_dir, persist_graph, monkeypatch
+    ):
+        """The old manifest goes before the first blob is overwritten, so the
+        old manifest can never name a mix of old and new arrays."""
+
+        def killed(directory, manifest):
+            raise OSError("writer killed")
+
+        monkeypatch.setattr(fmt, "write_manifest", killed)
+        with pytest.raises(OSError, match="writer killed"):
+            write_snapshot(snapshot_dir, graph=persist_graph)
+        with pytest.raises(PersistError, match="not a snapshot"):
+            restore_snapshot(snapshot_dir)
+
+    def test_a_smaller_resave_leaves_only_the_blobs_its_manifest_names(
+        self, snapshot_dir, persist_store
+    ):
+        before = {path.name for path in snapshot_dir.iterdir()}
+        write_snapshot(snapshot_dir, store=persist_store)
+        manifest = read_manifest(snapshot_dir)
+        after = {path.name for path in snapshot_dir.iterdir()}
+        assert after == {MANIFEST_FILENAME, *manifest["arrays"].values()}
+        assert after < before
+        assert len(restore_snapshot(snapshot_dir).store) == len(persist_store)
+
+    def test_a_resave_removes_no_file_outside_the_old_manifest(
+        self, tmp_path, snapshot_dir, persist_store
+    ):
+        (snapshot_dir / "notes.txt").write_text("kept")
+        (tmp_path / "outside.npy").write_bytes(b"kept")
+        manifest = json.loads((snapshot_dir / MANIFEST_FILENAME).read_text())
+        manifest["arrays"]["escape"] = "../outside.npy"
+        (snapshot_dir / MANIFEST_FILENAME).write_text(json.dumps(manifest))
+        write_snapshot(snapshot_dir, store=persist_store)
+        assert (snapshot_dir / "notes.txt").read_text() == "kept"
+        assert (tmp_path / "outside.npy").read_bytes() == b"kept"
+
+
 class TestMmapZeroCopy:
     def test_restored_histograms_view_snapshot_files(self, tmp_path, persist_graph):
         directory = tmp_path / "snap"
         write_snapshot(directory, graph=persist_graph)
         restored = restore_snapshot(directory, mmap=True)
-        rank_one = [v for v in restored.graph.variables if v.is_unit]
+        rank_one = [v for v in restored.graph.variables if v.rank == 1]
         lows = rank_one[0].distribution.lows
         assert isinstance(lows.base, np.memmap) or isinstance(lows, np.memmap) or (
             lows.base is not None and isinstance(getattr(lows.base, "base", None), np.memmap)

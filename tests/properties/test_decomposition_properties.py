@@ -9,7 +9,6 @@ from repro import (
     EstimatorParameters,
     Histogram1D,
     HybridGraph,
-    MultiHistogram,
     Path,
     grid_network,
 )
@@ -18,6 +17,7 @@ from repro.core.joint import propagate_joint
 from repro.core.relevance import build_candidate_array
 from repro.core.variables import InstantiatedVariable
 from repro.timeutil import interval_of
+from reference_histograms import reference_independent_joint
 
 NETWORK = grid_network(7, 7, block_length_m=200.0, arterial_every=3)
 DEPARTURE = 8 * 3600.0
@@ -44,7 +44,7 @@ def _variable(edge_ids: tuple[int, ...], rng: np.random.Generator) -> Instantiat
         mid = (low + high) / 2
         distribution = Histogram1D([Bucket(low, mid), Bucket(mid, high)], [0.5, 0.5])
     else:
-        distribution = MultiHistogram.independent_product(
+        distribution = reference_independent_joint(
             [
                 (edge_id, Histogram1D([Bucket(low, high)], [1.0]))
                 for edge_id in edge_ids

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import Bucket, Histogram1D, MultiHistogram, RawDistribution, histogram_kl_divergence
+from repro.histograms import kernels
 from repro.histograms.autobuckets import build_auto_histogram
-from repro.histograms.univariate import rearrange_buckets
 from repro.histograms.vopt import v_optimal_boundaries
 
 #: Strategy: a non-degenerate sample of travel costs.
@@ -96,23 +96,30 @@ class TestConvolutionInvariants:
         assert np.isclose(coarse.max, histogram.max)
 
 
+def rearranged_cells(weighted):
+    """``kernels.rearrange`` on ``(Bucket, weight)`` pairs."""
+    lows = np.array([bucket.lower for bucket, _ in weighted], dtype=float)
+    highs = np.array([bucket.upper for bucket, _ in weighted], dtype=float)
+    probs = np.array([weight for _, weight in weighted], dtype=float)
+    return kernels.rearrange(lows, highs, probs)
+
+
 class TestRearrangementInvariants:
     @given(weighted_buckets)
     @settings(max_examples=60, deadline=None)
     def test_rearrangement_preserves_mass_and_mean(self, weighted):
         weighted = normalise(weighted)
-        histogram = rearrange_buckets(weighted)
-        assert np.isclose(histogram.probabilities.sum(), 1.0)
+        lows, highs, probs = rearranged_cells(weighted)
+        assert np.isclose(probs.sum(), 1.0)
         expected_mean = sum(bucket.midpoint * weight for bucket, weight in weighted)
-        assert np.isclose(histogram.mean, expected_mean, rtol=1e-9)
+        assert np.isclose(np.sum((lows + highs) / 2.0 * probs), expected_mean, rtol=1e-9)
 
     @given(weighted_buckets)
     @settings(max_examples=60, deadline=None)
     def test_rearranged_buckets_are_disjoint_and_ordered(self, weighted):
-        histogram = rearrange_buckets(normalise(weighted))
-        buckets = histogram.buckets
-        for earlier, later in zip(buckets[:-1], buckets[1:]):
-            assert earlier.upper <= later.lower + 1e-12
+        lows, highs, _ = rearranged_cells(normalise(weighted))
+        assert np.all(lows < highs)
+        assert np.all(highs[:-1] <= lows[1:] + 1e-12)
 
 
 class TestMultiHistogramInvariants:
@@ -133,7 +140,9 @@ class TestMultiHistogramInvariants:
         joint = MultiHistogram.from_samples(dims, samples, boundaries)
         assert np.isclose(joint.cell_probabilities.sum(), 1.0)
         # Marginal means sum to the cost-distribution mean.
-        marginal_mean_sum = sum(joint.marginal_1d(dim).mean for dim in dims)
+        marginal_mean_sum = sum(
+            joint.marginal([dim]).cost_distribution(max_buckets=None).mean for dim in dims
+        )
         assert np.isclose(joint.cost_distribution(max_buckets=None).mean, marginal_mean_sum, rtol=1e-9)
         # Marginalising to all dims in order is the identity on probabilities.
         assert np.isclose(joint.marginal(dims).cell_probabilities.sum(), 1.0)

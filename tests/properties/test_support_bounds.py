@@ -150,7 +150,8 @@ def hand_built_graph(seed):
         start = int(rng.integers(0, N_EDGES - rank + 1))
         covered = edge_ids[start : start + rank]
         interval = interval_at(base_interval + int(rng.integers(-1, 3)), ALPHA_MINUTES)
-        if edge_ids[fallback_only] in covered or graph.variable_for(Path(covered), interval.index):
+        already = graph.weight(Path(covered), interval.start_s) is not None
+        if edge_ids[fallback_only] in covered or already:
             continue
         centre = rng.choice([3.0, 40.0, 1000.0], p=[0.15, 0.7, 0.15])
         samples = centre + rng.uniform(0.0, 30.0, size=(int(rng.integers(10, 60)), rank))

@@ -273,10 +273,6 @@ def test_cross_validated_errors_equal_the_fold_by_fold_version(columns, max_buck
             distribution, caps[row], n_folds, np.random.default_rng([seed, row])
         )
         assert errors[row, : caps[row]].tolist() == expected
-        got = autobuckets.cross_validated_errors(
-            distribution, caps[row], n_folds, np.random.default_rng([seed, row])
-        )
-        assert got == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,7 +326,6 @@ def test_heuristic_bucket_counts_equal_np_percentile(columns, max_buckets):
         distribution = RawDistribution(column)
         expected = reference.reference_heuristic_bucket_count(distribution, max_buckets)
         assert count == expected
-        assert autobuckets.heuristic_bucket_count(distribution, max_buckets) == expected
 
 
 @st.composite

@@ -223,9 +223,16 @@ def reference_run_dp(freqs: np.ndarray, max_groups: int) -> tuple[np.ndarray, np
 _MAX_DISTINCT_VALUES = 48
 
 
+def reference_probability_pairs(distribution: RawDistribution) -> list[tuple[float, float]]:
+    """Distinct ``(cost, percentage)`` pairs, the paper's form of a raw distribution."""
+    unique, counts = np.unique(distribution.values, return_counts=True)
+    total = float(counts.sum())
+    return [(float(v), float(c) / total) for v, c in zip(unique, counts)]
+
+
 def reference_value_frequencies(distribution: RawDistribution) -> tuple[np.ndarray, np.ndarray]:
     """The ``(cost, perc)`` vector of one distribution, from ``np.unique`` / ``np.histogram``."""
-    pairs = distribution.probability_pairs()
+    pairs = reference_probability_pairs(distribution)
     n_cells = int(np.clip(distribution.n // 3, 8, _MAX_DISTINCT_VALUES))
     if len(pairs) <= n_cells:
         return (
@@ -333,7 +340,7 @@ def reference_auto_bucket_count(
     return_errors: bool = False,
 ):
     """The paper's "Auto" bucket count: scan the cross-validated error curve."""
-    n_distinct = len(distribution.probability_pairs())
+    n_distinct = len(reference_probability_pairs(distribution))
     max_buckets = min(parameters.max_buckets, max(1, n_distinct))
     errors = reference_cross_validated_errors(distribution, max_buckets, parameters.cv_folds, rng)
     chosen = 1
@@ -397,3 +404,21 @@ def reference_joint_histogram(
         n_buckets = reference_heuristic_bucket_count(column, max_buckets=max_buckets)
         boundaries.append(reference_boundaries(column, n_buckets))
     return reference_joint_from_samples(list(dims), samples, boundaries)
+
+
+def reference_independent_joint(marginals) -> MultiHistogram:
+    """The joint of ``[(dim, Histogram1D), ...]`` under independence: every
+    combination of buckets, with the product of their probabilities."""
+    dims = [dim for dim, _ in marginals]
+    boundaries = [histogram.boundary_values() for _, histogram in marginals]
+    probs = np.array(marginals[0][1].probabilities)
+    for _, histogram in marginals[1:]:
+        probs = np.multiply.outer(probs, np.array(histogram.probabilities))
+    return reference_dense_joint(dims, boundaries, probs)
+
+
+def reference_dense_joint(dims, boundaries, tensor) -> MultiHistogram:
+    """The joint histogram holding a dense probability tensor's occupied cells."""
+    tensor = np.asarray(tensor, dtype=float)
+    occupied = np.argwhere(tensor > 0)
+    return MultiHistogram(dims, boundaries, occupied, tensor[tuple(occupied.T)])

@@ -8,6 +8,7 @@ from repro.roadnet.graph import DEFAULT_SPEED_LIMITS_KMH
 
 @pytest.fixture
 def triangle() -> RoadNetwork:
+    """Edges 0: 0->1, 1: 1->2 and 2: 2->0, in the order they are added."""
     network = RoadNetwork("triangle")
     network.add_vertex(0, 0.0, 0.0)
     network.add_vertex(1, 1000.0, 0.0)
@@ -24,15 +25,15 @@ class TestConstruction:
         assert triangle.num_edges == 3
 
     def test_default_length_is_euclidean_distance(self, triangle):
-        edge = triangle.edge_between(0, 1)
+        edge = triangle.edge(0)
         assert edge.length_m == pytest.approx(1000.0)
 
     def test_default_speed_from_category(self, triangle):
-        edge = triangle.edge_between(0, 1)
+        edge = triangle.edge(0)
         assert edge.speed_limit_kmh == DEFAULT_SPEED_LIMITS_KMH["arterial"]
 
     def test_explicit_length_and_speed(self, triangle):
-        edge = triangle.edge_between(2, 0)
+        edge = triangle.edge(2)
         assert edge.length_m == 500.0
         assert edge.speed_limit_kmh == 30.0
 
@@ -56,20 +57,20 @@ class TestConstruction:
         with pytest.raises(GraphError):
             triangle.add_edge(0, 99)
 
+    def test_nonpositive_speed_rejected(self, triangle):
+        with pytest.raises(GraphError):
+            triangle.add_edge(1, 0, speed_limit_kmh=0.0)
+
+    def test_duplicate_edge_id_rejected(self, triangle):
+        with pytest.raises(GraphError):
+            triangle.add_edge(1, 0, edge_id=2)
+
     def test_nonpositive_length_rejected(self, triangle):
         network = RoadNetwork()
         network.add_vertex(0)
         network.add_vertex(1, 10.0, 0.0)
         with pytest.raises(GraphError):
             network.add_edge(0, 1, length_m=-5.0)
-
-    def test_from_edge_list_roundtrip(self):
-        network = RoadNetwork.from_edge_list(
-            vertices=[(0, 0.0, 0.0), (1, 100.0, 0.0)],
-            edges=[(0, 1, 100.0, 50.0, "collector")],
-        )
-        assert network.num_edges == 1
-        assert network.edge_between(0, 1).length_m == 100.0
 
 
 class TestLookups:
@@ -78,14 +79,14 @@ class TestLookups:
         assert [e.source for e in triangle.in_edges(0)] == [2]
 
     def test_successors_of_edge(self, triangle):
-        first = triangle.edge_between(0, 1)
+        first = triangle.edge(0)
         successors = triangle.successors_of_edge(first.edge_id)
         assert [e.target for e in successors] == [2]
 
     def test_are_adjacent(self, triangle):
-        e01 = triangle.edge_between(0, 1).edge_id
-        e12 = triangle.edge_between(1, 2).edge_id
-        e20 = triangle.edge_between(2, 0).edge_id
+        e01 = triangle.edge(0).edge_id
+        e12 = triangle.edge(1).edge_id
+        e20 = triangle.edge(2).edge_id
         assert triangle.are_adjacent(e01, e12)
         assert not triangle.are_adjacent(e01, e20)
 
@@ -93,21 +94,18 @@ class TestLookups:
         with pytest.raises(GraphError):
             triangle.vertex(99)
 
+    @pytest.mark.parametrize("lookup", ["out_edges", "in_edges"])
+    def test_edges_of_an_unknown_vertex_raise(self, triangle, lookup):
+        with pytest.raises(GraphError):
+            getattr(triangle, lookup)(99)
+
     def test_unknown_edge_raises(self, triangle):
         with pytest.raises(GraphError):
             triangle.edge(99)
 
-    def test_edge_between_missing_returns_none(self, triangle):
-        assert triangle.edge_between(1, 0) is None
-
     def test_free_flow_time(self, triangle):
-        edge = triangle.edge_between(2, 0)
+        edge = triangle.edge(2)
         assert edge.free_flow_time_s == pytest.approx(500.0 / (30.0 / 3.6))
-
-    def test_total_length(self, triangle):
-        assert triangle.total_length_m() == pytest.approx(
-            sum(edge.length_m for edge in triangle.edges())
-        )
 
 
 class TestNetworkxExport:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Path, PathError, RoutingError, grid_network, k_shortest_paths, shortest_path
-from repro.roadnet.routing import astar_path, dijkstra, random_path
+from repro.roadnet.routing import dijkstra, random_path
 
 
 @pytest.fixture(scope="module")
@@ -36,20 +36,6 @@ class TestDijkstra:
         # In a one-way grid pointing right/down, vertex 0 is unreachable from 8.
         with pytest.raises(RoutingError):
             shortest_path(network, 8, 0)
-
-
-class TestAStar:
-    def test_astar_matches_dijkstra_cost(self, grid):
-        for target in (6, 13, 24):
-            d_path = shortest_path(grid, 0, target)
-            a_path = astar_path(grid, 0, target)
-            assert a_path.free_flow_time_s(grid) == pytest.approx(
-                d_path.free_flow_time_s(grid), rel=1e-9
-            )
-
-    def test_astar_validates_result(self, grid):
-        path = astar_path(grid, 0, 18)
-        path.validate(grid)
 
 
 class TestYen:

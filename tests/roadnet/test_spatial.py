@@ -6,9 +6,7 @@ import pytest
 
 from repro.roadnet.spatial import (
     Point,
-    haversine_m,
     interpolate,
-    polyline_length,
     project_point_to_segment,
 )
 
@@ -52,7 +50,7 @@ class TestProjection:
         assert fraction == 0.0
 
 
-class TestInterpolationAndLength:
+class TestInterpolation:
     def test_interpolate_midway(self):
         point = interpolate(Point(0, 0), Point(10, 10), 0.5)
         assert (point.x, point.y) == (5.0, 5.0)
@@ -60,21 +58,3 @@ class TestInterpolationAndLength:
     def test_interpolate_clamps_fraction(self):
         assert interpolate(Point(0, 0), Point(10, 0), 2.0).x == 10.0
         assert interpolate(Point(0, 0), Point(10, 0), -1.0).x == 0.0
-
-    def test_polyline_length(self):
-        points = [Point(0, 0), Point(3, 4), Point(3, 10)]
-        assert polyline_length(points) == pytest.approx(5.0 + 6.0)
-
-
-class TestHaversine:
-    def test_zero_distance(self):
-        assert haversine_m(10.0, 56.0, 10.0, 56.0) == 0.0
-
-    def test_one_degree_longitude_at_equator(self):
-        distance = haversine_m(0.0, 0.0, 1.0, 0.0)
-        assert distance == pytest.approx(111_195, rel=0.01)
-
-    def test_symmetry(self):
-        assert haversine_m(9.9, 57.0, 10.1, 57.2) == pytest.approx(
-            haversine_m(10.1, 57.2, 9.9, 57.0)
-        )

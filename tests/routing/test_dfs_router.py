@@ -43,6 +43,14 @@ class TestDFSRouter:
         large = router.find_route(0, 18, 8 * 3600.0, budget_s=2000.0)
         assert large.probability >= small.probability
 
+    def test_estimator_reads_and_writes_through_to_the_engine(self, small_network, hybrid_graph):
+        estimator = PathCostEstimator(hybrid_graph)
+        router = DFSStochasticRouter(small_network, estimator, max_path_edges=8)
+        assert router.estimator is estimator is router.engine.estimator
+        legacy = LegacyBaseline(hybrid_graph)
+        router.estimator = legacy
+        assert router.engine.estimator is legacy
+
     def test_different_estimators_find_routes(self, small_network, hybrid_graph):
         lb_router = DFSStochasticRouter(
             small_network, LegacyBaseline(hybrid_graph), max_path_edges=18, max_expansions=800

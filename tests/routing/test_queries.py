@@ -14,48 +14,7 @@ from repro import (
     RoutingError,
     k_shortest_paths,
 )
-from repro.routing.queries import ProbabilisticBudgetQuery, first_order_dominates
-
-
-class TestDominance:
-    def test_faster_distribution_dominates(self):
-        fast = Histogram1D([Bucket(10, 20)], [1.0])
-        slow = Histogram1D([Bucket(30, 40)], [1.0])
-        assert first_order_dominates(fast, slow)
-        assert not first_order_dominates(slow, fast)
-
-    def test_identical_distributions_do_not_dominate(self):
-        histogram = Histogram1D([Bucket(10, 20)], [1.0])
-        assert not first_order_dominates(histogram, histogram)
-
-    def test_crossing_cdfs_do_not_dominate(self):
-        tight = Histogram1D([Bucket(18, 22)], [1.0])
-        spread = Histogram1D([Bucket(10, 30)], [1.0])
-        assert not first_order_dominates(tight, spread)
-        assert not first_order_dominates(spread, tight)
-
-    def test_identical_point_masses_are_symmetric(self):
-        """Degenerate case: two identical point masses must not dominate
-        each other in either argument order (dominance is irreflexive).
-
-        :class:`Bucket` forbids zero-width ranges, so the degenerate
-        support only arises through duck-typed distributions; a stub point
-        mass exercises that branch.
-        """
-
-        class PointMass:
-            def __init__(self, value):
-                self.min = value
-                self.max = value
-
-            def cdf(self, x):
-                return 1.0 if x >= self.min else 0.0
-
-        first = PointMass(30.0)
-        second = PointMass(30.0)
-        assert not first_order_dominates(first, second)
-        assert not first_order_dominates(second, first)
-        assert not first_order_dominates(first, first)
+from repro.routing.queries import ProbabilisticBudgetQuery
 
 
 class TestBudgetQuery:

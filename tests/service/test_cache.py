@@ -30,7 +30,7 @@ class TestLRUCache:
         cache.put("b", 2)
         cache.put("a", 10)  # refresh + overwrite; evicting would drop "b"
         cache.put("c", 3)
-        assert cache.peek("a") == 10
+        assert cache.get("a") == 10
         assert "b" not in cache
 
     def test_stats_track_hits_misses_evictions(self):
@@ -47,12 +47,11 @@ class TestLRUCache:
         assert stats.capacity == 1
         assert stats.hit_rate == pytest.approx(0.5)
 
-    def test_peek_and_contains_do_not_touch_stats(self):
+    def test_contains_does_not_touch_stats(self):
         cache = LRUCache(capacity=2)
         cache.put("a", 1)
-        cache.peek("a")
-        cache.peek("missing")
         assert "a" in cache
+        assert "missing" not in cache
         stats = cache.stats()
         assert stats.hits == 0
         assert stats.misses == 0
@@ -93,7 +92,7 @@ class TestLRUCache:
         assert not cache.put("a", 1, guard=lambda: False)
         assert "a" not in cache
         assert cache.put("a", 1, guard=lambda: True)
-        assert cache.peek("a") == 1
+        assert cache.get("a") == 1
 
     def test_invalidate_where_returns_removed_keys(self):
         cache = LRUCache(capacity=8)
@@ -103,7 +102,7 @@ class TestLRUCache:
         assert sorted(removed) == ["cat", "cow"]
         assert len(cache) == 2
         assert cache.stats().invalidations == 2
-        assert cache.peek("ant") == "ANT"
+        assert cache.get("ant") == "ANT"
 
 
 class TestEstimateCache:

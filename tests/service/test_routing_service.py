@@ -109,19 +109,19 @@ class TestRouteCacheInvalidation:
         response = service.route(_request(0, 63, budget_s=1.0))  # impossible budget
         assert not response.found
         report = service.invalidate_edges({0})
-        assert service.route_cache_stats().size == 0
+        assert service.stats()["route_cache"].size == 0
         assert len(report.route_keys) == 1
 
     def test_clear_caches_drops_routes(self, service):
         service.route(_request(0, 1, budget_s=600.0))
         service.clear_caches()
-        assert service.route_cache_stats().size == 0
+        assert service.stats()["route_cache"].size == 0
 
     def test_rebase_without_dirty_set_drops_all_routes(self, service, hybrid_graph):
         service.route(_request(0, 1, budget_s=600.0))
         report = service.rebase(hybrid_graph, dirty_edges=None)
         assert len(report.route_keys) == 1
-        assert service.route_cache_stats().size == 0
+        assert service.stats()["route_cache"].size == 0
 
     def test_rebase_is_routed_on_the_new_graphs_cost_bounds(
         self, service, hybrid_graph, graph_without
@@ -167,11 +167,11 @@ class TestRouteCacheInvalidation:
         assert disjoint_dirty.isdisjoint(response.path.edge_ids)
         report = service.rebase(other_graph, dirty_edges=disjoint_dirty)
         assert len(report.route_keys) == 1
-        assert service.route_cache_stats().size == 0
+        assert service.stats()["route_cache"].size == 0
         # Estimate/decomposition entries are keyed by old-network edge ids
         # and are equally meaningless on the new network: all dropped too.
         assert service.result_cache_stats().size == 0
-        assert service.decomposition_cache_stats().size == 0
+        assert service.stats()["decomposition_cache"].size == 0
         assert service.routing_engine().network is tiny_network
 
 

@@ -63,6 +63,10 @@ class TestResultCache:
         assert stats.hits == 1
         assert stats.misses == 1
 
+    def test_response_mean_is_the_estimates(self, service, busy_query):
+        response = service.submit(EstimateRequest(*busy_query))
+        assert response.mean == response.estimate.mean == response.estimate.histogram.mean
+
     def test_service_results_identical_to_direct_estimator(
         self, service, estimator, busy_query
     ):
@@ -322,7 +326,7 @@ class TestRoutingIntegration:
 
         engine = service.routing_engine()
         assert (engine.max_path_edges, engine.batch_size, engine.max_expansions) == (40, 16, 20000)
-        assert service.route_cache_stats().capacity == ROUTE_CACHE_CAPACITY == 1024
+        assert service.stats()["route_cache"].capacity == ROUTE_CACHE_CAPACITY == 1024
 
     def test_budget_query_accepts_service(self, service, estimator, small_network, busy_query):
         path, departure = busy_query
@@ -389,7 +393,7 @@ class TestInvalidation:
         path, departure = busy_query
         service.submit(EstimateRequest(path, departure))
         report = service.rebase(service.hybrid_graph, dirty_edges=None)
-        assert report.n_invalidated >= 1
+        assert report.result_keys
         assert service.result_cache_stats().size == 0
 
     def test_rebase_rejects_alpha_mismatch(self, service, small_network):

@@ -25,7 +25,7 @@ GOLDEN = Path(__file__).parent / "data" / "prometheus_golden.txt"
 def build_deterministic_registry() -> MetricsRegistry:
     """A small registry with fixed values: the golden-file subject."""
     registry = MetricsRegistry()
-    registry.counter("repro_frontend_ok_total", "Requests answered ok").inc(42)
+    registry.gauge("repro_frontend_ok_total", "Requests answered ok").set(42)
     registry.gauge(
         "repro_service_cache_size",
         "Entries cached",
@@ -85,9 +85,22 @@ class TestRenderPrometheus:
         series = parse_prometheus_text(render_prometheus(registry))
         assert math.isnan(series["repro_dead"])
 
+    @pytest.mark.parametrize("value, rendered", [(math.inf, "+Inf"), (-math.inf, "-Inf")])
+    def test_infinite_gauges_render_as_prometheus_infinities(self, value, rendered):
+        registry = MetricsRegistry()
+        registry.gauge("repro_edge", callback=lambda: value)
+        text = render_prometheus(registry)
+        assert f"repro_edge {rendered}\n" in text
+        assert parse_prometheus_text(text)["repro_edge"] == value
+
+    def test_a_label_name_starting_with_a_digit_is_prefixed(self):
+        registry = MetricsRegistry()
+        registry.gauge("repro_x", labels={"9lives": "v"}).set(1)
+        assert 'repro_x{_9lives="v"} 1' in render_prometheus(registry)
+
     def test_label_values_escape(self):
         registry = MetricsRegistry()
-        registry.counter("repro_x_total", labels={"path": 'a"b\\c'}).inc()
+        registry.gauge("repro_x_total", labels={"path": 'a"b\\c'}).set(1)
         rendered = render_prometheus(registry)
         assert '\\"' in rendered and "\\\\" in rendered
         series = parse_prometheus_text(rendered)
@@ -160,7 +173,7 @@ class TestStatsReporter:
 class TestTelemetryHub:
     def test_snapshot_shape(self):
         hub = Telemetry()
-        hub.registry.counter("repro_x_total").inc(2)
+        hub.registry.gauge("repro_x_total").set(2)
         trace = hub.tracer.maybe_trace("estimate")
         hub.tracer.finish(trace, "ok")
         snap = hub.snapshot()
@@ -172,7 +185,7 @@ class TestTelemetryHub:
 
     def test_render_prometheus(self):
         hub = Telemetry()
-        hub.registry.counter("repro_x_total").inc()
+        hub.registry.gauge("repro_x_total").set(1)
         assert "repro_x_total 1" in hub.render_prometheus()
 
     def test_reporter_period(self, tmp_path):
@@ -206,6 +219,9 @@ class TestAdversarialLabelRoundTrip:
             '\\"}\\n',
             "\\\\\\",  # odd run of backslashes
             "tab\tand spaces  ",
+            'a"b\\c\nd}e,f{g',
+            "\n\n",
+            "",
         ],
     )
     def test_round_trips(self, value):
@@ -215,19 +231,9 @@ class TestAdversarialLabelRoundTrip:
         key = f'repro_adversarial{{k="{_escape_label_value(value)}"}}'
         assert series == {key: 1.0}
 
-    def test_unescape_inverts_escape(self):
-        from repro.telemetry.export import _escape_label_value, _unescape_label_value
-
-        for value in ['a"b\\c\nd}e,f{g', "\\\\", '\\"', "\n\n", ""]:
-            assert _unescape_label_value(_escape_label_value(value)) == value
-
-    def test_unescape_rejects_unknown_escape(self):
-        from repro.telemetry.export import _unescape_label_value
-
+    def test_parser_rejects_dangling_backslash(self):
         with pytest.raises(TelemetryError):
-            _unescape_label_value("\\t")
-        with pytest.raises(TelemetryError):
-            _unescape_label_value("dangling\\")
+            parse_prometheus_text('repro_x{k="dangling\\')
 
     def test_parser_rejects_unterminated_value(self):
         with pytest.raises(TelemetryError):

@@ -1,8 +1,7 @@
-"""Tests for the metrics registry: counters, gauges, histograms, families."""
+"""Tests for the metrics registry: gauges, histograms, families."""
 
 import json
 import math
-import threading
 import time
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from repro import TelemetryError
 from repro.telemetry import (
-    Counter,
     Gauge,
     GaugeSampler,
     LatencyHistogram,
@@ -18,33 +16,6 @@ from repro.telemetry import (
     default_latency_bounds,
 )
 from repro.telemetry.metrics import EAGER_OBSERVE_MAX
-
-
-class TestCounter:
-    def test_increments(self):
-        counter = Counter("events_total")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_rejects_negative(self):
-        counter = Counter("events_total")
-        with pytest.raises(TelemetryError):
-            counter.inc(-1)
-
-    def test_thread_safety(self):
-        counter = Counter("events_total")
-
-        def worker():
-            for _ in range(1000):
-                counter.inc()
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter.value == 8000
 
 
 class TestGauge:
@@ -277,14 +248,14 @@ class TestHistogramReading:
 class TestMetricsRegistry:
     def test_get_or_create_same_object(self):
         registry = MetricsRegistry()
-        first = registry.counter("repro_x_total", "help")
-        second = registry.counter("repro_x_total")
+        first = registry.gauge("repro_x", "help")
+        second = registry.gauge("repro_x")
         assert first is second
 
     def test_labels_fan_out_into_series(self):
         registry = MetricsRegistry()
-        hits_a = registry.counter("repro_cache_hits_total", labels={"cache": "result"})
-        hits_b = registry.counter("repro_cache_hits_total", labels={"cache": "route"})
+        hits_a = registry.gauge("repro_cache_hits_total", labels={"cache": "result"})
+        hits_b = registry.gauge("repro_cache_hits_total", labels={"cache": "route"})
         assert hits_a is not hits_b
         assert len(registry) == 2
         families = registry.families()
@@ -292,22 +263,23 @@ class TestMetricsRegistry:
 
     def test_label_order_is_irrelevant(self):
         registry = MetricsRegistry()
-        first = registry.counter("repro_x_total", labels={"a": "1", "b": "2"})
-        second = registry.counter("repro_x_total", labels={"b": "2", "a": "1"})
+        first = registry.gauge("repro_x", labels={"a": "1", "b": "2"})
+        second = registry.gauge("repro_x", labels={"b": "2", "a": "1"})
         assert first is second
 
     def test_kind_conflict_raises(self):
         registry = MetricsRegistry()
-        registry.counter("repro_x_total")
+        registry.gauge("repro_x")
         with pytest.raises(TelemetryError):
-            registry.gauge("repro_x_total")
+            registry.histogram("repro_x")
+        registry.histogram("repro_latency_seconds")
         with pytest.raises(TelemetryError):
-            registry.histogram("repro_x_total")
+            registry.gauge("repro_latency_seconds")
 
     def test_empty_name_raises(self):
         registry = MetricsRegistry()
         with pytest.raises(TelemetryError):
-            registry.counter("")
+            registry.gauge("")
 
     def test_gauge_reregistration_rebinds_callback(self):
         registry = MetricsRegistry()
@@ -318,7 +290,7 @@ class TestMetricsRegistry:
 
     def test_snapshot_spelling_matches_exporter(self):
         registry = MetricsRegistry()
-        registry.counter("repro_x_total").inc(3)
+        registry.gauge("repro_x_total").set(3)
         registry.gauge("repro_cache_size", labels={"cache": "result"}, callback=lambda: 9)
         snap = registry.snapshot()
         assert snap["repro_x_total"] == 3

@@ -24,9 +24,6 @@ class TestEstimatorParameters:
         assert parameters.alpha_minutes == 30
         assert parameters.beta == 30
 
-    def test_intervals_per_day(self):
-        assert EstimatorParameters(alpha_minutes=30).intervals_per_day == 48
-        assert EstimatorParameters(alpha_minutes=120).intervals_per_day == 12
 
     def test_alpha_must_divide_day(self):
         with pytest.raises(ConfigurationError):
@@ -54,6 +51,28 @@ class TestEstimatorParameters:
         assert capped.max_rank == 2
         assert capped.beta == 45
         assert base.max_rank is None
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (EstimatorParameters, "cv_folds", 1),
+        (EstimatorParameters, "max_buckets", 0),
+        (FrontendParameters, "block_timeout_s", 0.0),
+        (IngestParameters, "queue_capacity", 0),
+        (IngestParameters, "n_workers", 0),
+        (TelemetryParameters, "trace_sample_every", -1),
+        (TelemetryParameters, "slow_log_capacity", 0),
+        (SimulationParameters, "sampling_period_s", 0.0),
+        (SimulationParameters, "signal_stop_probability", 1.5),
+        (SimulationParameters, "correlation_strength", -0.1),
+        (SimulationParameters, "popular_route_fraction", 2.0),
+        (ExperimentParameters, "default_alpha_minutes", 7),
+    ],
+)
+def test_an_out_of_range_field_is_a_configuration_error(cls, field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        cls(**{field: value})
 
 
 class TestSimulationParameters:

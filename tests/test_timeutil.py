@@ -49,11 +49,8 @@ class TestIntervals:
         with pytest.raises(ConfigurationError):
             all_intervals(0)
 
-    def test_overlap(self):
-        interval = TimeInterval(0, 100.0, 200.0)
-        assert interval.overlap_s(150.0, 250.0) == 50.0
-        assert interval.overlap_s(300.0, 400.0) == 0.0
-        assert interval.duration_s == 100.0
+    def test_duration(self):
+        assert TimeInterval(0, 100.0, 200.0).duration_s == 100.0
 
     def test_invalid_interval(self):
         with pytest.raises(ConfigurationError):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import MatchedTrajectory, Path
-from repro.trajectories.costs import ghg_emissions_g, path_ghg_costs, travel_time_s
+from repro import MatchedTrajectory
+from repro.trajectories.costs import ghg_emissions_g
 
 
 @pytest.fixture
@@ -19,18 +19,18 @@ def trajectory(small_network):
 
 class TestTravelTime:
     def test_total_travel_time(self, trajectory):
-        assert travel_time_s(trajectory) == 75.0
+        assert trajectory.total_cost == 75.0
 
     def test_observation_travel_time(self, trajectory):
-        observation = trajectory.observation_on(trajectory.path.prefix(1))
-        assert travel_time_s(observation) == 30.0
+        observation = trajectory.observation_at(0, 1)
+        assert observation.total_cost == 30.0
 
 
 class TestGHG:
     def test_emissions_positive_and_scale_with_length(self, trajectory, small_network):
         emissions = ghg_emissions_g(trajectory, small_network)
         assert emissions > 0
-        single = ghg_emissions_g(trajectory.observation_on(trajectory.path.prefix(1)), small_network)
+        single = ghg_emissions_g(trajectory.observation_at(0, 1), small_network)
         assert emissions > single
 
     def test_congestion_increases_emissions(self, small_network):
@@ -38,7 +38,3 @@ class TestGHG:
         fast = MatchedTrajectory.from_costs(1, [edge.edge_id], 0.0, [edge.free_flow_time_s])
         slow = MatchedTrajectory.from_costs(2, [edge.edge_id], 0.0, [edge.free_flow_time_s * 6])
         assert ghg_emissions_g(slow, small_network) > ghg_emissions_g(fast, small_network)
-
-    def test_path_ghg_costs_none_when_not_occurred(self, trajectory, small_network):
-        unrelated = Path([9999]) if 9999 not in trajectory.path else Path([9998])
-        assert path_ghg_costs(trajectory, unrelated, small_network) is None

@@ -4,7 +4,7 @@ import pytest
 
 from repro import MatchedTrajectory, Path, Trajectory, TrajectoryError
 from repro.roadnet.spatial import Point
-from repro.trajectories.gps import GPSRecord, resample
+from repro.trajectories.gps import GPSRecord
 from repro.trajectories.matched import EdgeTraversal, PathObservation
 
 
@@ -25,28 +25,20 @@ class TestGPS:
         with pytest.raises(TrajectoryError):
             GPSRecord(Point(0, 0), -1.0)
 
+    def test_iterates_its_records_in_order(self):
+        trajectory = make_gps([10, 20, 30])
+        assert [record.time_s for record in trajectory] == [10.0, 20.0, 30.0]
+
     def test_duration_and_locations(self):
         trajectory = make_gps([10, 20, 30])
         assert trajectory.duration_s == 20
         assert len(trajectory.locations()) == 3
-
-    def test_resample_keeps_endpoints(self):
-        trajectory = make_gps(range(0, 100))
-        coarse = resample(trajectory, 10.0)
-        assert coarse.records[0].time_s == 0
-        assert coarse.records[-1].time_s == 99
-        assert len(coarse) < len(trajectory)
-
-    def test_resample_invalid_period(self):
-        with pytest.raises(TrajectoryError):
-            resample(make_gps([0, 1]), 0.0)
 
 
 class TestMatchedTrajectory:
     def test_from_costs_builds_entry_times(self):
         matched = MatchedTrajectory.from_costs(7, [1, 2, 3], 100.0, [10.0, 20.0, 30.0])
         assert matched.departure_time_s == 100.0
-        assert matched.arrival_time_s == 160.0
         assert matched.total_cost == 60.0
         assert matched.path == Path([1, 2, 3])
         assert matched.traversals[1].entry_time_s == 110.0
@@ -63,18 +55,13 @@ class TestMatchedTrajectory:
         with pytest.raises(TrajectoryError):
             MatchedTrajectory(1, [EdgeTraversal(1, 100.0, 5.0), EdgeTraversal(2, 50.0, 5.0)])
 
-    def test_observation_on_subpath(self):
+    def test_observation_at_subpath(self):
         matched = MatchedTrajectory.from_costs(7, [1, 2, 3, 4], 100.0, [10.0, 20.0, 30.0, 40.0])
-        observation = matched.observation_on(Path([2, 3]))
-        assert observation is not None
+        observation = matched.observation_at(1, 2)
+        assert observation.path == Path([2, 3])
         assert observation.departure_time_s == 110.0
         assert observation.edge_costs == (20.0, 30.0)
         assert observation.total_cost == 50.0
-
-    def test_observation_on_unrelated_path_is_none(self):
-        matched = MatchedTrajectory.from_costs(7, [1, 2, 3], 0.0, [1.0, 1.0, 1.0])
-        assert matched.observation_on(Path([2, 4])) is None
-        assert matched.observation_on(Path([3, 2])) is None
 
     def test_observation_at_range_checked(self):
         matched = MatchedTrajectory.from_costs(7, [1, 2, 3], 0.0, [1.0, 1.0, 1.0])

@@ -55,11 +55,6 @@ class TestMatching:
             agreements.append(len(true_edges & found_edges) / len(true_edges))
         assert np.mean(agreements) > 0.7
 
-    def test_match_path_convenience(self, matcher, gps_and_truth):
-        gps, _ = gps_and_truth
-        path = matcher.match_path(gps[1])
-        assert path.cardinality >= 1
-
     def test_departure_time_close_to_truth(self, matcher, gps_and_truth):
         gps, truth = gps_and_truth
         matched = matcher.match(gps[0])

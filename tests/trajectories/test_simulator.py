@@ -92,11 +92,3 @@ class TestGPSEmission:
         for trajectory in gps:
             gaps = np.diff([r.time_s for r in trajectory.records])
             assert np.median(gaps) <= 15.0
-
-
-class TestGroundTruthSampling:
-    def test_sample_path_costs_shape(self, simulator):
-        route = simulator.popular_routes[0]
-        samples = simulator.sample_path_costs(route.path, 8 * 3600.0, 25, seed=1)
-        assert samples.shape == (25, len(route.path))
-        assert np.all(samples > 0)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import MatchedTrajectory, Path, TrajectoryError, TrajectoryStore
-from repro.timeutil import interval_of
 
 
 @pytest.fixture
@@ -44,7 +43,6 @@ class TestBasics:
         assert len(empty) == 0
         assert empty.covered_edges() == set()
         assert empty.total_edge_traversals() == 0
-        assert empty.unit_paths() == []
         assert empty.observations_on(Path([1, 2])) == []
         assert empty.frequent_subpath_counts(2) == {}
         assert empty.max_trajectories_by_cardinality(3) == {1: 0, 2: 0, 3: 0}
@@ -86,11 +84,6 @@ class TestPathQueries:
         # T1 departed at 8:01 and spends 60 s on e1 before entering e2.
         assert t1.departure_time_s == 8 * 3600 + 60 + 60
 
-    def test_observations_in_interval(self, toy_store):
-        interval = interval_of(8 * 3600.0, 30)
-        observations = toy_store.observations_in_interval(Path([4, 5]), interval)
-        assert {o.trajectory_id for o in observations} == {8, 9}
-
     def test_observations_by_interval_groups(self, toy_store):
         grouped = toy_store.observations_by_interval(Path([2, 3, 4]), 30)
         assert sum(len(v) for v in grouped.values()) == 5
@@ -124,8 +117,8 @@ class TestDatasetStatistics:
         assert Path([1, 2, 3]) in paths
         assert Path([2, 3, 4]) in paths
 
-    def test_unit_paths(self, toy_store):
-        assert len(toy_store.unit_paths()) == 6
+    def test_covered_edges(self, toy_store):
+        assert len(toy_store.covered_edges()) == 6
 
     def test_invalid_queries(self, toy_store):
         with pytest.raises(TrajectoryError):

@@ -58,15 +58,9 @@ class TestTrafficModel:
         correlation = np.corrcoef(samples[:, 0], samples[:, 1])[0, 1]
         assert correlation > 0.15
 
-    def test_speed_limit_bounds(self, model, small_network):
+    def test_edge_speed_factor_in_range(self, model, small_network):
         edge = next(iter(small_network.edges()))
-        low, high = model.speed_limit_distribution_bounds(edge)
-        assert low == pytest.approx(edge.free_flow_time_s)
-        assert high > low
-
-    def test_edge_state_accessible(self, model, small_network):
-        edge = next(iter(small_network.edges()))
-        state = model.edge_state(edge.edge_id)
+        state = model._edge_states[edge.edge_id]
         assert 0.5 <= state.base_speed_factor <= 1.0
 
     def test_deterministic_given_seed(self, small_network):
