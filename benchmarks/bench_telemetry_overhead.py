@@ -6,7 +6,7 @@ are sampled (1 in ``trace_sample_every`` requests), and the only push-style
 hot-path work is two histogram observes per answered request.  This
 benchmark measures that claim end-to-end and **gates** it:
 
-* the same warm workload runs through two live :class:`ServingFrontend`\ s
+* the same warm workload runs through two live :class:`ServingFrontend` instances
   -- one with no telemetry, one with a full default-configured hub -- in
   finely interleaved bursts with ABBA ordering, so multi-second machine
   noise phases (other tenants, frequency scaling) land on both sides

@@ -39,7 +39,13 @@ from ..histograms.multivariate import MultiHistogram
 from ..histograms.univariate import Histogram1D
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.path import Path
-from ..timeutil import TimeInterval, interval_at, interval_index_of, interval_of
+from ..timeutil import (
+    TimeInterval,
+    interval_at,
+    interval_index_at_width,
+    interval_of,
+    interval_width_s,
+)
 from .variables import SOURCE_SPEED_LIMIT, InstantiatedVariable
 
 #: Bytes per stored scalar, used for the memory-usage accounting of Figure 12.
@@ -62,6 +68,8 @@ class HybridGraph:
     ) -> None:
         self.network = network
         self.parameters = parameters or EstimatorParameters()
+        # Checked once here, so the per-edge interval lookup skips the check.
+        self._interval_width_s = interval_width_s(self.parameters.alpha_minutes)
         # (path edge ids, interval index) -> variable.
         self._variables: dict[tuple[tuple[int, ...], int], InstantiatedVariable] = {}
         # The path index: path edge ids -> its variables across intervals, in
@@ -158,7 +166,7 @@ class HybridGraph:
         Works on the interval's index; a :class:`TimeInterval` is built
         only when a fallback has to be created.
         """
-        index = interval_index_of(time_s, self.parameters.alpha_minutes)
+        index = interval_index_at_width(time_s, self._interval_width_s)
         return self._unit_variable(edge_id, index, None)
 
     def _unit_variable(

@@ -87,8 +87,10 @@ class RoadNetwork:
         self.name = name
         self._vertices: dict[int, Vertex] = {}
         self._edges: dict[int, Edge] = {}
-        self._out_edges: dict[int, list[int]] = {}
-        self._in_edges: dict[int, list[int]] = {}
+        # Adjacency rows, appended by add_edge: vertex -> [(edge_id, target)]
+        # and vertex -> [(source, free_flow_time_s)] (see out_table / in_table).
+        self._out_edges: dict[int, list[tuple[int, int]]] = {}
+        self._in_edges: dict[int, list[tuple[int, float]]] = {}
         self._edge_by_endpoints: dict[tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------ #
@@ -153,8 +155,8 @@ class RoadNetwork:
 
         edge = Edge(edge_id, source, target, float(length_m), float(speed_limit_kmh), category)
         self._edges[edge_id] = edge
-        self._out_edges[source].append(edge_id)
-        self._in_edges[target].append(edge_id)
+        self._out_edges[source].append((edge_id, target))
+        self._in_edges[target].append((source, edge.free_flow_time_s))
         self._edge_by_endpoints[(source, target)] = edge_id
         return edge
 
@@ -195,13 +197,24 @@ class RoadNetwork:
         """Outgoing edges of ``vertex_id``."""
         if vertex_id not in self._vertices:
             raise GraphError(f"unknown vertex {vertex_id}")
-        return [self._edges[eid] for eid in self._out_edges[vertex_id]]
+        return [self._edges[eid] for eid, _ in self._out_edges[vertex_id]]
 
-    def in_edges(self, vertex_id: int) -> list[Edge]:
-        """Incoming edges of ``vertex_id``."""
-        if vertex_id not in self._vertices:
-            raise GraphError(f"unknown vertex {vertex_id}")
-        return [self._edges[eid] for eid in self._in_edges[vertex_id]]
+    def in_table(self) -> dict[int, list[tuple[int, float]]]:
+        """``vertex id -> [(source, free_flow_time_s), ...]`` over its in-edges.
+
+        The reverse free-flow sweep's adjacency, in edge insertion order.
+        The dict is the network's own and follows ``add_vertex`` /
+        ``add_edge``; callers must not mutate it.
+        """
+        return self._in_edges
+
+    def out_table(self) -> dict[int, list[tuple[int, int]]]:
+        """``vertex id -> [(edge_id, target), ...]`` over its out-edges.
+
+        The route search's frontier adjacency, in :meth:`out_edges` order;
+        shared like :meth:`in_table`.
+        """
+        return self._out_edges
 
     def successors_of_edge(self, edge_id: int) -> list[Edge]:
         """Edges adjacent to ``edge_id`` (their start is this edge's end)."""

@@ -9,6 +9,7 @@ paths for sampling query workloads and trip itineraries.
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 from collections import OrderedDict
 from typing import Callable
@@ -26,41 +27,6 @@ def _free_flow_weight(edge: Edge) -> float:
     return edge.free_flow_time_s
 
 
-def _relax_loop(
-    start: int,
-    edges_of: Callable[[int], list[Edge]],
-    neighbor_of: Callable[[Edge], int],
-    weight: EdgeWeight,
-    target: int | None = None,
-    predecessor: dict[int, int] | None = None,
-) -> dict[int, float]:
-    """The shared Dijkstra relaxation loop (forward and reverse searches).
-
-    ``edges_of`` / ``neighbor_of`` select the adjacency direction; the
-    optional ``predecessor`` dict is filled with the edge id used to reach
-    each settled vertex; ``target`` stops the search early once settled.
-    """
-    distances: dict[int, float] = {start: 0.0}
-    settled: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, start)]
-    while heap:
-        dist, vertex = heapq.heappop(heap)
-        if vertex in settled:
-            continue
-        settled.add(vertex)
-        if target is not None and vertex == target:
-            break
-        for edge in edges_of(vertex):
-            neighbor = neighbor_of(edge)
-            candidate = dist + weight(edge)
-            if candidate < distances.get(neighbor, float("inf")):
-                distances[neighbor] = candidate
-                if predecessor is not None:
-                    predecessor[neighbor] = edge.edge_id
-                heapq.heappush(heap, (candidate, neighbor))
-    return distances
-
-
 def dijkstra(
     network: RoadNetwork,
     source: int,
@@ -73,34 +39,55 @@ def dijkstra(
     is the edge id used to reach vertex ``v``.  If ``target`` is given the
     search stops early once the target is settled.
     """
+    weight = weight or _free_flow_weight
+    distances: dict[int, float] = {source: 0.0}
     predecessor: dict[int, int] = {}
-    distances = _relax_loop(
-        source,
-        network.out_edges,
-        lambda edge: edge.target,
-        weight or _free_flow_weight,
-        target=target,
-        predecessor=predecessor,
-    )
+    settled: set[int] = set()
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    while heap:
+        dist, vertex = heapq.heappop(heap)
+        if vertex in settled:
+            continue
+        settled.add(vertex)
+        if vertex == target:
+            break
+        for edge in network.out_edges(vertex):
+            candidate = dist + weight(edge)
+            if candidate < distances.get(edge.target, float("inf")):
+                distances[edge.target] = candidate
+                predecessor[edge.target] = edge.edge_id
+                heapq.heappush(heap, (candidate, edge.target))
     return distances, predecessor
 
 
-def reverse_dijkstra(
-    network: RoadNetwork,
-    target: int,
-    weight: EdgeWeight | None = None,
-) -> dict[int, float]:
-    """Shortest-path distance from every vertex *to* ``target``.
+def reverse_dijkstra(network: RoadNetwork, target: int) -> dict[int, float]:
+    """Free-flow shortest-path distance from every vertex *to* ``target``.
 
-    Runs Dijkstra over the incoming-edge adjacency directly, so no reversed
-    copy of the network is ever materialised.  The result maps each vertex
-    that can reach ``target`` to its distance (``target`` itself maps to
-    ``0.0``); unreachable vertices are absent.
+    Runs Dijkstra over the network's in-edge table
+    (:meth:`~repro.roadnet.graph.RoadNetwork.in_table`), so no reversed
+    copy of the network and no :class:`Edge` object is touched.  The result
+    maps each vertex that can reach ``target`` to its distance (``target``
+    itself maps to ``0.0``); unreachable vertices are absent.
     """
     network.vertex(target)  # fail fast on an unknown target
-    return _relax_loop(
-        target, network.in_edges, lambda edge: edge.source, weight or _free_flow_weight
-    )
+    in_table = network.in_table()
+    distances: dict[int, float] = {target: 0.0}
+    known = distances.get
+    heap: list[tuple[float, int]] = [(0.0, target)]
+    pop, push, inf = heapq.heappop, heapq.heappush, math.inf
+    while heap:
+        dist, vertex = pop(heap)
+        # Weights are positive, so a vertex is only ever pushed again with a
+        # strictly smaller distance: an entry above its vertex's distance is
+        # stale, and the one equal to it is popped exactly once.
+        if dist > distances[vertex]:
+            continue
+        for neighbor, free_flow_s in in_table[vertex]:
+            candidate = dist + free_flow_s
+            if candidate < known(neighbor, inf):
+                distances[neighbor] = candidate
+                push(heap, (candidate, neighbor))
+    return distances
 
 
 class ReverseBoundsIndex:
@@ -110,8 +97,8 @@ class ReverseBoundsIndex:
     estimate of the remaining distance to the target.  Computing those
     bounds used to mean rebuilding a reversed copy of the whole road
     network on *every* query; this index runs a reverse Dijkstra straight
-    over ``network.in_edges`` and memoises the resulting bounds per target,
-    so repeated queries to the same target -- the common case for a
+    over the network's in-edge table and memoises the resulting bounds per
+    target, so repeated queries to the same target -- the common case for a
     routing service -- pay the sweep exactly once.
 
     The index is bounded: at most ``max_targets`` targets are kept, evicted
@@ -120,24 +107,17 @@ class ReverseBoundsIndex:
     actually run (the regression tests pin "a second query to the same
     target does no recompute" on it).
 
-    The index assumes a **frozen topology**: bounds depend only on the
-    network's vertices, edges and free-flow weights, all of which are
-    fixed once routing starts everywhere in this library.  If a network
-    *is* mutated in place (``add_vertex`` / ``add_edge`` after the index
-    exists), call :meth:`clear` -- cached bounds would otherwise miss the
-    new connectivity and over-prune.
+    Bounds depend only on the network's vertices, edges and free-flow
+    weights.  The network's adjacency tables follow ``add_vertex`` /
+    ``add_edge``, but an existing index's cached bounds do not: they would
+    miss the new connectivity and over-prune.  After mutating a network,
+    build a new index.
     """
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        weight: EdgeWeight | None = None,
-        max_targets: int = 256,
-    ) -> None:
+    def __init__(self, network: RoadNetwork, max_targets: int = 256) -> None:
         if max_targets < 1:
             raise RoutingError(f"max_targets must be >= 1, got {max_targets}")
         self.network = network
-        self._weight = weight
         self._max_targets = max_targets
         self._bounds: OrderedDict[int, dict[int, float]] = OrderedDict()
         # The index is shared by every route query of a service, whose
@@ -160,7 +140,7 @@ class ReverseBoundsIndex:
         # Run the sweep outside the lock so concurrent queries to *other*
         # targets are not serialised behind it; a racing duplicate compute
         # for the same target is harmless (last insert wins, same values).
-        bounds = reverse_dijkstra(self.network, target, self._weight)
+        bounds = reverse_dijkstra(self.network, target)
         with self._lock:
             self.n_computes += 1
             if target not in self._bounds and len(self._bounds) >= self._max_targets:

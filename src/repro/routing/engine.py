@@ -340,32 +340,27 @@ class RoutingEngine:
         counter = 0
 
         # Best-first frontier: (-parent bound, remaining free-flow, tiebreak,
-        # edges, visited, head, floor sum, ceiling sum).  The parent's own
-        # optimistic bound upper-bounds its extensions, so popping by it
+        # edges, visited vertices, head, floor sum, ceiling sum).  The parent's
+        # own optimistic bound upper-bounds its extensions, so popping by it
         # expands the most promising candidates first; among equal bounds
         # (common early on, when generous budgets make every bound 1.0) the
         # smaller remaining free-flow distance wins, steering the search
         # toward the target so a first completion -- and with it the pruning
         # cutoff -- is found as quickly as the depth-first reference finds
         # one.  The two sums are the path's summed per-edge cost bounds; the
-        # unique tiebreak keeps them out of the ordering.
+        # unique tiebreak keeps them out of the ordering.  ``visited`` is a
+        # tuple of at most ``limit_edges + 1`` vertex ids: one scan and one
+        # concatenation per child, where a set would be rebuilt per child.
+        out_table = self.network.out_table()
+        remaining_of = bounds.get
+        push, pop = heapq.heappush, heapq.heappop
         frontier: list[tuple] = []
-        for edge in self.network.out_edges(source):
-            if edge.target in bounds:
-                floor, ceiling = cost_bounds_of(edge.edge_id)
-                heapq.heappush(
-                    frontier,
-                    (
-                        -1.0,
-                        bounds[edge.target],
-                        counter,
-                        (edge.edge_id,),
-                        frozenset((source, edge.target)),
-                        edge.target,
-                        floor,
-                        ceiling,
-                    ),
-                )
+        for edge_id, head in out_table[source]:
+            remaining = remaining_of(head)
+            if remaining is not None:
+                floor, ceiling = cost_bounds_of(edge_id)
+                entry = (-1.0, remaining, counter, (edge_id,), (source, head), head, floor, ceiling)
+                push(frontier, entry)
                 counter += 1
 
         while frontier:
@@ -373,13 +368,11 @@ class RoutingEngine:
                 truncated = True
                 break
             # ---- pop a batch of the most promising frontier paths. ----- #
-            batch: list[tuple[tuple[int, ...], frozenset[int], int, float, float]] = []
+            batch: list[tuple[tuple[int, ...], tuple[int, ...], int, float, float]] = []
             optimistic: list[float] = []
             unsettled: list[tuple[int, float]] = []  # (place in the batch, value)
             while frontier and len(batch) < self.batch_size and expansions < limit_expansions:
-                neg_bound, _, _, edge_ids, visited, vertex, floor_sum, ceiling_sum = heapq.heappop(
-                    frontier
-                )
+                neg_bound, _, _, edge_ids, visited, vertex, floor_sum, ceiling_sum = pop(frontier)
                 parent_bound = -neg_bound
                 # Pop-time prune by the *parent's* bound against the best
                 # found since this entry was pushed.  Sound under the same
@@ -391,9 +384,13 @@ class RoutingEngine:
                 # whole subtree is already beaten -- in particular, once a
                 # probability-1.0 route is found the remaining frontier
                 # drains without another estimator call.  (Zero/threshold
-                # checks already ran at push time.)
+                # checks already ran at push time.)  The heap pops parent
+                # bounds in non-increasing order and the best only changes
+                # after this loop, so every entry still queued would be
+                # skipped here too: they are dropped at once instead.
                 if best_path is not None and parent_bound <= best_probability:
-                    continue
+                    frontier.clear()
+                    break
                 # The support bound: what ``prob_at_most`` returns for a value
                 # at or beyond the histogram's support (see the module
                 # docstring), taken without the histogram.
@@ -436,19 +433,20 @@ class RoutingEngine:
                     continue
                 if len(edge_ids) >= limit_edges:
                     continue
-                for edge in self.network.out_edges(vertex):
-                    if edge.target in visited or edge.target not in bounds:
+                for edge_id, head in out_table[vertex]:
+                    remaining = remaining_of(head)
+                    if remaining is None or head in visited:
                         continue
-                    floor, ceiling = cost_bounds_of(edge.edge_id)
-                    heapq.heappush(
+                    floor, ceiling = cost_bounds_of(edge_id)
+                    push(
                         frontier,
                         (
                             -bound,
-                            bounds[edge.target],
+                            remaining,
                             counter,
-                            edge_ids + (edge.edge_id,),
-                            visited | {edge.target},
-                            edge.target,
+                            edge_ids + (edge_id,),
+                            visited + (head,),
+                            head,
                             floor_sum + floor,
                             ceiling_sum + ceiling,
                         ),

@@ -52,7 +52,12 @@ def interval_width_s(alpha_minutes: int) -> float:
 
 def interval_index_of(time_s: float, alpha_minutes: int) -> int:
     """Index of the alpha-minute interval containing the time of day ``time_s``."""
-    return int(time_s % SECONDS_PER_DAY // interval_width_s(alpha_minutes))
+    return interval_index_at_width(time_s, interval_width_s(alpha_minutes))
+
+
+def interval_index_at_width(time_s: float, width_s: float) -> int:
+    """:func:`interval_index_of` for a width already checked by :func:`interval_width_s`."""
+    return int(time_s % SECONDS_PER_DAY // width_s)
 
 
 def interval_at(index: int, alpha_minutes: int) -> TimeInterval:

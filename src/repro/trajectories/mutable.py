@@ -64,12 +64,6 @@ class _BoundedSequence(Sequence):
         for i in range(self._count):
             yield self._items[i]
 
-    def __add__(self, other):
-        return list(self) + list(other)
-
-    def __radd__(self, other):
-        return list(other) + list(self)
-
 
 class _BoundedIndex:
     """A view of the live inverted index restricted to trajectories ``< count``.
@@ -106,10 +100,6 @@ class _BoundedIndex:
 
     def __len__(self) -> int:
         return self._n_edges
-
-    def __contains__(self, key: int) -> bool:
-        postings = self._index.get(key)
-        return bool(postings) and postings[0][0] < self._count
 
 
 class TrajectorySnapshot(TrajectoryStore):

@@ -17,7 +17,7 @@ from repro import (
     write_snapshot,
 )
 from repro.core.variables import SOURCE_SPEED_LIMIT, InstantiatedVariable
-from repro.timeutil import interval_of
+from repro.timeutil import interval_index_of, interval_of
 
 
 def rebuilt_prefix_counts(graph):
@@ -188,6 +188,14 @@ class TestHybridGraphContainer:
         graph.add_variable(unit_variable)
         assert graph.unit_variable_at(3, 8 * 3600.0 + 1799.0) is unit_variable
         assert graph.unit_variable_at(3, 8 * 3600.0 + 1800.0).source == SOURCE_SPEED_LIMIT
+
+    @pytest.mark.parametrize("alpha", [1, 15, 30, 45, 60, 1440])
+    def test_unit_variable_at_picks_timeutils_interval(self, small_network, alpha):
+        graph = HybridGraph(small_network, EstimatorParameters(alpha_minutes=alpha))
+        for time_s in (0.0, 1799.999, 1800.0, 8 * 3600.0 + 0.5, 86_399.999, 86_400.0, -1.0, 3e5):
+            variable = graph.unit_variable_at(3, time_s)
+            assert variable.interval.index == interval_index_of(time_s, alpha)
+            assert variable.interval == interval_of(time_s, alpha)
 
 
 class TestPathIndex:

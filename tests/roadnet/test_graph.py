@@ -74,9 +74,9 @@ class TestConstruction:
 
 
 class TestLookups:
-    def test_out_and_in_edges(self, triangle):
+    def test_out_edges_and_in_table(self, triangle):
         assert [e.target for e in triangle.out_edges(0)] == [1]
-        assert [e.source for e in triangle.in_edges(0)] == [2]
+        assert [source for source, _ in triangle.in_table()[0]] == [2]
 
     def test_successors_of_edge(self, triangle):
         first = triangle.edge(0)
@@ -94,10 +94,9 @@ class TestLookups:
         with pytest.raises(GraphError):
             triangle.vertex(99)
 
-    @pytest.mark.parametrize("lookup", ["out_edges", "in_edges"])
-    def test_edges_of_an_unknown_vertex_raise(self, triangle, lookup):
+    def test_out_edges_of_an_unknown_vertex_raise(self, triangle):
         with pytest.raises(GraphError):
-            getattr(triangle, lookup)(99)
+            triangle.out_edges(99)
 
     def test_unknown_edge_raises(self, triangle):
         with pytest.raises(GraphError):
@@ -106,6 +105,33 @@ class TestLookups:
     def test_free_flow_time(self, triangle):
         edge = triangle.edge(2)
         assert edge.free_flow_time_s == pytest.approx(500.0 / (30.0 / 3.6))
+
+
+class TestAdjacencyTables:
+    def test_tables_hold_the_edges_in_adjacency_order(self, triangle):
+        in_table, out_table = triangle.in_table(), triangle.out_table()
+        for vertex in triangle.vertices():
+            vertex_id = vertex.vertex_id
+            assert in_table[vertex_id] == [
+                (edge.source, edge.free_flow_time_s)
+                for edge in triangle.edges()
+                if edge.target == vertex_id
+            ]
+            assert out_table[vertex_id] == [
+                (edge.edge_id, edge.target) for edge in triangle.out_edges(vertex_id)
+            ]
+
+    def test_a_table_read_after_add_edge_includes_the_new_edge(self, triangle):
+        edge = triangle.add_edge(0, 2, 700.0, 50.0)
+        assert triangle.in_table()[2] == [
+            (1, triangle.edge(1).free_flow_time_s),
+            (0, edge.free_flow_time_s),
+        ]
+        assert (edge.edge_id, 2) in triangle.out_table()[0]
+
+    def test_add_vertex_adds_an_empty_row(self, triangle):
+        triangle.add_vertex(3, 5.0, 5.0)
+        assert triangle.in_table()[3] == [] and triangle.out_table()[3] == []
 
 
 class TestNetworkxExport:

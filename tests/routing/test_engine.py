@@ -54,6 +54,23 @@ class TestReverseBoundsIndex:
         with pytest.raises(RoutingError):
             ReverseBoundsIndex(small_network, max_targets=0)
 
+    def test_an_index_built_after_add_edge_uses_the_new_edge(self):
+        network = RoadNetwork(name="detour")
+        for vertex in range(3):
+            network.add_vertex(vertex, 100.0 * vertex, 0.0)
+        network.add_edge(0, 1, 1000.0, 36.0)
+        network.add_edge(1, 2, 1000.0, 36.0)
+        old = ReverseBoundsIndex(network)
+        assert old.bounds_to(2) == {2: 0.0, 1: 100.0, 0: 200.0}
+        shortcut = network.add_edge(0, 2, 500.0, 36.0)
+        assert ReverseBoundsIndex(network).bounds_to(2) == {
+            2: 0.0,
+            1: 100.0,
+            0: shortcut.free_flow_time_s,
+        }
+        # An existing index keeps the bounds it cached before the mutation.
+        assert old.bounds_to(2)[0] == 200.0
+
 
 class TestRouterBugfixes:
     def test_second_query_does_no_reverse_rebuild(self, small_network, hybrid_graph):

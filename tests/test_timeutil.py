@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro import ConfigurationError, all_intervals, format_time, interval_of, parse_time
-from repro.timeutil import TimeInterval
+from repro import (
+    ConfigurationError,
+    EstimatorParameters,
+    all_intervals,
+    format_time,
+    interval_of,
+    parse_time,
+)
+from repro.timeutil import TimeInterval, interval_index_of
 
 
 class TestParseFormat:
@@ -48,6 +55,15 @@ class TestIntervals:
             interval_of(0.0, 7)
         with pytest.raises(ConfigurationError):
             all_intervals(0)
+
+    @pytest.mark.parametrize("alpha", [0, -30, 7, 1441])
+    def test_interval_index_of_checks_alpha(self, alpha):
+        # A hybrid graph computes interval indices from its parameters'
+        # width without this check: the parameters refuse the same alphas.
+        with pytest.raises(ConfigurationError):
+            interval_index_of(0.0, alpha)
+        with pytest.raises(ConfigurationError):
+            EstimatorParameters(alpha_minutes=alpha)
 
     def test_duration(self):
         assert TimeInterval(0, 100.0, 200.0).duration_s == 100.0
